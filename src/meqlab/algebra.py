@@ -37,7 +37,7 @@ __all__ = [
     "SYMPLECTIC",
     "QuadOp",
     "commutator",
-    "dissipator_pair_action",
+    "dissipator_action",
     "moment_generator",
     "multiply_linear",
     "position",
@@ -185,18 +185,33 @@ def multiply_linear(a: QuadOp, b: QuadOp) -> QuadOp:
     return QuadOp(scalar, linear, quad)
 
 
-def dissipator_pair_action(rate: float, x: QuadOp, y: QuadOp, o: QuadOp) -> QuadOp:
-    """Adjoint dissipator contribution of one channel pair on observable o:
+def dissipator_action(b: np.ndarray, o: QuadOp) -> QuadOp:
+    """Adjoint dissipator of one bath on observable o:
 
-        (rate/2) * X†[o, Y]  +  h.c.
+        (1/2) sum rate * X†[o, Y]  +  h.c.
 
-    For Y = X this is the standard GKSL form rate*(X†oX - (1/2){X†X, o});
-    cross pairs (Y != X) carry the retained opposite-sign-frequency terms.
-    Unital by construction: o = identity maps to zero.
+    summed over that bath's channel pairs (X, Y) of linear jump
+    operators, entered through the channel table
+    b = sum rate * conj(x) y^T of their coefficient vectors. The action
+    is bilinear in (conj(x), y), so the table carries everything; in
+    closed matrix form the half-term is
+
+        scalar = -(1/2) sum_ij (w Q w)_ij b_ij,
+        linear = (i/2) b w^T l,
+        quad   = (1/2)(m + m^T),  m = i b w^T Q,
+
+    for o = scalar + l.q + (1/2) q^T Q q. A diagonal pair (Y = X) gives
+    the standard GKSL form rate*(X†oX - (1/2){X†X, o}); cross pairs carry
+    the retained opposite-sign-frequency terms. Unital by construction:
+    o = identity maps to zero.
     """
-    if not x.is_linear() or not y.is_linear():
-        raise ContractError("dissipator channels must be linear operators")
-    half = (0.5 * rate) * multiply_linear(x.adjoint(), commutator(o, y))
+    w = SYMPLECTIC
+    m = 1j * (b @ w.T @ o.quad)
+    half = QuadOp(
+        -0.5 * np.sum((w @ o.quad @ w) * b),
+        0.5j * (b @ w.T @ o.linear),
+        0.5 * (m + m.T),
+    )
     return half + half.adjoint()
 
 

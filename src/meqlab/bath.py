@@ -100,10 +100,7 @@ def decay_rate(bath: BathSpec, omega: float) -> float:
     """
     if omega == 0.0:
         raise DomainError("decay_rate is undefined at omega = 0")
-    if bath.temperature == 0.0:
-        weight = 1.0 if omega > 0.0 else 0.0
-    else:
-        weight = _thermal_weight(omega / bath.temperature)
+    weight = _thermal_weight(omega / bath.temperature)
     return 2.0 * spectral_density(bath, omega) * weight
 
 

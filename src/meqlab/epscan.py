@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec, delta_coeff
-from .errors import BracketError, DomainError, ValidationError
+from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .fixtures import instantiate
 from .generators import GME, GME_ZEROTH, LME, REDFIELD, REDFIELD_ZEROTH
 from .model import SystemSpec
@@ -173,7 +173,7 @@ def _kappa_batch(mats: np.ndarray) -> np.ndarray:
         for i, m in enumerate(flat):
             try:
                 flat_out[i] = eig(m).kappa
-            except Exception:
+            except NumericalError:
                 flat_out[i] = np.nan
         return out
     norms = np.linalg.norm(vecs, axis=-2, keepdims=True)

@@ -9,10 +9,13 @@ governing first and second quadrature moments,
 
 The primary construction path is fully symbolic: apply the adjoint
 generator to every basis observable through the quadrature algebra and
-read off coefficients. Where a closed-form coefficient matrix exists
-(fixture templates), the symbolic result is cross-checked against it
-entry-wise before being returned; a mismatch is an internal error,
-never silently ignored.
+read off coefficients. The labels differ only in which jump-operator
+pairs they keep; each bath's kept pairs are summed into one channel
+table (:func:`_dissipator_terms`), the single home of that pairing
+rule, which the heat-current check reuses. Where a closed-form
+coefficient matrix exists (fixture templates), the symbolic result is
+cross-checked against it entry-wise before being returned; a mismatch
+is an internal error, never silently ignored.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ from .algebra import (
     QuadOp,
     basis_from_linear,
     commutator,
-    dissipator_pair_action,
+    dissipator_action,
     local_moment_basis,
     moment_generator,
     pack_symmetric,
     unpack_symmetric,
 )
 from .bath import BathSpec, combined_coeffs, decay_rate, delta_coeff, sigma_coeff
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ContractError, ValidationError
 from .model import (
     JumpChannel,
     NormalModes,
@@ -125,12 +128,15 @@ def _zeroth_channels(sys: SystemSpec, modes: NormalModes) -> list[JumpChannel]:
 
 def _dissipator_terms(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
-) -> list[tuple[float, QuadOp, QuadOp]]:
-    """(rate, X, Y) triples feeding dissipator_pair_action, per label.
+) -> dict[str, np.ndarray]:
+    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label.
 
-    Diagonal pairs (Y = X) give the GKSL channels; the Redfield forms add
-    every same-bath channel pair whose sandwiched operators carry
-    opposite-sign frequencies, i.e. X, Y of equal frequency sign.
+    The sum runs over the bath's channel pairs (X, Y): diagonal pairs
+    (Y is X) for the secular forms, and for the Redfield forms every
+    same-bath pair whose sandwiched operators carry opposite-sign
+    frequencies, i.e. X, Y of equal frequency sign. The rate is the
+    decay rate of X. Feeds :func:`dissipator_action`; the heat-current
+    check in ``thermo`` reads the same tables.
     """
     baths = {"h": hot, "c": cold}
     if label == LME:
@@ -141,22 +147,19 @@ def _dissipator_terms(
         channels = _zeroth_channels(sys, modes)
     else:
         raise ValidationError(f"unknown generator label {label!r}")
+    for ch in channels:
+        if ch.op.scalar != 0.0 or not ch.op.is_linear():
+            raise ContractError("dissipator channels must be linear operators")
 
-    terms = []
-    if label in (LME, GME, GME_ZEROTH):
-        for ch in channels:
-            rate = decay_rate(baths[ch.bath], ch.frequency)
-            terms.append((rate, ch.op, ch.op))
-        return terms
-
+    secular = label in (LME, GME, GME_ZEROTH)
+    tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
     for x_ch, y_ch in product(channels, channels):
-        if x_ch.bath != y_ch.bath:
-            continue
-        if x_ch.frequency * y_ch.frequency <= 0.0:
+        paired = y_ch is x_ch if secular else x_ch.frequency * y_ch.frequency > 0.0
+        if x_ch.bath != y_ch.bath or not paired:
             continue
         rate = decay_rate(baths[x_ch.bath], x_ch.frequency)
-        terms.append((rate, x_ch.op, y_ch.op))
-    return terms
+        tables[x_ch.bath] += rate * np.outer(np.conj(x_ch.op.linear), y_ch.op.linear)
+    return tables
 
 
 def _engine_blocks(
@@ -174,12 +177,12 @@ def _engine_blocks(
         labels, basis = basis_from_linear(mode_quadratures(modes), NORMAL_LINEAR_LABELS)
     else:
         raise ValidationError(f"unknown frame {frame!r}")
-    terms = _dissipator_terms(label, sys, hot, cold, modes)
+    tables = _dissipator_terms(label, sys, hot, cold, modes).values()
     derivatives = []
     for theta in basis:
         d_theta = 1j * commutator(h_op, theta)
-        for rate, x_op, y_op in terms:
-            d_theta = d_theta + dissipator_pair_action(rate, x_op, y_op, theta)
+        for b in tables:
+            d_theta = d_theta + dissipator_action(b, theta)
         derivatives.append(d_theta)
     block1, block2, const2 = moment_generator(derivatives, basis)
     return block1, block2, const2, labels

@@ -128,16 +128,6 @@ def hamiltonian(sys: SystemSpec) -> QuadOp:
     return QuadOp(quad=q)
 
 
-def local_hamiltonian(sys: SystemSpec) -> QuadOp:
-    """Sum of the two uncoupled oscillator Hamiltonians (k dropped)."""
-    q = np.zeros((4, 4))
-    q[0, 0] = 0.5 * sys.omega_h**2
-    q[1, 1] = 0.5
-    q[2, 2] = 0.5 * sys.omega_c**2
-    q[3, 3] = 0.5
-    return QuadOp(quad=q)
-
-
 @dataclass(frozen=True)
 class JumpChannel:
     """One decay channel: which bath it couples to, its signed Bohr

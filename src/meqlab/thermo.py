@@ -3,9 +3,10 @@
 The instantaneous current from bath alpha is the expectation of that
 bath's adjoint dissipator applied to the Hamiltonian. Closed forms in
 terms of second moments are evaluated for speed and cross-checked, on
-every call, against the fully symbolic route (apply the dissipator to H
-through the quadrature algebra and take the expectation); disagreement
-raises; it is never silently patched.
+every call, against the fully symbolic route (apply each bath's
+dissipator, from the channel table the generator construction uses, to
+H through the quadrature algebra and take the expectation);
+disagreement raises; it is never silently patched.
 
 Sign convention: positive current = energy flowing from the bath into
 the system.
@@ -14,13 +15,12 @@ the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import QuadOp, dissipator_pair_action, unpack_symmetric
-from .bath import BathSpec, decay_rate, delta_coeff, sigma_coeff
+from .algebra import QuadOp, dissipator_action, unpack_symmetric
+from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, propagate, to_normal_mode_moments
 from .errors import ConsistencyError, ValidationError
 from .generators import (
@@ -29,16 +29,11 @@ from .generators import (
     LOCAL_FRAME,
     REDFIELD,
     MomentGenerator,
+    _dissipator_terms,
     build,
     hamiltonian_moment_vector,
 )
-from .model import (
-    SystemSpec,
-    global_jump_ops,
-    hamiltonian,
-    local_jump_ops,
-    normal_modes,
-)
+from .model import SystemSpec, hamiltonian, normal_modes
 
 __all__ = [
     "HeatCurrentSample",
@@ -82,35 +77,14 @@ def _per_bath_dissipators(
 ) -> dict[str, QuadOp]:
     """D_alpha(H) as an operator, one entry per bath.
 
-    Mirrors the channel pairing of the generator construction so the
-    split by bath is exact.
+    Applies each bath's channel table from the generator construction,
+    so the split by bath is exact.
     """
-    h_op = hamiltonian(sys)
-    modes = normal_modes(sys)
-    baths = {"h": hot, "c": cold}
-    if label == LME:
-        channels = local_jump_ops(sys)
-    elif label in (GME, REDFIELD):
-        channels = global_jump_ops(sys, modes)
-    else:
+    if label not in CURRENT_LABELS:
         raise ValidationError(f"no heat-current form for label {label!r}")
-
-    out = {"h": QuadOp(), "c": QuadOp()}
-    if label in (LME, GME):
-        for ch in channels:
-            rate = decay_rate(baths[ch.bath], ch.frequency)
-            out[ch.bath] = out[ch.bath] + dissipator_pair_action(
-                rate, ch.op, ch.op, h_op
-            )
-        return out
-    for x_ch, y_ch in product(channels, channels):
-        if x_ch.bath != y_ch.bath or x_ch.frequency * y_ch.frequency <= 0.0:
-            continue
-        rate = decay_rate(baths[x_ch.bath], x_ch.frequency)
-        out[x_ch.bath] = out[x_ch.bath] + dissipator_pair_action(
-            rate, x_ch.op, y_ch.op, h_op
-        )
-    return out
+    h_op = hamiltonian(sys)
+    tables = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
+    return {name: dissipator_action(b, h_op) for name, b in tables.items()}
 
 
 def _closed_form_currents(

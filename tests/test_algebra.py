@@ -9,7 +9,7 @@ from meqlab.algebra import (
     SYMPLECTIC,
     basis_from_linear,
     commutator,
-    dissipator_pair_action,
+    dissipator_action,
     local_moment_basis,
     moment_generator,
     momentum,
@@ -103,12 +103,20 @@ def test_multiply_linear_rejects_quadratic_input():
         multiply_linear(quadratic_basis_op(0, 0), X_H)
 
 
+def pair_table(rate, x, y):
+    """Channel table of one (X, Y) pair: rate * conj(x) y^T."""
+    return rate * np.outer(np.conj(x.linear), y.linear)
+
+
+def random_linear(rng):
+    return QuadOp(linear=rng.normal(size=4) + 1j * rng.normal(size=4))
+
+
 def test_pair_action_identity_invariant():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        x = QuadOp(linear=rng.normal(size=4) + 1j * rng.normal(size=4))
-        y = QuadOp(linear=rng.normal(size=4) + 1j * rng.normal(size=4))
-        out = dissipator_pair_action(0.7, x, y, QuadOp(scalar=1.0))
+        x, y = random_linear(rng), random_linear(rng)
+        out = dissipator_action(pair_table(0.7, x, y), QuadOp(scalar=1.0))
         assert out.max_abs() < 1e-14
 
 
@@ -133,11 +141,29 @@ def test_pair_action_reproduces_gksl_form():
     # exact identity: X†OX - (1/2){X†X, O} = X†[O, X] + (1/2)[X†X, O]
     rng = np.random.default_rng(9)
     for _ in range(20):
-        x = QuadOp(linear=rng.normal(size=4) + 1j * rng.normal(size=4))
+        x = random_linear(rng)
         obs = random_quadop(rng, hermitian=True)
-        via_pair = dissipator_pair_action(1.3, x, x, obs)
+        via_table = dissipator_action(pair_table(1.3, x, x), obs)
         via_products = gksl_reference(1.3, x, obs)
-        assert via_pair.distance(via_products) < 1e-12
+        assert via_table.distance(via_products) < 1e-12
+
+
+def test_summed_table_matches_pair_products():
+    # the closed matrix form of a table summed over cross pairs equals
+    # the pair-by-pair operator products (rate/2) X†[O, Y] + h.c.
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        pairs = [
+            (rng.uniform(0.1, 2.0), random_linear(rng), random_linear(rng))
+            for _ in range(4)
+        ]
+        obs = random_quadop(rng)
+        reference = QuadOp()
+        for rate, x, y in pairs:
+            half = (0.5 * rate) * multiply_linear(x.adjoint(), commutator(obs, y))
+            reference = reference + half + half.adjoint()
+        table = sum(pair_table(rate, x, y) for rate, x, y in pairs)
+        assert dissipator_action(table, obs).distance(reference) < 1e-12
 
 
 def test_pair_action_number_conservation():
@@ -145,22 +171,33 @@ def test_pair_action_number_conservation():
     # (textbook closed form, recomputed by hand: a†[a†a, a] terms)
     a = 2.0**-0.5 * (X_H + 1j * P_H)
     number = multiply_linear(a.adjoint(), a)  # (x^2 + p^2)/2 - 1/2
-    out = dissipator_pair_action(0.9, a, a, number)
+    out = dissipator_action(pair_table(0.9, a, a), number)
     assert out.distance(-0.9 * number) < 1e-14
 
 
 def test_pair_action_hermiticity_preservation():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        x = QuadOp(linear=rng.normal(size=4) + 1j * rng.normal(size=4))
+        x = random_linear(rng)
         obs = random_quadop(rng, hermitian=True)
-        out = dissipator_pair_action(0.4, x, x, obs)
+        out = dissipator_action(pair_table(0.4, x, x), obs)
         assert out.is_hermitian(tol=1e-12)
 
 
-def test_pair_action_rejects_quadratic_channel():
-    with pytest.raises(ContractError):
-        dissipator_pair_action(1.0, quadratic_basis_op(0, 0), X_H, X_H)
+def test_pair_action_rejects_quadratic_channel(monkeypatch):
+    # channel tables are assembled from linear jump operators only: a
+    # channel with a quadratic or scalar part is refused where the
+    # table is built
+    import meqlab.generators as gmod
+    from meqlab.bath import BathSpec
+    from meqlab.model import JumpChannel, SystemSpec
+
+    bath = BathSpec(1e-4, 1.0, 1e3)
+    for bad_op in (quadratic_basis_op(0, 0), X_H + QuadOp(scalar=0.5)):
+        channels = [JumpChannel("h", 1.0, bad_op), JumpChannel("c", 1.0, X_C)]
+        monkeypatch.setattr(gmod, "local_jump_ops", lambda sys: channels)
+        with pytest.raises(ContractError):
+            gmod.build(gmod.LME, SystemSpec(1.0, 1.0, 0.1), bath, bath)
 
 
 def test_pack_unpack_roundtrip():

@@ -184,3 +184,36 @@ def test_ep_divergence_on_the_line():
         )
         assert kappa_on > 1e4
         assert kappa_on > 100.0 * kappa_off
+
+
+def test_kappa_batch_fallback_nan_only_for_numerical_errors(monkeypatch):
+    # when the batched eig fails, each point is retried alone: a kernel
+    # failure (NumericalError) becomes NaN at that point only, while any
+    # other exception is a bug and propagates
+    from types import SimpleNamespace
+
+    import meqlab.epscan as emod
+    from meqlab.errors import NumericalError
+
+    def batch_fails(mats):
+        raise np.linalg.LinAlgError("batched eig did not converge")
+
+    mats = np.stack([np.diag([-1.0, -2.0]), np.diag([-3.0, -4.0])])
+    monkeypatch.setattr(np.linalg, "eig", batch_fails)
+
+    def kernel_fails_at_first(m):
+        if m[0, 0] == -1.0:
+            raise NumericalError("eigendecomposition failed")
+        return SimpleNamespace(kappa=7.0)
+
+    monkeypatch.setattr(emod, "eig", kernel_fails_at_first)
+    kappa = emod._kappa_batch(mats)
+    assert np.isnan(kappa[0])
+    assert kappa[1] == 7.0
+
+    def kernel_bug(m):
+        raise TypeError("not a kernel failure")
+
+    monkeypatch.setattr(emod, "eig", kernel_bug)
+    with pytest.raises(TypeError):
+        emod._kappa_batch(mats)

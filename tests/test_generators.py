@@ -14,6 +14,8 @@ from meqlab.generators import (
     LOCAL_FRAME,
     NORMAL_FRAME,
     REDFIELD,
+    REDFIELD_ZEROTH,
+    _zeroth_channels,
     build,
     closed_form_blocks,
     frame_rotate,
@@ -21,7 +23,7 @@ from meqlab.generators import (
     second_moment_rotation,
     zeroth_order,
 )
-from meqlab.model import SystemSpec, local_jump_ops, normal_modes
+from meqlab.model import SystemSpec, global_jump_ops, local_jump_ops, normal_modes
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -197,44 +199,75 @@ def test_hamiltonian_part_matches_classical_flow():
         assert np.abs(gen.block2 - classical_second_moment_flow(gen.block1)).max() < 1e-12
 
 
-def gaussian_gksl_oracle(sys, channels, rates):
-    """Drift/diffusion matrix identities for linear-jump GKSL dynamics.
+def gaussian_gksl_oracle(sys, b):
+    """Drift/diffusion matrix identities for linear-jump dynamics.
 
-    For H = (1/2) q^T G q and jump operators L_m = v_m . q with rates
-    g_m, the first-moment drift is A = Omega (G + Im B) and the second
-    moments obey dS = A S + S A^T + D with B = sum_m g_m conj(v_m) v_m^T
-    and D = Omega (Re B) Omega^T; derived directly from the CCR, not
-    through the operator engine.
+    For H = (1/2) q^T G q and channel pairs (X_m, Y_m) = (x_m . q, y_m . q)
+    with rates g_m, the first-moment drift is A = Omega (G - (Im B)^T)
+    and the second moments obey dS = A S + S A^T + D with
+    B = sum_m g_m conj(x_m) y_m^T and D = Omega (Re B) Omega^T, whose
+    symmetric part enters the second moments; derived directly from the
+    CCR, not through the operator engine. For a Hermitian (GKSL) table
+    -(Im B)^T = Im B; Redfield's cross pairs make B non-Hermitian.
     """
     from meqlab.algebra import SYMPLECTIC
     from meqlab.model import hamiltonian
 
     g_mat = 2.0 * hamiltonian(sys).quad.real
-    b = np.zeros((4, 4), dtype=complex)
-    for v, rate in zip(channels, rates):
-        b += rate * np.outer(np.conj(v), v)
     omega_s = SYMPLECTIC
-    drift = omega_s @ (g_mat + b.imag)
+    drift = omega_s @ (g_mat - b.imag.T)
     diffusion = omega_s @ b.real @ omega_s.T
     return drift, diffusion
 
 
+def oracle_table(label, sys, hot, cold):
+    """B = sum rate * conj(x) y^T straight from the channel lists: the
+    diagonal pairs for the secular labels, every same-bath pair of equal
+    frequency sign for the Redfield labels."""
+    modes = normal_modes(sys)
+    if label == LME:
+        channels = local_jump_ops(sys)
+    elif label in (GME, REDFIELD):
+        channels = global_jump_ops(sys, modes)
+    else:
+        channels = _zeroth_channels(sys, modes)
+    baths = {"h": hot, "c": cold}
+    b = np.zeros((4, 4), dtype=complex)
+    for x in channels:
+        for y in channels:
+            if x.bath != y.bath:
+                continue
+            if label in (REDFIELD, REDFIELD_ZEROTH):
+                if x.frequency * y.frequency <= 0.0:
+                    continue
+            elif y is not x:
+                continue
+            rate = decay_rate(baths[x.bath], x.frequency)
+            b += rate * np.outer(np.conj(x.op.linear), y.op.linear)
+    return b
+
+
 def test_gksl_oracle_matches_engine_lme():
+    # every label, resonant and detuned on alternate points: the detuned
+    # GME and Redfield generators have no closed form, so this oracle is
+    # their only independent check
     rng = np.random.default_rng(55)
-    for _ in range(20):
+    for i in range(20):
         sys, hot, cold = random_setup(rng)
-        gen = build(LME, sys, hot, cold)
-        channels, rates = [], []
-        baths = {"h": hot, "c": cold}
-        for ch in local_jump_ops(sys):
-            channels.append(ch.op.linear)
-            rates.append(decay_rate(baths[ch.bath], ch.frequency))
-        drift, diffusion = gaussian_gksl_oracle(sys, channels, rates)
-        assert np.abs(gen.block1 - drift).max() < 1e-12
-        # block2 = induced flow of the drift plus the constant from the
-        # symmetrized diffusion
-        assert np.abs(gen.block2 - classical_second_moment_flow(drift)).max() < 1e-12
-        assert np.abs(gen.const2 - pack_symmetric(0.5 * (diffusion + diffusion.T))).max() < 1e-12
+        if i % 2:
+            sys = SystemSpec(sys.omega_h, sys.omega_h * rng.uniform(0.6, 1.4), sys.k)
+        for label in GENERATOR_LABELS:
+            gen = build(label, sys, hot, cold)
+            drift, diffusion = gaussian_gksl_oracle(
+                sys, oracle_table(label, sys, hot, cold)
+            )
+            assert np.abs(gen.block1 - drift).max() < 1e-12
+            # block2 = induced flow of the drift plus the constant from
+            # the symmetrized diffusion
+            flow = classical_second_moment_flow(drift)
+            assert np.abs(gen.block2 - flow).max() < 1e-12
+            sym = 0.5 * (diffusion + diffusion.T)
+            assert np.abs(gen.const2 - pack_symmetric(sym)).max() < 1e-12
 
 
 def test_block1_trace_matches_analytic_dissipation():
