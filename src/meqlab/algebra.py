@@ -42,6 +42,8 @@ __all__ = [
     "multiply_linear",
     "position",
     "momentum",
+    "moment_labels",
+    "second_moment_flow",
 ]
 
 #: [q_i, q_j] = i * SYMPLECTIC[i, j]; one (x, p) block per oscillator.
@@ -247,6 +249,39 @@ def unpack_symmetric(v: np.ndarray) -> np.ndarray:
     return s
 
 
+def _flow_indices() -> np.ndarray:
+    """Indices into A padded with (+0.0, -0.0) of the two terms of each
+    entry of the packed map S -> A S + S A^T. A lone term meets the -0.0
+    pad, an exact additive identity; an empty entry is +0.0 + -0.0."""
+    idx = np.empty((2, 10, 10), dtype=int)
+    for row, (i, j) in enumerate(SECOND_MOMENT_PAIRS):
+        for col, (p, q) in enumerate(SECOND_MOMENT_PAIRS):
+            terms = [4 * i + (p if j == q else q)] if j in (p, q) else []
+            if i in (p, q):
+                terms.append(4 * j + (q if i == p else p))
+            idx[:, row, col] = terms + [16, 17][len(terms):]
+    return idx
+
+
+_FLOW_INDICES = _flow_indices()
+
+
+def second_moment_flow(a: np.ndarray) -> np.ndarray:
+    """Packed second-moment generator S -> A S + S A^T of drifts A,
+    (..., 4, 4) -> (..., 10, 10). Each entry sums at most two entries of
+    A, gathered by ``take``, so its bits do not depend on the batch shape."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-2:] != (4, 4):
+        raise ContractError(f"drift must end in shape (4, 4), got {a.shape}")
+    lead = a.shape[:-2]
+    padded = np.concatenate(
+        [a.reshape(lead + (16,)), np.broadcast_to([0.0, -0.0], lead + (2,))], axis=-1
+    )
+    flow = np.take(padded, _FLOW_INDICES[0], axis=-1)
+    flow += np.take(padded, _FLOW_INDICES[1], axis=-1)
+    return flow
+
+
 def quadratic_basis_op(i: int, j: int) -> QuadOp:
     """(1/2){q_i, q_j} as a QuadOp."""
     q = np.zeros((4, 4))
@@ -255,20 +290,25 @@ def quadratic_basis_op(i: int, j: int) -> QuadOp:
     return QuadOp(quad=q)
 
 
+def moment_labels(names: Sequence[str]) -> tuple[str, ...]:
+    """Labels of the 14 moments on four first-order names: the names,
+    then one symmetrized product per second-moment pair."""
+    out = list(names)
+    for i, j in SECOND_MOMENT_PAIRS:
+        if i == j:
+            out.append(f"{names[i]}^2")
+        elif (i, j) in ((0, 1), (2, 3)):
+            out.append("{%s,%s}/2" % (names[i], names[j]))
+        else:
+            out.append(f"{names[i]} {names[j]}")
+    return tuple(out)
+
+
 def local_moment_basis() -> tuple[tuple[str, ...], list[QuadOp]]:
     """The 14 local-quadrature moment observables, first order then second."""
-    labels = list(QUADRATURE_LABELS)
     ops = [position(0), momentum(0), position(1), momentum(1)]
-    names = {0: "x_h", 1: "p_h", 2: "x_c", 3: "p_c"}
-    for i, j in SECOND_MOMENT_PAIRS:
-        ops.append(quadratic_basis_op(i, j))
-        if i == j:
-            labels.append(f"{names[i]}^2")
-        elif (i, j) in ((0, 1), (2, 3)):
-            labels.append("{%s,%s}/2" % (names[i], names[j]))
-        else:
-            labels.append(f"{names[i]} {names[j]}")
-    return tuple(labels), ops
+    ops += [quadratic_basis_op(i, j) for i, j in SECOND_MOMENT_PAIRS]
+    return moment_labels(QUADRATURE_LABELS), ops
 
 
 def basis_from_linear(
@@ -283,20 +323,12 @@ def basis_from_linear(
     if len(linear_ops) != 4:
         raise ContractError("need exactly four first-order operators")
     ops = list(linear_ops)
-    out_labels = list(labels)
     for i, j in SECOND_MOMENT_PAIRS:
-        prod = 0.5 * (
+        ops.append(0.5 * (
             multiply_linear(linear_ops[i], linear_ops[j])
             + multiply_linear(linear_ops[j], linear_ops[i])
-        )
-        ops.append(prod)
-        if i == j:
-            out_labels.append(f"{labels[i]}^2")
-        elif (i, j) in ((0, 1), (2, 3)):
-            out_labels.append("{%s,%s}/2" % (labels[i], labels[j]))
-        else:
-            out_labels.append(f"{labels[i]} {labels[j]}")
-    return tuple(out_labels), ops
+        ))
+    return moment_labels(labels), ops
 
 
 def moment_generator(

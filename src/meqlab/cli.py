@@ -295,6 +295,7 @@ def cmd_scan(cfg: dict, args) -> int:
     _write_sidecar(
         out / "scan.meta.json", "scan-ep", cfg, outputs,
         extras={"ep_kappa_threshold": EP_KAPPA_THRESHOLD,
+                "nan_points": result.metadata["nan_points"],
                 "norm": result.metadata["norm"]},
     )
     print(f"wrote {len(outputs)} scan file(s) to {out}")

@@ -25,7 +25,6 @@ from .generators import (
     MomentGenerator,
     frame_rotate,
     quadrature_rotation,
-    second_moment_rotation,
 )
 from .model import NormalModes, SystemSpec, normal_modes
 
@@ -129,7 +128,7 @@ def to_normal_mode_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(first, second) moment vectors in the normal-mode frame."""
     t = quadrature_rotation(modes)
-    return t @ state.first, second_moment_rotation(t) @ state.second
+    return t @ state.first, pack_symmetric(t @ unpack_symmetric(state.second) @ t.T)
 
 
 def _require_local(gen: MomentGenerator, sys: SystemSpec) -> MomentGenerator:

@@ -2,10 +2,12 @@
 
 EPs of the moment generators are detected through the condition number
 of the eigenvector matrix, which diverges exactly where eigenvectors
-coalesce. Scans evaluate the closed-form coefficient matrices on the
-whole (omega, k) grid at once (they are validated against the symbolic
-construction elsewhere) and run batched eigen/singular-value
-decompositions, chunked across a thread pool.
+coalesce. Scans evaluate the closed-form 4x4 templates on the whole
+(omega, k) grid at once (they are validated against the symbolic
+construction elsewhere), derive each second-moment block as the flow of
+its 4x4 drift, and run batched eigen/singular-value decompositions,
+chunked across a thread pool. Points whose eigensolve fails are NaN and
+counted in the scan metadata.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .fixtures import instantiate
@@ -113,41 +116,45 @@ def grid_block_matrices(
     label: str, block: str, omega, k, hot: BathSpec, cold: BathSpec
 ) -> np.ndarray:
     """Stack of generator blocks over broadcastable (omega, k) arrays,
-    resonant oscillators. Returns shape broadcast + (4, 4) or (10, 10)."""
-    o1h, o2h, dwh, d1h, d2h = _grid_rates(omega, k, hot)
+    resonant oscillators. Returns shape broadcast + (4, 4) or (10, 10).
+
+    The second block is the flow of the first block in the frame where
+    it is defined: local for LME and Redfield-zeroth, normal-mode for
+    GME, GME-zeroth and Redfield."""
+    o1, o2, dwh, d1h, d2h = _grid_rates(omega, k, hot)
     _, _, dwc, d1c, d2c = _grid_rates(omega, k, cold)
-    o1, o2 = o1h, o2h
     w = np.asarray(omega, dtype=float)
     kk = np.asarray(k, dtype=float)
     if block not in BLOCKS:
         raise ValidationError(f"block must be one of {BLOCKS}")
 
     if label == LME or label == REDFIELD_ZEROTH:
-        if block == "first":
-            return instantiate("lme_block1", w=w, k=kk, Dh=dwh, Dc=dwc)
-        return instantiate("lme_block2", w=w, k=kk, Dh=dwh, Dc=dwc)
+        mats = instantiate("lme_block1", w=w, k=kk, Dh=dwh, Dc=dwc)
+        return mats if block == "first" else second_moment_flow(mats)
     if label == GME:
         dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
         if block == "first":
             return instantiate("gme_block1_local", w=w, k=kk, dm1=dm1, dm2=dm2)
-        return instantiate("gme_block2_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2)
+        mats = instantiate("gme_block1_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2)
+        return second_moment_flow(mats)
     if label == GME_ZEROTH:
         dm = 0.5 * (dwh + dwc)
         if block == "first":
             return instantiate("gme0_block1_local", w=w, k=kk, Dh=dwh, Dc=dwc)
-        return instantiate("gme_block2_normal", W1=o1, W2=o2, dm1=dm, dm2=dm)
+        mats = instantiate("gme_block1_normal", W1=o1, W2=o2, dm1=dm, dm2=dm)
+        return second_moment_flow(mats)
     if label == REDFIELD:
         if block == "first":
             return instantiate(
                 "redfield_block1_local",
                 w=w, k=kk, c1=o1, c2=o2, D1h=d1h, D2h=d2h, D1c=d1c, D2c=d2c,
             )
-        return instantiate(
-            "redfield_block2_normal",
+        return second_moment_flow(instantiate(
+            "redfield_block1_normal",
             W1=o1, W2=o2, c1=o1, c2=o2,
             dm1=0.5 * (d1h + d1c), dm2=0.5 * (d2h + d2c),
             ds1=0.5 * (d1h - d1c), ds2=0.5 * (d2h - d2c),
-        )
+        ))
     raise ValidationError(f"unknown generator label {label!r}")
 
 
@@ -163,7 +170,8 @@ class ScanResult:
 
 def _kappa_batch(mats: np.ndarray) -> np.ndarray:
     """Condition number of the unit-column eigenvector matrix for a
-    stack of matrices; non-convergent points become NaN, singular ones inf."""
+    stack of matrices; non-convergent points become NaN (``scan`` counts
+    them), singular ones inf."""
     try:
         _, vecs = np.linalg.eig(mats)
     except np.linalg.LinAlgError:
@@ -259,6 +267,8 @@ def scan(
                 ]
                 kappas[(label, block)] = np.vstack([f.result() for f in futures])
 
+    # points whose eigensolve failed (NaN kappa), per "label/block"
+    nan_points = {"/".join(key): int(np.isnan(m).sum()) for key, m in kappas.items()}
     metadata = {
         "hot": {"lambda_sq": hot.lambda_sq, "temperature": hot.temperature,
                 "cutoff": hot.cutoff},
@@ -267,6 +277,7 @@ def scan(
         "norm": "2-norm, unit-column eigenvector matrix",
         "ep_kappa_threshold": EP_KAPPA_THRESHOLD,
         "threads": workers,
+        "nan_points": nan_points,
     }
     return ScanResult(omegas, ks, kappas, metadata)
 

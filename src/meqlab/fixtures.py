@@ -5,6 +5,8 @@ matrix (or constant vector) with entries as expressions over named rate
 and frequency symbols, so a single template serves every parameter
 point. ``instantiate`` substitutes numbers (or numpy arrays, which
 broadcast, making grid evaluation cheap) and returns the ndarray.
+Only 4x4 first-moment blocks and 10-vector constants are stored; each
+10x10 block is derived from its drift by ``algebra.second_moment_flow``.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ generator to every basis observable through the quadrature algebra and
 read off coefficients. The labels differ only in which jump-operator
 pairs they keep; each bath's kept pairs are summed into one channel
 table (:func:`_dissipator_terms`), the single home of that pairing
-rule, which the heat-current check reuses. Where a closed-form
-coefficient matrix exists (fixture templates), the symbolic result is
-cross-checked against it entry-wise before being returned; a mismatch
-is an internal error, never silently ignored.
+rule, which the heat-current check reuses. Where a closed form exists,
+the symbolic result is cross-checked against it entry-wise before being
+returned; a mismatch is an internal error, never silently ignored.
+Closed-form 4x4 blocks and constants are fixture templates; a 10x10
+block is the flow S -> A S + S A^T of its 4x4 drift A
+(``algebra.second_moment_flow``), in ``frame_rotate`` too.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ import numpy as np
 
 from . import fixtures
 from .algebra import (
-    QuadOp,
+    QUADRATURE_LABELS,
     basis_from_linear,
     commutator,
     dissipator_action,
     local_moment_basis,
     moment_generator,
+    moment_labels,
     pack_symmetric,
+    second_moment_flow,
     unpack_symmetric,
 )
 from .bath import BathSpec, combined_coeffs, decay_rate, delta_coeff, sigma_coeff
@@ -63,7 +67,6 @@ __all__ = [
     "frame_rotate",
     "hamiltonian_moment_vector",
     "quadrature_rotation",
-    "second_moment_rotation",
     "state_energy",
     "zeroth_order",
 ]
@@ -199,6 +202,8 @@ def closed_form_blocks(
     Keys: ``block1_local``, ``block1_normal``, ``block2_local``,
     ``block2_normal``, ``const2_local``, ``const2_normal`` (only those
     with a printed closed form for the label/parameters are present).
+    The 4x4 blocks and constants are fixture templates; each
+    ``block2_<frame>`` is ``second_moment_flow(block1_<frame>)``.
     Second-moment closed forms exist at resonance only; the local
     first-moment matrix of the LME covers the detuned case too.
     """
@@ -206,6 +211,7 @@ def closed_form_blocks(
     resonant = modes.resonant
     w = sys.omega_h
     k = sys.k
+    inst = fixtures.instantiate
 
     if label in (LME, REDFIELD_ZEROTH):
         dh = delta_coeff(hot, sys.omega_h)
@@ -213,21 +219,12 @@ def closed_form_blocks(
         sh = sigma_coeff(hot, sys.omega_h)
         sc = sigma_coeff(cold, sys.omega_c)
         if resonant:
-            out["block1_local"] = fixtures.instantiate(
-                "lme_block1", w=w, k=k, Dh=dh, Dc=dc
-            )
-            out["block2_local"] = fixtures.instantiate(
-                "lme_block2", w=w, k=k, Dh=dh, Dc=dc
-            )
-            out["const2_local"] = fixtures.instantiate("lme_const2", w=w, Sh=sh, Sc=sc)
+            out["block1_local"] = inst("lme_block1", w=w, k=k, Dh=dh, Dc=dc)
+            out["block2_local"] = second_moment_flow(out["block1_local"])
+            out["const2_local"] = inst("lme_const2", w=w, Sh=sh, Sc=sc)
         else:
-            out["block1_local"] = fixtures.instantiate(
-                "lme_block1_general",
-                wh=sys.omega_h,
-                wc=sys.omega_c,
-                k=k,
-                Dh=dh,
-                Dc=dc,
+            out["block1_local"] = inst(
+                "lme_block1_general", wh=sys.omega_h, wc=sys.omega_c, k=k, Dh=dh, Dc=dc
             )
         return out
 
@@ -241,54 +238,41 @@ def closed_form_blocks(
         rates = combined_coeffs(hot, cold, o1, o2)
         dm1, dm2 = rates.delta_mean
         sm1, sm2 = rates.sigma_mean
-        out["block1_normal"] = fixtures.instantiate(
-            "gme_block1_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2
-        )
-        out["block1_local"] = fixtures.instantiate(
-            "gme_block1_local", w=w, k=k, dm1=dm1, dm2=dm2
-        )
-        out["block2_normal"] = fixtures.instantiate(
-            "gme_block2_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2
-        )
-        out["const2_normal"] = fixtures.instantiate(
-            "gme_const2_normal", c1=o1, c2=o2, sm1=sm1, sm2=sm2
-        )
+        out["block1_normal"] = inst("gme_block1_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2)
+        out["block1_local"] = inst("gme_block1_local", w=w, k=k, dm1=dm1, dm2=dm2)
+        out["const2_normal"] = inst("gme_const2_normal", c1=o1, c2=o2, sm1=sm1, sm2=sm2)
     elif label == GME_ZEROTH:
         dh = delta_coeff(hot, w)
         dc = delta_coeff(cold, w)
         dm0 = 0.5 * (dh + dc)
         sm0 = 0.5 * (sigma_coeff(hot, w) + sigma_coeff(cold, w))
-        out["block1_local"] = fixtures.instantiate(
-            "gme0_block1_local", w=w, k=k, Dh=dh, Dc=dc
-        )
-        out["block2_normal"] = fixtures.instantiate(
-            "gme_block2_normal", W1=o1, W2=o2, dm1=dm0, dm2=dm0
-        )
-        out["const2_normal"] = fixtures.instantiate(
-            "gme_const2_normal", c1=w, c2=w, sm1=sm0, sm2=sm0
-        )
+        out["block1_local"] = inst("gme0_block1_local", w=w, k=k, Dh=dh, Dc=dc)
+        out["block1_normal"] = inst("gme_block1_normal", W1=o1, W2=o2, dm1=dm0, dm2=dm0)
+        out["const2_normal"] = inst("gme_const2_normal", c1=w, c2=w, sm1=sm0, sm2=sm0)
     elif label == REDFIELD and resonant:
         d1h = delta_coeff(hot, o1)
         d2h = delta_coeff(hot, o2)
         d1c = delta_coeff(cold, o1)
         d2c = delta_coeff(cold, o2)
         rates = combined_coeffs(hot, cold, o1, o2)
-        out["block1_local"] = fixtures.instantiate(
+        out["block1_local"] = inst(
             "redfield_block1_local",
             w=w, k=k, c1=o1, c2=o2, D1h=d1h, D2h=d2h, D1c=d1c, D2c=d2c,
         )
-        out["block2_normal"] = fixtures.instantiate(
-            "redfield_block2_normal",
+        out["block1_normal"] = inst(
+            "redfield_block1_normal",
             W1=o1, W2=o2, c1=o1, c2=o2,
             dm1=rates.delta_mean[0], dm2=rates.delta_mean[1],
             ds1=rates.delta_split[0], ds2=rates.delta_split[1],
         )
-        out["const2_normal"] = fixtures.instantiate(
+        out["const2_normal"] = inst(
             "redfield_const2_normal",
             c1=o1, c2=o2,
             sm1=rates.sigma_mean[0], sm2=rates.sigma_mean[1],
             ss1=rates.sigma_split[0], ss2=rates.sigma_split[1],
         )
+    if "block1_normal" in out:
+        out["block2_normal"] = second_moment_flow(out["block1_normal"])
     return out
 
 
@@ -307,41 +291,29 @@ def quadrature_rotation(modes: NormalModes) -> np.ndarray:
     return t
 
 
-def second_moment_rotation(t: np.ndarray) -> np.ndarray:
-    """Induced 10x10 map on packed second moments for S -> T S T^T."""
-    r = np.zeros((10, 10))
-    for col in range(10):
-        s = unpack_symmetric(np.eye(10)[col])
-        r[:, col] = pack_symmetric(t @ s @ t.T)
-    return r
-
-
 def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGenerator:
     """Conjugate a generator into the other quadrature frame.
 
-    Eigenvalues are preserved exactly (similarity); the first block is
-    rotated orthogonally. Rotating back and forth is the identity.
+    The first block is rotated orthogonally and const2 by congruence;
+    block2 is re-derived as the flow of the rotated block1, so it must
+    be the flow of ``gen.block1`` (ContractError otherwise). Eigenvalues
+    are preserved; rotating back and forth is the identity.
     """
     if to not in (LOCAL_FRAME, NORMAL_FRAME):
         raise ValidationError(f"unknown frame {to!r}")
     if to == gen.frame:
         return gen
-    t = quadrature_rotation(modes)
-    r10 = second_moment_rotation(t)
-    if to == NORMAL_FRAME:
-        labels, _ = basis_from_linear(
-            [QuadOp(linear=row) for row in t], NORMAL_LINEAR_LABELS
-        )
-        block1 = t @ gen.block1 @ t.T
-        block2 = r10 @ gen.block2 @ np.linalg.inv(r10)
-        const2 = r10 @ gen.const2
-    else:
-        labels, _ = local_moment_basis()
-        block1 = t.T @ gen.block1 @ t
-        r10_inv = np.linalg.inv(r10)
-        block2 = r10_inv @ gen.block2 @ r10
-        const2 = r10_inv @ gen.const2
-    return MomentGenerator(gen.label, to, block1, block2, const2, tuple(labels))
+    off = np.abs(gen.block2 - second_moment_flow(gen.block1)).max()
+    if off > CROSSCHECK_TOL * max(1.0, np.abs(gen.block2).max()):
+        raise ContractError(f"{gen.label} block2 is not the flow of block1 ({off:g} off)")
+    t, names = quadrature_rotation(modes), NORMAL_LINEAR_LABELS
+    if to == LOCAL_FRAME:
+        t, names = t.T, QUADRATURE_LABELS
+    block1 = t @ gen.block1 @ t.T
+    const2 = pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
+    return MomentGenerator(
+        gen.label, to, block1, second_moment_flow(block1), const2, moment_labels(names)
+    )
 
 
 # -- public construction ---------------------------------------------------
@@ -355,39 +327,23 @@ def _crosscheck(
     modes: NormalModes,
 ) -> None:
     """Compare engine blocks with every applicable closed form, rotating
-    the closed form into the engine frame where needed."""
-    block1, block2, const2 = engine
-    t = quadrature_rotation(modes)
-    r10 = second_moment_rotation(t)
-    suffix = "local" if frame == LOCAL_FRAME else "normal"
-    other = "normal" if frame == LOCAL_FRAME else "local"
-
-    def rotate1(m):
-        return t @ m @ t.T if frame == NORMAL_FRAME else t.T @ m @ t
-
-    def rotate2(m):
-        if frame == NORMAL_FRAME:
-            return r10 @ m @ np.linalg.inv(r10)
-        return np.linalg.solve(r10, m @ r10)
-
-    def rotate_c(v):
-        return r10 @ v if frame == NORMAL_FRAME else np.linalg.solve(r10, v)
-
-    checks = []
-    if f"block1_{suffix}" in closed:
-        checks.append(("block1", block1, closed[f"block1_{suffix}"]))
-    elif f"block1_{other}" in closed:
-        checks.append(("block1", block1, rotate1(closed[f"block1_{other}"])))
-    if f"block2_{suffix}" in closed:
-        checks.append(("block2", block2, closed[f"block2_{suffix}"]))
-    elif f"block2_{other}" in closed:
-        checks.append(("block2", block2, rotate2(closed[f"block2_{other}"])))
-    if f"const2_{suffix}" in closed:
-        checks.append(("const2", const2, closed[f"const2_{suffix}"]))
-    elif f"const2_{other}" in closed:
-        checks.append(("const2", const2, rotate_c(closed[f"const2_{other}"])))
-
-    for name, engine_arr, closed_arr in checks:
+    the closed form into the engine frame where needed (a block2 in the
+    engine frame is the flow of the rotated block1)."""
+    t, suffix, other = quadrature_rotation(modes), "normal", "local"
+    if frame == LOCAL_FRAME:
+        t, suffix, other = t.T, "local", "normal"
+    rotations = {
+        "block1": lambda m: t @ m @ t.T,
+        "block2": lambda _: second_moment_flow(t @ closed[f"block1_{other}"] @ t.T),
+        "const2": lambda v: pack_symmetric(t @ unpack_symmetric(v) @ t.T),
+    }
+    for name, engine_arr in zip(rotations, engine):
+        if f"{name}_{suffix}" in closed:
+            closed_arr = closed[f"{name}_{suffix}"]
+        elif f"{name}_{other}" in closed:
+            closed_arr = rotations[name](closed[f"{name}_{other}"])
+        else:
+            continue
         diff = np.abs(engine_arr - closed_arr).max()
         if diff > CROSSCHECK_TOL * max(1.0, np.abs(closed_arr).max()):
             raise ConsistencyError(
@@ -410,8 +366,7 @@ def build(
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
     modes = normal_modes(sys)
-    engine = _engine_blocks(label, sys, hot, cold, modes, frame)
-    block1, block2, const2, labels = engine
+    block1, block2, const2, labels = _engine_blocks(label, sys, hot, cold, modes, frame)
     closed = closed_form_blocks(label, sys, hot, cold, modes)
     _crosscheck(label, frame, (block1, block2, const2), closed, modes)
     return MomentGenerator(label, frame, block1, block2, const2, labels)

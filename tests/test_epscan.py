@@ -13,7 +13,7 @@ from meqlab.epscan import (
     condition_number_of,
 )
 from meqlab.errors import BracketError, ValidationError
-from meqlab.generators import GME, LME, REDFIELD, build
+from meqlab.generators import GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build
 from meqlab.model import SystemSpec
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
@@ -112,13 +112,15 @@ def test_scan_matrices_match_build():
         omega = rng.uniform(0.4, 2.0)
         k = rng.uniform(0.0, 0.4) * omega**2
         sys = SystemSpec(omega, omega, k)
-        for label in (LME, GME, REDFIELD):
+        for label in (LME, GME, REDFIELD, GME_ZEROTH):
             gen = build(label, sys, HOT, COLD)
             fast1 = grid_block_matrices(label, "first", omega, k, HOT, COLD)
             assert np.abs(gen.block1 - fast1).max() < 1e-12
-            if label == LME:
-                fast2 = grid_block_matrices(label, "second", omega, k, HOT, COLD)
-                assert np.abs(gen.block2 - fast2).max() < 1e-12
+            # the second block lives in the frame of its 4x4 drift
+            if label != LME:
+                gen = build(label, sys, HOT, COLD, frame=NORMAL_FRAME)
+            fast2 = grid_block_matrices(label, "second", omega, k, HOT, COLD)
+            assert np.abs(gen.block2 - fast2).max() < 1e-12
 
 
 def test_refine_ep_matches_line():
@@ -217,3 +219,31 @@ def test_kappa_batch_fallback_nan_only_for_numerical_errors(monkeypatch):
     monkeypatch.setattr(emod, "eig", kernel_bug)
     with pytest.raises(TypeError):
         emod._kappa_batch(mats)
+
+
+def test_scan_counts_nan_points(monkeypatch):
+    # a per-point eigensolve failure becomes NaN in the map and is
+    # counted per label/block in the metadata, never silently
+    import meqlab.epscan as emod
+    from meqlab.errors import NumericalError
+
+    real_eig, original = np.linalg.eig, emod.eig
+    calls = []
+
+    def batch_fails(mats):
+        if np.ndim(mats) > 2:
+            raise np.linalg.LinAlgError("batched eig did not converge")
+        return real_eig(mats)
+
+    def fails_once(m):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("eigendecomposition failed")
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eig", batch_fails)
+    monkeypatch.setattr(emod, "eig", fails_once)
+    result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (3, 4), HOT, COLD,
+                  threads=1)
+    assert int(np.isnan(result.kappas[(LME, "first")]).sum()) == 1
+    assert result.metadata["nan_points"] == {"LME/first": 1}

@@ -3,9 +3,13 @@ identities, frame rotation, and independent oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from meqlab.algebra import pack_symmetric, unpack_symmetric
+from meqlab.algebra import pack_symmetric, second_moment_flow, unpack_symmetric
 from meqlab.bath import BathSpec, decay_rate
+from meqlab.errors import ContractError
 from meqlab.generators import (
     GENERATOR_LABELS,
     GME,
@@ -15,12 +19,12 @@ from meqlab.generators import (
     NORMAL_FRAME,
     REDFIELD,
     REDFIELD_ZEROTH,
+    MomentGenerator,
     _zeroth_channels,
     build,
     closed_form_blocks,
     frame_rotate,
     quadrature_rotation,
-    second_moment_rotation,
     zeroth_order,
 )
 from meqlab.model import SystemSpec, global_jump_ops, local_jump_ops, normal_modes
@@ -172,8 +176,6 @@ def test_quadrature_rotation_orthogonal():
         sys, _, _ = random_setup(rng)
         t = quadrature_rotation(normal_modes(sys))
         assert np.abs(t.T @ t - np.eye(4)).max() < 1e-12
-        r10 = second_moment_rotation(t)
-        assert np.abs(r10 @ np.linalg.inv(r10) - np.eye(10)).max() < 1e-10
 
 
 # -- independent oracles ----------------------------------------------------
@@ -187,6 +189,38 @@ def classical_second_moment_flow(a: np.ndarray) -> np.ndarray:
         s = unpack_symmetric(np.eye(10)[col])
         out[:, col] = pack_symmetric(a @ s + s @ a.T)
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, (4, 4), elements=st.floats(-1e3, 1e3)))
+def test_second_moment_flow_matches_classical_flow(a):
+    assert np.abs(second_moment_flow(a) - classical_second_moment_flow(a)).max() <= (
+        1e-15 * max(1.0, np.abs(a).max())
+    )
+
+
+def test_second_moment_flow_bits_independent_of_batch_shape():
+    # the scan chunks rows and perfbench resamples single points as 1x1
+    # grids: both rely on an entry's bits not depending on the stack
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(3, 5, 4, 4)) * 10.0 ** rng.integers(-8, 3, size=(3, 5, 1, 1))
+    stack[0, 0] = -0.0
+    flows = second_moment_flow(stack)
+    assert flows.shape == (3, 5, 10, 10)
+    for i in range(3):
+        for j in range(5):
+            assert flows[i, j].tobytes() == second_moment_flow(stack[i, j]).tobytes()
+
+
+def test_frame_rotate_rejects_block2_not_flow_of_block1():
+    # frame_rotate re-derives block2 from block1, so a hand-built pair
+    # that is not a Gaussian flow cannot be carried across frames
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    flipped = MomentGenerator(
+        gen.label, gen.frame, -gen.block1, gen.block2, gen.const2, gen.basis_labels
+    )
+    with pytest.raises(ContractError):
+        frame_rotate(flipped, NORMAL_FRAME, normal_modes(FIG_SYS))
 
 
 def test_hamiltonian_part_matches_classical_flow():
