@@ -21,6 +21,11 @@ all commutators:
 
 with w = SYMPLECTIC. Dissipator contributions never leave the quadratic
 sector: X†OY - X†YO = X†[O, Y] with linear X, Y keeps degree <= 2.
+
+The heat-current check applies the adjoint dissipators to H through this
+algebra; the generators themselves are built from the Gaussian
+drift/diffusion pair, whose 10x10 second-moment flow
+(:func:`second_moment_flow`) and moment packing also live here.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractError
+from .errors import ContractError
 
 __all__ = [
     "QUADRATURE_LABELS",
@@ -38,7 +43,6 @@ __all__ = [
     "QuadOp",
     "commutator",
     "dissipator_action",
-    "moment_generator",
     "multiply_linear",
     "position",
     "momentum",
@@ -217,7 +221,7 @@ def dissipator_action(b: np.ndarray, o: QuadOp) -> QuadOp:
     return half + half.adjoint()
 
 
-# -- moment basis and generator extraction -------------------------------
+# -- second-moment packing and flow ---------------------------------------
 
 #: Second-moment basis ordering; pairs index entries of the symmetric
 #: moment matrix S_ij = <(1/2){q_i, q_j}>.
@@ -302,89 +306,3 @@ def moment_labels(names: Sequence[str]) -> tuple[str, ...]:
         else:
             out.append(f"{names[i]} {names[j]}")
     return tuple(out)
-
-
-def local_moment_basis() -> tuple[tuple[str, ...], list[QuadOp]]:
-    """The 14 local-quadrature moment observables, first order then second."""
-    ops = [position(0), momentum(0), position(1), momentum(1)]
-    ops += [quadratic_basis_op(i, j) for i, j in SECOND_MOMENT_PAIRS]
-    return moment_labels(QUADRATURE_LABELS), ops
-
-
-def basis_from_linear(
-    linear_ops: Sequence[QuadOp], labels: Sequence[str]
-) -> tuple[tuple[str, ...], list[QuadOp]]:
-    """Moment basis generated by four given linear quadrature combinations.
-
-    Used for the normal-mode frame: pass (eta_1, Pi_1, eta_2, Pi_2) as
-    QuadOps in local coordinates; second-moment observables are their
-    symmetrized products in the standard pair order.
-    """
-    if len(linear_ops) != 4:
-        raise ContractError("need exactly four first-order operators")
-    ops = list(linear_ops)
-    for i, j in SECOND_MOMENT_PAIRS:
-        ops.append(0.5 * (
-            multiply_linear(linear_ops[i], linear_ops[j])
-            + multiply_linear(linear_ops[j], linear_ops[i])
-        ))
-    return moment_labels(labels), ops
-
-
-def moment_generator(
-    derivatives: Sequence[QuadOp],
-    basis: Sequence[QuadOp],
-    tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand d(theta_i)/dt over span{1, basis} and return the real blocks.
-
-    Returns (block1, block2, const2): the 4x4 first-moment matrix, the
-    10x10 second-moment matrix and its constant vector. Raises
-    ConsistencyError if a derivative is not representable in the span,
-    if any coefficient has an imaginary part above `tol`, or if the
-    14x14 assembly is not block diagonal.
-    """
-    if len(derivatives) != 14 or len(basis) != 14:
-        raise ContractError("expected a 14-element basis and matching derivatives")
-
-    lin_cols = np.stack([op.linear for op in basis[:4]], axis=1)
-    quad_cols = np.stack([pack_symmetric(op.quad) for op in basis[4:]], axis=1)
-    basis_scalars = np.array([op.scalar for op in basis])
-
-    matrix = np.zeros((14, 14), dtype=complex)
-    const = np.zeros(14, dtype=complex)
-    scale = max(1.0, max(op.max_abs() for op in derivatives))
-
-    for row, dop in enumerate(derivatives):
-        alpha = np.linalg.solve(lin_cols, dop.linear)
-        beta = np.linalg.solve(quad_cols, pack_symmetric(dop.quad))
-        coeffs = np.concatenate([alpha, beta])
-        const[row] = dop.scalar - coeffs @ basis_scalars
-        matrix[row, :] = coeffs
-        # reconstruction residual guards against unrepresentable terms
-        recon_lin = lin_cols @ alpha
-        recon_quad = quad_cols @ beta
-        residual = max(
-            np.abs(recon_lin - dop.linear).max(),
-            np.abs(recon_quad - pack_symmetric(dop.quad)).max(),
-        )
-        if residual > tol * scale:
-            raise ConsistencyError(
-                f"derivative of basis element {row} leaves the moment span "
-                f"(residual {residual:g})"
-            )
-
-    if max(np.abs(matrix.imag).max(), np.abs(const.imag).max()) > tol * scale:
-        raise ConsistencyError("moment generator has non-real coefficients")
-    matrix = matrix.real
-    const = const.real
-
-    off = max(np.abs(matrix[:4, 4:]).max(), np.abs(matrix[4:, :4]).max())
-    if off > tol * scale:
-        raise ConsistencyError(
-            f"first and second moments do not decouple (coupling {off:g})"
-        )
-    if np.abs(const[:4]).max() > tol * scale:
-        raise ConsistencyError("first-moment block acquired a constant term")
-
-    return matrix[:4, :4].copy(), matrix[4:, 4:].copy(), const[4:].copy()

@@ -3,8 +3,8 @@
 EPs of the moment generators are detected through the condition number
 of the eigenvector matrix, which diverges exactly where eigenvectors
 coalesce. Scans evaluate the closed-form 4x4 templates on the whole
-(omega, k) grid at once (they are validated against the symbolic
-construction elsewhere), derive each second-moment block as the flow of
+(omega, k) grid at once (they are validated against build()
+elsewhere), derive each second-moment block as the flow of
 its 4x4 drift, and run batched eigen/singular-value decompositions,
 chunked across a thread pool. Points whose eigensolve fails are NaN and
 counted in the scan metadata.

@@ -7,17 +7,18 @@ governing first and second quadrature moments,
     d<q>/dt      = block1 <q>,
     d<moments>/dt = block2 <moments> + const2.
 
-The primary construction path is fully symbolic: apply the adjoint
-generator to every basis observable through the quadrature algebra and
-read off coefficients. The labels differ only in which jump-operator
-pairs they keep; each bath's kept pairs are summed into one channel
-table (:func:`_dissipator_terms`), the single home of that pairing
-rule, which the heat-current check reuses. Where a closed form exists,
-the symbolic result is cross-checked against it entry-wise before being
+The Hamiltonian is quadratic and every jump operator linear, so a
+generator is fixed by its Gaussian drift/diffusion pair (A, D):
+block1 = A, block2 is the flow S -> A S + S A^T of A
+(``algebra.second_moment_flow``) and const2 is the packed symmetric
+part of D (:func:`_gaussian_blocks`). The labels differ only in which
+jump-operator pairs they keep; each bath's kept pairs are summed into
+one channel table (:func:`_dissipator_terms`), the single home of that
+pairing rule, which the heat-current check reuses. Where a closed form
+exists, the result is cross-checked against it entry-wise before being
 returned; a mismatch is an internal error, never silently ignored.
-Closed-form 4x4 blocks and constants are fixture templates; a 10x10
-block is the flow S -> A S + S A^T of its 4x4 drift A
-(``algebra.second_moment_flow``), in ``frame_rotate`` too.
+Closed-form 4x4 blocks and constants are fixture templates; their
+10x10 blocks are flows of their 4x4 drifts, in ``frame_rotate`` too.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ import numpy as np
 from . import fixtures
 from .algebra import (
     QUADRATURE_LABELS,
-    basis_from_linear,
-    commutator,
-    dissipator_action,
-    local_moment_basis,
-    moment_generator,
+    SYMPLECTIC,
     moment_labels,
     pack_symmetric,
     second_moment_flow,
@@ -49,7 +46,6 @@ from .model import (
     global_jump_ops,
     hamiltonian,
     local_jump_ops,
-    mode_quadratures,
     normal_modes,
 )
 
@@ -138,8 +134,9 @@ def _dissipator_terms(
     (Y is X) for the secular forms, and for the Redfield forms every
     same-bath pair whose sandwiched operators carry opposite-sign
     frequencies, i.e. X, Y of equal frequency sign. The rate is the
-    decay rate of X. Feeds :func:`dissipator_action`; the heat-current
-    check in ``thermo`` reads the same tables.
+    decay rate of X. Feeds :func:`_gaussian_blocks`; the heat-current
+    check in ``thermo`` applies the same tables through
+    ``algebra.dissipator_action``.
     """
     baths = {"h": hot, "c": cold}
     if label == LME:
@@ -165,30 +162,36 @@ def _dissipator_terms(
     return tables
 
 
-def _engine_blocks(
+def _gaussian_blocks(
     label: str,
     sys: SystemSpec,
     hot: BathSpec,
     cold: BathSpec,
     modes: NormalModes,
     frame: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    h_op = hamiltonian(sys)
-    if frame == LOCAL_FRAME:
-        labels, basis = local_moment_basis()
-    elif frame == NORMAL_FRAME:
-        labels, basis = basis_from_linear(mode_quadratures(modes), NORMAL_LINEAR_LABELS)
-    else:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(block1, block2, const2) from the Gaussian drift/diffusion pair.
+
+    With H = (1/2) q^T G q and the channel table B summed over the baths,
+    d<q>/dt = A <q> and dS/dt = A S + S A^T + D with
+
+        A = Omega (G - (Im B)^T),   D = Omega (Re B) Omega^T,
+
+    of which the symmetric part of D enters the second moments. In the
+    normal frame G and B are both rotated by T (q' = T q), so the frame
+    is exactly the one ``quadrature_rotation`` defines and the coherent
+    xx/pp entries never mix with the dissipative xp ones.
+    """
+    if frame not in (LOCAL_FRAME, NORMAL_FRAME):
         raise ValidationError(f"unknown frame {frame!r}")
-    tables = _dissipator_terms(label, sys, hot, cold, modes).values()
-    derivatives = []
-    for theta in basis:
-        d_theta = 1j * commutator(h_op, theta)
-        for b in tables:
-            d_theta = d_theta + dissipator_action(b, theta)
-        derivatives.append(d_theta)
-    block1, block2, const2 = moment_generator(derivatives, basis)
-    return block1, block2, const2, labels
+    g = 2.0 * hamiltonian(sys).quad.real
+    b = sum(_dissipator_terms(label, sys, hot, cold, modes).values())
+    if frame == NORMAL_FRAME:
+        t = quadrature_rotation(modes)
+        g, b = t @ g @ t.T, t @ b @ t.T
+    block1 = SYMPLECTIC @ (g - b.imag.T)
+    d = SYMPLECTIC @ b.real @ SYMPLECTIC.T
+    return block1, second_moment_flow(block1), pack_symmetric(0.5 * (d + d.T))
 
 
 # -- closed-form (fixture) path -------------------------------------------
@@ -322,13 +325,13 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
 def _crosscheck(
     label: str,
     frame: str,
-    engine: tuple[np.ndarray, np.ndarray, np.ndarray],
+    built: tuple[np.ndarray, np.ndarray, np.ndarray],
     closed: dict[str, np.ndarray],
     modes: NormalModes,
 ) -> None:
-    """Compare engine blocks with every applicable closed form, rotating
-    the closed form into the engine frame where needed (a block2 in the
-    engine frame is the flow of the rotated block1)."""
+    """Compare built blocks with every applicable closed form, rotating
+    the closed form into the built frame where needed (a block2 in that
+    frame is the flow of the rotated block1)."""
     t, suffix, other = quadrature_rotation(modes), "normal", "local"
     if frame == LOCAL_FRAME:
         t, suffix, other = t.T, "local", "normal"
@@ -337,14 +340,14 @@ def _crosscheck(
         "block2": lambda _: second_moment_flow(t @ closed[f"block1_{other}"] @ t.T),
         "const2": lambda v: pack_symmetric(t @ unpack_symmetric(v) @ t.T),
     }
-    for name, engine_arr in zip(rotations, engine):
+    for name, built_arr in zip(rotations, built):
         if f"{name}_{suffix}" in closed:
             closed_arr = closed[f"{name}_{suffix}"]
         elif f"{name}_{other}" in closed:
             closed_arr = rotations[name](closed[f"{name}_{other}"])
         else:
             continue
-        diff = np.abs(engine_arr - closed_arr).max()
+        diff = np.abs(built_arr - closed_arr).max()
         if diff > CROSSCHECK_TOL * max(1.0, np.abs(closed_arr).max()):
             raise ConsistencyError(
                 f"{label} {name} disagrees with its closed form by {diff:g}"
@@ -358,18 +361,19 @@ def build(
     cold: BathSpec,
     frame: str = LOCAL_FRAME,
 ) -> MomentGenerator:
-    """Build a generator symbolically and cross-check it against the
-    closed-form coefficient matrices where those exist.
+    """Build a generator from its drift/diffusion pair and cross-check it
+    against the closed-form coefficient matrices where those exist.
 
     The zeroth-order labels delegate to :func:`zeroth_order`.
     """
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
     modes = normal_modes(sys)
-    block1, block2, const2, labels = _engine_blocks(label, sys, hot, cold, modes, frame)
+    blocks = _gaussian_blocks(label, sys, hot, cold, modes, frame)
     closed = closed_form_blocks(label, sys, hot, cold, modes)
-    _crosscheck(label, frame, (block1, block2, const2), closed, modes)
-    return MomentGenerator(label, frame, block1, block2, const2, labels)
+    _crosscheck(label, frame, blocks, closed, modes)
+    names = QUADRATURE_LABELS if frame == LOCAL_FRAME else NORMAL_LINEAR_LABELS
+    return MomentGenerator(label, frame, *blocks, moment_labels(names))
 
 
 def zeroth_order(

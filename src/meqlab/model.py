@@ -184,15 +184,3 @@ def global_jump_ops(
             channels.append(JumpChannel(name, freqs[j], low))
             channels.append(JumpChannel(name, -freqs[j], low.adjoint()))
     return channels
-
-
-def mode_quadratures(modes: NormalModes) -> list[QuadOp]:
-    """(eta_1, Pi_1, eta_2, Pi_2) as linear combinations of the local
-    quadratures."""
-    p = modes.matrix
-    return [
-        p[0, 0] * position(0) + p[1, 0] * position(1),
-        p[0, 0] * momentum(0) + p[1, 0] * momentum(1),
-        p[0, 1] * position(0) + p[1, 1] * position(1),
-        p[0, 1] * momentum(0) + p[1, 1] * momentum(1),
-    ]

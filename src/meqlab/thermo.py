@@ -161,11 +161,15 @@ def _verified_sample(
     cold: BathSpec,
     state: MomentState,
     dissipators: dict[str, QuadOp],
+    scale: float,
 ) -> HeatCurrentSample:
+    """Closed-form currents, each checked against its symbolic value to
+    CROSSCHECK_TOL relative to max(|value|, scale); ``scale`` is the
+    :func:`current_scale` of the parameters."""
     closed = _closed_form_currents(label, sys, hot, cold, state)
     for name in ("h", "c"):
         check = expectation(dissipators[name], state)
-        if abs(closed[name] - check) > CROSSCHECK_TOL * max(1.0, abs(check)):
+        if abs(closed[name] - check) > CROSSCHECK_TOL * max(abs(check), scale):
             raise ConsistencyError(
                 f"{label} heat current ({name}) closed form {closed[name]!r} "
                 f"disagrees with symbolic value {check!r} at t = {state.time}"
@@ -185,7 +189,8 @@ def heat_current(
     if label not in CURRENT_LABELS:
         raise ValidationError(f"heat currents are defined for {CURRENT_LABELS}")
     return _verified_sample(
-        label, sys, hot, cold, state, _per_bath_dissipators(label, sys, hot, cold)
+        label, sys, hot, cold, state, _per_bath_dissipators(label, sys, hot, cold),
+        current_scale(sys, hot, cold),
     )
 
 
@@ -209,8 +214,9 @@ def transient_currents(
         gen = build(label, sys, hot, cold)
     states = propagate(gen, state0, times, sys)
     dissipators = _per_bath_dissipators(label, sys, hot, cold)
+    scale = current_scale(sys, hot, cold)
     return [
-        _verified_sample(label, sys, hot, cold, state, dissipators)
+        _verified_sample(label, sys, hot, cold, state, dissipators, scale)
         for state in states
     ]
 

@@ -1,5 +1,5 @@
 """Quadrature operator algebra: commutators, products, dissipator action,
-moment-generator extraction."""
+second-moment packing."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,8 @@ import pytest
 from meqlab.algebra import (
     QuadOp,
     SYMPLECTIC,
-    basis_from_linear,
     commutator,
     dissipator_action,
-    local_moment_basis,
-    moment_generator,
     momentum,
     multiply_linear,
     pack_symmetric,
@@ -19,7 +16,7 @@ from meqlab.algebra import (
     quadratic_basis_op,
     unpack_symmetric,
 )
-from meqlab.errors import ConsistencyError, ContractError
+from meqlab.errors import ContractError
 
 X_H, P_H = position(0), momentum(0)
 X_C, P_C = position(1), momentum(1)
@@ -205,49 +202,3 @@ def test_pack_unpack_roundtrip():
     s = rng.normal(size=(4, 4))
     s = s + s.T
     assert np.allclose(unpack_symmetric(pack_symmetric(s)), s)
-
-
-def test_moment_generator_closed_rotation():
-    # no dissipators, w = 1, k = 0: first block is the symplectic rotation
-    h = QuadOp(quad=np.diag([0.5, 0.5, 0.5, 0.5]))
-    labels, basis = local_moment_basis()
-    derivs = [1j * commutator(h, theta) for theta in basis]
-    block1, block2, const2 = moment_generator(derivs, basis)
-    expected = np.array(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
-    )
-    assert np.abs(block1 - expected).max() < 1e-14
-    assert np.abs(const2).max() < 1e-14
-    # closed flow of second moments matches A S + S A^T row by row
-    for col in range(10):
-        s = unpack_symmetric(np.eye(10)[col])
-        flow = expected @ s + s @ expected.T
-        assert np.abs(block2[:, col] - pack_symmetric(flow)).max() < 1e-14
-
-
-def test_moment_generator_flags_unrepresentable():
-    labels, basis = local_moment_basis()
-    derivs = [1j * commutator(QuadOp(quad=np.diag([0.5] * 4)), t) for t in basis]
-    derivs[0] = derivs[0] + QuadOp(linear=[0, 0, 0, 1e-6j])  # non-real coefficient
-    with pytest.raises(ConsistencyError):
-        moment_generator(derivs, basis)
-
-
-def test_normal_mode_basis_is_consistent():
-    # products of rotated linear combinations expand exactly
-    angle = 0.3
-    t = np.array(
-        [
-            [np.cos(angle), 0, np.sin(angle), 0],
-            [0, np.cos(angle), 0, np.sin(angle)],
-            [-np.sin(angle), 0, np.cos(angle), 0],
-            [0, -np.sin(angle), 0, np.cos(angle)],
-        ]
-    )
-    linear = [QuadOp(linear=row) for row in t]
-    labels, basis = basis_from_linear(linear, ("a", "b", "c", "d"))
-    assert len(basis) == 14
-    # the quadratic members carry no scalar: rotated pairs commute the
-    # same way the originals do
-    for op in basis[4:]:
-        assert abs(op.scalar) < 1e-15

@@ -106,7 +106,7 @@ def test_scan_validation():
 
 
 def test_scan_matrices_match_build():
-    # the vectorized closed forms used by scans equal the engine output
+    # the vectorized closed forms used by scans equal the build() output
     rng = np.random.default_rng(44)
     for _ in range(25):
         omega = rng.uniform(0.4, 2.0)

@@ -11,7 +11,7 @@ from meqlab.dynamics import (
     steady_state,
     thermal_product_state,
 )
-from meqlab.errors import ValidationError
+from meqlab.errors import ConsistencyError, ValidationError
 from meqlab.generators import GME, LME, REDFIELD, build
 from meqlab.model import SystemSpec
 from meqlab.thermo import (
@@ -62,6 +62,23 @@ def test_closed_forms_match_symbolic_off_resonance():
         state = random_state(rng)
         for label in LABELS:
             heat_current(label, sys, HOT, COLD, state)
+
+
+def test_heat_current_check_is_relative(monkeypatch):
+    # the stationary GME current at the EP is ~5e-8, far below 1: a
+    # 1e-6 relative corruption of the closed form must still be caught
+    import meqlab.thermo as tmod
+
+    ss = steady_state(build(GME, FIG_SYS, HOT, COLD), FIG_SYS)
+    heat_current(GME, FIG_SYS, HOT, COLD, ss)
+    original = tmod._closed_form_currents
+
+    def corrupted(*args):
+        return {name: q * (1.0 + 1e-6) for name, q in original(*args).items()}
+
+    monkeypatch.setattr(tmod, "_closed_form_currents", corrupted)
+    with pytest.raises(ConsistencyError):
+        heat_current(GME, FIG_SYS, HOT, COLD, ss)
 
 
 def test_lme_decoupled_thermal_zero_current():
