@@ -2,9 +2,9 @@
 
 EPs of the moment generators are detected through the condition number
 of the eigenvector matrix, which diverges exactly where eigenvectors
-coalesce. Scans evaluate the closed-form 4x4 templates on the whole
-(omega, k) grid at once (they are validated against build()
-elsewhere), derive each second-moment block as the flow of
+coalesce. Scans evaluate the closed-form 4x4 drifts of ``generators``
+on the whole (omega, k) grid at once (they are validated against
+build() elsewhere), derive each second-moment block as the flow of
 its 4x4 drift, and run batched eigen/singular-value decompositions,
 chunked across a thread pool. Points whose eigensolve fails are NaN and
 counted in the scan metadata.
@@ -24,8 +24,8 @@ import numpy as np
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
-from .fixtures import instantiate
 from .generators import GME, GME_ZEROTH, LME, REDFIELD, REDFIELD_ZEROTH
+from .generators import gme_drift_local, lme_drift, normal_drift, redfield_drift_local
 from .model import SystemSpec
 from .eigen import condition_number, eig
 
@@ -129,31 +129,25 @@ def grid_block_matrices(
         raise ValidationError(f"block must be one of {BLOCKS}")
 
     if label == LME or label == REDFIELD_ZEROTH:
-        mats = instantiate("lme_block1", w=w, k=kk, Dh=dwh, Dc=dwc)
+        mats = lme_drift(w, w, kk, dwh, dwc)
         return mats if block == "first" else second_moment_flow(mats)
     if label == GME:
         dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
         if block == "first":
-            return instantiate("gme_block1_local", w=w, k=kk, dm1=dm1, dm2=dm2)
-        mats = instantiate("gme_block1_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2)
-        return second_moment_flow(mats)
+            return gme_drift_local(w, kk, dm1, dm2)
+        return second_moment_flow(normal_drift(o1, o2, o1, o2, dm1, dm2, 0.0, 0.0))
     if label == GME_ZEROTH:
         dm = 0.5 * (dwh + dwc)
         if block == "first":
-            return instantiate("gme0_block1_local", w=w, k=kk, Dh=dwh, Dc=dwc)
-        mats = instantiate("gme_block1_normal", W1=o1, W2=o2, dm1=dm, dm2=dm)
-        return second_moment_flow(mats)
+            return gme_drift_local(w, kk, dm, dm)
+        return second_moment_flow(normal_drift(o1, o2, o1, o2, dm, dm, 0.0, 0.0))
     if label == REDFIELD:
         if block == "first":
-            return instantiate(
-                "redfield_block1_local",
-                w=w, k=kk, c1=o1, c2=o2, D1h=d1h, D2h=d2h, D1c=d1c, D2c=d2c,
-            )
-        return second_moment_flow(instantiate(
-            "redfield_block1_normal",
-            W1=o1, W2=o2, c1=o1, c2=o2,
-            dm1=0.5 * (d1h + d1c), dm2=0.5 * (d2h + d2c),
-            ds1=0.5 * (d1h - d1c), ds2=0.5 * (d2h - d2c),
+            return redfield_drift_local(w, kk, o1, o2, d1h, d2h, d1c, d2c)
+        return second_moment_flow(normal_drift(
+            o1, o2, o1, o2,
+            0.5 * (d1h + d1c), 0.5 * (d2h + d2c),
+            0.5 * (d1h - d1c), 0.5 * (d2h - d2c),
         ))
     raise ValidationError(f"unknown generator label {label!r}")
 

@@ -15,9 +15,12 @@ part of D (:func:`_gaussian_blocks`). The labels differ only in which
 jump-operator pairs they keep; each bath's kept pairs are summed into
 one channel table (:func:`_dissipator_terms`), the single home of that
 pairing rule, which the heat-current check reuses. Where a closed form
-exists, the result is cross-checked against it entry-wise before being
-returned; a mismatch is an internal error, never silently ignored.
-Closed-form 4x4 blocks and constants are fixture templates; their
+exists, the result is cross-checked against it before being returned,
+the coherent and the dissipative entries each relative to their own
+largest entry; a mismatch is an internal error, never silently ignored.
+The closed forms are five numpy functions of the frequencies and bath
+coefficients (:func:`lme_drift` to :func:`normal_const2`) that
+broadcast over arrays, so scans evaluate them on whole grids; their
 10x10 blocks are flows of their 4x4 drifts, in ``frame_rotate`` too.
 """
 
@@ -28,9 +31,9 @@ from itertools import product
 
 import numpy as np
 
-from . import fixtures
 from .algebra import (
     QUADRATURE_LABELS,
+    SECOND_MOMENT_PAIRS,
     SYMPLECTIC,
     moment_labels,
     pack_symmetric,
@@ -194,7 +197,74 @@ def _gaussian_blocks(
     return block1, second_moment_flow(block1), pack_symmetric(0.5 * (d + d.T))
 
 
-# -- closed-form (fixture) path -------------------------------------------
+# -- closed forms: broadcast over arrays, the matrix axes last -------------
+
+
+def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
+    """Row-major entries (scalars or broadcastable arrays) -> broadcast + shape."""
+    broadcast = np.broadcast(*entries).shape
+    out = np.empty(broadcast + (len(entries),))
+    for i, v in enumerate(entries):
+        out[..., i] = v
+    return out.reshape(broadcast + shape)
+
+
+def lme_drift(wh, wc, k, dh, dc) -> np.ndarray:
+    """LME drift, local frame; at resonance defective at k = (w/2)|dh - dc|."""
+    return _stack([
+        dh / 2, 1, 0, 0,
+        -wh**2, dh / 2, -k, 0,
+        0, 0, dc / 2, 1,
+        -k, 0, -wc**2, dc / 2,
+    ], (4, 4))
+
+
+def gme_drift_local(w, k, dm1, dm2) -> np.ndarray:
+    """Resonant GME drift, local frame; dm are the baths' mean drift coefficients."""
+    mean, split = (dm1 + dm2) / 4, (dm1 - dm2) / 4
+    return _stack([
+        mean, 1, split, 0,
+        -w**2, mean, -k, split,
+        split, 0, mean, 1,
+        -k, split, -w**2, mean,
+    ], (4, 4))
+
+
+def redfield_drift_local(w, k, c1, c2, D1h, D2h, D1c, D2c) -> np.ndarray:
+    """Resonant Redfield drift, local frame; c are the mode frequencies and
+    D<mode><bath> the drift coefficients at them."""
+    minus, plus = (c2 - c1) / 8, (c2 + c1) / 8
+    hot_sum, hot_diff = D1h / c2 + D2h / c1, D1h / c2 - D2h / c1
+    cold_diff, cold_sum = D1c / c2 - D2c / c1, D1c / c2 + D2c / c1
+    return _stack([
+        minus * cold_diff + plus * hot_sum, 1, minus * cold_sum + plus * hot_diff, 0,
+        -w**2, (D1h + D2h) / 4, -k, (D1h - D2h) / 4,
+        plus * cold_diff + minus * hot_sum, 0, plus * cold_sum + minus * hot_diff, 1,
+        -k, (D1c - D2c) / 4, -w**2, (D1c + D2c) / 4,
+    ], (4, 4))
+
+
+def normal_drift(W1, W2, c1, c2, dm1, dm2, ds1, ds2) -> np.ndarray:
+    """Resonant Redfield drift, normal frame, from the mode (W) and channel (c)
+    frequencies and the baths' mean (dm) and split (ds) drift
+    coefficients; ds = 0 gives the GME."""
+    return _stack([
+        dm1 / 2, 1, (c2 / (2 * c1)) * ds2, 0,
+        -W1**2, dm1 / 2, 0, ds2 / 2,
+        (c1 / (2 * c2)) * ds1, 0, dm2 / 2, 1,
+        0, ds1 / 2, -W2**2, dm2 / 2,
+    ], (4, 4))
+
+
+def normal_const2(c1, c2, sm1, sm2, ss1, ss2) -> np.ndarray:
+    """Resonant Redfield const2 from the baths' mean (sm) and split (ss) noise
+    coefficients; ss = 0 gives the GME, also the LME at c = w, sm = (Sh, Sc)."""
+    return _stack([
+        sm1 / (2 * c1), c1 * sm1 / 2, 0,
+        sm2 / (2 * c2), c2 * sm2 / 2, 0,
+        0, 0,
+        ss1 / (4 * c2) + ss2 / (4 * c1), c1 * ss1 / 4 + c2 * ss2 / 4,
+    ], (10,))
 
 
 def closed_form_blocks(
@@ -205,8 +275,7 @@ def closed_form_blocks(
     Keys: ``block1_local``, ``block1_normal``, ``block2_local``,
     ``block2_normal``, ``const2_local``, ``const2_normal`` (only those
     with a printed closed form for the label/parameters are present).
-    The 4x4 blocks and constants are fixture templates; each
-    ``block2_<frame>`` is ``second_moment_flow(block1_<frame>)``.
+    Each ``block2_<frame>`` is ``second_moment_flow(block1_<frame>)``.
     Second-moment closed forms exist at resonance only; the local
     first-moment matrix of the LME covers the detuned case too.
     """
@@ -214,21 +283,16 @@ def closed_form_blocks(
     resonant = modes.resonant
     w = sys.omega_h
     k = sys.k
-    inst = fixtures.instantiate
 
     if label in (LME, REDFIELD_ZEROTH):
         dh = delta_coeff(hot, sys.omega_h)
         dc = delta_coeff(cold, sys.omega_c)
         sh = sigma_coeff(hot, sys.omega_h)
         sc = sigma_coeff(cold, sys.omega_c)
+        out["block1_local"] = lme_drift(w, w if resonant else sys.omega_c, k, dh, dc)
         if resonant:
-            out["block1_local"] = inst("lme_block1", w=w, k=k, Dh=dh, Dc=dc)
             out["block2_local"] = second_moment_flow(out["block1_local"])
-            out["const2_local"] = inst("lme_const2", w=w, Sh=sh, Sc=sc)
-        else:
-            out["block1_local"] = inst(
-                "lme_block1_general", wh=sys.omega_h, wc=sys.omega_c, k=k, Dh=dh, Dc=dc
-            )
+            out["const2_local"] = normal_const2(w, w, sh, sc, 0.0, 0.0)
         return out
 
     if label == GME_ZEROTH and not resonant:
@@ -241,38 +305,27 @@ def closed_form_blocks(
         rates = combined_coeffs(hot, cold, o1, o2)
         dm1, dm2 = rates.delta_mean
         sm1, sm2 = rates.sigma_mean
-        out["block1_normal"] = inst("gme_block1_normal", W1=o1, W2=o2, dm1=dm1, dm2=dm2)
-        out["block1_local"] = inst("gme_block1_local", w=w, k=k, dm1=dm1, dm2=dm2)
-        out["const2_normal"] = inst("gme_const2_normal", c1=o1, c2=o2, sm1=sm1, sm2=sm2)
+        out["block1_normal"] = normal_drift(o1, o2, o1, o2, dm1, dm2, 0.0, 0.0)
+        out["block1_local"] = gme_drift_local(w, k, dm1, dm2)
+        out["const2_normal"] = normal_const2(o1, o2, sm1, sm2, 0.0, 0.0)
     elif label == GME_ZEROTH:
-        dh = delta_coeff(hot, w)
-        dc = delta_coeff(cold, w)
-        dm0 = 0.5 * (dh + dc)
+        dm0 = 0.5 * (delta_coeff(hot, w) + delta_coeff(cold, w))
         sm0 = 0.5 * (sigma_coeff(hot, w) + sigma_coeff(cold, w))
-        out["block1_local"] = inst("gme0_block1_local", w=w, k=k, Dh=dh, Dc=dc)
-        out["block1_normal"] = inst("gme_block1_normal", W1=o1, W2=o2, dm1=dm0, dm2=dm0)
-        out["const2_normal"] = inst("gme_const2_normal", c1=w, c2=w, sm1=sm0, sm2=sm0)
+        out["block1_local"] = gme_drift_local(w, k, dm0, dm0)
+        out["block1_normal"] = normal_drift(o1, o2, o1, o2, dm0, dm0, 0.0, 0.0)
+        out["const2_normal"] = normal_const2(w, w, sm0, sm0, 0.0, 0.0)
     elif label == REDFIELD and resonant:
         d1h = delta_coeff(hot, o1)
         d2h = delta_coeff(hot, o2)
         d1c = delta_coeff(cold, o1)
         d2c = delta_coeff(cold, o2)
         rates = combined_coeffs(hot, cold, o1, o2)
-        out["block1_local"] = inst(
-            "redfield_block1_local",
-            w=w, k=k, c1=o1, c2=o2, D1h=d1h, D2h=d2h, D1c=d1c, D2c=d2c,
+        out["block1_local"] = redfield_drift_local(w, k, o1, o2, d1h, d2h, d1c, d2c)
+        out["block1_normal"] = normal_drift(
+            o1, o2, o1, o2, *rates.delta_mean, *rates.delta_split
         )
-        out["block1_normal"] = inst(
-            "redfield_block1_normal",
-            W1=o1, W2=o2, c1=o1, c2=o2,
-            dm1=rates.delta_mean[0], dm2=rates.delta_mean[1],
-            ds1=rates.delta_split[0], ds2=rates.delta_split[1],
-        )
-        out["const2_normal"] = inst(
-            "redfield_const2_normal",
-            c1=o1, c2=o2,
-            sm1=rates.sigma_mean[0], sm2=rates.sigma_mean[1],
-            ss1=rates.sigma_split[0], ss2=rates.sigma_split[1],
+        out["const2_normal"] = normal_const2(
+            o1, o2, *rates.sigma_mean, *rates.sigma_split
         )
     if "block1_normal" in out:
         out["block2_normal"] = second_moment_flow(out["block1_normal"])
@@ -322,6 +375,21 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
 # -- public construction ---------------------------------------------------
 
 
+def _parity_split(parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    coherent = parity[:, None] != parity[None, :]
+    return coherent, ~coherent
+
+
+# G fills only xx/pp and Im B only xp entries, so the coherent entries of a
+# drift, and of its flow, are exactly those joining moments of different
+# x/p parity
+_CROSSCHECK_PARTS = {
+    "block1": _parity_split(np.arange(4) % 2),
+    "block2": _parity_split(np.array([(i + j) % 2 for i, j in SECOND_MOMENT_PAIRS])),
+    "const2": (np.ones(10, dtype=bool),),
+}
+
+
 def _crosscheck(
     label: str,
     frame: str,
@@ -331,7 +399,9 @@ def _crosscheck(
 ) -> None:
     """Compare built blocks with every applicable closed form, rotating
     the closed form into the built frame where needed (a block2 in that
-    frame is the flow of the rotated block1)."""
+    frame is the flow of the rotated block1). The coherent and the
+    dissipative entries must each agree to CROSSCHECK_TOL of the largest
+    closed-form entry of their part; const2 is all dissipative."""
     t, suffix, other = quadrature_rotation(modes), "normal", "local"
     if frame == LOCAL_FRAME:
         t, suffix, other = t.T, "local", "normal"
@@ -347,11 +417,14 @@ def _crosscheck(
             closed_arr = rotations[name](closed[f"{name}_{other}"])
         else:
             continue
-        diff = np.abs(built_arr - closed_arr).max()
-        if diff > CROSSCHECK_TOL * max(1.0, np.abs(closed_arr).max()):
-            raise ConsistencyError(
-                f"{label} {name} disagrees with its closed form by {diff:g}"
-            )
+        for part in _CROSSCHECK_PARTS[name]:
+            diff = np.abs(built_arr - closed_arr)[part].max()
+            scale = np.abs(closed_arr)[part].max()
+            if diff > CROSSCHECK_TOL * scale:
+                raise ConsistencyError(
+                    f"{label} {name} disagrees with its closed form by {diff:g} "
+                    f"against entries up to {scale:g}"
+                )
 
 
 def build(

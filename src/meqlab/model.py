@@ -106,10 +106,12 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
     o2_sq = 0.5 * (sys.omega_h**2 + sys.omega_c**2 - s)
     if o2_sq <= 0.0:
         raise StabilityError("normal-mode frequency squared is not positive")
-    # cos(zeta)^2 = (s - delta)/(2s); sin carries the sign of k so that the
-    # first column is the eigenvector of the larger eigenvalue
-    cos_z = math.sqrt(max(0.0, (s - delta) / (2.0 * s)))
-    sin_z = math.sqrt(max(0.0, (s + delta) / (2.0 * s)))
+    # cos(zeta)^2 = (s - delta)/(2s), sin(zeta)^2 = (s + delta)/(2s); the
+    # smaller is 4k^2/((s + |delta|) 2s), as s - |delta| cancels for small k.
+    # sin carries the sign of k: the first column has the larger eigenvalue
+    large = math.sqrt((s + abs(delta)) / (2.0 * s))
+    small = abs(sys.k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
+    cos_z, sin_z = (small, large) if delta > 0.0 else (large, small)
     if sys.k < 0.0:
         sin_z = -sin_z
     zeta = math.atan2(sin_z, cos_z)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from meqlab.cli import main
-from meqlab.fixtures import instantiate
+from meqlab.generators import lme_drift
 
 
 SMALL_SCAN = [
@@ -144,9 +144,7 @@ def test_matrices_dump_matches_fixture(tmp_path):
     block1 = np.array([[float(v) for v in row] for row in payload["block1"]])
     delta_h = -1e-8 * (1e6 / (1.0 + 1e6))
     delta_c = -1e-4 * (1e6 / (1.0 + 1e6))
-    expected = instantiate(
-        "lme_block1", w=1.0, k=4.999495000505e-05, Dh=delta_h, Dc=delta_c
-    )
+    expected = lme_drift(1.0, 1.0, 4.999495000505e-05, delta_h, delta_c)
     assert np.abs(block1 - expected).max() < 1e-12
     assert payload["frame"] == "local-quadratures"
 

@@ -34,7 +34,12 @@ from meqlab.generators import (
     build,
     closed_form_blocks,
     frame_rotate,
+    gme_drift_local,
+    lme_drift,
+    normal_const2,
+    normal_drift,
     quadrature_rotation,
+    redfield_drift_local,
     zeroth_order,
 )
 from meqlab.model import (
@@ -103,6 +108,55 @@ def test_block_assembly_decouples():
     # the 4x4 drift and its 10x10 flow separately; spot-check the shapes
     gen = build(REDFIELD, FIG_SYS, HOT, COLD)
     assert gen.block1.shape == (4, 4) and gen.block2.shape == (10, 10)
+
+
+CLOSED_FORMS = (
+    (lme_drift, 5, (4, 4)),
+    (gme_drift_local, 4, (4, 4)),
+    (redfield_drift_local, 8, (4, 4)),
+    (normal_drift, 8, (4, 4)),
+    (normal_const2, 6, (10,)),
+)
+
+
+def test_closed_form_shapes():
+    # 10x10 blocks are derived by second_moment_flow, never written out
+    for func, n_args, shape in CLOSED_FORMS:
+        arr = func(*[1.0] * n_args)
+        assert arr.shape == shape
+        assert np.all(np.isfinite(arr))
+
+
+def test_closed_form_grid_equals_scalar_calls():
+    # scans evaluate the closed forms on whole grids, refine_ep point by
+    # point: both must give the same bits
+    rng = np.random.default_rng(11)
+    for func, n_args, shape in CLOSED_FORMS:
+        args = [rng.uniform(0.5, 1.5, size=(7, 1)), rng.uniform(-1e-3, 1e-3, size=(1, 5))]
+        args += [rng.uniform(-1e-3, 1e-3, size=(7, 5)) for _ in range(n_args - 2)]
+        stack = func(*args)
+        assert stack.shape == (7, 5) + shape
+        for i in range(7):
+            for j in range(5):
+                point = [np.broadcast_to(a, (7, 5))[i, j] for a in args]
+                assert stack[i, j].tobytes() == func(*point).tobytes()
+
+
+def test_zero_coupling_block_diagonal():
+    block = second_moment_flow(lme_drift(1.3, 1.3, 0.0, -1e-4, -2e-4))
+    assert np.abs(block[:3, 3:6]).max() == 0.0
+    assert np.abs(block[3:6, :3]).max() == 0.0
+    assert np.abs(block[:6, 6:]).max() == 0.0
+
+
+def test_gme_drift_differs_from_lme_when_asymmetric():
+    dh, dc = -1e-8, -1e-4
+    zeroth = gme_drift_local(1.0, 1e-4, 0.5 * (dh + dc), 0.5 * (dh + dc))
+    local = lme_drift(1.0, 1.0, 1e-4, dh, dc)
+    assert np.abs(zeroth - local).max() > 1e-6
+    symmetric = gme_drift_local(1.0, 1e-4, dc, dc)
+    local_sym = lme_drift(1.0, 1.0, 1e-4, dc, dc)
+    assert np.abs(symmetric - local_sym).max() == 0.0
 
 
 def test_zeroth_redfield_equals_lme():
@@ -439,6 +493,25 @@ def test_build_raises_on_crosscheck_mismatch(monkeypatch):
         out = original(label, sys, hot, cold, modes)
         if "block1_local" in out:
             out["block1_local"] = out["block1_local"] + 1e-6
+        return out
+
+    monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)
+    with pytest.raises(ConsistencyError):
+        gmod.build(LME, FIG_SYS, HOT, COLD)
+
+
+def test_crosscheck_is_relative_to_dissipative_entries(monkeypatch):
+    # the hot-bath damping entry is ~5e-9 against omega^2 = 1: a relative
+    # error of 1e-6 in it must abort the build
+    import meqlab.generators as gmod
+    from meqlab.errors import ConsistencyError
+
+    original = gmod.closed_form_blocks
+
+    def corrupted(label, sys, hot, cold, modes):
+        out = original(label, sys, hot, cold, modes)
+        out["block1_local"] = out["block1_local"].copy()
+        out["block1_local"][0, 0] *= 1 + 1e-6
         return out
 
     monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)

@@ -53,6 +53,15 @@ def test_normal_modes_general_frequencies():
     assert nm.omega2**2 == pytest.approx(0.5 * (2.44 - s), rel=1e-14)
 
 
+def test_normal_modes_weak_mixing_weight():
+    # |k| << |omega_h^2 - omega_c^2|: the small weight sin(zeta) ~ 6.7e-9
+    # must not come from the cancelling difference s - |delta|
+    nm = normal_modes(SystemSpec(1.0, 2.0, 2e-8))
+    weight = math.sin(0.5 * math.atan2(4e-8, 3.0))
+    assert nm.matrix[0, 0] == pytest.approx(weight, rel=1e-14)
+    assert nm.matrix[1, 1] == pytest.approx(-weight, rel=1e-14)
+
+
 def test_normal_modes_orthogonal_and_diagonalizing():
     rng = np.random.default_rng(4)
     for _ in range(50):
