@@ -5,7 +5,7 @@ currents."""
 
 __version__ = "0.1.0"
 
-from .bath import BathSpec, CombinedRates, combined_coeffs, decay_rate  # noqa: F401
+from .bath import BathSpec, decay_rate  # noqa: F401
 from .bath import bose_occupation, delta_coeff, sigma_coeff, spectral_density  # noqa: F401
 from .dynamics import (  # noqa: F401
     MomentState,

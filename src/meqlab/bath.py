@@ -20,9 +20,7 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "BathSpec",
-    "CombinedRates",
     "bose_occupation",
-    "combined_coeffs",
     "decay_rate",
     "delta_coeff",
     "sigma_coeff",
@@ -120,36 +118,3 @@ def sigma_coeff(bath: BathSpec, omega: float) -> float:
     if omega <= 0.0:
         raise DomainError(f"sigma_coeff requires omega > 0, got {omega!r}")
     return (decay_rate(bath, -omega) + decay_rate(bath, omega)) / (2.0 * omega)
-
-
-@dataclass(frozen=True)
-class CombinedRates:
-    """Half-sum and half-difference rate coefficients of the two baths.
-
-    Indexed by normal mode: entry j belongs to the channel at frequency
-    Omega_j. `mean` holds (hot + cold)/2, `split` holds (hot - cold)/2.
-    """
-
-    delta_mean: tuple[float, float]
-    sigma_mean: tuple[float, float]
-    delta_split: tuple[float, float]
-    sigma_split: tuple[float, float]
-
-
-def combined_coeffs(
-    hot: BathSpec, cold: BathSpec, omega1: float, omega2: float
-) -> CombinedRates:
-    """All eight half-sum/half-difference coefficients at the two channel
-    frequencies."""
-    if omega1 <= 0.0 or omega2 <= 0.0:
-        raise DomainError("channel frequencies must be positive")
-    dh = (delta_coeff(hot, omega1), delta_coeff(hot, omega2))
-    dc = (delta_coeff(cold, omega1), delta_coeff(cold, omega2))
-    sh = (sigma_coeff(hot, omega1), sigma_coeff(hot, omega2))
-    sc = (sigma_coeff(cold, omega1), sigma_coeff(cold, omega2))
-    return CombinedRates(
-        delta_mean=(0.5 * (dh[0] + dc[0]), 0.5 * (dh[1] + dc[1])),
-        sigma_mean=(0.5 * (sh[0] + sc[0]), 0.5 * (sh[1] + sc[1])),
-        delta_split=(0.5 * (dh[0] - dc[0]), 0.5 * (dh[1] - dc[1])),
-        sigma_split=(0.5 * (sh[0] - sc[0]), 0.5 * (sh[1] - sc[1])),
-    )

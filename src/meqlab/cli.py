@@ -75,7 +75,9 @@ DEFAULT_CONFIG = {
 }
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float | str) -> str:
+    if isinstance(value, str):
+        return value
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
@@ -117,10 +119,7 @@ def _set_override(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
+def _as_number(node, path: str, positive: bool = False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"config {path!r} must be a number, got {node!r}")
     value = float(node)
@@ -129,6 +128,19 @@ def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
     if positive and value <= 0.0:
         raise ValidationError(f"config {path!r} must be positive, got {value!r}")
     return value
+
+
+def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
+    node = cfg
+    for part in path.split("."):
+        node = node[part]
+    return _as_number(node, path, positive)
+
+
+def _require_range(node, path: str) -> tuple[float, float]:
+    if not isinstance(node, list) or len(node) != 2:
+        raise ValidationError(f"config {path!r} must be two numbers, got {node!r}")
+    return tuple(_as_number(v, path) for v in node)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -205,9 +217,15 @@ def _out_format(cfg: dict, args) -> str:
     return fmt
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
     """Write one table deterministically; CSV uses 17-significant-digit
-    floats and '\\n' endings."""
+    floats, strings verbatim and '\\n' endings."""
     if fmt == "csv":
         target = path.with_suffix(".csv")
         with open(target, "w", newline="") as fh:
@@ -216,10 +234,7 @@ def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     else:
         target = path.with_suffix(".json")
-        payload = {"header": header, "rows": [[_fmt(v) for v in row] for row in rows]}
-        with open(target, "w", newline="") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(target, {"header": header, "rows": [[_fmt(v) for v in row] for row in rows]})
     return target
 
 
@@ -233,9 +248,7 @@ def _write_sidecar(path: Path, command: str, cfg: dict, outputs: list[str],
     }
     if extras:
         payload["extras"] = extras
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -244,7 +257,7 @@ def _write_sidecar(path: Path, command: str, cfg: dict, outputs: list[str],
 def cmd_scan(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     block_cfg = cfg["scan"]
-    omega_lo, omega_hi = (float(v) for v in block_cfg["omega"])
+    omega_lo, omega_hi = _require_range(block_cfg["omega"], "scan.omega")
     res = block_cfg["resolution"]
     if (
         not isinstance(res, list)
@@ -259,38 +272,25 @@ def cmd_scan(cfg: dict, args) -> int:
     if block_cfg["k"] is None:
         k_lo, k_hi = 0.0, 1.5 * exceptional_line(omega_hi, hot, cold)
     else:
-        k_lo, k_hi = (float(v) for v in block_cfg["k"])
+        k_lo, k_hi = _require_range(block_cfg["k"], "scan.k")
     result = scan(
         cfg["generators"], blocks, (omega_lo, omega_hi), (k_lo, k_hi),
         (res[0], res[1]), hot, cold, threads=args.threads,
     )
     out = _out_dir(cfg, args)
     fmt = _out_format(cfg, args)
+    # each grid value repeats on many rows: format it once
+    omegas = [_fmt(w) for w in result.omegas]
+    ks = [_fmt(k) for k in result.ks]
     outputs = []
     for label in cfg["generators"]:
-        rows = []
-        for block in blocks:
-            kap = result.kappas[(label, block)]
-            for i, w in enumerate(result.omegas):
-                for j, k in enumerate(result.ks):
-                    rows.append((w, k, kap[i, j], block))
-        # block column is a string; emit it verbatim
-        target = out / f"scan_{label}"
-        if fmt == "csv":
-            target = target.with_suffix(".csv")
-            with open(target, "w", newline="") as fh:
-                fh.write("omega,k,kappa,block\n")
-                for w, k, kappa, block in rows:
-                    fh.write(f"{_fmt(w)},{_fmt(k)},{_fmt(kappa)},{block}\n")
-        else:
-            target = target.with_suffix(".json")
-            payload = {
-                "header": ["omega", "k", "kappa", "block"],
-                "rows": [[_fmt(w), _fmt(k), _fmt(kappa), block] for w, k, kappa, block in rows],
-            }
-            with open(target, "w", newline="") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+        rows = (
+            (w, k, kappa, block)
+            for block in blocks
+            for w, kap_row in zip(omegas, result.kappas[(label, block)])
+            for k, kappa in zip(ks, kap_row)
+        )
+        target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows, fmt)
         outputs.append(target.name)
     _write_sidecar(
         out / "scan.meta.json", "scan-ep", cfg, outputs,
@@ -394,6 +394,8 @@ def cmd_rigidity(cfg: dict, args) -> int:
         raise ValidationError("rigidity.points must be an integer >= 2")
     ks = np.linspace(k_min, k_max, points)
     omega = system.omega_h
+    if np.any(np.abs(ks) >= omega**2):
+        raise ValidationError("rigidity k range leaves the stability region |k| < omega^2")
 
     header = ["k"]
     profiles = {}
@@ -457,9 +459,7 @@ def cmd_matrices(cfg: dict, args) -> int:
     }
     out = _out_dir(cfg, args)
     target = out / f"matrices_{label}.json"
-    with open(target, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(target, payload)
     print(f"wrote {target}")
     return EXIT_OK
 

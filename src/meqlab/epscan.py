@@ -2,12 +2,12 @@
 
 EPs of the moment generators are detected through the condition number
 of the eigenvector matrix, which diverges exactly where eigenvectors
-coalesce. Scans evaluate the closed-form 4x4 drifts of ``generators``
-on the whole (omega, k) grid at once (they are validated against
-build() elsewhere), derive each second-moment block as the flow of
-its 4x4 drift, and run batched eigen/singular-value decompositions,
-chunked across a thread pool. Points whose eigensolve fails are NaN and
-counted in the scan metadata.
+coalesce. Scans evaluate ``generators.closed_form_drift``, the drifts
+build() is cross-checked against, on the whole (omega, k) grid at
+once, derive each second-moment block as the flow of its 4x4 drift,
+and run batched eigen/singular-value decompositions, chunked across a
+thread pool. Points whose eigensolve fails are NaN and counted in the
+scan metadata.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
-from .generators import GME, GME_ZEROTH, LME, REDFIELD, REDFIELD_ZEROTH
-from .generators import gme_drift_local, lme_drift, normal_drift, redfield_drift_local
+from .generators import NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
 from .eigen import condition_number, eig
 
@@ -95,61 +94,23 @@ def nonresonant_ep_roots(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> EpRo
     return EpRoots(k_plus, k_minus, physical, degenerate)
 
 
-# -- vectorized closed-form matrices over a resonant grid ------------------
-
-
-def _grid_rates(omega, k, bath: BathSpec):
-    """Drift/noise coefficients of one bath on broadcastable (omega, k)
-    arrays; channel frequencies are the resonant normal modes."""
-    omega = np.asarray(omega, dtype=float)
-    k = np.asarray(k, dtype=float)
-    o1 = np.sqrt(omega**2 + k)
-    o2 = np.sqrt(omega**2 - k)
-
-    def delta(freq):
-        return -bath.lambda_sq * bath.cutoff**2 / (freq**2 + bath.cutoff**2)
-
-    return o1, o2, delta(omega), delta(o1), delta(o2)
-
-
 def grid_block_matrices(
     label: str, block: str, omega, k, hot: BathSpec, cold: BathSpec
 ) -> np.ndarray:
     """Stack of generator blocks over broadcastable (omega, k) arrays,
     resonant oscillators. Returns shape broadcast + (4, 4) or (10, 10).
 
-    The second block is the flow of the first block in the frame where
-    it is defined: local for LME and Redfield-zeroth, normal-mode for
-    GME, GME-zeroth and Redfield."""
-    o1, o2, dwh, d1h, d2h = _grid_rates(omega, k, hot)
-    _, _, dwc, d1c, d2c = _grid_rates(omega, k, cold)
-    w = np.asarray(omega, dtype=float)
-    kk = np.asarray(k, dtype=float)
+    The first block is the local closed-form drift; the second is the
+    flow of the normal-frame drift where the label has one (GME,
+    GME-zeroth, Redfield), else of the local one."""
     if block not in BLOCKS:
         raise ValidationError(f"block must be one of {BLOCKS}")
-
-    if label == LME or label == REDFIELD_ZEROTH:
-        mats = lme_drift(w, w, kk, dwh, dwc)
-        return mats if block == "first" else second_moment_flow(mats)
-    if label == GME:
-        dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
-        if block == "first":
-            return gme_drift_local(w, kk, dm1, dm2)
-        return second_moment_flow(normal_drift(o1, o2, o1, o2, dm1, dm2, 0.0, 0.0))
-    if label == GME_ZEROTH:
-        dm = 0.5 * (dwh + dwc)
-        if block == "first":
-            return gme_drift_local(w, kk, dm, dm)
-        return second_moment_flow(normal_drift(o1, o2, o1, o2, dm, dm, 0.0, 0.0))
-    if label == REDFIELD:
-        if block == "first":
-            return redfield_drift_local(w, kk, o1, o2, d1h, d2h, d1c, d2c)
-        return second_moment_flow(normal_drift(
-            o1, o2, o1, o2,
-            0.5 * (d1h + d1c), 0.5 * (d2h + d2c),
-            0.5 * (d1h - d1c), 0.5 * (d2h - d2c),
-        ))
-    raise ValidationError(f"unknown generator label {label!r}")
+    if block == "first":
+        return closed_form_drift(label, omega, omega, k, hot, cold)
+    drift = closed_form_drift(label, omega, omega, k, hot, cold, NORMAL_FRAME)
+    if drift is None:
+        drift = closed_form_drift(label, omega, omega, k, hot, cold)
+    return second_moment_flow(drift)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ the coherent and the dissipative entries each relative to their own
 largest entry; a mismatch is an internal error, never silently ignored.
 The closed forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
-broadcast over arrays, so scans evaluate them on whole grids; their
-10x10 blocks are flows of their 4x4 drifts, in ``frame_rotate`` too.
+broadcast over arrays; :func:`closed_form_drift` alone picks each
+label's drifts from them, for this cross-check and the EP scans alike.
+Their 10x10 blocks are flows of their 4x4 drifts, in ``frame_rotate`` too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .algebra import (
     second_moment_flow,
     unpack_symmetric,
 )
-from .bath import BathSpec, combined_coeffs, decay_rate, delta_coeff, sigma_coeff
+from .bath import BathSpec, decay_rate, sigma_coeff
 from .errors import ConsistencyError, ContractError, ValidationError
 from .model import (
     JumpChannel,
@@ -267,6 +268,44 @@ def normal_const2(c1, c2, sm1, sm2, ss1, ss2) -> np.ndarray:
     ], (10,))
 
 
+def _delta(bath: BathSpec, freq):
+    """Drift coefficient -J(w)/w on arrays; scans and build() share these bits."""
+    return -bath.lambda_sq * bath.cutoff**2 / (freq**2 + bath.cutoff**2)
+
+
+def closed_form_drift(
+    label: str, wh, wc, k, hot: BathSpec, cold: BathSpec, frame: str = LOCAL_FRAME
+) -> np.ndarray | None:
+    """Closed-form 4x4 drift of one label in LOCAL_FRAME or NORMAL_FRAME over
+    broadcastable arrays, shape broadcast + (4, 4); None in the normal
+    frame of the LME and Redfield-zeroth, which have no closed form there.
+
+    The one place that decides which closed form gives a label's drift,
+    from which coefficients. The LME form holds at any detuning, and
+    Redfield-zeroth shares it at resonance; the other forms are resonant
+    and take ``wh`` as the common frequency.
+    """
+    local = frame == LOCAL_FRAME
+    wh, wc, k = (np.asarray(v, dtype=float) for v in (wh, wc, k))
+    if label in (LME, REDFIELD_ZEROTH):
+        return lme_drift(wh, wc, k, _delta(hot, wh), _delta(cold, wc)) if local else None
+    if label not in (GME, GME_ZEROTH, REDFIELD):
+        raise ValidationError(f"unknown generator label {label!r}")
+    o1, o2 = np.sqrt(wh**2 + k), np.sqrt(wh**2 - k)
+    if label == GME_ZEROTH:
+        dm1 = dm2 = 0.5 * (_delta(hot, wh) + _delta(cold, wh))
+    else:
+        d1h, d2h = _delta(hot, o1), _delta(hot, o2)
+        d1c, d2c = _delta(cold, o1), _delta(cold, o2)
+        dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
+    if local and label == REDFIELD:
+        return redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c)
+    if local:
+        return gme_drift_local(wh, k, dm1, dm2)
+    split = (0.5 * (d1h - d1c), 0.5 * (d2h - d2c)) if label == REDFIELD else (0.0, 0.0)
+    return normal_drift(o1, o2, o1, o2, dm1, dm2, *split)
+
+
 def closed_form_blocks(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
 ) -> dict[str, np.ndarray]:
@@ -274,61 +313,36 @@ def closed_form_blocks(
 
     Keys: ``block1_local``, ``block1_normal``, ``block2_local``,
     ``block2_normal``, ``const2_local``, ``const2_normal`` (only those
-    with a printed closed form for the label/parameters are present).
-    Each ``block2_<frame>`` is ``second_moment_flow(block1_<frame>)``.
-    Second-moment closed forms exist at resonance only; the local
-    first-moment matrix of the LME covers the detuned case too.
+    with a closed form for the label/parameters are present); the drifts
+    come from :func:`closed_form_drift`. The LME forms give the local
+    blocks at any detuning, also for both zeroth-order labels off
+    resonance and for Redfield-zeroth at exact resonance. The other
+    forms hold only at exact resonance, omega_h == omega_c, and give
+    block2 and const2 in the normal frame; inside the resonance window
+    of ``normal_modes`` only the LME has closed forms.
     """
-    out: dict[str, np.ndarray] = {}
-    resonant = modes.resonant
-    w = sys.omega_h
-    k = sys.k
-
-    if label in (LME, REDFIELD_ZEROTH):
-        dh = delta_coeff(hot, sys.omega_h)
-        dc = delta_coeff(cold, sys.omega_c)
-        sh = sigma_coeff(hot, sys.omega_h)
-        sc = sigma_coeff(cold, sys.omega_c)
-        out["block1_local"] = lme_drift(w, w if resonant else sys.omega_c, k, dh, dc)
-        if resonant:
-            out["block2_local"] = second_moment_flow(out["block1_local"])
-            out["const2_local"] = normal_const2(w, w, sh, sc, 0.0, 0.0)
+    wh, wc = sys.omega_h, sys.omega_c
+    # off resonance the zeroth-order channels are the local ones, and at
+    # resonance Redfield-zeroth's cross pairs sum to them
+    zeroth = label in (GME_ZEROTH, REDFIELD_ZEROTH)
+    if (label == REDFIELD_ZEROTH and wh == wc) or (zeroth and not modes.resonant):
+        label = LME
+    elif label != LME and wh != wc:
+        return {}
+    out = {"block1_local": closed_form_drift(label, wh, wc, sys.k, hot, cold)}
+    if label == LME:
+        sh, sc = sigma_coeff(hot, wh), sigma_coeff(cold, wc)
+        out["block2_local"] = second_moment_flow(out["block1_local"])
+        out["const2_local"] = normal_const2(wh, wc, sh, sc, 0.0, 0.0)
         return out
-
-    if label == GME_ZEROTH and not resonant:
-        # off resonance the zeroth-order global generator collapses to the
-        # local one; reuse its closed forms
-        return closed_form_blocks(LME, sys, hot, cold, modes)
-
-    o1, o2 = modes.omega1, modes.omega2
-    if label == GME and resonant:
-        rates = combined_coeffs(hot, cold, o1, o2)
-        dm1, dm2 = rates.delta_mean
-        sm1, sm2 = rates.sigma_mean
-        out["block1_normal"] = normal_drift(o1, o2, o1, o2, dm1, dm2, 0.0, 0.0)
-        out["block1_local"] = gme_drift_local(w, k, dm1, dm2)
-        out["const2_normal"] = normal_const2(o1, o2, sm1, sm2, 0.0, 0.0)
-    elif label == GME_ZEROTH:
-        dm0 = 0.5 * (delta_coeff(hot, w) + delta_coeff(cold, w))
-        sm0 = 0.5 * (sigma_coeff(hot, w) + sigma_coeff(cold, w))
-        out["block1_local"] = gme_drift_local(w, k, dm0, dm0)
-        out["block1_normal"] = normal_drift(o1, o2, o1, o2, dm0, dm0, 0.0, 0.0)
-        out["const2_normal"] = normal_const2(w, w, sm0, sm0, 0.0, 0.0)
-    elif label == REDFIELD and resonant:
-        d1h = delta_coeff(hot, o1)
-        d2h = delta_coeff(hot, o2)
-        d1c = delta_coeff(cold, o1)
-        d2c = delta_coeff(cold, o2)
-        rates = combined_coeffs(hot, cold, o1, o2)
-        out["block1_local"] = redfield_drift_local(w, k, o1, o2, d1h, d2h, d1c, d2c)
-        out["block1_normal"] = normal_drift(
-            o1, o2, o1, o2, *rates.delta_mean, *rates.delta_split
-        )
-        out["const2_normal"] = normal_const2(
-            o1, o2, *rates.sigma_mean, *rates.sigma_split
-        )
-    if "block1_normal" in out:
-        out["block2_normal"] = second_moment_flow(out["block1_normal"])
+    normal = closed_form_drift(label, wh, wc, sys.k, hot, cold, NORMAL_FRAME)
+    out["block1_normal"], out["block2_normal"] = normal, second_moment_flow(normal)
+    c1, c2 = (wh, wh) if label == GME_ZEROTH else (modes.omega1, modes.omega2)
+    sh = [sigma_coeff(hot, c) for c in (c1, c2)]
+    sc = [sigma_coeff(cold, c) for c in (c1, c2)]
+    mean = [0.5 * (h + c) for h, c in zip(sh, sc)]
+    split = [0.5 * (h - c) for h, c in zip(sh, sc)] if label == REDFIELD else [0.0, 0.0]
+    out["const2_normal"] = normal_const2(c1, c2, *mean, *split)
     return out
 
 
@@ -352,16 +366,17 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
 
     The first block is rotated orthogonally and const2 by congruence;
     block2 is re-derived as the flow of the rotated block1, so it must
-    be the flow of ``gen.block1`` (ContractError otherwise). Eigenvalues
+    be the flow of ``gen.block1``, part by part as in the cross-check
+    (ContractError otherwise). Eigenvalues
     are preserved; rotating back and forth is the identity.
     """
     if to not in (LOCAL_FRAME, NORMAL_FRAME):
         raise ValidationError(f"unknown frame {to!r}")
     if to == gen.frame:
         return gen
-    off = np.abs(gen.block2 - second_moment_flow(gen.block1)).max()
-    if off > CROSSCHECK_TOL * max(1.0, np.abs(gen.block2).max()):
-        raise ContractError(f"{gen.label} block2 is not the flow of block1 ({off:g} off)")
+    mismatch = _mismatch("block2", gen.block2, second_moment_flow(gen.block1))
+    if mismatch:
+        raise ContractError(f"{gen.label} block2 is not the flow of block1 ({mismatch})")
     t, names = quadrature_rotation(modes), NORMAL_LINEAR_LABELS
     if to == LOCAL_FRAME:
         t, names = t.T, QUADRATURE_LABELS
@@ -388,6 +403,17 @@ _CROSSCHECK_PARTS = {
     "block2": _parity_split(np.array([(i + j) % 2 for i, j in SECOND_MOMENT_PAIRS])),
     "const2": (np.ones(10, dtype=bool),),
 }
+
+
+def _mismatch(name: str, got: np.ndarray, reference: np.ndarray) -> str:
+    """Describe the first part of ``_CROSSCHECK_PARTS[name]`` where ``got`` is off
+    by more than CROSSCHECK_TOL of that part's largest ``reference`` entry, or ''."""
+    for part in _CROSSCHECK_PARTS[name]:
+        diff = np.abs(got - reference)[part].max()
+        scale = np.abs(reference)[part].max()
+        if diff > CROSSCHECK_TOL * scale:
+            return f"{diff:g} off against entries up to {scale:g}"
+    return ""
 
 
 def _crosscheck(
@@ -417,14 +443,11 @@ def _crosscheck(
             closed_arr = rotations[name](closed[f"{name}_{other}"])
         else:
             continue
-        for part in _CROSSCHECK_PARTS[name]:
-            diff = np.abs(built_arr - closed_arr)[part].max()
-            scale = np.abs(closed_arr)[part].max()
-            if diff > CROSSCHECK_TOL * scale:
-                raise ConsistencyError(
-                    f"{label} {name} disagrees with its closed form by {diff:g} "
-                    f"against entries up to {scale:g}"
-                )
+        mismatch = _mismatch(name, built_arr, closed_arr)
+        if mismatch:
+            raise ConsistencyError(
+                f"{label} {name} disagrees with its closed form ({mismatch})"
+            )
 
 
 def build(

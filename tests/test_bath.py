@@ -8,7 +8,6 @@ import pytest
 from meqlab.bath import (
     BathSpec,
     bose_occupation,
-    combined_coeffs,
     decay_rate,
     delta_coeff,
     sigma_coeff,
@@ -119,34 +118,6 @@ def test_domain_errors_nonpositive_frequency():
             func(BATH, 0.0)
         with pytest.raises(DomainError):
             func(BATH, -1.0)
-
-
-def test_combined_coeffs_definition():
-    hot = BathSpec(1e-8, 10.0, 1e3)
-    cold = BathSpec(1e-4, 5.0, 1e3)
-    rates = combined_coeffs(hot, cold, 1.1, 0.9)
-    for j, omega in enumerate((1.1, 0.9)):
-        dh, dc = delta_coeff(hot, omega), delta_coeff(cold, omega)
-        sh, sc = sigma_coeff(hot, omega), sigma_coeff(cold, omega)
-        assert rates.delta_mean[j] == pytest.approx(0.5 * (dh + dc), rel=1e-14)
-        assert rates.sigma_mean[j] == pytest.approx(0.5 * (sh + sc), rel=1e-14)
-        assert rates.delta_split[j] == pytest.approx(0.5 * (dh - dc), rel=1e-14)
-        assert rates.sigma_split[j] == pytest.approx(0.5 * (sh - sc), rel=1e-14)
-
-
-def test_combined_coeffs_symmetric_baths():
-    bath = BathSpec(3e-5, 2.0, 500.0)
-    rates = combined_coeffs(bath, bath, 1.0, 1.2)
-    assert rates.delta_split == (0.0, 0.0)
-    assert rates.sigma_split == (0.0, 0.0)
-
-
-def test_combined_coeffs_reference_point():
-    # half-sum of the drift coefficients at the standard hot/cold setup
-    hot = BathSpec(1e-8, 10.0, 1e3)
-    cold = BathSpec(1e-4, 5.0, 1e3)
-    rates = combined_coeffs(hot, cold, 1.0, 1.0)
-    assert rates.delta_mean[0] == pytest.approx(-5.0004949995050004e-05, rel=1e-13)
 
 
 def test_kms_relative_accuracy_over_range():

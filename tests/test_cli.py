@@ -182,3 +182,14 @@ def test_numerical_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "scan", boom)
     assert run(["scan-ep", *SMALL_SCAN]) == 4
+
+
+def test_malformed_ranges_rejected(tmp_path):
+    # a range is two finite numbers: anything else is a validation error,
+    # never a traceback or a silently coerced value
+    for override in ("scan.omega=5", 'scan.omega=["a","b"]', "scan.k=[1]",
+                     "scan.omega=[true, 2]"):
+        assert run(["scan-ep", *SMALL_SCAN, "--out", str(tmp_path),
+                    "--set", override]) == 2
+    # and the rigidity sweep stays inside |k| < omega^2, like the scan
+    assert run(["rigidity", "--out", str(tmp_path), "--set", "rigidity.k_max=2"]) == 2

@@ -293,6 +293,19 @@ def test_frame_rotate_rejects_block2_not_flow_of_block1():
         frame_rotate(flipped, NORMAL_FRAME, normal_modes(FIG_SYS))
 
 
+def test_frame_rotate_flow_check_is_relative():
+    # block2[0, 0] is the hot-bath damping entry (~1e-8 against omega^2 = 1):
+    # a relative error of 1e-6 in it must not cross frames
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    block2 = gen.block2.copy()
+    block2[0, 0] *= 1 + 1e-6
+    corrupted = MomentGenerator(
+        gen.label, gen.frame, gen.block1, block2, gen.const2, gen.basis_labels
+    )
+    with pytest.raises(ContractError):
+        frame_rotate(corrupted, NORMAL_FRAME, normal_modes(FIG_SYS))
+
+
 def test_hamiltonian_part_matches_classical_flow():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -414,28 +427,23 @@ def test_gaussian_pair_matches_operator_algebra():
                 assert got.distance(dissipative) <= 1e-12 * dissipative.max_abs()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    omega_h=st.floats(0.3, 2.5),
-    ratio=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
-    k_frac=st.floats(-0.99, 0.99),
-    log_lam2=st.tuples(st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
-    log_temp=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
-    log_cutoff=st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
-)
-def test_stability_region_properties(omega_h, ratio, k_frac, log_lam2, log_temp, log_cutoff):
-    # across |k| < omega_h omega_c: build() passes its two-route check for
-    # every label, the normal-frame build is the rotated local one and
-    # rotates back, stationary currents cancel and GME obeys Clausius
-    omega_c = omega_h * ratio
-    sys = SystemSpec(omega_h, omega_c, k_frac * omega_h * omega_c)
-    hot, cold = (
-        BathSpec(10**lam2, 10**temp, 10**cutoff)
-        for lam2, temp, cutoff in zip(log_lam2, log_temp, log_cutoff)
-    )
+BATH_PAIRS = st.tuples(
+    st.tuples(st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
+    st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+    st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
+).map(lambda logs: tuple(
+    BathSpec(10**lam2, 10**temp, 10**cutoff) for lam2, temp, cutoff in zip(*logs)
+))
+
+
+def check_frames(sys, hot, cold):
+    """build() passes its two-route check for every label in both frames,
+    the normal-frame build is the rotated local one and rotates back;
+    returns the local-frame generators."""
     modes = normal_modes(sys)
+    gens = {}
     for label in GENERATOR_LABELS:
-        gen = build(label, sys, hot, cold)
+        gen = gens[label] = build(label, sys, hot, cold)
         normal = build(label, sys, hot, cold, frame=NORMAL_FRAME)
         rotated = frame_rotate(gen, NORMAL_FRAME, modes)
         back = frame_rotate(rotated, LOCAL_FRAME, modes)
@@ -445,13 +453,45 @@ def test_stability_region_properties(omega_h, ratio, k_frac, log_lam2, log_temp,
                 1e-12 * scale
             )
             assert np.abs(getattr(back, attr) - getattr(gen, attr)).max() <= 1e-12 * scale
-        if label not in (LME, GME, REDFIELD):
-            continue
-        sample = heat_current(label, sys, hot, cold, steady_state(gen, sys))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_h=st.floats(0.3, 2.5),
+    ratio=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+    k_frac=st.floats(-0.99, 0.99),
+    baths=BATH_PAIRS,
+)
+def test_stability_region_properties(omega_h, ratio, k_frac, baths):
+    # across |k| < omega_h omega_c: every label passes check_frames,
+    # stationary currents cancel and GME obeys Clausius
+    omega_c = omega_h * ratio
+    sys = SystemSpec(omega_h, omega_c, k_frac * omega_h * omega_c)
+    hot, cold = baths
+    gens = check_frames(sys, hot, cold)
+    for label in (LME, GME, REDFIELD):
+        sample = heat_current(label, sys, hot, cold, steady_state(gens[label], sys))
         scale = max(abs(sample.q_hot), current_scale(sys, hot, cold))
         assert abs(sample.q_hot + sample.q_cold) <= 1e-10 * scale
         if label == GME:
             assert clausius_check(sample, hot.temperature, cold.temperature) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_h=st.floats(0.3, 2.5),
+    ratio=st.floats(1.0 - 1e-12, 1.0 + 1e-12),
+    k_frac=st.floats(-0.99, 0.99),
+    baths=BATH_PAIRS,
+)
+def test_resonance_window_properties(omega_h, ratio, k_frac, baths):
+    # normal_modes treats a relative detuning below 1e-12 as resonant; the
+    # closed forms must still match there. Heat currents are left out: the
+    # Redfield current's closed form reads the pair as exactly resonant and
+    # can miss its operator route by more than 1e-12 inside this window
+    omega_c = omega_h * ratio
+    check_frames(SystemSpec(omega_h, omega_c, k_frac * omega_h * omega_c), *baths)
 
 
 def test_block1_trace_matches_analytic_dissipation():
@@ -517,3 +557,23 @@ def test_crosscheck_is_relative_to_dissipative_entries(monkeypatch):
     monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)
     with pytest.raises(ConsistencyError):
         gmod.build(LME, FIG_SYS, HOT, COLD)
+
+
+def test_crosscheck_covers_detuned_lme_const2(monkeypatch):
+    # the LME closed forms hold at any detuning, so a detuned build checks
+    # const2 too
+    import meqlab.generators as gmod
+    from meqlab.errors import ConsistencyError
+
+    original = gmod.closed_form_blocks
+
+    def corrupted(label, sys, hot, cold, modes):
+        out = original(label, sys, hot, cold, modes)
+        out["const2_local"] = out["const2_local"] * (1 + 1e-6)
+        return out
+
+    detuned = SystemSpec(1.0, 1.3, 4.999495000505e-05)
+    gmod.build(LME, detuned, HOT, COLD)
+    monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)
+    with pytest.raises(ConsistencyError):
+        gmod.build(LME, detuned, HOT, COLD)
