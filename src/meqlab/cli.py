@@ -39,7 +39,6 @@ from .generators import (
     GME,
     LME,
     LOCAL_FRAME,
-    NORMAL_FRAME,
     REDFIELD,
     build,
 )
@@ -100,7 +99,8 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _set_override(cfg: dict, assignment: str) -> None:
+def _set_override(cfg: dict, assignment: str) -> dict:
+    """Merge one dotted-path assignment over ``cfg`` by the --config rules."""
     if "=" not in assignment:
         raise ValidationError(f"--set expects key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
@@ -108,15 +108,9 @@ def _set_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ValidationError(f"--set: unknown config path {key!r}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ValidationError(f"--set: unknown config path {key!r}")
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _deep_merge(cfg, value)
 
 
 def _as_number(node, path: str, positive: bool = False) -> float:
@@ -161,7 +155,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ValidationError("config root must be a JSON object")
         cfg = _deep_merge(cfg, user)
     for assignment in overrides:
-        _set_override(cfg, assignment)
+        cfg = _set_override(cfg, assignment)
     return cfg
 
 
@@ -187,27 +181,27 @@ def parse_physics(cfg: dict) -> tuple[SystemSpec, BathSpec, BathSpec]:
                 f"unknown generator label {label!r}; choose from {GENERATOR_LABELS}"
             )
     cutoff = cfg["cutoff"]
-    try:
-        system = SystemSpec(
-            cfg["system"]["omega_h"], cfg["system"]["omega_c"], cfg["system"]["k"]
-        )
-        hot = BathSpec(
-            cfg["baths"]["hot"]["lambda_sq"], cfg["baths"]["hot"]["temperature"], cutoff
-        )
-        cold = BathSpec(
-            cfg["baths"]["cold"]["lambda_sq"],
-            cfg["baths"]["cold"]["temperature"],
-            cutoff,
-        )
-    except ValidationError:
-        raise
+    system = SystemSpec(
+        cfg["system"]["omega_h"], cfg["system"]["omega_c"], cfg["system"]["k"]
+    )
+    hot = BathSpec(
+        cfg["baths"]["hot"]["lambda_sq"], cfg["baths"]["hot"]["temperature"], cutoff
+    )
+    cold = BathSpec(
+        cfg["baths"]["cold"]["lambda_sq"], cfg["baths"]["cold"]["temperature"], cutoff
+    )
     return system, hot, cold
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    directory = Path(args.out if args.out is not None else cfg["output"]["dir"])
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    directory = args.out if args.out is not None else cfg["output"]["dir"]
+    if not isinstance(directory, str):
+        raise ValidationError(f"output.dir must be a string, got {directory!r}")
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {directory!r}: {exc}") from exc
+    return Path(directory)
 
 
 def _out_format(cfg: dict, args) -> str:
@@ -439,12 +433,7 @@ def cmd_epline(cfg: dict, args) -> int:
 def cmd_matrices(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     label = cfg["matrices"]["label"]
-    frame = cfg["matrices"]["frame"]
-    if frame not in (LOCAL_FRAME, NORMAL_FRAME):
-        raise ValidationError(
-            f"matrices.frame must be {LOCAL_FRAME!r} or {NORMAL_FRAME!r}"
-        )
-    gen = build(label, system, hot, cold, frame=frame)
+    gen = build(label, system, hot, cold, frame=cfg["matrices"]["frame"])
     payload = {
         "label": gen.label,
         "frame": gen.frame,

@@ -8,26 +8,29 @@ governing first and second quadrature moments,
     d<moments>/dt = block2 <moments> + const2.
 
 The Hamiltonian is quadratic and every jump operator linear, so a
-generator is fixed by its Gaussian drift/diffusion pair (A, D):
-block1 = A, block2 is the flow S -> A S + S A^T of A
-(``algebra.second_moment_flow``) and const2 is the packed symmetric
-part of D (:func:`_gaussian_blocks`). The labels differ only in which
-jump-operator pairs they keep; each bath's kept pairs are summed into
-one channel table (:func:`_dissipator_terms`), the single home of that
-pairing rule, which the heat-current check reuses. Where a closed form
-exists, the result is cross-checked against it before being returned,
-the coherent and the dissipative entries each relative to their own
-largest entry; a mismatch is an internal error, never silently ignored.
-The closed forms are five numpy functions of the frequencies and bath
+generator is fixed by its Gaussian drift/diffusion pair (A, D), and
+:class:`MomentGenerator` stores exactly that: its frame, block1 = A and
+const2, the packed symmetric part of D. block2, the flow
+S -> A S + S A^T of A (``algebra.second_moment_flow``), and the basis
+labels are derived from them, so no stored pair can disagree. The
+labels differ only in which jump-operator pairs they keep; each bath's
+kept pairs are summed into one channel table (:func:`_dissipator_terms`),
+the single home of that pairing rule, which the heat-current check
+reuses. ``build()`` assembles (A, D) in the local frame
+(:func:`_gaussian_blocks`) and reaches the normal frame only through
+:func:`frame_rotate`. Where a closed form exists, the result is
+cross-checked against it before being returned, the coherent and the
+dissipative entries each relative to their own largest entry; a
+mismatch is an internal error, never silently ignored. The closed
+forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
 label's drifts from them, for this cross-check and the EP scans alike.
-Their 10x10 blocks are flows of their 4x4 drifts, in ``frame_rotate`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -83,29 +86,43 @@ NORMAL_FRAME = "normal-mode-quadratures"
 
 CROSSCHECK_TOL = 1e-12
 
-NORMAL_LINEAR_LABELS = ("eta_1", "Pi_1", "eta_2", "Pi_2")
+#: first-moment names of each quadrature frame; its keys are the frames
+FRAME_NAMES = {
+    LOCAL_FRAME: QUADRATURE_LABELS,
+    NORMAL_FRAME: ("eta_1", "Pi_1", "eta_2", "Pi_2"),
+}
 
 
 @dataclass(frozen=True)
 class MomentGenerator:
-    """Real coefficient blocks of one moment-dynamics generator."""
+    """One moment-dynamics generator in one quadrature frame, stored as
+    its drift block1 = A and const2, the packed symmetric part of its
+    diffusion D. block2, the flow of A, and the 14 moment labels of the
+    frame are derived; every field is read-only."""
 
     label: str
     frame: str
     block1: np.ndarray  # 4x4
-    block2: np.ndarray  # 10x10
     const2: np.ndarray  # 10
-    basis_labels: tuple[str, ...]
+    block2: np.ndarray = field(init=False)  # 10x10
+    basis_labels: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        for name, shape in (("block1", (4, 4)), ("block2", (10, 10)), ("const2", (10,))):
+        if not isinstance(self.frame, str) or self.frame not in FRAME_NAMES:
+            raise ValidationError(f"unknown frame {self.frame!r}")
+        for name, shape in (("block1", (4, 4)), ("const2", (10,))):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "block2", second_moment_flow(self.block1))
+        for name in ("block1", "block2", "const2"):
+            arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        names = moment_labels(FRAME_NAMES[self.frame])
+        object.__setattr__(self, "basis_labels", names)
 
 
 # -- dissipator channel assembly ------------------------------------------
@@ -167,35 +184,21 @@ def _dissipator_terms(
 
 
 def _gaussian_blocks(
-    label: str,
-    sys: SystemSpec,
-    hot: BathSpec,
-    cold: BathSpec,
-    modes: NormalModes,
-    frame: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(block1, block2, const2) from the Gaussian drift/diffusion pair.
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local-frame (block1, const2) from the Gaussian drift/diffusion pair.
 
     With H = (1/2) q^T G q and the channel table B summed over the baths,
     d<q>/dt = A <q> and dS/dt = A S + S A^T + D with
 
         A = Omega (G - (Im B)^T),   D = Omega (Re B) Omega^T,
 
-    of which the symmetric part of D enters the second moments. In the
-    normal frame G and B are both rotated by T (q' = T q), so the frame
-    is exactly the one ``quadrature_rotation`` defines and the coherent
-    xx/pp entries never mix with the dissipative xp ones.
+    of which the symmetric part of D enters the second moments.
     """
-    if frame not in (LOCAL_FRAME, NORMAL_FRAME):
-        raise ValidationError(f"unknown frame {frame!r}")
     g = 2.0 * hamiltonian(sys).quad.real
     b = sum(_dissipator_terms(label, sys, hot, cold, modes).values())
-    if frame == NORMAL_FRAME:
-        t = quadrature_rotation(modes)
-        g, b = t @ g @ t.T, t @ b @ t.T
-    block1 = SYMPLECTIC @ (g - b.imag.T)
     d = SYMPLECTIC @ b.real @ SYMPLECTIC.T
-    return block1, second_moment_flow(block1), pack_symmetric(0.5 * (d + d.T))
+    return SYMPLECTIC @ (g - b.imag.T), pack_symmetric(0.5 * (d + d.T))
 
 
 # -- closed forms: broadcast over arrays, the matrix axes last -------------
@@ -315,19 +318,17 @@ def closed_form_blocks(
     ``block2_normal``, ``const2_local``, ``const2_normal`` (only those
     with a closed form for the label/parameters are present); the drifts
     come from :func:`closed_form_drift`. The LME forms give the local
-    blocks at any detuning, also for both zeroth-order labels off
-    resonance and for Redfield-zeroth at exact resonance. The other
-    forms hold only at exact resonance, omega_h == omega_c, and give
-    block2 and const2 in the normal frame; inside the resonance window
-    of ``normal_modes`` only the LME has closed forms.
+    blocks at any detuning, also for Redfield-zeroth and, off resonance,
+    for GME-zeroth. The other forms hold only at resonance,
+    ``modes.resonant`` (omega_h == omega_c), and give block2 and const2
+    in the normal frame.
     """
     wh, wc = sys.omega_h, sys.omega_c
     # off resonance the zeroth-order channels are the local ones, and at
     # resonance Redfield-zeroth's cross pairs sum to them
-    zeroth = label in (GME_ZEROTH, REDFIELD_ZEROTH)
-    if (label == REDFIELD_ZEROTH and wh == wc) or (zeroth and not modes.resonant):
+    if label == REDFIELD_ZEROTH or (label == GME_ZEROTH and not modes.resonant):
         label = LME
-    elif label != LME and wh != wc:
+    elif label != LME and not modes.resonant:
         return {}
     out = {"block1_local": closed_form_drift(label, wh, wc, sys.k, hot, cold)}
     if label == LME:
@@ -362,29 +363,17 @@ def quadrature_rotation(modes: NormalModes) -> np.ndarray:
 
 
 def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGenerator:
-    """Conjugate a generator into the other quadrature frame.
-
-    The first block is rotated orthogonally and const2 by congruence;
-    block2 is re-derived as the flow of the rotated block1, so it must
-    be the flow of ``gen.block1``, part by part as in the cross-check
-    (ContractError otherwise). Eigenvalues
-    are preserved; rotating back and forth is the identity.
-    """
-    if to not in (LOCAL_FRAME, NORMAL_FRAME):
-        raise ValidationError(f"unknown frame {to!r}")
+    """The same generator in quadrature frame ``to``: block1 rotated
+    orthogonally and const2 by congruence, so block2 is the flow of the
+    rotated block1. Eigenvalues are preserved; rotating back and forth
+    is the identity. ``to == gen.frame`` returns ``gen``."""
     if to == gen.frame:
         return gen
-    mismatch = _mismatch("block2", gen.block2, second_moment_flow(gen.block1))
-    if mismatch:
-        raise ContractError(f"{gen.label} block2 is not the flow of block1 ({mismatch})")
-    t, names = quadrature_rotation(modes), NORMAL_LINEAR_LABELS
+    t = quadrature_rotation(modes)
     if to == LOCAL_FRAME:
-        t, names = t.T, QUADRATURE_LABELS
-    block1 = t @ gen.block1 @ t.T
+        t = t.T
     const2 = pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
-    return MomentGenerator(
-        gen.label, to, block1, second_moment_flow(block1), const2, moment_labels(names)
-    )
+    return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
 
 
 # -- public construction ---------------------------------------------------
@@ -417,36 +406,33 @@ def _mismatch(name: str, got: np.ndarray, reference: np.ndarray) -> str:
 
 
 def _crosscheck(
-    label: str,
-    frame: str,
-    built: tuple[np.ndarray, np.ndarray, np.ndarray],
-    closed: dict[str, np.ndarray],
-    modes: NormalModes,
+    gen: MomentGenerator, closed: dict[str, np.ndarray], modes: NormalModes
 ) -> None:
-    """Compare built blocks with every applicable closed form, rotating
-    the closed form into the built frame where needed (a block2 in that
-    frame is the flow of the rotated block1). The coherent and the
-    dissipative entries must each agree to CROSSCHECK_TOL of the largest
-    closed-form entry of their part; const2 is all dissipative."""
+    """Compare a built generator with every applicable closed form,
+    rotating the closed form into the generator's frame where needed (a
+    block2 in that frame is the flow of the rotated block1). The
+    coherent and the dissipative entries must each agree to
+    CROSSCHECK_TOL of the largest closed-form entry of their part;
+    const2 is all dissipative."""
     t, suffix, other = quadrature_rotation(modes), "normal", "local"
-    if frame == LOCAL_FRAME:
+    if gen.frame == LOCAL_FRAME:
         t, suffix, other = t.T, "local", "normal"
     rotations = {
         "block1": lambda m: t @ m @ t.T,
         "block2": lambda _: second_moment_flow(t @ closed[f"block1_{other}"] @ t.T),
         "const2": lambda v: pack_symmetric(t @ unpack_symmetric(v) @ t.T),
     }
-    for name, built_arr in zip(rotations, built):
+    for name in rotations:
         if f"{name}_{suffix}" in closed:
             closed_arr = closed[f"{name}_{suffix}"]
         elif f"{name}_{other}" in closed:
             closed_arr = rotations[name](closed[f"{name}_{other}"])
         else:
             continue
-        mismatch = _mismatch(name, built_arr, closed_arr)
+        mismatch = _mismatch(name, getattr(gen, name), closed_arr)
         if mismatch:
             raise ConsistencyError(
-                f"{label} {name} disagrees with its closed form ({mismatch})"
+                f"{gen.label} {name} disagrees with its closed form ({mismatch})"
             )
 
 
@@ -457,19 +443,19 @@ def build(
     cold: BathSpec,
     frame: str = LOCAL_FRAME,
 ) -> MomentGenerator:
-    """Build a generator from its drift/diffusion pair and cross-check it
-    against the closed-form coefficient matrices where those exist.
+    """Build a generator from its local-frame drift/diffusion pair, rotate
+    it into ``frame`` and cross-check it there against the closed-form
+    coefficient matrices where those exist.
 
     The zeroth-order labels delegate to :func:`zeroth_order`.
     """
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
     modes = normal_modes(sys)
-    blocks = _gaussian_blocks(label, sys, hot, cold, modes, frame)
-    closed = closed_form_blocks(label, sys, hot, cold, modes)
-    _crosscheck(label, frame, blocks, closed, modes)
-    names = QUADRATURE_LABELS if frame == LOCAL_FRAME else NORMAL_LINEAR_LABELS
-    return MomentGenerator(label, frame, *blocks, moment_labels(names))
+    block1, const2 = _gaussian_blocks(label, sys, hot, cold, modes)
+    gen = frame_rotate(MomentGenerator(label, LOCAL_FRAME, block1, const2), frame, modes)
+    _crosscheck(gen, closed_form_blocks(label, sys, hot, cold, modes), modes)
+    return gen
 
 
 def zeroth_order(

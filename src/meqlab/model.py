@@ -1,6 +1,12 @@
 """System description: two linearly coupled resonators, their normal
 modes, the Hamiltonian, and the jump operators of the local and global
-pictures as quadrature-algebra elements."""
+pictures as quadrature-algebra elements.
+
+Resonance is exact equality of the bare frequencies, omega_h == omega_c:
+only there are the normal modes the fixed 45 degree pair. Distinct
+positive doubles have distinct squares, so the general branch always
+sees a non-zero omega_h^2 - omega_c^2.
+"""
 
 from __future__ import annotations
 
@@ -22,9 +28,6 @@ __all__ = [
     "local_jump_ops",
     "normal_modes",
 ]
-
-#: relative detuning below which the resonant branch is taken
-RESONANCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,7 @@ class SystemSpec:
 
 
 def is_resonant(sys: SystemSpec) -> bool:
-    return abs(sys.omega_h - sys.omega_c) < RESONANCE_RTOL * max(
-        sys.omega_h, sys.omega_c
-    )
+    return sys.omega_h == sys.omega_c
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,8 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
     if is_resonant(sys):
         # the general angle formula is 0/0 here; the rotation is exactly
         # 45 degrees for every k
-        w2 = 0.5 * (sys.omega_h**2 + sys.omega_c**2)
-        o1_sq = w2 + sys.k
-        o2_sq = w2 - sys.k
+        o1_sq = sys.omega_h**2 + sys.k
+        o2_sq = sys.omega_h**2 - sys.k
         if o2_sq <= 0.0 or o1_sq <= 0.0:
             raise StabilityError("normal-mode frequency squared is not positive")
         p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)

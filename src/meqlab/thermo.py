@@ -24,6 +24,7 @@ from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, propagate, to_normal_mode_moments
 from .errors import ConsistencyError, ValidationError
 from .generators import (
+    CROSSCHECK_TOL,
     GME,
     LME,
     LOCAL_FRAME,
@@ -44,8 +45,6 @@ __all__ = [
     "heat_current",
     "transient_currents",
 ]
-
-CROSSCHECK_TOL = 1e-12
 
 #: the labels with a closed-form current (the zeroth-order generator
 #: channels are not eigenoperators of the full Hamiltonian, so no such

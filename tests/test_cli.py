@@ -162,8 +162,20 @@ def test_set_override_roundtrip(tmp_path):
                 "--set", "system.omega_c=2.0"]) == 0
 
 
-def test_bad_set_path_rejected():
+def test_bad_set_path_rejected(tmp_path):
+    # --set merges by the --config rules; bad values exit with a code,
+    # never a traceback
     assert run(["ep-line", "--set", "nope.nope=1"]) == 2
+    assert run(["ep-line", "--set", "system=5"]) == 2
+    assert run(["ep-line", "--set", "baths.hot={}"]) == 0  # merges to a no-op
+    assert run(["steady", "--out", str(tmp_path), "--set", 'steady={"k_min":1}']) == 3
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for bad_dir in ("5", "null", str(a_file)):
+        assert run(["matrices", "--set", f"output.dir={bad_dir}"]) == 2
+    for bad_frame in ('"bogus"', "[1]"):
+        assert run(["matrices", "--out", str(tmp_path),
+                    "--set", f"matrices.frame={bad_frame}"]) == 2
 
 
 def test_threads_env(tmp_path, monkeypatch):

@@ -121,9 +121,8 @@ def test_steady_state_lme_decoupled_local_temperatures():
 
 def test_steady_state_requires_hurwitz():
     gen = build(LME, FIG_SYS, HOT, COLD)
-    flipped = MomentGenerator(
-        gen.label, gen.frame, -gen.block1, gen.block2, gen.const2, gen.basis_labels
-    )
+    # block2 is the flow of block1, so both blocks flip
+    flipped = MomentGenerator(gen.label, gen.frame, -gen.block1, gen.const2)
     with pytest.raises(StabilityError):
         steady_state(flipped, FIG_SYS)
 

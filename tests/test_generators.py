@@ -1,9 +1,11 @@
 """Generator construction: drift/diffusion build vs closed forms, zeroth-order
 identities, frame rotation, and independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +20,7 @@ from meqlab.algebra import (
 )
 from meqlab.bath import BathSpec, decay_rate
 from meqlab.dynamics import steady_state
-from meqlab.errors import ContractError
+from meqlab.errors import ValidationError
 from meqlab.generators import (
     GENERATOR_LABELS,
     GME,
@@ -282,28 +284,31 @@ def test_second_moment_flow_bits_independent_of_batch_shape():
             assert flows[i, j].tobytes() == second_moment_flow(stack[i, j]).tobytes()
 
 
-def test_frame_rotate_rejects_block2_not_flow_of_block1():
-    # frame_rotate re-derives block2 from block1, so a hand-built pair
-    # that is not a Gaussian flow cannot be carried across frames
-    gen = build(LME, FIG_SYS, HOT, COLD)
-    flipped = MomentGenerator(
-        gen.label, gen.frame, -gen.block1, gen.block2, gen.const2, gen.basis_labels
-    )
-    with pytest.raises(ContractError):
-        frame_rotate(flipped, NORMAL_FRAME, normal_modes(FIG_SYS))
-
-
-def test_frame_rotate_flow_check_is_relative():
-    # block2[0, 0] is the hot-bath damping entry (~1e-8 against omega^2 = 1):
-    # a relative error of 1e-6 in it must not cross frames
-    gen = build(LME, FIG_SYS, HOT, COLD)
-    block2 = gen.block2.copy()
-    block2[0, 0] *= 1 + 1e-6
-    corrupted = MomentGenerator(
-        gen.label, gen.frame, gen.block1, block2, gen.const2, gen.basis_labels
-    )
-    with pytest.raises(ContractError):
-        frame_rotate(corrupted, NORMAL_FRAME, normal_modes(FIG_SYS))
+def test_generator_stores_frame_and_gaussian_pair():
+    # a generator is its frame, drift and packed diffusion: block2 and the
+    # basis labels are derived, read-only, and an unknown frame is refused
+    # wherever a generator is made
+    modes = normal_modes(FIG_SYS)
+    local = build(REDFIELD, FIG_SYS, HOT, COLD)
+    normal = frame_rotate(local, NORMAL_FRAME, modes)
+    for gen, first in ((local, ("x_h", "p_h", "x_c", "p_c")),
+                       (normal, ("eta_1", "Pi_1", "eta_2", "Pi_2"))):
+        assert gen.block2.tobytes() == second_moment_flow(gen.block1).tobytes()
+        assert gen.basis_labels[:4] == first and len(gen.basis_labels) == 14
+        for name in ("block1", "block2", "const2"):
+            with pytest.raises(ValueError):
+                getattr(gen, name)[0] = 0.0
+        for name in ("block2", "basis_labels"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gen, name, None)
+    with pytest.raises(TypeError):
+        MomentGenerator(LME, LOCAL_FRAME, local.block1, local.block2, local.const2)
+    with pytest.raises(ValidationError, match="unknown frame"):
+        MomentGenerator(LME, "bogus", local.block1, local.const2)
+    with pytest.raises(ValidationError, match="unknown frame"):
+        build(LME, FIG_SYS, HOT, COLD, frame="bogus")
+    with pytest.raises(ValidationError, match="unknown frame"):
+        frame_rotate(local, "bogus", modes)
 
 
 def test_hamiltonian_part_matches_classical_flow():
@@ -456,16 +461,9 @@ def check_frames(sys, hot, cold):
     return gens
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    omega_h=st.floats(0.3, 2.5),
-    ratio=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
-    k_frac=st.floats(-0.99, 0.99),
-    baths=BATH_PAIRS,
-)
-def test_stability_region_properties(omega_h, ratio, k_frac, baths):
-    # across |k| < omega_h omega_c: every label passes check_frames,
-    # stationary currents cancel and GME obeys Clausius
+def check_properties(omega_h, ratio, k_frac, baths):
+    # every label passes check_frames, stationary currents cancel and GME
+    # obeys Clausius
     omega_c = omega_h * ratio
     sys = SystemSpec(omega_h, omega_c, k_frac * omega_h * omega_c)
     hot, cold = baths
@@ -481,17 +479,34 @@ def test_stability_region_properties(omega_h, ratio, k_frac, baths):
 @settings(max_examples=60, deadline=None)
 @given(
     omega_h=st.floats(0.3, 2.5),
+    ratio=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+    k_frac=st.floats(-0.99, 0.99),
+    baths=BATH_PAIRS,
+)
+def test_stability_region_properties(omega_h, ratio, k_frac, baths):
+    # across |k| < omega_h omega_c, resonant and detuned
+    check_properties(omega_h, ratio, k_frac, baths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_h=st.floats(0.3, 2.5),
     ratio=st.floats(1.0 - 1e-12, 1.0 + 1e-12),
     k_frac=st.floats(-0.99, 0.99),
     baths=BATH_PAIRS,
 )
+@example(
+    omega_h=1.0,
+    ratio=0.999999999999,
+    k_frac=0.984375,
+    baths=(BathSpec(1e-3, 1, 10), BathSpec(1e-3, 10, 10)),
+)
 def test_resonance_window_properties(omega_h, ratio, k_frac, baths):
-    # normal_modes treats a relative detuning below 1e-12 as resonant; the
-    # closed forms must still match there. Heat currents are left out: the
-    # Redfield current's closed form reads the pair as exactly resonant and
-    # can miss its operator route by more than 1e-12 inside this window
-    omega_c = omega_h * ratio
-    check_frames(SystemSpec(omega_h, omega_c, k_frac * omega_h * omega_c), *baths)
+    # a hair off resonance the pair is detuned, not resonant: the same
+    # properties hold there, heat currents included. The pinned example is
+    # a Redfield current that missed its operator route when near-resonant
+    # pairs were read as resonant; random draws rarely hit it
+    check_properties(omega_h, ratio, k_frac, baths)
 
 
 def test_block1_trace_matches_analytic_dissipation():
