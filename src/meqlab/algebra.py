@@ -239,18 +239,22 @@ SECOND_MOMENT_PAIRS = (
 )
 
 
+_PAIR_ROWS, _PAIR_COLS = np.array(SECOND_MOMENT_PAIRS).T
+
+#: packed index of every entry of the symmetric 4x4 moment matrix
+_UNPACK_INDEX = np.empty((4, 4), dtype=int)
+_UNPACK_INDEX[_PAIR_ROWS, _PAIR_COLS] = _UNPACK_INDEX[_PAIR_COLS, _PAIR_ROWS] = range(10)
+
+
 def pack_symmetric(s: np.ndarray) -> np.ndarray:
-    """Symmetric 4x4 moment matrix -> 10-vector in basis order."""
-    return np.array([s[i, j] for i, j in SECOND_MOMENT_PAIRS])
+    """Symmetric moment matrices (..., 4, 4) -> (..., 10) vectors in
+    basis order, gathered entry by entry."""
+    return np.asarray(s)[..., _PAIR_ROWS, _PAIR_COLS]
 
 
 def unpack_symmetric(v: np.ndarray) -> np.ndarray:
-    """10-vector -> symmetric 4x4 moment matrix."""
-    s = np.zeros((4, 4), dtype=np.asarray(v).dtype)
-    for value, (i, j) in zip(v, SECOND_MOMENT_PAIRS):
-        s[i, j] = value
-        s[j, i] = value
-    return s
+    """Packed moment vectors (..., 10) -> symmetric (..., 4, 4) matrices."""
+    return np.asarray(v)[..., _UNPACK_INDEX]
 
 
 def _flow_indices() -> np.ndarray:

@@ -5,6 +5,10 @@ The moment flow is linear, so propagation uses the matrix exponential
 x(t) = x_ss + exp(M t)(x(0) - x_ss), exact up to expm rounding. Steady
 states come from a dense pivoted solve of block2 x = -const2 after a
 Hurwitz check.
+
+A trajectory is computed as stacked moments, (T, 4) and (T, 10) arrays,
+whose uncertainty check is one batched eigensolve; MomentState objects
+are built only for the returned list.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .generators import (
     frame_rotate,
     quadrature_rotation,
 )
-from .model import NormalModes, SystemSpec, normal_modes
+from .model import SystemSpec, normal_modes
 
 __all__ = [
     "MomentState",
@@ -36,7 +40,6 @@ __all__ = [
     "slowest_timescale",
     "steady_state",
     "thermal_product_state",
-    "to_normal_mode_moments",
 ]
 
 log = logging.getLogger(__name__)
@@ -66,6 +69,9 @@ class MomentState:
         second = np.array(self.second, dtype=float)
         if first.shape != (4,) or second.shape != (10,):
             raise ValidationError("MomentState needs a 4-vector and a 10-vector")
+        for name, arr in (("first", first), ("second", second)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} contains non-finite entries")
         first.setflags(write=False)
         second.setflags(write=False)
         object.__setattr__(self, "first", first)
@@ -76,14 +82,21 @@ class MomentState:
         return unpack_symmetric(self.second) - np.outer(self.first, self.first)
 
 
+def _min_uncertainty_eig(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of Sigma + (i/2) * symplectic form for moments
+    stacked over leading axes, (..., 4) and (..., 10) -> (...)."""
+    herm = unpack_symmetric(second) + 0.5j * SYMPLECTIC
+    herm -= first[..., :, None] * first[..., None, :]
+    return np.linalg.eigvalsh(herm)[..., 0]
+
+
 def physicality_min_eig(state: MomentState) -> float:
     """Smallest eigenvalue of Sigma + (i/2) * symplectic form.
 
     Non-negative (up to tolerance) iff the moments satisfy the
     uncertainty relation.
     """
-    herm = state.covariance() + 0.5j * SYMPLECTIC
-    return float(np.linalg.eigvalsh(herm)[0])
+    return float(_min_uncertainty_eig(state.first, state.second))
 
 
 def _thermal_diag(omega: float, temperature: float) -> tuple[float, float]:
@@ -111,8 +124,8 @@ def thermal_product_state(
 def gibbs_state_moments(sys: SystemSpec, temperature: float) -> MomentState:
     """Moments of the equilibrium state of the full coupled Hamiltonian:
     thermal in each normal mode, rotated back to local quadratures."""
-    if temperature < 0.0:
-        raise ValidationError("temperature must be >= 0")
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ValidationError(f"temperature must be finite and >= 0, got {temperature!r}")
     modes = normal_modes(sys)
     s_normal = np.zeros((4, 4))
     for j, omega in enumerate((modes.omega1, modes.omega2)):
@@ -121,14 +134,6 @@ def gibbs_state_moments(sys: SystemSpec, temperature: float) -> MomentState:
         s_normal[2 * j + 1, 2 * j + 1] = p2
     t = quadrature_rotation(modes)
     return MomentState(np.zeros(4), pack_symmetric(t.T @ s_normal @ t))
-
-
-def to_normal_mode_moments(
-    state: MomentState, modes: NormalModes
-) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) moment vectors in the normal-mode frame."""
-    t = quadrature_rotation(modes)
-    return t @ state.first, pack_symmetric(t @ unpack_symmetric(state.second) @ t.T)
 
 
 def _require_local(gen: MomentGenerator, sys: SystemSpec) -> MomentGenerator:
@@ -170,7 +175,6 @@ def propagate(
     state0: MomentState,
     times: Sequence[float],
     sys: SystemSpec,
-    check_physicality: bool = True,
 ) -> list[MomentState]:
     """Evolve moments onto the given strictly increasing time grid.
 
@@ -184,6 +188,8 @@ def propagate(
     t_grid = np.asarray(list(times), dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValidationError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("times must be finite")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValidationError("times must be strictly increasing")
     if t_grid[0] < state0.time:
@@ -210,11 +216,11 @@ def propagate(
 
     dev1 = state0.first.copy()
     dev2 = state0.second - shift2
-    out: list[MomentState] = []
+    first = np.empty((len(t_grid), 4))
+    second = np.empty((len(t_grid), 10))
     current = state0.time
     cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    first_violation: float | None = None
-    for t in t_grid:
+    for i, t in enumerate(t_grid):
         dt = t - current
         if dt > 0.0:
             if dt not in cache:
@@ -223,15 +229,13 @@ def propagate(
             dev1 = e1 @ dev1
             dev2 = e2 @ dev2
             current = t
-        state = MomentState(dev1, dev2 + shift2, time=t)
-        if check_physicality and first_violation is None:
-            if physicality_min_eig(state) < PHYSICALITY_TOL:
-                first_violation = t
-        out.append(state)
-    if first_violation is not None:
+        first[i] = dev1
+        second[i] = dev2 + shift2
+    violations = np.flatnonzero(_min_uncertainty_eig(first, second) < PHYSICALITY_TOL)
+    if violations.size:
         log.warning(
             "%s trajectory violates the uncertainty relation from t = %g on",
             gen.label,
-            first_violation,
+            t_grid[violations[0]],
         )
-    return out
+    return [MomentState(f, s, time=t) for f, s, t in zip(first, second, t_grid)]

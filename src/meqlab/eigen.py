@@ -42,7 +42,8 @@ class EigenAnalysis:
 
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=0)
+    """Columns scaled to unit 2-norm, over leading axes; zero columns stay."""
+    norms = np.linalg.norm(v, axis=-2, keepdims=True)
     norms[norms == 0.0] = 1.0
     return v / norms
 
@@ -97,14 +98,16 @@ def eig(matrix: np.ndarray) -> EigenAnalysis:
     return EigenAnalysis(evals, right, left, rigidities, kappa, ambiguous)
 
 
-def condition_number(vectors: np.ndarray) -> float:
+def condition_number(vectors: np.ndarray) -> float | np.ndarray:
     """2-norm condition number of an (eigenvector) matrix via its
-    singular values; returns inf when the smallest one underflows."""
+    singular values, inf where the smallest one underflows. A stack of
+    matrices (leading axes) gives an array, one matrix a float; the bits
+    of each entry do not depend on the stack."""
     svals = np.linalg.svd(np.asarray(vectors), compute_uv=False)
-    smin = svals[-1]
-    if smin <= 0.0 or not np.isfinite(smin):
-        return float("inf")
-    return float(svals[0] / smin)
+    smin = svals[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(smin > 0.0, svals[..., 0] / smin, np.inf)
+    return kappa if kappa.ndim else float(kappa)
 
 
 @dataclass(frozen=True)

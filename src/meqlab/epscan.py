@@ -26,7 +26,7 @@ from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .generators import NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
-from .eigen import condition_number, eig
+from .eigen import _unit_columns, condition_number, eig
 
 __all__ = [
     "EpRoots",
@@ -124,11 +124,11 @@ class ScanResult:
 
 
 def _kappa_batch(mats: np.ndarray) -> np.ndarray:
-    """Condition number of the unit-column eigenvector matrix for a
-    stack of matrices; non-convergent points become NaN (``scan`` counts
-    them), singular ones inf."""
+    """:func:`condition_number_of` a stack of matrices; when the batched
+    eig fails, each point is retried alone and non-convergent points
+    become NaN (``scan`` counts them)."""
     try:
-        _, vecs = np.linalg.eig(mats)
+        return condition_number_of(mats)
     except np.linalg.LinAlgError:
         out = np.empty(mats.shape[:-2])
         flat_out = out.reshape(-1)
@@ -139,14 +139,6 @@ def _kappa_batch(mats: np.ndarray) -> np.ndarray:
             except NumericalError:
                 flat_out[i] = np.nan
         return out
-    norms = np.linalg.norm(vecs, axis=-2, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    vecs = vecs / norms
-    svals = np.linalg.svd(vecs, compute_uv=False)
-    smin = svals[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(smin > 0.0, svals[..., 0] / smin, np.inf)
-    return kappa
 
 
 def _worker_count(threads: int | None) -> int:
@@ -243,12 +235,12 @@ def _kappa_at(label: str, block: str, omega: float, k: float,
     return condition_number_of(mat)
 
 
-def condition_number_of(matrix: np.ndarray) -> float:
-    """kappa of the unit-column right-eigenvector matrix of `matrix`."""
+def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
+    """kappa of the unit-column right-eigenvector matrix of `matrix`, or
+    of each matrix of a stack (leading axes); a failed eig raises
+    ``LinAlgError``. Singular eigenvector matrices give inf."""
     _, vecs = np.linalg.eig(matrix)
-    norms = np.linalg.norm(vecs, axis=0)
-    norms[norms == 0.0] = 1.0
-    return condition_number(vecs / norms)
+    return condition_number(_unit_columns(vecs))
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -267,8 +259,12 @@ def refine_ep(
     bracket; the argmax approximates the exceptional coupling.
 
     Raises BracketError when the bracket has no interior maximum (kappa
-    monotone across it).
+    monotone across it), and ValidationError when ``rel_tol`` is not a
+    finite number of at least two ulps, which the loop could not meet.
     """
+    min_tol = 2.0 * np.finfo(float).eps
+    if not (math.isfinite(rel_tol) and rel_tol >= min_tol):
+        raise ValidationError(f"rel_tol must be finite and >= {min_tol!r}, got {rel_tol!r}")
     lo, hi = k_bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")

@@ -68,9 +68,7 @@ __all__ = [
     "NORMAL_FRAME",
     "build",
     "frame_rotate",
-    "hamiltonian_moment_vector",
     "quadrature_rotation",
-    "state_energy",
     "zeroth_order",
 ]
 
@@ -474,24 +472,3 @@ def zeroth_order(
         return build(REDFIELD_ZEROTH, sys, hot, cold, frame)
     raise ValidationError(f"zeroth_order is defined for {GME!r} and {REDFIELD!r}")
 
-
-def hamiltonian_moment_vector(sys: SystemSpec) -> np.ndarray:
-    """<H> as a linear functional on the packed second moments.
-
-    Off-diagonal pairs appear once in the packed vector but twice in the
-    quadratic form, hence the doubled weights there.
-    """
-    h = hamiltonian(sys).quad.real
-    weights = pack_symmetric(np.full((4, 4), 2.0) - np.eye(4) * 1.0)
-    return weights * pack_symmetric(h)
-
-
-def state_energy(sys: SystemSpec, second: np.ndarray) -> float:
-    """Expectation of the Hamiltonian from the packed second moments.
-
-    The moments are raw symmetrized products, so mean contributions are
-    already inside; no covariance split is needed.
-    """
-    h = hamiltonian(sys).quad.real
-    s = unpack_symmetric(np.asarray(second, dtype=float))
-    return float(np.sum(h * s))

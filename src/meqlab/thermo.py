@@ -8,6 +8,10 @@ dissipator, from the channel table the generator construction uses, to
 H through the quadrature algebra and take the expectation);
 disagreement raises; it is never silently patched.
 
+Both routes take moments stacked over leading axes, so a trajectory is
+evaluated and checked in one pass with each bath coefficient computed
+once; a failing check names the time of the first failing sample.
+
 Sign convention: positive current = energy flowing from the bath into
 the system.
 """
@@ -19,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import QuadOp, dissipator_action, unpack_symmetric
+from .algebra import QuadOp, dissipator_action, pack_symmetric, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
-from .dynamics import MomentState, propagate, to_normal_mode_moments
+from .dynamics import MomentState, propagate
 from .errors import ConsistencyError, ValidationError
 from .generators import (
     CROSSCHECK_TOL,
@@ -32,7 +36,7 @@ from .generators import (
     MomentGenerator,
     _dissipator_terms,
     build,
-    hamiltonian_moment_vector,
+    quadrature_rotation,
 )
 from .model import SystemSpec, hamiltonian, normal_modes
 
@@ -62,13 +66,21 @@ class HeatCurrentSample:
     label: str
 
 
-def expectation(op: QuadOp, state: MomentState) -> float:
-    """Expectation of a Hermitian quadratic operator given the moments."""
-    s = unpack_symmetric(state.second)
-    value = op.scalar + op.linear @ state.first.astype(complex) + np.sum(op.quad * s)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ConsistencyError(f"expectation of a non-Hermitian operator: {value!r}")
-    return float(value.real)
+#: weight of each packed second moment in sum_ij Q_ij S_ij: off-diagonal
+#: pairs appear once in the packed vector but twice in the quadratic form
+_PAIR_WEIGHTS = pack_symmetric(2.0 - np.eye(4))
+
+
+def expectation(op: QuadOp, first, second) -> np.ndarray:
+    """Expectation of a Hermitian quadratic operator on moments stacked
+    over leading axes: first (..., 4), second (..., 10) -> (...)."""
+    coeffs = np.concatenate([op.linear, _PAIR_WEIGHTS * pack_symmetric(op.quad)])
+    moments = np.concatenate([first, second], axis=-1)
+    real = op.scalar.real + moments @ coeffs.real
+    imag = op.scalar.imag + moments @ coeffs.imag
+    if np.any(np.abs(imag) > 1e-10 * np.maximum(1.0, np.abs(real))):
+        raise ConsistencyError(f"expectation of a non-Hermitian operator: {imag!r}")
+    return real
 
 
 def _per_bath_dissipators(
@@ -87,9 +99,10 @@ def _per_bath_dissipators(
 
 
 def _closed_form_currents(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, state: MomentState
-) -> dict[str, float]:
-    """Second-moment closed forms of the per-bath currents.
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, second: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Second-moment closed forms of the per-bath currents on packed
+    second moments stacked over leading axes, (..., 10) -> (...).
 
     Local picture:   (Delta/2)(<p^2> + w^2 <x^2> + k <x_h x_c>) + w Sigma/2
     Global picture:  sum_j (P_aj^2/2) [Delta_j (<Pi_j^2> + W_j^2 <eta_j^2>)
@@ -97,16 +110,16 @@ def _closed_form_currents(
     Redfield extra:  (P_a1 P_a2 / 2)(Delta_1 + Delta_2)
                                        (W_1 W_2 <eta_1 eta_2> + <Pi_1 Pi_2>)
     """
-    out: dict[str, float] = {}
+    out: dict[str, np.ndarray] = {}
     if label == LME:
-        s = unpack_symmetric(state.second)
+        s = unpack_symmetric(second)
         for name, bath, idx, omega in (
             ("h", hot, 0, sys.omega_h),
             ("c", cold, 1, sys.omega_c),
         ):
-            x2 = s[2 * idx, 2 * idx]
-            p2 = s[2 * idx + 1, 2 * idx + 1]
-            xx = s[0, 2]
+            x2 = s[..., 2 * idx, 2 * idx]
+            p2 = s[..., 2 * idx + 1, 2 * idx + 1]
+            xx = s[..., 0, 2]
             delta = delta_coeff(bath, omega)
             sigma = sigma_coeff(bath, omega)
             out[name] = (
@@ -117,22 +130,22 @@ def _closed_form_currents(
 
     modes = normal_modes(sys)
     p, freqs = modes.matrix, (modes.omega1, modes.omega2)
-    _, second_n = to_normal_mode_moments(state, modes)
-    s = unpack_symmetric(second_n)
+    t = quadrature_rotation(modes)
+    s = t @ unpack_symmetric(second) @ t.T
     for row, (name, bath) in enumerate((("h", hot), ("c", cold))):
+        deltas = [delta_coeff(bath, freq) for freq in freqs]
         total = 0.0
         for j in range(2):
-            eta2 = s[2 * j, 2 * j]
-            pi2 = s[2 * j + 1, 2 * j + 1]
-            delta = delta_coeff(bath, freqs[j])
+            eta2 = s[..., 2 * j, 2 * j]
+            pi2 = s[..., 2 * j + 1, 2 * j + 1]
             sigma = sigma_coeff(bath, freqs[j])
             total += 0.5 * p[row, j] ** 2 * (
-                delta * (pi2 + freqs[j] ** 2 * eta2) + freqs[j] * sigma
+                deltas[j] * (pi2 + freqs[j] ** 2 * eta2) + freqs[j] * sigma
             )
         if label == REDFIELD:
-            eta12 = s[0, 2]
-            pi12 = s[1, 3]
-            dsum = delta_coeff(bath, freqs[0]) + delta_coeff(bath, freqs[1])
+            eta12 = s[..., 0, 2]
+            pi12 = s[..., 1, 3]
+            dsum = deltas[0] + deltas[1]
             total += (
                 0.5
                 * p[row, 0]
@@ -153,27 +166,34 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
     )
 
 
-def _verified_sample(
-    label: str,
-    sys: SystemSpec,
-    hot: BathSpec,
-    cold: BathSpec,
-    state: MomentState,
-    dissipators: dict[str, QuadOp],
-    scale: float,
-) -> HeatCurrentSample:
-    """Closed-form currents, each checked against its symbolic value to
-    CROSSCHECK_TOL relative to max(|value|, scale); ``scale`` is the
-    :func:`current_scale` of the parameters."""
-    closed = _closed_form_currents(label, sys, hot, cold, state)
-    for name in ("h", "c"):
-        check = expectation(dissipators[name], state)
-        if abs(closed[name] - check) > CROSSCHECK_TOL * max(abs(check), scale):
-            raise ConsistencyError(
-                f"{label} heat current ({name}) closed form {closed[name]!r} "
-                f"disagrees with symbolic value {check!r} at t = {state.time}"
-            )
-    return HeatCurrentSample(state.time, closed["h"], closed["c"], label)
+def _verified_currents(
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, states: Sequence[MomentState]
+) -> list[HeatCurrentSample]:
+    """Closed-form currents of every state, each checked against its
+    symbolic value to CROSSCHECK_TOL relative to max(|value|,
+    :func:`current_scale`); the first failing sample raises."""
+    dissipators = _per_bath_dissipators(label, sys, hot, cold)
+    scale = current_scale(sys, hot, cold)
+    first = np.array([state.first for state in states])
+    second = np.array([state.second for state in states])
+    closed = _closed_form_currents(label, sys, hot, cold, second)
+    failures = []
+    for name, value in closed.items():
+        check = expectation(dissipators[name], first, second)
+        tol = CROSSCHECK_TOL * np.maximum(np.abs(check), scale)
+        bad = np.flatnonzero(np.abs(value - check) > tol)
+        if bad.size:
+            failures.append((bad[0], name, value[bad[0]], check[bad[0]]))
+    if failures:
+        i, name, value, check = min(failures)
+        raise ConsistencyError(
+            f"{label} heat current ({name}) closed form {value!r} disagrees "
+            f"with symbolic value {check!r} at t = {states[i].time}"
+        )
+    return [
+        HeatCurrentSample(state.time, q_hot, q_cold, label)
+        for state, q_hot, q_cold in zip(states, closed["h"], closed["c"])
+    ]
 
 
 def heat_current(
@@ -185,12 +205,7 @@ def heat_current(
 ) -> HeatCurrentSample:
     """Per-bath energy influx in the given state under the given
     generator label, closed-form evaluated and symbolically verified."""
-    if label not in CURRENT_LABELS:
-        raise ValidationError(f"heat currents are defined for {CURRENT_LABELS}")
-    return _verified_sample(
-        label, sys, hot, cold, state, _per_bath_dissipators(label, sys, hot, cold),
-        current_scale(sys, hot, cold),
-    )
+    return _verified_currents(label, sys, hot, cold, [state])[0]
 
 
 def clausius_check(sample: HeatCurrentSample, t_hot: float, t_cold: float) -> float:
@@ -211,21 +226,15 @@ def transient_currents(
     """Propagate and map the heat currents over the trajectory."""
     if gen is None:
         gen = build(label, sys, hot, cold)
-    states = propagate(gen, state0, times, sys)
-    dissipators = _per_bath_dissipators(label, sys, hot, cold)
-    scale = current_scale(sys, hot, cold)
-    return [
-        _verified_sample(label, sys, hot, cold, state, dissipators, scale)
-        for state in states
-    ]
+    return _verified_currents(label, sys, hot, cold, propagate(gen, state0, times, sys))
 
 
 def energy_flow_rate(
     gen: MomentGenerator, sys: SystemSpec, state: MomentState
 ) -> float:
     """d<H>/dt straight from the moment flow, independent of the current
-    closed forms: h . (block2 theta + const2)."""
+    closed forms: <H> on the rates block2 theta + const2."""
     if gen.frame != LOCAL_FRAME:
         raise ValidationError("energy_flow_rate expects a local-frame generator")
-    h_vec = hamiltonian_moment_vector(sys)
-    return float(h_vec @ (gen.block2 @ state.second + gen.const2))
+    rates = gen.block2 @ state.second + gen.const2
+    return float(expectation(hamiltonian(sys), np.zeros(4), rates))

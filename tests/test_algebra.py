@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meqlab.algebra import (
+    SECOND_MOMENT_PAIRS,
     QuadOp,
     SYMPLECTIC,
     commutator,
@@ -202,3 +203,19 @@ def test_pack_unpack_roundtrip():
     s = rng.normal(size=(4, 4))
     s = s + s.T
     assert np.allclose(unpack_symmetric(pack_symmetric(s)), s)
+
+
+def test_pack_unpack_broadcast_over_leading_axes():
+    # a stack gives, bit for bit, what each element gives alone, and each
+    # element follows the pair table
+    rng = np.random.default_rng(3)
+    mats = rng.normal(size=(3, 2, 4, 4))
+    vecs = rng.normal(size=(3, 2, 10))
+    packed, unpacked = pack_symmetric(mats), unpack_symmetric(vecs)
+    assert packed.shape == (3, 2, 10) and unpacked.shape == (3, 2, 4, 4)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(packed[idx], pack_symmetric(mats[idx]))
+        assert np.array_equal(unpacked[idx], unpack_symmetric(vecs[idx]))
+        for n, (i, j) in enumerate(SECOND_MOMENT_PAIRS):
+            assert packed[idx][n] == mats[idx][i, j]
+            assert unpacked[idx][i, j] == unpacked[idx][j, i] == vecs[idx][n]

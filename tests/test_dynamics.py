@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from meqlab.algebra import unpack_symmetric
+from meqlab.algebra import pack_symmetric, unpack_symmetric
 from meqlab.bath import BathSpec
 from meqlab.dynamics import (
     MomentState,
@@ -16,11 +16,18 @@ from meqlab.dynamics import (
     slowest_timescale,
     steady_state,
     thermal_product_state,
-    to_normal_mode_moments,
 )
 from meqlab.errors import StabilityError, ValidationError
-from meqlab.generators import GME, LME, REDFIELD, MomentGenerator, build
-from meqlab.model import SystemSpec, normal_modes
+from meqlab.generators import (
+    GME,
+    LME,
+    REDFIELD,
+    MomentGenerator,
+    build,
+    quadrature_rotation,
+)
+from meqlab.model import SystemSpec, hamiltonian, normal_modes
+from meqlab.thermo import expectation
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -65,11 +72,23 @@ def test_gibbs_equals_product_when_decoupled():
     assert np.abs(gibbs.second - product.second).max() < 1e-12
 
 
+def test_moments_and_temperatures_must_be_finite():
+    for first, second in (
+        ([np.nan, 0.0, 0.0, 0.0], np.ones(10)),
+        (np.zeros(4), [1.0] * 9 + [np.inf]),
+    ):
+        with pytest.raises(ValidationError, match="non-finite"):
+            MomentState(first, second)
+    for temperature in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError):
+            gibbs_state_moments(FIG_SYS, temperature)
+
+
 def test_gibbs_normal_mode_occupations():
     sys = SystemSpec(1.0, 1.0, 0.1)
     gibbs = gibbs_state_moments(sys, 5.0)
-    modes = normal_modes(sys)
-    _, second_n = to_normal_mode_moments(gibbs, modes)
+    t = quadrature_rotation(normal_modes(sys))
+    second_n = pack_symmetric(t @ unpack_symmetric(gibbs.second) @ t.T)
     omega1 = math.sqrt(1.1)
     expected = 1.0 / math.tanh(omega1 / 10.0) / (2.0 * omega1)
     assert second_n[0] == pytest.approx(expected, rel=1e-13)
@@ -145,8 +164,6 @@ def test_propagate_converges_to_steady():
 
 
 def test_propagate_closed_dynamics_conserves_energy():
-    from meqlab.generators import state_energy
-
     tiny = BathSpec(1e-30, 1.0, 1e3)
     sys = SystemSpec(1.0, 1.3, 0.4)
     gen = build(LME, sys, tiny, tiny)
@@ -154,10 +171,11 @@ def test_propagate_closed_dynamics_conserves_energy():
         [0.3, -0.1, 0.2, 0.0],
         [1.0, 1.1, 0.05, 0.9, 1.2, -0.02, 0.01, 0.0, 0.03, 0.02],
     )
-    energy0 = state_energy(sys, state0.second)
-    for state in propagate(gen, state0, np.linspace(0.1, 50.0, 23), sys,
-                           check_physicality=False):
-        assert state_energy(sys, state.second) == pytest.approx(energy0, rel=1e-10)
+    h_op = hamiltonian(sys)
+    energy0 = expectation(h_op, state0.first, state0.second)
+    for state in propagate(gen, state0, np.linspace(0.1, 50.0, 23), sys):
+        energy = expectation(h_op, state.first, state.second)
+        assert energy == pytest.approx(energy0, rel=1e-10)
 
 
 def test_propagate_semigroup():
@@ -179,6 +197,9 @@ def test_propagate_rejects_bad_grid():
         propagate(gen, state0, [0.0, 0.0, 1.0], FIG_SYS)
     with pytest.raises(ValidationError):
         propagate(gen, state0, [], FIG_SYS)
+    for grid in ([np.nan], [1.0, np.nan], [np.inf]):
+        with pytest.raises(ValidationError):
+            propagate(gen, state0, grid, FIG_SYS)
 
 
 def test_propagation_preserves_uncertainty_gksl():
@@ -192,10 +213,20 @@ def test_propagation_preserves_uncertainty_gksl():
 
 def test_redfield_violations_logged_not_fatal(caplog):
     # squeezed initial moments push the Redfield flow outside the
-    # physical cone; the trajectory must still be produced
-    gen = build(REDFIELD, FIG_SYS, HOT, COLD)
+    # physical cone (strong coupling, very unequal bath couplings near
+    # zero temperature); the trajectory must still be produced and the
+    # first violating time logged once
+    sys = SystemSpec(1.0, 1.0, 0.9)
+    gen = build(REDFIELD, sys, BathSpec(1e-3, 1e-3, 1e3), BathSpec(1e-1, 1e-3, 1e3))
     squeezed = MomentState(np.zeros(4), [0.05, 5.0, 0.0, 0.05, 5.0, 0.0,
                                          0.0, 0.0, 0.0, 0.0])
+    times = np.linspace(0.0, 2.0, 9)
     with caplog.at_level(logging.WARNING, logger="meqlab.dynamics"):
-        out = propagate(gen, squeezed, [1.0, 2.0], FIG_SYS)
-    assert len(out) == 2
+        out = propagate(gen, squeezed, times, sys)
+    assert len(out) == len(times)
+    violating = [s.time for s in out if physicality_min_eig(s) < -1e-8]
+    assert violating and violating[0] > times[0]
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert messages == [
+        f"Redfield trajectory violates the uncertainty relation from t = {violating[0]:g} on"
+    ]

@@ -139,6 +139,22 @@ def test_refine_first_and_second_blocks_coincide():
         assert k2 == pytest.approx(k1, rel=1e-6)
 
 
+def test_refine_rejects_unreachable_rel_tol(monkeypatch):
+    # a tolerance below two ulps (or not a number) could never end the
+    # golden-section loop; it is rejected before any kappa is evaluated
+    import meqlab.epscan as emod
+
+    def no_kappa(*args):
+        raise AssertionError("kappa evaluated before rel_tol was checked")
+
+    monkeypatch.setattr(emod, "_kappa_at", no_kappa)
+    kstar = exceptional_line(1.0, HOT, COLD)
+    for rel_tol in (0.0, -1.0, 1e-16, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            refine_ep(LME, "first", 1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD,
+                      rel_tol=rel_tol)
+
+
 def test_refine_monotone_bracket_raises():
     kstar = exceptional_line(1.0, HOT, COLD)
     with pytest.raises(BracketError):

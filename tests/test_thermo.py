@@ -81,6 +81,26 @@ def test_heat_current_check_is_relative(monkeypatch):
         heat_current(GME, FIG_SYS, HOT, COLD, ss)
 
 
+def test_transient_check_names_first_failing_sample(monkeypatch):
+    # both routes run at every sample: a corruption of the closed form at
+    # one sample of a trajectory is caught and reported with its time
+    import meqlab.thermo as tmod
+
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    gen = build(GME, FIG_SYS, HOT, COLD)
+    times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
+    original = tmod._closed_form_currents
+
+    def corrupted(*args):
+        out = original(*args)
+        out["c"][7] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(tmod, "_closed_form_currents", corrupted)
+    with pytest.raises(ConsistencyError, match=rf"\(c\).* at t = {times[7]}$"):
+        transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+
+
 def test_lme_decoupled_thermal_zero_current():
     sys = SystemSpec(1.0, 2.0, 0.0)
     state = thermal_product_state(sys, HOT, COLD)
@@ -126,6 +146,8 @@ def test_transient_sum_equals_energy_flow():
         states = propagate(gen, state0, times, FIG_SYS)
         scale = max(abs(s.q_hot) + abs(s.q_cold) for s in samples)
         for sample, state in zip(samples, states):
+            # a stacked evaluation gives each sample's bits alone
+            assert heat_current(label, FIG_SYS, HOT, COLD, state) == sample
             flow = energy_flow_rate(gen, FIG_SYS, state)
             assert abs(sample.q_hot + sample.q_cold - flow) < 1e-10 * scale
 
