@@ -47,6 +47,8 @@ class BathSpec:
                     f"BathSpec.{name} must be finite and positive, got {value!r}"
                 )
             object.__setattr__(self, name, value)
+        if not math.isfinite(self.cutoff * self.cutoff):
+            raise ValidationError(f"BathSpec.cutoff = {self.cutoff!r} overflows when squared")
 
 
 def spectral_density(bath: BathSpec, omega: float) -> float:

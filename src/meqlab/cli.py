@@ -324,11 +324,7 @@ def cmd_transient(cfg: dict, args) -> int:
         steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
-    rows = [
-        (t, columns["Q_hot_L"][i], columns["Q_hot_G"][i], columns["Q_hot_R"][i],
-         columns["Q_cold_L"][i], columns["Q_cold_G"][i], columns["Q_cold_R"][i])
-        for i, t in enumerate(times)
-    ]
+    rows = zip(times, *(columns[name] for name in header[1:]))
     out = _out_dir(cfg, args)
     target = _write_table(out / "transient", header, rows, _out_format(cfg, args))
     _write_sidecar(
@@ -351,8 +347,9 @@ def cmd_steady(cfg: dict, args) -> int:
     if isinstance(points, bool) or not isinstance(points, int) or points < 1:
         raise ValidationError("steady.points must be an integer >= 1")
     if sweep["spacing"] == "log":
-        if k_min <= 0.0:
-            raise ValidationError("steady.k_min must be positive for log spacing")
+        for name, value in (("k_min", k_min), ("k_max", k_max)):
+            if value <= 0.0:
+                raise ValidationError(f"steady.{name} must be positive for log spacing")
         ks = np.geomspace(k_min, k_max, points)
     elif sweep["spacing"] == "linear":
         ks = np.linspace(k_min, k_max, points)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import SYMPLECTIC, pack_symmetric, unpack_symmetric
 from .bath import BathSpec
@@ -184,6 +183,7 @@ def propagate(
     the trajectory are logged once with the first offending time; they
     are expected only for generators without GKSL structure.
     """
+    from scipy.linalg import expm  # only here: importing it dominates CLI start-up
     gen = _require_local(gen, sys)
     t_grid = np.asarray(list(times), dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:

@@ -45,7 +45,7 @@ from .algebra import (
     unpack_symmetric,
 )
 from .bath import BathSpec, decay_rate, sigma_coeff
-from .errors import ConsistencyError, ContractError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .model import (
     JumpChannel,
     NormalModes,
@@ -132,22 +132,19 @@ def _zeroth_channels(sys: SystemSpec, modes: NormalModes) -> list[JumpChannel]:
     commutator part untouched by construction.
 
     At resonance the rotation is k-independent, so only the frequencies
-    collapse; off resonance the k = 0 modes are the bare oscillators and
-    the channels reduce to the local ones.
+    collapse; off resonance the k = 0 modes are the bare oscillators, so
+    the channels are the local ones.
     """
     if modes.resonant:
-        zero_modes = replace(
-            modes, omega1=sys.omega_h, omega2=sys.omega_h, zeta=modes.zeta
-        )
-        return global_jump_ops(sys, zero_modes)
-    bare = SystemSpec(sys.omega_h, sys.omega_c, 0.0)
-    return global_jump_ops(bare, normal_modes(bare))
+        return global_jump_ops(sys, replace(modes, omega1=sys.omega_h, omega2=sys.omega_h))
+    return local_jump_ops(sys)
 
 
 def _dissipator_terms(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
 ) -> dict[str, np.ndarray]:
-    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label.
+    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
+    from the coefficient vectors x, y of the channels' jump operators.
 
     The sum runs over the bath's channel pairs (X, Y): diagonal pairs
     (Y is X) for the secular forms, and for the Redfield forms every
@@ -166,9 +163,6 @@ def _dissipator_terms(
         channels = _zeroth_channels(sys, modes)
     else:
         raise ValidationError(f"unknown generator label {label!r}")
-    for ch in channels:
-        if ch.op.scalar != 0.0 or not ch.op.is_linear():
-            raise ContractError("dissipator channels must be linear operators")
 
     secular = label in (LME, GME, GME_ZEROTH)
     tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
@@ -177,7 +171,7 @@ def _dissipator_terms(
         if x_ch.bath != y_ch.bath or not paired:
             continue
         rate = decay_rate(baths[x_ch.bath], x_ch.frequency)
-        tables[x_ch.bath] += rate * np.outer(np.conj(x_ch.op.linear), y_ch.op.linear)
+        tables[x_ch.bath] += rate * np.outer(np.conj(x_ch.coeffs), y_ch.coeffs)
     return tables
 
 

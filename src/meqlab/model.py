@@ -1,6 +1,6 @@
 """System description: two linearly coupled resonators, their normal
 modes, the Hamiltonian, and the jump operators of the local and global
-pictures as quadrature-algebra elements.
+pictures, each linear, L = x . q, and kept as its coefficient vector x.
 
 Resonance is exact equality of the bare frequencies, omega_h == omega_c:
 only there are the normal modes the fixed 45 degree pair. Distinct
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadOp, momentum, position
-from .errors import StabilityError, ValidationError
+from .algebra import QuadOp
+from .errors import ContractError, StabilityError, ValidationError
 
 __all__ = [
     "JumpChannel",
@@ -45,9 +45,10 @@ class SystemSpec:
     def __post_init__(self):
         for name in ("omega_h", "omega_c"):
             value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
+            # the normal modes square it
+            if not math.isfinite(value * value) or value <= 0.0:
                 raise ValidationError(
-                    f"SystemSpec.{name} must be finite and positive, got {value!r}"
+                    f"SystemSpec.{name} must be positive with a finite square, got {value!r}"
                 )
             object.__setattr__(self, name, value)
         k = float(self.k)
@@ -132,15 +133,27 @@ def hamiltonian(sys: SystemSpec) -> QuadOp:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """One decay channel: which bath it couples to, its signed Bohr
-    frequency, and the jump operator (a linear QuadOp)."""
+    """One decay channel: which bath it couples to, its signed Bohr frequency,
+    and its jump operator L = x . q as the read-only complex 4-vector x, so
+    a channel is linear by construction; anything else is refused."""
 
     bath: str  # "h" or "c"
     frequency: float
-    op: QuadOp
+    coeffs: np.ndarray  # complex, shape (4,)
+
+    def __post_init__(self):
+        x = np.array(self.coeffs, dtype=complex)
+        if x.shape != (4,) or not np.isfinite(x).all():
+            raise ContractError(f"jump coefficients must be a finite 4-vector, got {x!r}")
+        x.setflags(write=False)
+        object.__setattr__(self, "coeffs", x)
 
 
-def _lowering(x: QuadOp, p: QuadOp, omega: float) -> QuadOp:
+#: coefficient vectors of x_h, x_c and of p_h, p_c
+_X, _P = np.eye(4, dtype=complex)[[0, 2]], np.eye(4, dtype=complex)[[1, 3]]
+
+
+def _lowering(x: np.ndarray, p: np.ndarray, omega: float) -> np.ndarray:
     """Normalized lowering combination x/2 + i p/(2w).
 
     Fixed by the two identities [H, L] = -w L and L + L† = x.
@@ -153,9 +166,9 @@ def local_jump_ops(sys: SystemSpec) -> list[JumpChannel]:
     per bath."""
     channels = []
     for idx, (name, omega) in enumerate((("h", sys.omega_h), ("c", sys.omega_c))):
-        low = _lowering(position(idx), momentum(idx), omega)
+        low = _lowering(_X[idx], _P[idx], omega)
         channels.append(JumpChannel(name, omega, low))
-        channels.append(JumpChannel(name, -omega, low.adjoint()))
+        channels.append(JumpChannel(name, -omega, np.conj(low)))
     return channels
 
 
@@ -169,20 +182,14 @@ def global_jump_ops(
     of P; eight channels in total (two modes, two signs, two baths).
     """
     nm = normal_modes(sys) if modes is None else modes
-    eta = [
-        nm.matrix[0, j] * position(0) + nm.matrix[1, j] * position(1)
-        for j in range(2)
-    ]
-    pi = [
-        nm.matrix[0, j] * momentum(0) + nm.matrix[1, j] * momentum(1)
-        for j in range(2)
-    ]
+    p = nm.matrix
+    eta = [p[0, j] * _X[0] + p[1, j] * _X[1] for j in range(2)]
+    pi = [p[0, j] * _P[0] + p[1, j] * _P[1] for j in range(2)]
     freqs = (nm.omega1, nm.omega2)
     channels = []
     for row, name in ((0, "h"), (1, "c")):
         for j in range(2):
-            weight = nm.matrix[row, j]
-            low = weight * _lowering(eta[j], pi[j], freqs[j])
+            low = p[row, j] * _lowering(eta[j], pi[j], freqs[j])
             channels.append(JumpChannel(name, freqs[j], low))
-            channels.append(JumpChannel(name, -freqs[j], low.adjoint()))
+            channels.append(JumpChannel(name, -freqs[j], np.conj(low)))
     return channels

@@ -182,20 +182,20 @@ def test_pair_action_hermiticity_preservation():
         assert out.is_hermitian(tol=1e-12)
 
 
-def test_pair_action_rejects_quadratic_channel(monkeypatch):
+def test_pair_action_rejects_quadratic_channel():
     # channel tables are assembled from linear jump operators only: a
-    # channel with a quadratic or scalar part is refused where the
-    # table is built
-    import meqlab.generators as gmod
-    from meqlab.bath import BathSpec
-    from meqlab.model import JumpChannel, SystemSpec
+    # channel is its operator's coefficient vector, and anything but a
+    # finite 4-vector (a quadratic form, a wrong length, a non-finite
+    # entry) is refused where the channel is made
+    from meqlab.model import JumpChannel
 
-    bath = BathSpec(1e-4, 1.0, 1e3)
-    for bad_op in (quadratic_basis_op(0, 0), X_H + QuadOp(scalar=0.5)):
-        channels = [JumpChannel("h", 1.0, bad_op), JumpChannel("c", 1.0, X_C)]
-        monkeypatch.setattr(gmod, "local_jump_ops", lambda sys: channels)
+    for bad in (quadratic_basis_op(0, 0).quad, X_H.linear[:3],
+                X_H.linear + np.array([0.0, np.nan, 0.0, 0.0]),
+                X_H.linear + np.array([0.0, 0.0, np.inf, 0.0])):
         with pytest.raises(ContractError):
-            gmod.build(gmod.LME, SystemSpec(1.0, 1.0, 0.1), bath, bath)
+            JumpChannel("h", 1.0, bad)
+    channel = JumpChannel("h", 1.0, X_H.linear)
+    assert not channel.coeffs.flags.writeable
 
 
 def test_pack_unpack_roundtrip():

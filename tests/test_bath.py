@@ -25,6 +25,10 @@ def test_bathspec_rejects_nonpositive_fields():
         BathSpec(1e-4, -1.0, 1e3)
     with pytest.raises(ValidationError):
         BathSpec(1e-4, 5.0, math.inf)
+    # the spectral density squares the cutoff
+    with pytest.raises(ValidationError):
+        BathSpec(1e-4, 5.0, 1e300)
+    BathSpec(1e-4, 5.0, 1e150)
 
 
 def test_spectral_density_value():

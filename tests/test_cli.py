@@ -1,9 +1,14 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import meqlab
 from meqlab.cli import main
 from meqlab.generators import lme_drift
 
@@ -176,6 +181,9 @@ def test_bad_set_path_rejected(tmp_path):
     for bad_frame in ('"bogus"', "[1]"):
         assert run(["matrices", "--out", str(tmp_path),
                     "--set", f"matrices.frame={bad_frame}"]) == 2
+    # a frequency or cutoff whose square overflows is refused by its spec
+    for huge in ("cutoff=1e300", "system.omega_h=1e200", "system.omega_c=1e200"):
+        assert run(["matrices", "--out", str(tmp_path), "--set", huge]) == 2
 
 
 def test_threads_env(tmp_path, monkeypatch):
@@ -196,7 +204,7 @@ def test_numerical_failure_exit_code(monkeypatch):
     assert run(["scan-ep", *SMALL_SCAN]) == 4
 
 
-def test_malformed_ranges_rejected(tmp_path):
+def test_malformed_ranges_rejected(tmp_path, capsys):
     # a range is two finite numbers: anything else is a validation error,
     # never a traceback or a silently coerced value
     for override in ("scan.omega=5", 'scan.omega=["a","b"]', "scan.k=[1]",
@@ -205,3 +213,19 @@ def test_malformed_ranges_rejected(tmp_path):
                     "--set", override]) == 2
     # and the rigidity sweep stays inside |k| < omega^2, like the scan
     assert run(["rigidity", "--out", str(tmp_path), "--set", "rigidity.k_max=2"]) == 2
+    # log spacing needs both ends of the steady sweep positive
+    for k_max in ("0", "-1e-5"):
+        capsys.readouterr()
+        assert run(["steady", "--out", str(tmp_path),
+                    "--set", f"steady.k_max={k_max}"]) == 2
+        assert "steady.k_max" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.linalg is imported only where propagate needs expm
+    code = "import sys, meqlab.cli; print('scipy.linalg' in sys.modules)"
+    src = str(Path(meqlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

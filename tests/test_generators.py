@@ -200,6 +200,21 @@ def test_zeroth_gme_off_resonance_equals_lme():
     assert np.abs(z.const2 - lme.const2).max() < 1e-13
 
 
+def test_zeroth_off_resonance_is_lme_bit_for_bit():
+    # off resonance the k = 0 modes are the bare oscillators, so both
+    # zeroth-order labels keep exactly the local channels: their blocks
+    # are the LME's to the bit, signed zeros included
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        sys, hot, cold = random_setup(rng)
+        sys = SystemSpec(sys.omega_h, sys.omega_h * rng.uniform(0.6, 1.4), sys.k)
+        lme = build(LME, sys, hot, cold)
+        for label in (GME_ZEROTH, REDFIELD_ZEROTH):
+            gen = build(label, sys, hot, cold)
+            assert gen.block1.tobytes() == lme.block1.tobytes(), label
+            assert gen.const2.tobytes() == lme.const2.tobytes(), label
+
+
 def test_k_expansion_linear_shrinkage():
     # || Redfield - zeroth(Redfield) || = O(k): halving k halves the norm
     def deviation(k):
@@ -364,7 +379,8 @@ def oracle_table(label, sys, hot, cold):
             elif y is not x:
                 continue
             rate = decay_rate(baths[x.bath], x.frequency)
-            b += rate * np.outer(np.conj(x.op.linear), y.op.linear)
+            x_op, y_op = QuadOp(linear=x.coeffs), QuadOp(linear=y.coeffs)
+            b += rate * np.outer(np.conj(x_op.linear), y_op.linear)
     return b
 
 

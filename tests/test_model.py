@@ -18,6 +18,11 @@ from meqlab.model import (
 HOTCOLD = {"h": 0, "c": 1}
 
 
+def op(ch):
+    """A channel's jump operator in the quadrature algebra."""
+    return QuadOp(linear=ch.coeffs)
+
+
 def test_systemspec_validation():
     with pytest.raises(ValidationError):
         SystemSpec(-1.0, 1.0, 0.0)
@@ -26,6 +31,10 @@ def test_systemspec_validation():
     with pytest.raises(ValidationError):
         SystemSpec(1.0, 2.0, math.nan)
     SystemSpec(1.0, 2.0, -1.9)  # valid: |k| < 2
+    # the normal modes square each bare frequency
+    for wh, wc in ((1e200, 1.0), (1.0, 1e200)):
+        with pytest.raises(ValidationError):
+            SystemSpec(wh, wc, 0.0)
 
 
 def test_normal_modes_resonant():
@@ -96,17 +105,17 @@ def test_local_jump_ops():
     h_loc = hamiltonian(SystemSpec(sys.omega_h, sys.omega_c, 0.0))
     for ch in channels:
         # eigenoperator identity [H_loc, L] = -freq L
-        residual = commutator(h_loc, ch.op) - (-ch.frequency) * ch.op
+        residual = commutator(h_loc, op(ch)) - (-ch.frequency) * op(ch)
         assert residual.max_abs() < 1e-12
     # unit frequency: L = (x + i p)/2
     l_h = next(c for c in channels if c.bath == "h" and c.frequency > 0)
-    assert l_h.op.distance(QuadOp(linear=[0.5, 0.5j, 0.0, 0.0])) < 1e-15
+    assert op(l_h).distance(QuadOp(linear=[0.5, 0.5j, 0.0, 0.0])) < 1e-15
     # decomposition sum rule per bath
     for bath, osc in HOTCOLD.items():
         total = QuadOp()
         for ch in channels:
             if ch.bath == bath:
-                total = total + ch.op
+                total = total + op(ch)
         assert total.distance(position(osc)) < 1e-14
 
 
@@ -117,13 +126,13 @@ def test_global_jump_ops_eigenoperators():
         channels = global_jump_ops(sys)
         assert len(channels) == 8
         for ch in channels:
-            residual = commutator(h, ch.op) - (-ch.frequency) * ch.op
+            residual = commutator(h, op(ch)) - (-ch.frequency) * op(ch)
             assert residual.max_abs() < 1e-12, (sys, ch.frequency)
         for bath, osc in HOTCOLD.items():
             total = QuadOp()
             for ch in channels:
                 if ch.bath == bath:
-                    total = total + ch.op
+                    total = total + op(ch)
             assert total.distance(position(osc)) < 1e-13
 
 
@@ -132,7 +141,7 @@ def test_global_jump_ops_resonant_weights():
     # symmetric mode carries equal weight on both oscillators
     a1h = next(c for c in channels if c.bath == "h" and c.frequency > 0
                and abs(c.frequency - math.sqrt(1.1)) < 1e-12)
-    assert abs(a1h.op.linear[0]) == pytest.approx(abs(a1h.op.linear[2]), rel=1e-12)
+    assert abs(op(a1h).linear[0]) == pytest.approx(abs(op(a1h).linear[2]), rel=1e-12)
 
 
 def test_global_jump_ops_decoupled_reduce_to_local():
@@ -147,11 +156,11 @@ def test_global_jump_ops_decoupled_reduce_to_local():
         local = next(c for c in local_channels
                      if c.bath == bath and c.frequency > 0)
         assert len(matches) == 1
-        assert matches[0].op.distance(local.op) < 1e-13
+        assert op(matches[0]).distance(op(local)) < 1e-13
         zeros = [c for c in global_channels
                  if c.bath == bath and c.frequency > 0
                  and abs(c.frequency - omega) > 1e-12]
-        assert all(c.op.max_abs() < 1e-15 for c in zeros)
+        assert all(op(c).max_abs() < 1e-15 for c in zeros)
 
 
 def test_instability_rejected():
