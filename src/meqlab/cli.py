@@ -74,14 +74,10 @@ DEFAULT_CONFIG = {
 }
 
 
-def _fmt(value: float | str) -> str:
-    if isinstance(value, str):
-        return value
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.17g}"
+def _fmt_row(values) -> list[str]:
+    """Each number with 17 significant digits; '.17g' already spells
+    nan (of either sign), inf and -inf."""
+    return list(map("{:.17g}".format, values))
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -218,17 +214,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
-    """Write one table deterministically; CSV uses 17-significant-digit
-    floats, strings verbatim and '\\n' endings."""
+    """Write one table of already formatted cells (see ``_fmt_row``)
+    deterministically; CSV uses '\\n' endings."""
     if fmt == "csv":
         target = path.with_suffix(".csv")
         with open(target, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
     else:
         target = path.with_suffix(".json")
-        _write_json(target, {"header": header, "rows": [[_fmt(v) for v in row] for row in rows]})
+        _write_json(target, {"header": header, "rows": [list(row) for row in rows]})
     return target
 
 
@@ -274,15 +269,15 @@ def cmd_scan(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     fmt = _out_format(cfg, args)
     # each grid value repeats on many rows: format it once
-    omegas = [_fmt(w) for w in result.omegas]
-    ks = [_fmt(k) for k in result.ks]
+    omegas = _fmt_row(result.omegas.tolist())
+    ks = _fmt_row(result.ks.tolist())
     outputs = []
     for label in cfg["generators"]:
         rows = (
             (w, k, kappa, block)
             for block in blocks
             for w, kap_row in zip(omegas, result.kappas[(label, block)])
-            for k, kappa in zip(ks, kap_row)
+            for k, kappa in zip(ks, _fmt_row(kap_row.tolist()))
         )
         target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows, fmt)
         outputs.append(target.name)
@@ -324,7 +319,7 @@ def cmd_transient(cfg: dict, args) -> int:
         steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
-    rows = zip(times, *(columns[name] for name in header[1:]))
+    rows = map(_fmt_row, zip(times, *(columns[name] for name in header[1:])))
     out = _out_dir(cfg, args)
     target = _write_table(out / "transient", header, rows, _out_format(cfg, args))
     _write_sidecar(
@@ -369,7 +364,7 @@ def cmd_steady(cfg: dict, args) -> int:
         rows.append(tuple(row))
     header = ["k", "Qh_L", "Qc_L", "Qh_G", "Qc_G", "Qh_R", "Qc_R"]
     out = _out_dir(cfg, args)
-    target = _write_table(out / "steady", header, rows, _out_format(cfg, args))
+    target = _write_table(out / "steady", header, map(_fmt_row, rows), _out_format(cfg, args))
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
     return EXIT_OK
@@ -397,12 +392,8 @@ def cmd_rigidity(cfg: dict, args) -> int:
         )
         profiles[label] = profile
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
-    rows = []
-    for idx, k in enumerate(ks):
-        row = [k]
-        for label in cfg["generators"]:
-            row.extend(profiles[label].rigidities[idx])
-        rows.append(tuple(row))
+    table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
+    rows = (_fmt_row(row.tolist()) for row in table)
     out = _out_dir(cfg, args)
     target = _write_table(out / "rigidity", header, rows, _out_format(cfg, args))
     flagged = {
@@ -421,9 +412,10 @@ def cmd_epline(cfg: dict, args) -> int:
     omega = cfg["system"]["omega_h"]
     exact = exceptional_line(omega, hot, cold, mode="exact")
     asymptotic = exceptional_line(omega, hot, cold, mode="large-cutoff")
-    print(f"omega = {_fmt(omega)}")
-    print(f"k_exceptional_exact = {_fmt(exact)}")
-    print(f"k_exceptional_large_cutoff = {_fmt(asymptotic)}")
+    omega_s, exact_s, asymptotic_s = _fmt_row([omega, exact, asymptotic])
+    print(f"omega = {omega_s}")
+    print(f"k_exceptional_exact = {exact_s}")
+    print(f"k_exceptional_large_cutoff = {asymptotic_s}")
     return EXIT_OK
 
 
@@ -435,9 +427,9 @@ def cmd_matrices(cfg: dict, args) -> int:
         "label": gen.label,
         "frame": gen.frame,
         "basis": list(gen.basis_labels),
-        "block1": [[_fmt(v) for v in row] for row in gen.block1],
-        "block2": [[_fmt(v) for v in row] for row in gen.block2],
-        "const2": [_fmt(v) for v in gen.const2],
+        "block1": [_fmt_row(row) for row in gen.block1.tolist()],
+        "block2": [_fmt_row(row) for row in gen.block2.tolist()],
+        "const2": _fmt_row(gen.const2.tolist()),
         "system": cfg["system"],
         "baths": cfg["baths"],
         "cutoff": cfg["cutoff"],

@@ -6,10 +6,17 @@ eigenvectors of the transpose and paired to the right ones by greedy
 nearest-eigenvalue matching. The per-vector phase rigidity and the
 condition number of the unit-column eigenvector matrix are the two
 witnesses of eigenvector coalescence used throughout.
+
+A stack of matrices is analysed at once: the LAPACK work (two
+eigensolves and one SVD) is batched once per stack or sweep, while the
+pairing, and the branch tracking of a sweep, run per point in Python.
+One matrix is a stack of one, and each row of a stack has the bits the
+matrix alone gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,26 +55,84 @@ def _unit_columns(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def _greedy_match(reference: np.ndarray, candidates: np.ndarray):
-    """Greedily pair each reference eigenvalue with the nearest unused
-    candidate; returns (permutation, ambiguous indices)."""
-    n = len(reference)
-    dist = np.abs(reference[:, None] - candidates[None, :])
-    perm = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
+def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[int, ...]]:
+    """Greedily pair each reference eigenvalue, most constrained (smallest
+    nearest distance) first, with the nearest unused candidate.
+
+    Plain lists of Python numbers: one call per sweep point is cheaper
+    than numpy at this size. Returns the permutation and the reference
+    indices, in processing order, whose best and second-best distances
+    differ by less than PAIRING_ATOL."""
+    dist = [[abs(r - c) for c in candidates] for r in reference]
+    nearest = list(map(min, dist))
+    free = list(range(len(candidates)))  # ascending: min() keeps the first
+    perm = [0] * len(reference)
     ambiguous = []
-    order = np.argsort(dist.min(axis=1))  # most constrained first
-    for i in order:
-        row = np.where(used, np.inf, dist[i])
-        j = int(np.argmin(row))
-        best = row[j]
-        row[j] = np.inf
-        second = row.min()
-        if np.isfinite(second) and abs(second - best) < PAIRING_ATOL:
-            ambiguous.append(int(i))
+    for i in sorted(range(len(dist)), key=nearest.__getitem__):
+        row = dist[i]
+        j = min(free, key=row.__getitem__)
+        free.remove(j)
+        second = min([row[f] for f in free], default=math.inf)
+        if second < math.inf and abs(second - row[j]) < PAIRING_ATOL:
+            ambiguous.append(i)
         perm[i] = j
-        used[j] = True
     return perm, tuple(ambiguous)
+
+
+def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrices as one (N, n, n) float stack; NumericalError unless
+    they are finite, square and of one shape."""
+    first = mats[0]
+    if first.ndim != 2 or first.shape[0] != first.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {first.shape}")
+    for m in mats:
+        if m.shape != first.shape:
+            raise NumericalError(
+                f"matrix shape changes from {first.shape} to {m.shape}"
+            )
+    stack = np.stack(mats)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"matrix {int(np.argmin(finite))} contains non-finite entries"
+        )
+    return stack
+
+
+def _eig_stack(mats: np.ndarray):
+    """Bi-orthogonal eigendecomposition of each matrix of a checked stack:
+    (eigenvalues, right, left, rigidities, kappas, ambiguous pairs per
+    matrix), each row bit for bit what the matrix alone gives.
+
+    Two batched LAPACK eigensolves and one batched SVD; the left-right
+    pairing runs per matrix in Python."""
+    try:
+        evals, right = np.linalg.eig(mats)
+        evals_t, left = np.linalg.eig(mats.swapaxes(-1, -2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    # eig returns real arrays when every eigenvalue of the stack is real,
+    # and real arithmetic rounds differently from complex: run the
+    # all-real rows of a mixed stack as stacks of their own
+    kind = 2 * (evals.imag == 0).all(axis=-1) + (evals_t.imag == 0).all(axis=-1)
+    if (kind != kind[0]).any():
+        order = np.argsort(kind, kind="stable")
+        parts = [_eig_stack(mats[kind == g]) for g in np.unique(kind)]
+        back = np.argsort(order)
+        fields = [np.concatenate([part[f] for part in parts])[back] for f in range(5)]
+        ambiguous = [amb for part in parts for amb in part[5]]
+        return (*fields, [ambiguous[i] for i in back.tolist()])
+    right = _unit_columns(right)
+    matches = [_greedy_match(a, b) for a, b in zip(evals.tolist(), evals_t.tolist())]
+    perms = np.array([perm for perm, _ in matches], dtype=np.intp).reshape(evals.shape)
+    # index the transposes: the per-matrix layout (and so the bits of the
+    # column norms and overlaps) is that of a one-matrix ``left[:, perm]``
+    left = np.take_along_axis(left.swapaxes(-1, -2), perms[..., None], axis=-2)
+    left = _unit_columns(left.swapaxes(-1, -2))
+    # unit columns make the overlap the rigidity directly
+    rigidities = np.abs(np.sum(left.swapaxes(-1, -2) * right.swapaxes(-1, -2), axis=-1))
+    kappas = condition_number(right)
+    return evals, right, left, rigidities, kappas, [amb for _, amb in matches]
 
 
 def eig(matrix: np.ndarray) -> EigenAnalysis:
@@ -77,25 +142,11 @@ def eig(matrix: np.ndarray) -> EigenAnalysis:
     (transpose-eigenproblem) vector matched to v_i; it is 1 for normal
     matrices and tends to 0 as eigenvectors coalesce.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericalError("matrix contains non-finite entries")
-    try:
-        evals, right = np.linalg.eig(m)
-        evals_t, left = np.linalg.eig(m.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-
-    right = _unit_columns(right)
-    perm, ambiguous = _greedy_match(evals, evals_t)
-    left = _unit_columns(left[:, perm])
-
-    # unit columns make the overlap the rigidity directly
-    rigidities = np.abs(np.sum(left.T * right.T, axis=1))
-    kappa = condition_number(right)
-    return EigenAnalysis(evals, right, left, rigidities, kappa, ambiguous)
+    stack = _checked_stack([np.asarray(matrix, dtype=float)])
+    evals, right, left, rigidities, kappas, ambiguous = _eig_stack(stack)
+    return EigenAnalysis(
+        evals[0], right[0], left[0], rigidities[0], float(kappas[0]), ambiguous[0]
+    )
 
 
 def condition_number(vectors: np.ndarray) -> float | np.ndarray:
@@ -127,28 +178,33 @@ def phase_rigidity_profile(
     """Track eigenvalue branches across a parameter sweep and report the
     rigidity of each branch.
 
-    Branches are matched between consecutive points by nearest
-    eigenvalue; exact ties are flagged (not fatal), the tracking then
-    proceeds with the greedy choice.
+    ``matrix_fn`` is called once per parameter and the matrices are
+    analysed as one stack. Branches are matched between consecutive
+    points by nearest eigenvalue; exact ties are flagged (not fatal), the
+    tracking then proceeds with the greedy choice.
     """
     params = np.asarray(list(parameters), dtype=float)
-    n_k = len(params)
-    evs, rigs, kaps = [], [], []
-    flagged: list[int] = []
+    if not len(params):
+        empty = np.array([])
+        return RigidityProfile(params, empty, empty, empty, ())
+    stack = _checked_stack([np.asarray(matrix_fn(v), dtype=float) for v in params.tolist()])
+    evals, _, _, rigidities, kappas, pair_ambiguous = _eig_stack(stack)
+    orders, flagged = [], []
     prev = None
-    for idx, value in enumerate(params):
-        ana = eig(matrix_fn(float(value)))
-        order = np.arange(len(ana.eigenvalues))
+    for idx, (values, ambiguous) in enumerate(zip(evals.tolist(), pair_ambiguous)):
+        order = list(range(len(values)))
         if prev is not None:
-            order, ambiguous = _greedy_match(prev, ana.eigenvalues)
-            if ambiguous or ana.ambiguous_pairs:
-                flagged.append(idx)
-        elif ana.ambiguous_pairs:
+            order, step_ambiguous = _greedy_match(prev, values)
+            ambiguous = ambiguous or step_ambiguous
+        if ambiguous:
             flagged.append(idx)
-        evs.append(ana.eigenvalues[order])
-        rigs.append(ana.rigidities[order])
-        kaps.append(ana.kappa)
-        prev = evs[-1]
+        orders.append(order)
+        prev = [values[j] for j in order]
+    orders = np.array(orders, dtype=np.intp)
     return RigidityProfile(
-        params, np.array(evs), np.array(rigs), np.array(kaps), tuple(flagged)
+        params,
+        np.take_along_axis(evals, orders, axis=-1),
+        np.take_along_axis(rigidities, orders, axis=-1),
+        kappas,
+        tuple(flagged),
     )

@@ -269,13 +269,17 @@ def refine_ep(
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")
 
-    def objective(k: float) -> float:
-        kappa = _kappa_at(label, block, omega, k, hot, cold)
+    def log_kappa(kappa: float) -> float:
         return math.log(kappa) if kappa > 0 else -math.inf
 
-    # coarse pre-scan: reject brackets whose maximum sits on the boundary
+    def objective(k: float) -> float:
+        return log_kappa(_kappa_at(label, block, omega, k, hot, cold))
+
+    # coarse pre-scan, one stacked eig: reject brackets whose maximum sits
+    # on the boundary
     coarse = np.linspace(lo, hi, 33)
-    values = [objective(k) for k in coarse]
+    kappas = condition_number_of(grid_block_matrices(label, block, omega, coarse, hot, cold))
+    values = [log_kappa(kappa) for kappa in kappas.tolist()]
     peak = int(np.argmax(values))
     if peak in (0, len(coarse) - 1):
         raise BracketError(

@@ -91,33 +91,44 @@ class NormalModes:
 
 def normal_modes(sys: SystemSpec) -> NormalModes:
     """Diagonalize the potential-energy form of the coupled pair."""
+    # work with the squares and k scaled by 2^-2e, e the binary exponent of
+    # the larger frequency: ldexp is exact, so a result that is finite
+    # unscaled keeps its bits, while sums such as omega_h^2 + omega_c^2 can
+    # no longer overflow
+    e = math.frexp(max(sys.omega_h, sys.omega_c))[1]
+    wh_sq = math.ldexp(sys.omega_h**2, -2 * e)
+    wc_sq = math.ldexp(sys.omega_c**2, -2 * e)
+    k = math.ldexp(sys.k, -2 * e)
     if is_resonant(sys):
         # the general angle formula is 0/0 here; the rotation is exactly
         # 45 degrees for every k
-        o1_sq = sys.omega_h**2 + sys.k
-        o2_sq = sys.omega_h**2 - sys.k
+        o1_sq = wh_sq + k
+        o2_sq = wh_sq - k
         if o2_sq <= 0.0 or o1_sq <= 0.0:
             raise StabilityError("normal-mode frequency squared is not positive")
         p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        return NormalModes(p, math.sqrt(o1_sq), math.sqrt(o2_sq), math.pi / 4, True)
-
-    delta = sys.omega_h**2 - sys.omega_c**2
-    s = math.hypot(2.0 * sys.k, delta)
-    o1_sq = 0.5 * (sys.omega_h**2 + sys.omega_c**2 + s)
-    o2_sq = 0.5 * (sys.omega_h**2 + sys.omega_c**2 - s)
-    if o2_sq <= 0.0:
-        raise StabilityError("normal-mode frequency squared is not positive")
-    # cos(zeta)^2 = (s - delta)/(2s), sin(zeta)^2 = (s + delta)/(2s); the
-    # smaller is 4k^2/((s + |delta|) 2s), as s - |delta| cancels for small k.
-    # sin carries the sign of k: the first column has the larger eigenvalue
-    large = math.sqrt((s + abs(delta)) / (2.0 * s))
-    small = abs(sys.k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
-    cos_z, sin_z = (small, large) if delta > 0.0 else (large, small)
-    if sys.k < 0.0:
-        sin_z = -sin_z
-    zeta = math.atan2(sin_z, cos_z)
-    p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
-    return NormalModes(p, math.sqrt(o1_sq), math.sqrt(o2_sq), zeta, False)
+        zeta, resonant = math.pi / 4, True
+    else:
+        delta = wh_sq - wc_sq
+        s = math.hypot(2.0 * k, delta)
+        o1_sq = 0.5 * (wh_sq + wc_sq + s)
+        o2_sq = 0.5 * (wh_sq + wc_sq - s)
+        if o2_sq <= 0.0:
+            raise StabilityError("normal-mode frequency squared is not positive")
+        # cos(zeta)^2 = (s - delta)/(2s), sin(zeta)^2 = (s + delta)/(2s); the
+        # smaller is 4k^2/((s + |delta|) 2s), as s - |delta| cancels for
+        # small k. sin carries the sign of k: the first column has the
+        # larger eigenvalue
+        large = math.sqrt((s + abs(delta)) / (2.0 * s))
+        small = abs(k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
+        cos_z, sin_z = (small, large) if delta > 0.0 else (large, small)
+        if k < 0.0:
+            sin_z = -sin_z
+        zeta, resonant = math.atan2(sin_z, cos_z), False
+        p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
+    omega1 = math.ldexp(math.sqrt(o1_sq), e)
+    omega2 = math.ldexp(math.sqrt(o2_sq), e)
+    return NormalModes(p, omega1, omega2, zeta, resonant)
 
 
 def hamiltonian(sys: SystemSpec) -> QuadOp:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import meqlab
-from meqlab.cli import main
+from meqlab.cli import _fmt_row, main
 from meqlab.generators import lme_drift
 
 
@@ -37,6 +37,12 @@ def test_scan_outputs_and_determinism(tmp_path):
     meta = json.loads((out1 / "scan.meta.json").read_text())
     assert meta["command"] == "scan-ep"
     assert "config" in meta and "version" in meta
+
+
+def test_fmt_row_spells_special_values():
+    values = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 3]
+    assert _fmt_row(values) == ["nan", "nan", "inf", "-inf", "0.10000000000000001", "-0", "3"]
+    assert _fmt_row(np.array(values).tolist())[:4] == ["nan", "nan", "inf", "-inf"]
 
 
 def test_scan_single_point(tmp_path):

@@ -3,11 +3,22 @@ rigidities, condition numbers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meqlab.bath import BathSpec
-from meqlab.eigen import condition_number, eig, phase_rigidity_profile
+from meqlab.eigen import (
+    PAIRING_ATOL,
+    _checked_stack,
+    _eig_stack,
+    _greedy_match,
+    condition_number,
+    eig,
+    phase_rigidity_profile,
+)
 from meqlab.epscan import exceptional_line, grid_block_matrices
 from meqlab.errors import NumericalError
+from meqlab.generators import GME, LME, REDFIELD
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -146,3 +157,163 @@ def test_hermitianized_matrix_full_rigidity():
     ana = eig(sym)
     assert np.allclose(ana.rigidities, 1.0, atol=1e-10)
     assert ana.kappa < 1.0 + 1e-8
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, b)
+    return a.shape == b.shape and a.astype(dtype).tobytes() == b.astype(dtype).tobytes()
+
+
+def assert_rows_are_one_matrix_eig(mats):
+    evals, right, left, rigidities, kappas, ambiguous = _eig_stack(_checked_stack(mats))
+    for i, m in enumerate(mats):
+        one = eig(m)
+        assert same_bits(evals[i], one.eigenvalues)
+        assert same_bits(right[i], one.right_vectors)
+        assert same_bits(left[i], one.left_vectors)
+        assert same_bits(rigidities[i], one.rigidities)
+        assert same_bits(kappas[i], one.kappa)
+        assert ambiguous[i] == one.ambiguous_pairs
+
+
+def test_stack_rows_are_one_matrix_eig_mixed_real_and_complex():
+    # symmetric rows have only real eigenvalues, for which a lone eig
+    # computes in real arithmetic; a mixed stack must not change them
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 4, 7, 10):
+        mats = rng.normal(size=(12, n, n))
+        mats[::3] += mats[::3].swapaxes(-1, -2)
+        assert_rows_are_one_matrix_eig(list(mats))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    label=st.sampled_from([LME, GME, REDFIELD]),
+    omega=st.floats(0.3, 2.5),
+    k_fracs=st.tuples(*[st.one_of(st.floats(-0.99, 0.99), st.floats(-1e-4, 1e-4))] * 2),
+    points=st.integers(1, 30),
+    cold_lambda_sq=st.floats(1e-6, 1e-2),
+)
+def test_stacked_profile_rows_are_one_matrix_eig(label, omega, k_fracs, points, cold_lambda_sq):
+    # |k| < omega^2 throughout: every row of the stacked profile is the
+    # one-matrix eig() of its matrix, in the continuity order
+    cold = BathSpec(cold_lambda_sq, 5.0, 1e3)
+    ks = np.linspace(*k_fracs, points) * omega**2
+
+    def block(k):
+        return grid_block_matrices(label, "first", omega, k, HOT, cold)
+
+    mats = [block(k) for k in ks.tolist()]
+    assert_rows_are_one_matrix_eig(mats)
+    profile = phase_rigidity_profile(block, ks)
+    flagged, prev = [], None
+    for idx, m in enumerate(mats):
+        one = eig(m)
+        values = one.eigenvalues.tolist()
+        order, step = list(range(4)), ()
+        if prev is not None:
+            order, step = _greedy_match(prev, values)
+        if one.ambiguous_pairs or step:
+            flagged.append(idx)
+        prev = [values[j] for j in order]
+        assert same_bits(profile.eigenvalues[idx], one.eigenvalues[order])
+        assert same_bits(profile.rigidities[idx], one.rigidities[order])
+        assert same_bits(profile.kappas[idx], one.kappa)
+    assert profile.flagged == tuple(flagged)
+
+
+def _numpy_greedy_match(reference, candidates):
+    """The numpy matcher of the per-point loop, kept as the reference."""
+    n = len(reference)
+    dist = np.abs(reference[:, None] - candidates[None, :])
+    perm = np.full(n, -1)
+    used = np.zeros(n, dtype=bool)
+    ambiguous = []
+    for i in np.argsort(dist.min(axis=1)):
+        row = np.where(used, np.inf, dist[i])
+        j = int(np.argmin(row))
+        best = row[j]
+        row[j] = np.inf
+        second = row.min()
+        if np.isfinite(second) and abs(second - best) < PAIRING_ATOL:
+            ambiguous.append(int(i))
+        perm[i] = j
+        used[j] = True
+    return perm, tuple(ambiguous)
+
+
+def per_point_profile(matrix_fn, ks):
+    """The per-point loop, kept as the reference: one eig of each matrix
+    and of its transpose, paired and tracked with the numpy matcher.
+    Returns eigenvalues, rigidities and kappas per point, in continuity
+    order, and the flagged samples."""
+    evs, rigs, kappas, flagged, prev = [], [], [], [], None
+    for idx, k in enumerate(ks):
+        m = matrix_fn(float(k))
+        evals, right = np.linalg.eig(m)
+        evals_t, left = np.linalg.eig(m.T)
+        right = right / np.linalg.norm(right, axis=0)
+        perm, pair_ambiguous = _numpy_greedy_match(evals, evals_t)
+        left = left[:, perm] / np.linalg.norm(left[:, perm], axis=0)
+        rigidities = np.abs(np.sum(left.T * right.T, axis=1))
+        svals = np.linalg.svd(right, compute_uv=False)
+        order, step_ambiguous = np.arange(len(evals)), ()
+        if prev is not None:
+            order, step_ambiguous = _numpy_greedy_match(prev, evals)
+        if pair_ambiguous or step_ambiguous:
+            flagged.append(idx)
+        prev = evals[order]
+        evs.append(prev)
+        rigs.append(rigidities[order])
+        kappas.append(svals[0] / svals[-1])
+    return np.array(evs), np.array(rigs), np.array(kappas), tuple(flagged)
+
+
+@pytest.mark.parametrize("label, ks", [
+    # just past the LME EP the branches swap from split frequencies to
+    # split rates; the tracking step there is a tie
+    (LME, np.linspace(4.99e-5, 5.01e-5, 801)[370:391]),
+    # at k = 0 the secular eigenvalues are degenerate
+    (GME, np.linspace(-9e-5, 9e-5, 1001)[490:511]),
+])
+def test_profile_is_the_per_point_loop_bit_for_bit(label, ks):
+    def block(k):
+        return grid_block_matrices(label, "first", 1.0, k, HOT, COLD)
+
+    profile = phase_rigidity_profile(block, ks)
+    evs, rigs, kappas, flagged = per_point_profile(block, ks)
+    assert profile.flagged
+    assert profile.flagged == flagged
+    assert same_bits(profile.eigenvalues, evs)
+    assert same_bits(profile.rigidities, rigs)
+    assert same_bits(profile.kappas, kappas)
+
+
+def test_profile_keeps_numerical_error_types(monkeypatch):
+    ks = np.linspace(0.5 * K_STAR, 1.5 * K_STAR, 5)
+
+    def nan_at_one_k(k):
+        return lme_block1(k) * (np.nan if k == ks[3] else 1.0)
+
+    def shape_changes(k):
+        return np.eye(4) if k < ks[2] else np.eye(3)
+
+    for matrix_fn in (nan_at_one_k, lambda k: np.zeros((3, 4)), shape_changes):
+        with pytest.raises(NumericalError):
+            phase_rigidity_profile(matrix_fn, ks)
+
+    def eig_fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig_fails)
+    with pytest.raises(NumericalError):
+        phase_rigidity_profile(lme_block1, ks)
+    with pytest.raises(NumericalError):
+        eig(np.eye(4))
+
+
+def test_empty_profile():
+    profile = phase_rigidity_profile(lme_block1, [])
+    assert profile.eigenvalues.size == profile.kappas.size == 0
+    assert profile.flagged == ()

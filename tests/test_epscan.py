@@ -155,6 +155,22 @@ def test_refine_rejects_unreachable_rel_tol(monkeypatch):
                       rel_tol=rel_tol)
 
 
+def test_refine_prescan_stack_keeps_the_per_point_kappas():
+    # refine_ep's coarse pre-scan runs its 33 points as one stacked eig;
+    # each kappa is bit for bit the one evaluated alone
+    import meqlab.epscan as emod
+
+    kstar = exceptional_line(1.0, HOT, COLD)
+    coarse = np.linspace(0.5 * kstar, 1.5 * kstar, 33)
+    for label in (LME, GME, REDFIELD):
+        for block in ("first", "second"):
+            stacked = condition_number_of(
+                grid_block_matrices(label, block, 1.0, coarse, HOT, COLD)
+            )
+            alone = [emod._kappa_at(label, block, 1.0, k, HOT, COLD) for k in coarse]
+            assert stacked.tobytes() == np.array(alone).tobytes()
+
+
 def test_refine_monotone_bracket_raises():
     kstar = exceptional_line(1.0, HOT, COLD)
     with pytest.raises(BracketError):
@@ -247,7 +263,8 @@ def test_scan_counts_nan_points(monkeypatch):
     calls = []
 
     def batch_fails(mats):
-        if np.ndim(mats) > 2:
+        # more than one matrix; eig() runs one matrix as a stack of one
+        if np.size(mats) > np.shape(mats)[-1] ** 2:
             raise np.linalg.LinAlgError("batched eig did not converge")
         return real_eig(mats)
 

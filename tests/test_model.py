@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meqlab.algebra import QuadOp, commutator, position
 from meqlab.errors import StabilityError, ValidationError
@@ -86,6 +88,71 @@ def test_normal_modes_orthogonal_and_diagonalizing():
         assert abs(diag[0, 1]) < 1e-12 and abs(diag[1, 0]) < 1e-12
         assert diag[0, 0] == pytest.approx(nm.omega1**2, rel=1e-12)
         assert diag[1, 1] == pytest.approx(nm.omega2**2, rel=1e-12)
+
+
+def test_normal_modes_near_overflow():
+    # omega_h^2 + omega_c^2 overflows although each square is finite
+    nm = normal_modes(SystemSpec(1.2e154, 1.1e154, 0.0))
+    assert nm.omega1 == 1.2e154
+    assert nm.omega2 == 1.1e154
+    nm = normal_modes(SystemSpec(1.3e154, 1.3e154, 1.6e308))
+    assert nm.omega1 == pytest.approx(1.3e154 * math.sqrt(1.0 + 1.6 / 1.69), rel=1e-14)
+
+
+def unscaled_normal_modes(wh, wc, k):
+    """The normal-mode formulas on the unscaled squares, kept as the
+    reference: (omega1, omega2, P, zeta)."""
+    if wh == wc:
+        p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        return math.sqrt(wh**2 + k), math.sqrt(wh**2 - k), p, math.pi / 4
+    delta = wh**2 - wc**2
+    s = math.hypot(2.0 * k, delta)
+    large = math.sqrt((s + abs(delta)) / (2.0 * s))
+    small = abs(k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
+    cos_z, sin_z = (small, large) if delta > 0.0 else (large, small)
+    if k < 0.0:
+        sin_z = -sin_z
+    p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
+    return (math.sqrt(0.5 * (wh**2 + wc**2 + s)), math.sqrt(0.5 * (wh**2 + wc**2 - s)),
+            p, math.atan2(sin_z, cos_z))
+
+
+OMEGA_H = st.floats(0.3, 2.5)
+RATIO = st.one_of(st.just(1.0), st.floats(0.5, 2.0))
+K_FRAC = st.one_of(st.just(0.0), st.floats(1e-6, 0.99), st.floats(-0.99, -1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega_h=OMEGA_H, ratio=RATIO, k_frac=K_FRAC, shift=st.integers(-60, 60))
+def test_normal_modes_keep_the_unscaled_bits(omega_h, ratio, k_frac, shift):
+    # where the unscaled formulas neither overflow nor underflow, the
+    # power-of-two scaling changes no bit
+    wh, wc = math.ldexp(omega_h, shift), math.ldexp(omega_h * ratio, shift)
+    k = k_frac * wh * wc
+    nm = normal_modes(SystemSpec(wh, wc, k))
+    omega1, omega2, p, zeta = unscaled_normal_modes(wh, wc, k)
+    assert (nm.omega1, nm.omega2, nm.zeta) == (omega1, omega2, zeta)
+    assert nm.matrix.tobytes() == p.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega_h=OMEGA_H, ratio=RATIO, k_frac=K_FRAC, shift=st.integers(-490, 508))
+def test_normal_modes_scale_exactly_by_powers_of_two(omega_h, ratio, k_frac, shift):
+    # frequencies times 2^j and k times 4^j: the frequencies scale by 2^j
+    # and the rotation stays, bit for bit, from the bottom of the float
+    # range to the top
+    omega_c = omega_h * ratio
+    k = k_frac * omega_h * omega_c
+    wh, wc = math.ldexp(omega_h, shift), math.ldexp(omega_c, shift)
+    # the squares come from pow, which is not always correctly rounded
+    assume(wh**2 == math.ldexp(omega_h**2, 2 * shift))
+    assume(wc**2 == math.ldexp(omega_c**2, 2 * shift))
+    base = normal_modes(SystemSpec(omega_h, omega_c, k))
+    scaled = normal_modes(SystemSpec(wh, wc, math.ldexp(k, 2 * shift)))
+    assert scaled.omega1 == math.ldexp(base.omega1, shift)
+    assert scaled.omega2 == math.ldexp(base.omega2, shift)
+    assert scaled.matrix.tobytes() == base.matrix.tobytes()
+    assert scaled.zeta == base.zeta
 
 
 def test_hamiltonian_quadratic_form():
