@@ -7,8 +7,9 @@ Ohmic with an algebraic ultraviolet rolloff,
 
 odd in w. Decay rates at signed frequency follow from it together with
 the Bose occupation; the drift coefficient Delta and noise coefficient
-Sigma are the odd/even combinations of the rates at +/-w that enter the
-moment-dynamics matrices.
+Sigma, with rate(+/-w) = w (Sigma -/+ Delta), are all the moment-dynamics
+matrices read of a bath. Delta = -J(w)/w is written directly: as a
+difference of two rates it would lose about eps*T/w to cancellation.
 """
 
 from __future__ import annotations
@@ -104,15 +105,15 @@ def decay_rate(bath: BathSpec, omega: float) -> float:
     return 2.0 * spectral_density(bath, omega) * weight
 
 
-def delta_coeff(bath: BathSpec, omega: float) -> float:
-    """Drift coefficient (rate(-w) - rate(w)) / (2w), for w > 0.
-
-    Equals -J(w)/w identically, so it is temperature independent and
-    always negative.
+def delta_coeff(bath: BathSpec, omega):
+    """Drift coefficient (rate(-w) - rate(w)) / (2w) for w > 0, on floats
+    and arrays: written as -J(w)/w, temperature independent, negative and
+    free of the rates' cancellation. w*w, not w**2 (libm pow for floats),
+    so a float gives the bits of the same entry of an array.
     """
-    if omega <= 0.0:
+    if not ((omega > 0.0).all() if getattr(omega, "ndim", 0) else float(omega) > 0.0):
         raise DomainError(f"delta_coeff requires omega > 0, got {omega!r}")
-    return (decay_rate(bath, -omega) - decay_rate(bath, omega)) / (2.0 * omega)
+    return -bath.lambda_sq * bath.cutoff**2 / (omega * omega + bath.cutoff**2)
 
 
 def sigma_coeff(bath: BathSpec, omega: float) -> float:

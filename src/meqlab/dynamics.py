@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import SYMPLECTIC, pack_symmetric, unpack_symmetric
 from .bath import BathSpec
-from .errors import StabilityError, ValidationError
+from .errors import NumericalError, StabilityError, ValidationError
 from .generators import (
     LOCAL_FRAME,
     MomentGenerator,
@@ -181,7 +181,8 @@ def propagate(
     unitary); otherwise the affine flow is shifted by the fixed point of
     block2, which must then be invertible. Uncertainty violations along
     the trajectory are logged once with the first offending time; they
-    are expected only for generators without GKSL structure.
+    are expected only for generators without GKSL structure. Moments that
+    overflow raise NumericalError naming the first non-finite time.
     """
     from scipy.linalg import expm  # only here: importing it dominates CLI start-up
     gen = _require_local(gen, sys)
@@ -220,17 +221,24 @@ def propagate(
     second = np.empty((len(t_grid), 10))
     current = state0.time
     cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for i, t in enumerate(t_grid):
-        dt = t - current
-        if dt > 0.0:
-            if dt not in cache:
-                cache[dt] = (expm(gen.block1 * dt), expm(gen.block2 * dt))
-            e1, e2 = cache[dt]
-            dev1 = e1 @ dev1
-            dev2 = e2 @ dev2
-            current = t
-        first[i] = dev1
-        second[i] = dev2 + shift2
+    # an overflow is reported once, below, as the first non-finite time
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(t_grid):
+            dt = t - current
+            if dt > 0.0:
+                if dt not in cache:
+                    cache[dt] = (expm(gen.block1 * dt), expm(gen.block2 * dt))
+                e1, e2 = cache[dt]
+                dev1 = e1 @ dev1
+                dev2 = e2 @ dev2
+                current = t
+            first[i] = dev1
+            second[i] = dev2 + shift2
+    finite = np.isfinite(first).all(axis=-1) & np.isfinite(second).all(axis=-1)
+    if not finite.all():
+        raise NumericalError(
+            f"{gen.label} moments overflow from t = {t_grid[np.argmin(finite)]} on"
+        )
     violations = np.flatnonzero(_min_uncertainty_eig(first, second) < PHYSICALITY_TOL)
     if violations.size:
         log.warning(

@@ -23,10 +23,10 @@ import numpy as np
 
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
-from .errors import BracketError, DomainError, NumericalError, ValidationError
+from .errors import BracketError, DomainError, ValidationError
 from .generators import NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
-from .eigen import _unit_columns, condition_number, eig
+from .eigen import _unit_columns, condition_number
 
 __all__ = [
     "EpRoots",
@@ -125,8 +125,8 @@ class ScanResult:
 
 def _kappa_batch(mats: np.ndarray) -> np.ndarray:
     """:func:`condition_number_of` a stack of matrices; when the batched
-    eig fails, each point is retried alone and non-convergent points
-    become NaN (``scan`` counts them)."""
+    eig fails, each point is retried alone through the same function and
+    non-convergent points become NaN (``scan`` counts them)."""
     try:
         return condition_number_of(mats)
     except np.linalg.LinAlgError:
@@ -135,8 +135,8 @@ def _kappa_batch(mats: np.ndarray) -> np.ndarray:
         flat = mats.reshape((-1,) + mats.shape[-2:])
         for i, m in enumerate(flat):
             try:
-                flat_out[i] = eig(m).kappa
-            except NumericalError:
+                flat_out[i] = condition_number_of(m)
+            except np.linalg.LinAlgError:
                 flat_out[i] = np.nan
         return out
 

@@ -26,12 +26,13 @@ forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
 label's drifts from them, for this cross-check and the EP scans alike.
+Tables and closed forms read the same Delta and Sigma of ``bath``, so
+the two routes differ only in their algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .algebra import (
     second_moment_flow,
     unpack_symmetric,
 )
-from .bath import BathSpec, decay_rate, sigma_coeff
+from .bath import BathSpec, delta_coeff, sigma_coeff
 from .errors import ConsistencyError, ValidationError
 from .model import (
     JumpChannel,
@@ -146,13 +147,13 @@ def _dissipator_terms(
     """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
     from the coefficient vectors x, y of the channels' jump operators.
 
-    The sum runs over the bath's channel pairs (X, Y): diagonal pairs
-    (Y is X) for the secular forms, and for the Redfield forms every
-    same-bath pair whose sandwiched operators carry opposite-sign
-    frequencies, i.e. X, Y of equal frequency sign. The rate is the
-    decay rate of X. Feeds :func:`_gaussian_blocks`; the heat-current
-    check in ``thermo`` applies the same tables through
-    ``algebra.dissipator_action``.
+    The sum runs over the bath's channel pairs (X, Y) with the decay rate
+    of X: Y is X for the secular forms, every same-bath pair of lowering
+    channels for the Redfield forms, and each pair's adjoint (X^+, Y^+).
+    For a lowering X of frequency w the two add rate(w) M + rate(-w)
+    conj(M) = 2w (Sigma Re M - i Delta Im M), M = conj(x) y^T, so no table
+    subtracts two rates. Feeds :func:`_gaussian_blocks` and, through
+    ``algebra.dissipator_action``, the heat-current check in ``thermo``.
     """
     baths = {"h": hot, "c": cold}
     if label == LME:
@@ -166,12 +167,14 @@ def _dissipator_terms(
 
     secular = label in (LME, GME, GME_ZEROTH)
     tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
-    for x_ch, y_ch in product(channels, channels):
-        paired = y_ch is x_ch if secular else x_ch.frequency * y_ch.frequency > 0.0
-        if x_ch.bath != y_ch.bath or not paired:
-            continue
-        rate = decay_rate(baths[x_ch.bath], x_ch.frequency)
-        tables[x_ch.bath] += rate * np.outer(np.conj(x_ch.coeffs), y_ch.coeffs)
+    lowering = [ch for ch in channels if ch.frequency > 0.0]
+    for x_ch in lowering:
+        bath, omega = baths[x_ch.bath], x_ch.frequency
+        ys = [x_ch] if secular else [ch for ch in lowering if ch.bath == x_ch.bath]
+        m = np.outer(np.conj(x_ch.coeffs), sum(y.coeffs for y in ys))
+        m.real *= 2.0 * omega * sigma_coeff(bath, omega)
+        m.imag *= -2.0 * omega * delta_coeff(bath, omega)
+        tables[x_ch.bath] += m
     return tables
 
 
@@ -263,11 +266,6 @@ def normal_const2(c1, c2, sm1, sm2, ss1, ss2) -> np.ndarray:
     ], (10,))
 
 
-def _delta(bath: BathSpec, freq):
-    """Drift coefficient -J(w)/w on arrays; scans and build() share these bits."""
-    return -bath.lambda_sq * bath.cutoff**2 / (freq**2 + bath.cutoff**2)
-
-
 def closed_form_drift(
     label: str, wh, wc, k, hot: BathSpec, cold: BathSpec, frame: str = LOCAL_FRAME
 ) -> np.ndarray | None:
@@ -283,15 +281,16 @@ def closed_form_drift(
     local = frame == LOCAL_FRAME
     wh, wc, k = (np.asarray(v, dtype=float) for v in (wh, wc, k))
     if label in (LME, REDFIELD_ZEROTH):
-        return lme_drift(wh, wc, k, _delta(hot, wh), _delta(cold, wc)) if local else None
+        return (lme_drift(wh, wc, k, delta_coeff(hot, wh), delta_coeff(cold, wc))
+                if local else None)
     if label not in (GME, GME_ZEROTH, REDFIELD):
         raise ValidationError(f"unknown generator label {label!r}")
     o1, o2 = np.sqrt(wh**2 + k), np.sqrt(wh**2 - k)
     if label == GME_ZEROTH:
-        dm1 = dm2 = 0.5 * (_delta(hot, wh) + _delta(cold, wh))
+        dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))
     else:
-        d1h, d2h = _delta(hot, o1), _delta(hot, o2)
-        d1c, d2c = _delta(cold, o1), _delta(cold, o2)
+        d1h, d2h = delta_coeff(hot, o1), delta_coeff(hot, o2)
+        d1c, d2c = delta_coeff(cold, o1), delta_coeff(cold, o2)
         dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
     if local and label == REDFIELD:
         return redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c)

@@ -99,6 +99,24 @@ def test_delta_temperature_independent():
         assert value == pytest.approx(reference, rel=1e-12)
 
 
+def test_delta_is_one_formula_on_floats_and_arrays():
+    # an array gives the bits of the per-element float calls, and no
+    # temperature moves a bit: Delta is -J(w)/w itself, not a difference
+    # of two rates that grow like T/w
+    rng = np.random.default_rng(12)
+    omegas = 10 ** rng.uniform(-3, 4, size=(40, 5))
+    for temperature in (1e-3, 1.0, 1e8):
+        bath = BathSpec(1e-4, temperature, 1e3)
+        values = delta_coeff(bath, omegas)
+        assert values.shape == omegas.shape
+        assert values.tolist() == [[delta_coeff(bath, w) for w in row]
+                                   for row in omegas.tolist()]
+        assert values.tolist() == delta_coeff(BATH, omegas).tolist()
+        assert delta_coeff(bath, np.asarray(1.3)) == delta_coeff(BATH, 1.3)
+    with pytest.raises(DomainError):
+        delta_coeff(BATH, np.array([1.0, 0.0]))
+
+
 def test_delta_large_cutoff_limit():
     huge = BathSpec(1e-4, 5.0, 1e9)
     assert delta_coeff(huge, 1.0) == pytest.approx(-1e-4, rel=1e-9)

@@ -80,8 +80,19 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 def test_epline_prints_both_modes(capsys):
     assert run(["ep-line"]) == 0
     out = capsys.readouterr().out
-    assert "k_exceptional_exact = 4.9994950005050012e-05" in out
+    # the correctly rounded 0.5 (1e-4 - 1e-8) 1e6 / (1e6 + 1), whose repr is
+    # the default system.k
+    assert "k_exceptional_exact = 4.9994950005049998e-05" in out
     assert "k_exceptional_large_cutoff = 4.9995000000000005e-05" in out
+
+
+def test_hot_bath_keeps_both_routes_together(tmp_path):
+    # at T/omega = 1e8 a drift written as a difference of two decay rates
+    # is off by about 2e-8 of itself, and build() and the heat-current
+    # check would refuse their closed forms
+    for command in ("matrices", "steady"):
+        assert run([command, "--out", str(tmp_path),
+                    "--set", "baths.cold.temperature=1e8"]) == 0
 
 
 def test_transient_columns_and_metadata(tmp_path):

@@ -17,7 +17,7 @@ from meqlab.dynamics import (
     steady_state,
     thermal_product_state,
 )
-from meqlab.errors import StabilityError, ValidationError
+from meqlab.errors import NumericalError, StabilityError, ValidationError
 from meqlab.generators import (
     GME,
     LME,
@@ -200,6 +200,16 @@ def test_propagate_rejects_bad_grid():
     for grid in ([np.nan], [1.0, np.nan], [np.inf]):
         with pytest.raises(ValidationError):
             propagate(gen, state0, grid, FIG_SYS)
+
+
+def test_propagate_overflow_is_a_numerical_error():
+    # e^{800 t} overflows between the first and the second sample: the
+    # typed error names that time, with no numpy warning or LinAlgError
+    # from the uncertainty check on the way
+    gen = MomentGenerator(LME, "local-quadratures", 400.0 * np.eye(4), np.zeros(10))
+    state0 = MomentState(np.ones(4), np.ones(10))
+    with pytest.raises(NumericalError, match="from t = 1.0 on"):
+        propagate(gen, state0, [0.5, 1.0, 2.0], SystemSpec(1.0, 1.0, 0.0))
 
 
 def test_propagation_preserves_uncertainty_gksl():

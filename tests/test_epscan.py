@@ -171,6 +171,21 @@ def test_refine_prescan_stack_keeps_the_per_point_kappas():
             assert stacked.tobytes() == np.array(alone).tobytes()
 
 
+def test_kappa_of_one_matrix_is_the_eig_kappa():
+    # the scan's per-point retry reads condition_number_of, the same
+    # number eig() reports
+    from meqlab.eigen import eig
+
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(n, n)) for n in range(2, 11) for _ in range(5)]
+    kstar = exceptional_line(1.0, HOT, COLD)
+    for label in (LME, GME, REDFIELD):
+        for block in ("first", "second"):
+            mats.extend(grid_block_matrices(label, block, 1.0, [0.5 * kstar, kstar], HOT, COLD))
+    for m in mats:
+        assert condition_number_of(m) == eig(m).kappa
+
+
 def test_refine_monotone_bracket_raises():
     kstar = exceptional_line(1.0, HOT, COLD)
     with pytest.raises(BracketError):
@@ -222,33 +237,29 @@ def test_ep_divergence_on_the_line():
 
 def test_kappa_batch_fallback_nan_only_for_numerical_errors(monkeypatch):
     # when the batched eig fails, each point is retried alone: a kernel
-    # failure (NumericalError) becomes NaN at that point only, while any
+    # failure (LinAlgError) becomes NaN at that point only, while any
     # other exception is a bug and propagates
-    from types import SimpleNamespace
-
     import meqlab.epscan as emod
-    from meqlab.errors import NumericalError
 
-    def batch_fails(mats):
-        raise np.linalg.LinAlgError("batched eig did not converge")
-
+    real_eig = np.linalg.eig
     mats = np.stack([np.diag([-1.0, -2.0]), np.diag([-3.0, -4.0])])
-    monkeypatch.setattr(np.linalg, "eig", batch_fails)
 
     def kernel_fails_at_first(m):
-        if m[0, 0] == -1.0:
-            raise NumericalError("eigendecomposition failed")
-        return SimpleNamespace(kappa=7.0)
+        if m.ndim > 2 or m[0, 0] == -1.0:
+            raise np.linalg.LinAlgError("eig did not converge")
+        return real_eig(m)
 
-    monkeypatch.setattr(emod, "eig", kernel_fails_at_first)
+    monkeypatch.setattr(np.linalg, "eig", kernel_fails_at_first)
     kappa = emod._kappa_batch(mats)
     assert np.isnan(kappa[0])
-    assert kappa[1] == 7.0
+    assert kappa[1] == 1.0
 
     def kernel_bug(m):
+        if m.ndim > 2:
+            raise np.linalg.LinAlgError("batched eig did not converge")
         raise TypeError("not a kernel failure")
 
-    monkeypatch.setattr(emod, "eig", kernel_bug)
+    monkeypatch.setattr(np.linalg, "eig", kernel_bug)
     with pytest.raises(TypeError):
         emod._kappa_batch(mats)
 
@@ -256,26 +267,20 @@ def test_kappa_batch_fallback_nan_only_for_numerical_errors(monkeypatch):
 def test_scan_counts_nan_points(monkeypatch):
     # a per-point eigensolve failure becomes NaN in the map and is
     # counted per label/block in the metadata, never silently
-    import meqlab.epscan as emod
-    from meqlab.errors import NumericalError
+    real_eig = np.linalg.eig
+    single_calls = []
 
-    real_eig, original = np.linalg.eig, emod.eig
-    calls = []
-
-    def batch_fails(mats):
-        # more than one matrix; eig() runs one matrix as a stack of one
+    def batch_and_first_point_fail(mats):
+        # a stack of more than one matrix fails, and so does the first
+        # single matrix the per-point retry passes
         if np.size(mats) > np.shape(mats)[-1] ** 2:
             raise np.linalg.LinAlgError("batched eig did not converge")
+        single_calls.append(1)
+        if len(single_calls) == 1:
+            raise np.linalg.LinAlgError("eig did not converge")
         return real_eig(mats)
 
-    def fails_once(m):
-        calls.append(1)
-        if len(calls) == 1:
-            raise NumericalError("eigendecomposition failed")
-        return original(m)
-
-    monkeypatch.setattr(np.linalg, "eig", batch_fails)
-    monkeypatch.setattr(emod, "eig", fails_once)
+    monkeypatch.setattr(np.linalg, "eig", batch_and_first_point_fail)
     result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (3, 4), HOT, COLD,
                   threads=1)
     assert int(np.isnan(result.kappas[(LME, "first")]).sum()) == 1

@@ -450,7 +450,7 @@ def test_gaussian_pair_matches_operator_algebra():
 
 BATH_PAIRS = st.tuples(
     st.tuples(st.floats(-9.0, -3.0), st.floats(-9.0, -3.0)),
-    st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+    st.tuples(st.floats(-1.0, 8.0), st.floats(-1.0, 8.0)),
     st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
 ).map(lambda logs: tuple(
     BathSpec(10**lam2, 10**temp, 10**cutoff) for lam2, temp, cutoff in zip(*logs)
