@@ -120,11 +120,26 @@ def _as_number(node, path: str, positive: bool = False) -> float:
     return value
 
 
-def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
-    node = cfg
+def _lookup(cfg: dict, path: str):
     for part in path.split("."):
-        node = node[part]
-    return _as_number(node, path, positive)
+        cfg = cfg[part]
+    return cfg
+
+
+def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
+    return _as_number(_lookup(cfg, path), path, positive)
+
+
+def _require_int(cfg: dict, path: str, minimum: int):
+    """The integer at ``path``, or both of the pair where the default
+    config holds two, each at least ``minimum``."""
+    node = _lookup(cfg, path)
+    pair = isinstance(_lookup(DEFAULT_CONFIG, path), list)
+    values = (node if isinstance(node, list) and len(node) == 2 else [None]) if pair else [node]
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < minimum for v in values):
+        what = "two integers" if pair else "an integer"
+        raise ValidationError(f"{path} must be {what} >= {minimum}")
+    return node
 
 
 def _require_range(node, path: str) -> tuple[float, float]:
@@ -247,13 +262,7 @@ def cmd_scan(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     block_cfg = cfg["scan"]
     omega_lo, omega_hi = _require_range(block_cfg["omega"], "scan.omega")
-    res = block_cfg["resolution"]
-    if (
-        not isinstance(res, list)
-        or len(res) != 2
-        or any((isinstance(r, bool) or not isinstance(r, int) or r < 1) for r in res)
-    ):
-        raise ValidationError("scan.resolution must be two integers >= 1")
+    res = _require_int(cfg, "scan.resolution", 1)
     blocks = block_cfg["blocks"]
     for b in blocks:
         if b not in ("first", "second"):
@@ -296,9 +305,7 @@ _TRANSIENT_LABELS = ((LME, "L"), (GME, "G"), (REDFIELD, "R"))
 
 def cmd_transient(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
-    points = cfg["transient"]["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ValidationError("transient.points must be an integer >= 1")
+    points = _require_int(cfg, "transient.points", 1)
     factor = _require_number(cfg, "transient.t_max_factor", positive=True)
 
     gens = {label: build(label, system, hot, cold) for label, _ in _TRANSIENT_LABELS}
@@ -306,20 +313,16 @@ def cmd_transient(cfg: dict, args) -> int:
     times = np.linspace(0.0, factor * time_unit, points)
     state0 = thermal_product_state(system, hot, cold)
 
-    columns = {}
-    steady_values = {}
+    columns, steady_values = {"t": times}, {}
     for label, tag in _TRANSIENT_LABELS:
-        samples = transient_currents(
-            label, system, hot, cold, state0, times, gen=gens[label]
-        )
-        columns[f"Q_hot_{tag}"] = [s.q_hot for s in samples]
-        columns[f"Q_cold_{tag}"] = [s.q_cold for s in samples]
-        ss = steady_state(gens[label], system)
-        steady = heat_current(label, system, hot, cold, ss)
+        samples = transient_currents(label, system, hot, cold, state0, times, gen=gens[label])
+        columns[f"Q_hot_{tag}"], columns[f"Q_cold_{tag}"] = samples.q_hot, samples.q_cold
+        steady = heat_current(label, system, hot, cold, steady_state(gens[label], system))
         steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
-    rows = map(_fmt_row, zip(times, *(columns[name] for name in header[1:])))
+    table = np.column_stack([columns[name] for name in header])
+    rows = (_fmt_row(row) for row in table.tolist())
     out = _out_dir(cfg, args)
     target = _write_table(out / "transient", header, rows, _out_format(cfg, args))
     _write_sidecar(
@@ -338,9 +341,7 @@ def cmd_steady(cfg: dict, args) -> int:
     sweep = cfg["steady"]
     k_min = _require_number(cfg, "steady.k_min")
     k_max = _require_number(cfg, "steady.k_max")
-    points = sweep["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ValidationError("steady.points must be an integer >= 1")
+    points = _require_int(cfg, "steady.points", 1)
     if sweep["spacing"] == "log":
         for name, value in (("k_min", k_min), ("k_max", k_max)):
             if value <= 0.0:
@@ -372,13 +373,9 @@ def cmd_steady(cfg: dict, args) -> int:
 
 def cmd_rigidity(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
-    sweep = cfg["rigidity"]
     k_min = _require_number(cfg, "rigidity.k_min")
     k_max = _require_number(cfg, "rigidity.k_max")
-    points = sweep["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ValidationError("rigidity.points must be an integer >= 2")
-    ks = np.linspace(k_min, k_max, points)
+    ks = np.linspace(k_min, k_max, _require_int(cfg, "rigidity.points", 2))
     omega = system.omega_h
     if np.any(np.abs(ks) >= omega**2):
         raise ValidationError("rigidity k range leaves the stability region |k| < omega^2")

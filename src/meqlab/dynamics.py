@@ -6,16 +6,16 @@ x(t) = x_ss + exp(M t)(x(0) - x_ss), exact up to expm rounding. Steady
 states come from a dense pivoted solve of block2 x = -const2 after a
 Hurwitz check.
 
-A trajectory is computed as stacked moments, (T, 4) and (T, 10) arrays,
-whose uncertainty check is one batched eigensolve; MomentState objects
-are built only for the returned list.
+A MomentState holds one instant or a stack of them over leading axes,
+so a trajectory is one state of (T, 4) and (T, 10) arrays whose
+uncertainty check is one batched eigensolve.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,51 +51,62 @@ HURWITZ_RTOL = 1e-14
 PHYSICALITY_TOL = -1e-8
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """First and second quadrature moments at one instant, local frame.
+class _Stack:
+    """len() and numpy indexing over the leading axes that every array
+    field shares with ``time``; one instant, like a 0-d array, has neither."""
 
-    `second` holds raw symmetrized products (means included), packed in
-    the standard 10-element order.
+    def __len__(self) -> int:
+        if np.ndim(self.time) == 0:
+            raise TypeError(f"a single {type(self).__name__} is not a stack")
+        return len(self.time)
+
+    def __getitem__(self, key):
+        len(self)  # a single instant has no index either
+        key, lead = (key if isinstance(key, tuple) else (key,)), np.ndim(self.time)
+        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in parts.items():
+            if isinstance(value, np.ndarray):
+                parts[name] = value[key + (slice(None),) * (value.ndim - lead)]
+        return type(self)(**parts)
+
+
+@dataclass(frozen=True)
+class MomentState(_Stack):
+    """First and second quadrature moments in the local frame, at one
+    instant or stacked over leading axes: `first` (..., 4), `second`
+    (..., 10) raw symmetrized products (means included) in the standard
+    packed order, and `time` (...), a float for one instant. Read-only.
     """
 
-    first: np.ndarray  # (4,)
-    second: np.ndarray  # (10,)
-    time: float = 0.0
+    first: np.ndarray  # (..., 4)
+    second: np.ndarray  # (..., 10)
+    time: float | np.ndarray = 0.0  # (...)
 
     def __post_init__(self):
         first = np.array(self.first, dtype=float)
         second = np.array(self.second, dtype=float)
-        if first.shape != (4,) or second.shape != (10,):
-            raise ValidationError("MomentState needs a 4-vector and a 10-vector")
+        time = np.array(self.time, dtype=float)
+        if first.shape != time.shape + (4,) or second.shape != time.shape + (10,):
+            raise ValidationError(f"MomentState needs (..., 4) and (..., 10) moments over the "
+                                  f"time's shape, got {first.shape}, {second.shape}, {time.shape}")
         for name, arr in (("first", first), ("second", second)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
-        first.setflags(write=False)
-        second.setflags(write=False)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        for name, arr in (("first", first), ("second", second), ("time", time)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr if arr.ndim else float(arr))
 
     def covariance(self) -> np.ndarray:
-        """Symmetric covariance matrix S - <q><q>^T."""
-        return unpack_symmetric(self.second) - np.outer(self.first, self.first)
+        """Symmetric covariance matrix S - <q><q>^T, (..., 4, 4)."""
+        return unpack_symmetric(self.second) - self.first[..., :, None] * self.first[..., None, :]
 
 
-def _min_uncertainty_eig(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of Sigma + (i/2) * symplectic form for moments
-    stacked over leading axes, (..., 4) and (..., 10) -> (...)."""
-    herm = unpack_symmetric(second) + 0.5j * SYMPLECTIC
-    herm -= first[..., :, None] * first[..., None, :]
-    return np.linalg.eigvalsh(herm)[..., 0]
-
-
-def physicality_min_eig(state: MomentState) -> float:
-    """Smallest eigenvalue of Sigma + (i/2) * symplectic form.
-
-    Non-negative (up to tolerance) iff the moments satisfy the
-    uncertainty relation.
-    """
-    return float(_min_uncertainty_eig(state.first, state.second))
+def physicality_min_eig(state: MomentState) -> float | np.ndarray:
+    """Smallest eigenvalue of Sigma + (i/2) * symplectic form per instant
+    (a float, or an array of the leading shape); non-negative (up to
+    tolerance) iff the moments satisfy the uncertainty relation."""
+    herm = state.covariance() + 0.5j * SYMPLECTIC
+    return np.linalg.eigvalsh(herm)[..., 0][()]
 
 
 def _thermal_diag(omega: float, temperature: float) -> tuple[float, float]:
@@ -145,6 +156,16 @@ def _hurwitz_margin(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvals(matrix).real.max())
 
 
+def _fixed_point(gen: MomentGenerator) -> np.ndarray:
+    """Second moments at which the affine flow block2 x + const2 stops."""
+    try:
+        return np.linalg.solve(gen.block2, -gen.const2)
+    except np.linalg.LinAlgError as exc:
+        raise StabilityError(
+            "block2 is singular with a non-zero constant; no affine fixed point"
+        ) from exc
+
+
 def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
     """Stationary moments: first moments vanish, second solve the
     affine fixed point. Raises StabilityError for non-Hurwitz blocks."""
@@ -156,8 +177,7 @@ def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
                 f"{gen.label} {name} is not Hurwitz (max Re eigenvalue {margin:g}); "
                 "no steady state"
             )
-    second = np.linalg.solve(gen.block2, -gen.const2)
-    return MomentState(np.zeros(4), second, time=math.inf)
+    return MomentState(np.zeros(4), _fixed_point(gen), time=math.inf)
 
 
 def slowest_timescale(gen: MomentGenerator) -> float:
@@ -174,8 +194,8 @@ def propagate(
     state0: MomentState,
     times: Sequence[float],
     sys: SystemSpec,
-) -> list[MomentState]:
-    """Evolve moments onto the given strictly increasing time grid.
+) -> MomentState:
+    """Evolve moments onto a strictly increasing time grid: one stacked state.
 
     Homogeneous if const2 vanishes (closed dynamics stays exactly
     unitary); otherwise the affine flow is shifted by the fixed point of
@@ -196,16 +216,7 @@ def propagate(
     if t_grid[0] < state0.time:
         raise ValidationError("grid starts before the initial state's time")
 
-    homogeneous = np.abs(gen.const2).max() == 0.0
-    if homogeneous:
-        shift2 = np.zeros(10)
-    else:
-        try:
-            shift2 = np.linalg.solve(gen.block2, -gen.const2)
-        except np.linalg.LinAlgError as exc:
-            raise StabilityError(
-                "block2 is singular with a non-zero constant; no affine fixed point"
-            ) from exc
+    shift2 = _fixed_point(gen) if gen.const2.any() else np.zeros(10)
 
     margin = _hurwitz_margin(gen.block2)
     if margin >= 0.0:
@@ -239,11 +250,12 @@ def propagate(
         raise NumericalError(
             f"{gen.label} moments overflow from t = {t_grid[np.argmin(finite)]} on"
         )
-    violations = np.flatnonzero(_min_uncertainty_eig(first, second) < PHYSICALITY_TOL)
+    states = MomentState(first, second, time=t_grid)
+    violations = np.flatnonzero(physicality_min_eig(states) < PHYSICALITY_TOL)
     if violations.size:
         log.warning(
             "%s trajectory violates the uncertainty relation from t = %g on",
             gen.label,
             t_grid[violations[0]],
         )
-    return [MomentState(f, s, time=t) for f, s, t in zip(first, second, t_grid)]
+    return states

@@ -260,7 +260,8 @@ def refine_ep(
 
     Raises BracketError when the bracket has no interior maximum (kappa
     monotone across it), and ValidationError when ``rel_tol`` is not a
-    finite number of at least two ulps, which the loop could not meet.
+    finite number of at least two ulps, which the loop could not meet,
+    or when the bracket leaves the stability region.
     """
     min_tol = 2.0 * np.finfo(float).eps
     if not (math.isfinite(rel_tol) and rel_tol >= min_tol):
@@ -268,6 +269,8 @@ def refine_ep(
     lo, hi = k_bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")
+    if max(abs(lo), abs(hi)) >= omega**2:
+        raise ValidationError("k_bracket leaves the stability region |k| < omega^2")
 
     def log_kappa(kappa: float) -> float:
         return math.log(kappa) if kappa > 0 else -math.inf

@@ -236,6 +236,25 @@ def test_malformed_ranges_rejected(tmp_path, capsys):
         assert run(["steady", "--out", str(tmp_path),
                     "--set", f"steady.k_max={k_max}"]) == 2
         assert "steady.k_max" in capsys.readouterr().err
+    # each integer setting names itself in one fixed message
+    for command, path, message, values in (
+        ("scan-ep", "scan.resolution", "two integers >= 1",
+         ("5", "[6]", "[6, 8, 2]", "[0, 8]", "[6, 2.5]", "[true, 8]", '"6,8"')),
+        ("transient", "transient.points", "an integer >= 1", ("0", "2.5", "true", "[5]")),
+        ("steady", "steady.points", "an integer >= 1", ("0", "-3", "4.0", "false")),
+        ("rigidity", "rigidity.points", "an integer >= 2", ("1", "21.5", "true", "null")),
+    ):
+        for value in values:
+            capsys.readouterr()
+            assert run([command, "--out", str(tmp_path), "--set", f"{path}={value}"]) == 2
+            assert capsys.readouterr().err == f"error: {path} must be {message}\n"
+
+
+def test_hot_bath_at_high_temperature(tmp_path):
+    # the Redfield cold current cancels from terms ~1e5 times larger; the
+    # cross-check's tolerance follows those terms, so the sweep completes
+    assert run(["steady", "--out", str(tmp_path),
+                "--set", "baths.hot.temperature=1e5"]) == 0
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -155,6 +155,27 @@ def test_refine_rejects_unreachable_rel_tol(monkeypatch):
                       rel_tol=rel_tol)
 
 
+def test_refine_rejects_bracket_outside_stability_region(monkeypatch):
+    # a bracket reaching |k| >= omega^2 is rejected before any kappa is
+    # evaluated, with the scan's wording and no numpy warning on the way
+    import warnings
+
+    import meqlab.epscan as emod
+
+    def no_kappa(*args):
+        raise AssertionError("kappa evaluated before the bracket was checked")
+
+    monkeypatch.setattr(emod, "_kappa_at", no_kappa)
+    monkeypatch.setattr(emod, "condition_number_of", no_kappa)
+    monkeypatch.setattr(emod, "grid_block_matrices", no_kappa)
+    for label in (LME, GME, REDFIELD):
+        for bracket in ((0.5, 1.5), (-1.0, 0.5), (0.1, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=r"stability region \|k\| < omega\^2"):
+                    refine_ep(label, "first", 1.0, bracket, HOT, COLD)
+
+
 def test_refine_prescan_stack_keeps_the_per_point_kappas():
     # refine_ep's coarse pre-scan runs its 33 points as one stacked eig;
     # each kappa is bit for bit the one evaluated alone

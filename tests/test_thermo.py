@@ -18,6 +18,7 @@ from meqlab.thermo import (
     clausius_check,
     current_scale,
     energy_flow_rate,
+    expectation,
     heat_current,
     transient_currents,
 )
@@ -99,6 +100,107 @@ def test_transient_check_names_first_failing_sample(monkeypatch):
     monkeypatch.setattr(tmod, "_closed_form_currents", corrupted)
     with pytest.raises(ConsistencyError, match=rf"\(c\).* at t = {times[7]}$"):
         transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+
+
+def test_transient_check_catches_small_relative_corruption(monkeypatch):
+    # the tolerance follows the magnitude of the closed form's terms: at
+    # the default parameters a 1e-9 relative corruption of the cold
+    # current along a trajectory is still caught, for every picture
+    import meqlab.thermo as tmod
+
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    original = tmod._closed_form_currents
+
+    def corrupted(*args):
+        out = original(*args)
+        out["c"] = out["c"] * (1.0 + 1e-9)
+        return out
+
+    for label in LABELS:
+        gen = build(label, FIG_SYS, HOT, COLD)
+        times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
+        transient_currents(label, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+        with monkeypatch.context() as patch:
+            patch.setattr(tmod, "_closed_form_currents", corrupted)
+            with pytest.raises(ConsistencyError, match=r"\(c\)"):
+                transient_currents(label, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+
+
+def test_consistency_errors_print_plain_floats(monkeypatch):
+    import meqlab.thermo as tmod
+    from meqlab.algebra import QuadOp
+
+    with pytest.raises(ConsistencyError) as info:
+        expectation(QuadOp(scalar=1j), np.zeros(4), np.zeros(10))
+    assert "np.float64" not in str(info.value) and "array(" not in str(info.value)
+    original = tmod._closed_form_currents
+    monkeypatch.setattr(tmod, "_closed_form_currents",
+                        lambda *args: {n: 2.0 * q for n, q in original(*args).items()})
+    ss = steady_state(build(GME, FIG_SYS, HOT, COLD), FIG_SYS)
+    with pytest.raises(ConsistencyError, match=r"closed form -?\d\.\d+e-\d+ disagrees") as info:
+        heat_current(GME, FIG_SYS, HOT, COLD, ss)
+    assert "np.float64" not in str(info.value)
+
+
+def test_stacked_trajectory_count_contract(monkeypatch):
+    # a trajectory is one stacked state and one stacked sample: len()
+    # counts the grid, slices keep each instant's bits, and the stacked
+    # currents never go through the public single-state entry point
+    import meqlab.thermo as tmod
+
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    gen = build(REDFIELD, FIG_SYS, HOT, COLD)
+    times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
+    states = propagate(gen, state0, times, FIG_SYS)
+    assert len(states) == len(times)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("transient_currents called heat_current")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tmod, "heat_current", no_call)
+        samples = transient_currents(REDFIELD, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+    assert len(samples) == len(times)
+
+    window = states[5:9]
+    assert len(window) == 4 and len(samples[5:9]) == 4
+    for i, state in enumerate(window):
+        single = states[5 + i]
+        assert state.first.tobytes() == single.first.tobytes()
+        assert state.second.tobytes() == single.second.tobytes()
+        assert state.time == single.time == times[5 + i]
+        alone = heat_current(REDFIELD, FIG_SYS, HOT, COLD, state)
+        assert (alone.q_hot, alone.q_cold) == (samples.q_hot[5 + i], samples.q_cold[5 + i])
+        assert samples[5:9][i] == samples[5 + i] == alone
+
+    # any leading shape: a (5, 5) grid of the same instants gives the same bits
+    grid = MomentState(states.first.reshape(5, 5, 4), states.second.reshape(5, 5, 10),
+                       time=times.reshape(5, 5))
+    currents = heat_current(REDFIELD, FIG_SYS, HOT, COLD, grid)
+    assert currents.q_cold.shape == (5, 5) and len(currents) == 5
+    assert currents.q_cold.tobytes() == samples.q_cold.tobytes()
+    assert grid[2, 3].second.tobytes() == states[13].second.tobytes()
+
+
+def test_moment_state_shapes():
+    with pytest.raises(ValidationError):
+        MomentState(np.zeros((3, 4)), np.ones((2, 10)), time=np.zeros(3))
+    with pytest.raises(ValidationError):
+        MomentState(np.zeros((3, 4)), np.ones((3, 10)), time=np.zeros(2))
+    with pytest.raises(ValidationError):
+        MomentState(np.zeros((3, 4)), np.ones((3, 10)))  # one time for three instants
+    with pytest.raises(ValidationError):
+        MomentState(np.zeros(4), np.ones(10), time=np.zeros(1))
+    single = MomentState(np.zeros(4), np.ones(10), time=2.0)
+    for attempt in (lambda: len(single), lambda: single[0], lambda: list(single)):
+        with pytest.raises(TypeError):
+            attempt()
+    stack = MomentState(np.zeros((3, 4)), np.ones((3, 10)), time=np.arange(3.0))
+    for arr in (stack.first, stack.second, stack.time):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert [s.time for s in stack] == [0.0, 1.0, 2.0]
+    assert stack[-1].time == 2.0 and len(stack[::2]) == 2
 
 
 def test_lme_decoupled_thermal_zero_current():
