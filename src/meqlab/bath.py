@@ -110,9 +110,14 @@ def delta_coeff(bath: BathSpec, omega):
     and arrays: written as -J(w)/w, temperature independent, negative and
     free of the rates' cancellation. w*w, not w**2 (libm pow for floats),
     so a float gives the bits of the same entry of an array.
+
+    Complex w (the EP locus is a root in complex coupling) continues
+    -J(w)/w analytically and requires Re w > 0; the result has the dtype
+    of w.
     """
-    if not ((omega > 0.0).all() if getattr(omega, "ndim", 0) else float(omega) > 0.0):
-        raise DomainError(f"delta_coeff requires omega > 0, got {omega!r}")
+    real = omega.real
+    if not ((real > 0.0).all() if getattr(real, "ndim", 0) else float(real) > 0.0):
+        raise DomainError(f"delta_coeff requires Re omega > 0, got {omega!r}")
     return -bath.lambda_sq * bath.cutoff**2 / (omega * omega + bath.cutoff**2)
 
 

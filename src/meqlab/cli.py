@@ -383,11 +383,10 @@ def cmd_rigidity(cfg: dict, args) -> int:
     header = ["k"]
     profiles = {}
     for label in cfg["generators"]:
-        profile = phase_rigidity_profile(
-            lambda k, lbl=label: grid_block_matrices(lbl, "first", omega, k, hot, cold),
-            ks,
-        )
-        profiles[label] = profile
+        # one stacked closed-form call per label; its rows have the bits
+        # of the per-k drifts
+        drifts = dict(zip(ks.tolist(), grid_block_matrices(label, "first", omega, ks, hot, cold)))
+        profiles[label] = phase_rigidity_profile(drifts.__getitem__, ks)
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
     table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
     rows = (_fmt_row(row.tolist()) for row in table)

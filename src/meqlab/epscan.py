@@ -8,6 +8,11 @@ once, derive each second-moment block as the flow of its 4x4 drift,
 and run batched eigen/singular-value decompositions, chunked across a
 thread pool. Points whose eigensolve fails are NaN and counted in the
 scan metadata.
+
+``refine_ep`` takes the kappa peak of a stacked pre-scan as the seed of
+Newton's method on the Jordan-chain conditions of the 4x4 drift, run in
+complex coupling: the EP is a regular root there, resolved to rounding
+rather than to the flat top of kappa.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
-from .errors import BracketError, DomainError, ValidationError
+from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .generators import NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
 from .eigen import _unit_columns, condition_number
@@ -54,6 +59,8 @@ def exceptional_line(
     coefficients; "large-cutoff" uses their cutoff->infinity limit
     (omega/2)|lambda_h^2 - lambda_c^2|.
     """
+    if not math.isfinite(omega):
+        raise DomainError(f"omega must be finite, got {omega!r}")
     if omega <= 0.0:
         raise DomainError("omega must be positive")
     if mode == "exact":
@@ -229,12 +236,6 @@ def scan(
     return ScanResult(omegas, ks, kappas, metadata)
 
 
-def _kappa_at(label: str, block: str, omega: float, k: float,
-              hot: BathSpec, cold: BathSpec) -> float:
-    mat = grid_block_matrices(label, block, omega, k, hot, cold)
-    return condition_number_of(mat)
-
-
 def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
     """kappa of the unit-column right-eigenvector matrix of `matrix`, or
     of each matrix of a stack (leading axes); a failed eig raises
@@ -243,7 +244,91 @@ def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
     return condition_number(_unit_columns(vecs))
 
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Newton steps allowed before refine_ep gives up
+NEWTON_MAX_STEPS = 40
+
+#: central-difference step of dA/dk, relative to omega^2, the scale on
+#: which the drift varies with k (cube root of eps balances truncation
+#: against rounding)
+_DERIVATIVE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
+
+def _seed_chain(drift: np.ndarray):
+    """(v, u, lam, tau, c) from the closest eigenvalue pair (lam_i, v_i),
+    (lam_j, v_j) of ``drift``: v and lam the pair's means, u = (v_i -
+    v_j)/|v_i - v_j| and tau = (lam_i - lam_j)/|v_i - v_j|, which satisfy
+    the chain relations exactly on the pair's 2x2 restriction, and c with
+    c^H v = 1, c^H u = 0.
+
+    u is a unit vector, not the plain chain vector (tau = 1), which grows
+    like 1/|k*| and made the Newton matrix's condition number 1e14-1e18
+    instead of about 1e5, slowing Newton to linear convergence. Both
+    eigenvectors are scaled so that their entry largest in v_i is real
+    and positive, which aligns them and fixes the phase of v and c: with
+    an arbitrary phase, rounding of order eps/|k*| reached Re k* (up to
+    3e-10 relative on the LME instead of a few ulps).
+    """
+    evals, vecs = np.linalg.eig(drift)
+    gaps = np.abs(evals[:, None] - evals[None, :]) + np.diag(np.full(len(evals), np.inf))
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    m = np.argmax(np.abs(vecs[:, i]))
+    vi, vj = (vecs[:, n] * np.exp(-1j * np.angle(vecs[m, n])) for n in (i, j))
+    v, norm = 0.5 * (vi + vj), np.linalg.norm(vi - vj)
+    c = v / np.vdot(v, v)
+    u = (vi - vj) / norm
+    return v, u - np.vdot(c, u) * v, 0.5 * (evals[i] + evals[j]), (evals[i] - evals[j]) / norm, c
+
+
+def _jordan_chain_root(
+    label: str, omega: float, k0: float, hot: BathSpec, cold: BathSpec, rel_tol: float
+) -> complex:
+    """Coupling k* at which the label's local closed-form drift A(k) has a
+    Jordan chain, by Newton's method from k0 (Mailybaev, Numer. Linear
+    Algebra Appl. 13, 419 (2006)).
+
+    The unknowns (v, u, lam, k) solve, in complex arithmetic,
+
+        (A(k) - lam) v = 0,   (A(k) - lam) u = tau v,   c^H v = 1,   c^H u = 0,
+
+    a regular root at a generic EP2, with tau and c fixed by
+    :func:`_seed_chain` (u is the chain vector scaled by tau). Each step is
+    one 10x10 solve, with dA/dk by central difference. The iteration
+    stops when |dk| <= rel_tol |k| or |dk| stops shrinking (rounding),
+    and raises NumericalError when it does neither within
+    NEWTON_MAX_STEPS.
+    """
+    h = _DERIVATIVE_STEP * omega * omega
+    v, u, lam, tau, c = _seed_chain(closed_form_drift(label, omega, omega, k0, hot, cold))
+    k = complex(k0)
+    eye = np.eye(4)
+    jac = np.zeros((10, 10), dtype=complex)
+    jac[4:8, :4] = -tau * eye
+    jac[8, :4] = jac[9, 4:8] = c.conj()
+    last = math.inf
+    for _ in range(NEWTON_MAX_STEPS):
+        below, drift, above = closed_form_drift(
+            label, omega, omega, np.array([k - h, k, k + h]), hot, cold
+        )
+        shifted = drift - lam * eye
+        slope = (above - below) / (2.0 * h)
+        jac[:4, :4] = jac[4:8, 4:8] = shifted
+        jac[:4, 8], jac[4:8, 8] = -v, -u
+        jac[:4, 9], jac[4:8, 9] = slope @ v, slope @ u
+        residual = np.concatenate(
+            [shifted @ v, shifted @ u - tau * v, [np.vdot(c, v) - 1.0, np.vdot(c, u)]]
+        )
+        try:
+            step = np.linalg.solve(jac, -residual)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"EP Newton step is singular: {exc}") from exc
+        if not np.isfinite(step).all():
+            raise NumericalError("EP Newton step is not finite")
+        v, u, lam, k = v + step[:4], u + step[4:8], lam + step[8], k + step[9]
+        size = abs(step[9])
+        if size <= rel_tol * abs(k) or size >= last:
+            return k
+        last = size
+    raise NumericalError(f"EP Newton did not converge in {NEWTON_MAX_STEPS} steps")
 
 
 def refine_ep(
@@ -255,13 +340,27 @@ def refine_ep(
     cold: BathSpec,
     rel_tol: float = 1e-12,
 ) -> float:
-    """Golden-section maximization of log kappa over k inside the
-    bracket; the argmax approximates the exceptional coupling.
+    """Exceptional coupling of ``label`` at resonant frequency omega inside
+    the bracket: a stacked pre-scan of log kappa on ``block`` locates the
+    peak, and Newton's method on the Jordan-chain conditions of the
+    label's local 4x4 drift (:func:`_jordan_chain_root`) refines it. Both
+    blocks give the same root, since the second block's eigenvalues are
+    pair sums of the first's.
+
+    The root k* is found in complex coupling and ``float(Re k*)`` is
+    returned. On the LME line k* is real (to rounding); Redfield's cross
+    terms move its EP slightly off the real axis (Im k*/|k*| about 1e-3
+    at lambda_c^2 = 1e-2, falling linearly with lambda^2), so no real k
+    is exactly defective there and Re k* is the real coupling nearest
+    the EP. ``rel_tol`` ends the iteration once a Newton step moves k by
+    at most rel_tol |k|.
 
     Raises BracketError when the bracket has no interior maximum (kappa
-    monotone across it), and ValidationError when ``rel_tol`` is not a
-    finite number of at least two ulps, which the loop could not meet,
-    or when the bracket leaves the stability region.
+    monotone across it) or Re k* leaves the two pre-scan points around
+    the peak; DomainError when omega or its square is not finite;
+    ValidationError when ``rel_tol`` is not a finite number of at least
+    two ulps, or when the bracket leaves the stability region;
+    NumericalError when the Newton iteration fails.
     """
     min_tol = 2.0 * np.finfo(float).eps
     if not (math.isfinite(rel_tol) and rel_tol >= min_tol):
@@ -269,14 +368,13 @@ def refine_ep(
     lo, hi = k_bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")
+    if not math.isfinite(float(omega) * float(omega)):
+        raise DomainError(f"omega and its square must be finite, got {omega!r}")
     if max(abs(lo), abs(hi)) >= omega**2:
         raise ValidationError("k_bracket leaves the stability region |k| < omega^2")
 
     def log_kappa(kappa: float) -> float:
         return math.log(kappa) if kappa > 0 else -math.inf
-
-    def objective(k: float) -> float:
-        return log_kappa(_kappa_at(label, block, omega, k, hot, cold))
 
     # coarse pre-scan, one stacked eig: reject brackets whose maximum sits
     # on the boundary
@@ -288,19 +386,10 @@ def refine_ep(
         raise BracketError(
             "kappa is monotone over the bracket; no interior maximum to refine"
         )
-    a, b = coarse[peak - 1], coarse[peak + 1]
-
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    scale = max(abs(a), abs(b), 1e-300)
-    while (b - a) > rel_tol * scale:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
+    a, b = float(coarse[peak - 1]), float(coarse[peak + 1])
+    k_star = float(_jordan_chain_root(label, omega, float(coarse[peak]), hot, cold, rel_tol).real)
+    if not a <= k_star <= b:
+        raise BracketError(
+            f"the EP at Re k = {k_star!r} lies outside the kappa peak [{a!r}, {b!r}]"
+        )
+    return k_star

@@ -200,12 +200,15 @@ def _gaussian_blocks(
 
 
 def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
-    """Row-major entries (scalars or broadcastable arrays) -> broadcast + shape."""
-    broadcast = np.broadcast(*entries).shape
-    out = np.empty(broadcast + (len(entries),))
+    """Row-major entries (scalars or broadcastable arrays) -> broadcast +
+    shape, of the entries' result dtype (complex when any entry is)."""
+    # the int literals (0, 1) neither broadcast nor promote a float entry
+    varying = np.broadcast(*[v for v in entries if not isinstance(v, int)])
+    dtype = np.result_type(*{it.base.dtype for it in varying.iters})
+    out = np.empty(varying.shape + (len(entries),), dtype=dtype)
     for i, v in enumerate(entries):
         out[..., i] = v
-    return out.reshape(broadcast + shape)
+    return out.reshape(varying.shape + shape)
 
 
 def lme_drift(wh, wc, k, dh, dc) -> np.ndarray:
@@ -276,10 +279,14 @@ def closed_form_drift(
     The one place that decides which closed form gives a label's drift,
     from which coefficients. The LME form holds at any detuning, and
     Redfield-zeroth shares it at resonance; the other forms are resonant
-    and take ``wh`` as the common frequency.
+    and take ``wh`` as the common frequency. The result is complex when
+    an input is (complex k continues the drift off the real axis), else
+    float.
     """
     local = frame == LOCAL_FRAME
-    wh, wc, k = (np.asarray(v, dtype=float) for v in (wh, wc, k))
+    wh, wc, k = np.asarray(wh), np.asarray(wc), np.asarray(k)
+    dtype = np.result_type(wh, wc, k, float)
+    wh, wc, k = (v.astype(dtype, copy=False) for v in (wh, wc, k))
     if label in (LME, REDFIELD_ZEROTH):
         return (lme_drift(wh, wc, k, delta_coeff(hot, wh), delta_coeff(cold, wc))
                 if local else None)

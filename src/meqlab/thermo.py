@@ -234,10 +234,16 @@ def transient_currents(
 
 def energy_flow_rate(
     gen: MomentGenerator, sys: SystemSpec, state: MomentState
-) -> float:
+) -> float | np.ndarray:
     """d<H>/dt straight from the moment flow, independent of the current
-    closed forms: <H> on the rates block2 theta + const2."""
+    closed forms: <H> on the rates block2 theta + const2, per instant of
+    a state of any leading shape (a float for one instant)."""
     if gen.frame != LOCAL_FRAME:
         raise ValidationError("energy_flow_rate expects a local-frame generator")
-    rates = gen.block2 @ state.second + gen.const2
-    return float(expectation(hamiltonian(sys), np.zeros(4), rates))
+    lead = state.second.shape[:-1]
+    # stacks of one-column and one-row products: each instant has the bits
+    # it has alone, where a matrix product over the instants would not
+    second = state.second.reshape(-1, 1, 10)
+    rates = (gen.block2 @ second[..., None])[..., 0] + gen.const2
+    flow = expectation(hamiltonian(sys), np.zeros(rates.shape[:-1] + (4,)), rates)
+    return flow.reshape(lead) if lead else float(flow[0, 0])

@@ -117,6 +117,23 @@ def test_delta_is_one_formula_on_floats_and_arrays():
         delta_coeff(BATH, np.array([1.0, 0.0]))
 
 
+def test_delta_continues_to_complex_frequency():
+    # the EP locus is a root in complex coupling, so Delta takes complex
+    # w: the same -J(w)/w, complex on the real axis too, and Re w <= 0 is
+    # rejected as w <= 0 is
+    omegas = 10 ** np.random.default_rng(5).uniform(-3, 4, size=50)
+    values = delta_coeff(BATH, omegas + 0j)
+    assert values.dtype == complex
+    np.testing.assert_allclose(values.real, delta_coeff(BATH, omegas), rtol=1e-15, atol=0)
+    assert not values.imag.any()
+    w = 1.1 + 0.2j
+    expected = -BATH.lambda_sq * BATH.cutoff**2 / (w * w + BATH.cutoff**2)
+    assert delta_coeff(BATH, w) == pytest.approx(expected, rel=1e-15)
+    for bad in (-1.0 + 0.5j, 0.5j, np.complex128(-2.0), np.array([1.0, -0.1 + 1j])):
+        with pytest.raises(DomainError, match="Re omega > 0"):
+            delta_coeff(BATH, bad)
+
+
 def test_delta_large_cutoff_limit():
     huge = BathSpec(1e-4, 5.0, 1e9)
     assert delta_coeff(huge, 1.0) == pytest.approx(-1e-4, rel=1e-9)

@@ -257,11 +257,26 @@ def test_hot_bath_at_high_temperature(tmp_path):
                 "--set", "baths.hot.temperature=1e5"]) == 0
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # scipy.linalg is imported only where propagate needs expm
-    code = "import sys, meqlab.cli; print('scipy.linalg' in sys.modules)"
+def test_cli_import_leaves_scipy_linalg_out(tmp_path):
+    # scipy.linalg is imported only where propagate needs expm: neither
+    # importing the cli nor refine_ep nor a rigidity run pulls it in
+    code = (
+        "import sys, meqlab.cli\n"
+        "from meqlab.bath import BathSpec\n"
+        "from meqlab.epscan import exceptional_line, refine_ep\n"
+        "seen = ['scipy.linalg' in sys.modules]\n"
+        "hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)\n"
+        "k = exceptional_line(1.0, hot, cold)\n"
+        "refine_ep('LME', 'first', 1.0, (0.5 * k, 1.5 * k), hot, cold)\n"
+        "seen.append('scipy.linalg' in sys.modules)\n"
+        "code = meqlab.cli.main(['rigidity', '--out', sys.argv[1],\n"
+        "                        '--set', 'rigidity.points=2'])\n"
+        "seen.append('scipy.linalg' in sys.modules)\n"
+        "print(code, *seen)\n"
+    )
     src = str(Path(meqlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False False False"
+    assert (tmp_path / "rigidity.csv").is_file()

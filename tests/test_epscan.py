@@ -1,7 +1,11 @@
 """Exceptional-point loci, grid scans, refinement."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meqlab.bath import BathSpec, decay_rate
 from meqlab.epscan import (
@@ -12,7 +16,7 @@ from meqlab.epscan import (
     scan,
     condition_number_of,
 )
-from meqlab.errors import BracketError, ValidationError
+from meqlab.errors import BracketError, DomainError, NumericalError, ValidationError
 from meqlab.generators import GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build
 from meqlab.model import SystemSpec
 
@@ -141,13 +145,14 @@ def test_refine_first_and_second_blocks_coincide():
 
 def test_refine_rejects_unreachable_rel_tol(monkeypatch):
     # a tolerance below two ulps (or not a number) could never end the
-    # golden-section loop; it is rejected before any kappa is evaluated
+    # Newton loop; it is rejected before any drift or kappa is evaluated
     import meqlab.epscan as emod
 
     def no_kappa(*args):
         raise AssertionError("kappa evaluated before rel_tol was checked")
 
-    monkeypatch.setattr(emod, "_kappa_at", no_kappa)
+    for name in ("condition_number_of", "grid_block_matrices", "closed_form_drift"):
+        monkeypatch.setattr(emod, name, no_kappa)
     kstar = exceptional_line(1.0, HOT, COLD)
     for rel_tol in (0.0, -1.0, 1e-16, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
@@ -158,16 +163,13 @@ def test_refine_rejects_unreachable_rel_tol(monkeypatch):
 def test_refine_rejects_bracket_outside_stability_region(monkeypatch):
     # a bracket reaching |k| >= omega^2 is rejected before any kappa is
     # evaluated, with the scan's wording and no numpy warning on the way
-    import warnings
-
     import meqlab.epscan as emod
 
     def no_kappa(*args):
         raise AssertionError("kappa evaluated before the bracket was checked")
 
-    monkeypatch.setattr(emod, "_kappa_at", no_kappa)
-    monkeypatch.setattr(emod, "condition_number_of", no_kappa)
-    monkeypatch.setattr(emod, "grid_block_matrices", no_kappa)
+    for name in ("condition_number_of", "grid_block_matrices", "closed_form_drift"):
+        monkeypatch.setattr(emod, name, no_kappa)
     for label in (LME, GME, REDFIELD):
         for bracket in ((0.5, 1.5), (-1.0, 0.5), (0.1, 1.0)):
             with warnings.catch_warnings():
@@ -179,8 +181,6 @@ def test_refine_rejects_bracket_outside_stability_region(monkeypatch):
 def test_refine_prescan_stack_keeps_the_per_point_kappas():
     # refine_ep's coarse pre-scan runs its 33 points as one stacked eig;
     # each kappa is bit for bit the one evaluated alone
-    import meqlab.epscan as emod
-
     kstar = exceptional_line(1.0, HOT, COLD)
     coarse = np.linspace(0.5 * kstar, 1.5 * kstar, 33)
     for label in (LME, GME, REDFIELD):
@@ -188,7 +188,10 @@ def test_refine_prescan_stack_keeps_the_per_point_kappas():
             stacked = condition_number_of(
                 grid_block_matrices(label, block, 1.0, coarse, HOT, COLD)
             )
-            alone = [emod._kappa_at(label, block, 1.0, k, HOT, COLD) for k in coarse]
+            alone = [
+                condition_number_of(grid_block_matrices(label, block, 1.0, k, HOT, COLD))
+                for k in coarse
+            ]
             assert stacked.tobytes() == np.array(alone).tobytes()
 
 
@@ -306,3 +309,109 @@ def test_scan_counts_nan_points(monkeypatch):
                   threads=1)
     assert int(np.isnan(result.kappas[(LME, "first")]).sum()) == 1
     assert result.metadata["nan_points"] == {"LME/first": 1}
+
+
+def test_non_finite_omega_is_a_domain_error(monkeypatch):
+    # an infinite or NaN omega, or one whose square overflows, is rejected
+    # before any drift or kappa is evaluated, with no numpy warning
+    import meqlab.epscan as emod
+
+    def no_kappa(*args):
+        raise AssertionError("kappa evaluated before omega was checked")
+
+    for name in ("condition_number_of", "grid_block_matrices", "closed_form_drift"):
+        monkeypatch.setattr(emod, name, no_kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (np.inf, -np.inf, np.nan, 1e200, np.float64(1e200)):
+            with pytest.raises(DomainError, match="omega"):
+                refine_ep(LME, "first", omega, (1e-5, 2e-5), HOT, COLD)
+        for omega in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="omega"):
+                exceptional_line(omega, HOT, COLD)
+
+
+def test_refine_newton_gives_up_at_its_step_cap(monkeypatch):
+    # an iteration that has not converged raises instead of returning
+    import meqlab.epscan as emod
+
+    monkeypatch.setattr(emod, "NEWTON_MAX_STEPS", 1)
+    kstar = exceptional_line(1.0, HOT, COLD)
+    with pytest.raises(NumericalError):
+        refine_ep(REDFIELD, "first", 1.0, (0.6 * kstar, 1.7 * kstar), HOT, COLD)
+
+
+def test_refine_rejects_a_root_off_the_kappa_peak(monkeypatch):
+    # the Newton root must lie between the pre-scan neighbours of the
+    # kappa peak; elsewhere it belongs to another feature than the bracket's
+    import meqlab.epscan as emod
+
+    kstar = exceptional_line(1.0, HOT, COLD)
+    monkeypatch.setattr(emod, "_jordan_chain_root", lambda *args: complex(1.2 * kstar, 1e-9))
+    with pytest.raises(BracketError, match="outside the kappa peak"):
+        refine_ep(LME, "first", 1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega=st.floats(0.3, 3.0),
+    log_lambda_sq=st.floats(-6.0, -2.0),
+    lo=st.floats(0.3, 0.9),
+    hi=st.floats(1.1, 2.0),
+)
+def test_refine_newton_locus_is_the_lme_line(omega, log_lambda_sq, lo, hi):
+    # the Newton locus of the LME is exceptional_line to a few ulps from a
+    # centred or an off-centre bracket, and both blocks give the same k;
+    # the secular pictures have no kappa peak to refine
+    cold = BathSpec(10.0**log_lambda_sq, 5.0, 1e3)
+    hot = BathSpec(1e-4 * cold.lambda_sq, 10.0, 1e3)
+    kstar = exceptional_line(omega, hot, cold)
+    centred = (0.5 * kstar, 1.5 * kstar)
+    for bracket in (centred, (lo * kstar, hi * kstar)):
+        assert abs(refine_ep(LME, "first", omega, bracket, hot, cold) - kstar) <= 1e-13 * kstar
+        for label in (GME, GME_ZEROTH):
+            for block in ("first", "second"):
+                with pytest.raises(BracketError):
+                    refine_ep(label, block, omega, bracket, hot, cold)
+    assert (refine_ep(LME, "second", omega, centred, hot, cold)
+            == refine_ep(LME, "first", omega, centred, hot, cold))
+
+
+def test_refine_second_block_rejects_a_spurious_kappa_spike():
+    # above k* the LME's 10x10 block has exactly double eigenvalues (pair
+    # sums coincide), whose eigenvector basis is arbitrary: kappa spikes
+    # there at random. When such a spike beats the grid points next to
+    # k*, the EP is not at the bracket's kappa peak, and the bracket is
+    # rejected rather than the spike returned (it was 1.44 k* here)
+    cold = BathSpec(1e-2, 5.0, 1e3)
+    hot = BathSpec(1e-6, 10.0, 1e3)
+    kstar = exceptional_line(0.3, hot, cold)
+    bracket = (0.3 * kstar, 1.6915998318932912 * kstar)
+    assert refine_ep(LME, "first", 0.3, bracket, hot, cold) == pytest.approx(kstar, rel=1e-13)
+    with pytest.raises(BracketError, match="outside the kappa peak"):
+        refine_ep(LME, "second", 0.3, bracket, hot, cold)
+
+
+@pytest.mark.parametrize("cutoff, leading", [(1.0, -1.563e-6), (10.0, -3.064e-6)])
+def test_redfield_ep_reaches_the_lme_line_quadratically(cutoff, leading):
+    # the weak-interaction limit of the paper as a rate, at omega = 1 with
+    # lambda_h^2 = 1e-4 lambda_c^2: the Redfield EP's offset from the LME
+    # EP, relative, falls 100x per decade of lambda_c^2, and the imaginary
+    # part of its complex root, relative to |k*|, 10x
+    import meqlab.epscan as emod
+
+    offsets, imag = [], []
+    for lambda_sq in (1e-2, 1e-3, 1e-4, 1e-5):
+        hot, cold = BathSpec(1e-4 * lambda_sq, 10.0, cutoff), BathSpec(lambda_sq, 5.0, cutoff)
+        kstar = exceptional_line(1.0, hot, cold)
+        bracket = (0.5 * kstar, 1.5 * kstar)
+        k_lme = refine_ep(LME, "first", 1.0, bracket, hot, cold)
+        k_red = refine_ep(REDFIELD, "first", 1.0, bracket, hot, cold)
+        root = emod._jordan_chain_root(REDFIELD, 1.0, k_red, hot, cold, 1e-12)
+        offsets.append((k_red - k_lme) / k_lme)
+        imag.append(abs(root.imag) / abs(root))
+    assert offsets[0] == pytest.approx(leading, rel=1e-3)
+    for larger, smaller in zip(offsets, offsets[1:]):
+        assert larger / smaller == pytest.approx(100.0, rel=0.02)
+    for larger, smaller in zip(imag, imag[1:]):
+        assert larger / smaller == pytest.approx(10.0, rel=0.02)

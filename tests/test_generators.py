@@ -35,6 +35,7 @@ from meqlab.generators import (
     _zeroth_channels,
     build,
     closed_form_blocks,
+    closed_form_drift,
     frame_rotate,
     gme_drift_local,
     lme_drift,
@@ -608,3 +609,25 @@ def test_crosscheck_covers_detuned_lme_const2(monkeypatch):
     monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)
     with pytest.raises(ConsistencyError):
         gmod.build(LME, detuned, HOT, COLD)
+
+
+def test_closed_form_drift_at_complex_coupling():
+    # complex k, as the EP Newton solve uses, gives a complex drift: on the
+    # real axis the float drift to an ulp of the bath coefficients (about
+    # 1e-4 here; complex division rounds differently), and off it the LME
+    # moves only its two coupling entries
+    hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)
+    for label in GENERATOR_LABELS:
+        for frame in (LOCAL_FRAME, NORMAL_FRAME):
+            real = closed_form_drift(label, 1.1, 1.1, 2e-3, hot, cold, frame)
+            if real is None:
+                continue
+            on_axis = closed_form_drift(label, 1.1, 1.1, 2e-3 + 0j, hot, cold, frame)
+            assert on_axis.dtype == complex
+            np.testing.assert_allclose(on_axis.real, real, rtol=1e-15, atol=1e-19)
+            assert not on_axis.imag.any()
+    shift = (closed_form_drift(LME, 1.1, 1.1, 2e-3 + 1e-4j, hot, cold)
+             - closed_form_drift(LME, 1.1, 1.1, 2e-3, hot, cold))
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[1, 2] = expected[3, 0] = -1e-4j
+    np.testing.assert_allclose(shift, expected, rtol=0, atol=1e-19)

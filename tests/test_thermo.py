@@ -325,3 +325,21 @@ def test_heat_current_rejects_zeroth_labels():
     state = thermal_product_state(FIG_SYS, HOT, COLD)
     with pytest.raises(ValidationError):
         heat_current("GME-zeroth", FIG_SYS, HOT, COLD, state)
+
+
+def test_energy_flow_rate_broadcasts_over_a_trajectory():
+    # a propagated trajectory gives one rate per instant, each bit for bit
+    # the rate of that instant alone; one instant gives a float
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    for label in LABELS:
+        gen = build(label, FIG_SYS, HOT, COLD)
+        times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 9)
+        states = propagate(gen, state0, times, FIG_SYS)
+        flows = energy_flow_rate(gen, FIG_SYS, states)
+        alone = [energy_flow_rate(gen, FIG_SYS, state) for state in states]
+        assert all(type(flow) is float for flow in alone)
+        assert flows.shape == (9,)
+        assert flows.tobytes() == np.array(alone).tobytes()
+        grid = MomentState(states.first.reshape(3, 3, 4), states.second.reshape(3, 3, 10),
+                           np.reshape(states.time, (3, 3)))
+        assert energy_flow_rate(gen, FIG_SYS, grid).tobytes() == flows.tobytes()
