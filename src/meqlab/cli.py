@@ -44,7 +44,7 @@ from .generators import (
 )
 from .epscan import grid_block_matrices
 from .eigen import phase_rigidity_profile
-from .model import SystemSpec
+from .model import SystemSpec, is_resonant
 from .thermo import heat_current, transient_currents
 
 EXIT_OK = 0
@@ -373,6 +373,8 @@ def cmd_steady(cfg: dict, args) -> int:
 
 def cmd_rigidity(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
+    if not is_resonant(system):
+        raise ValidationError("rigidity is resonant: system.omega_c must equal system.omega_h")
     k_min = _require_number(cfg, "rigidity.k_min")
     k_max = _require_number(cfg, "rigidity.k_max")
     ks = np.linspace(k_min, k_max, _require_int(cfg, "rigidity.points", 2))

@@ -1,17 +1,16 @@
 """Spectral analysis of real non-symmetric matrices.
 
 Right eigenpairs come from LAPACK's dense solver (balanced Hessenberg
-reduction plus shifted QR); left eigenvectors are obtained as right
-eigenvectors of the transpose and paired to the right ones by greedy
-nearest-eigenvalue matching. The per-vector phase rigidity and the
-condition number of the unit-column eigenvector matrix are the two
-witnesses of eigenvector coalescence used throughout.
+reduction plus shifted QR); the left eigenvectors are the rows of the
+inverse of the unit-column right-eigenvector matrix, paired with the right
+ones by construction. The per-vector phase rigidity (the reciprocal
+eigenvalue condition number, Golub and Van Loan, *Matrix Computations*,
+sec. 7.2.2) and the condition number of the eigenvector matrix are the
+two witnesses of eigenvector coalescence used throughout.
 
-A stack of matrices is analysed at once: the LAPACK work (two
-eigensolves and one SVD) is batched once per stack or sweep, while the
-pairing, and the branch tracking of a sweep, run per point in Python.
-One matrix is a stack of one, and each row of a stack has the bits the
-matrix alone gives.
+A stack of matrices is analysed by one batched eigensolve, inverse and
+SVD; the branch tracking of a sweep runs per point in Python. Each row of
+a stack has the bits the matrix alone gives.
 """
 
 from __future__ import annotations
@@ -28,11 +27,13 @@ __all__ = [
     "EigenAnalysis",
     "RigidityProfile",
     "condition_number",
+    "condition_number_of",
     "eig",
     "phase_rigidity_profile",
 ]
 
-#: eigenvalue-distance ratio below which a pairing is flagged ambiguous
+#: difference of two eigenvalue distances below which a branch-tracking
+#: step is a tie (flagged in RigidityProfile.flagged)
 PAIRING_ATOL = 1e-12
 
 
@@ -41,18 +42,15 @@ class EigenAnalysis:
     """Eigenvalues, bi-orthogonal eigenvector pairs, and EP witnesses."""
 
     eigenvalues: np.ndarray  # (n,) complex
-    right_vectors: np.ndarray  # (n, n) complex, unit columns
-    left_vectors: np.ndarray  # (n, n) complex, unit columns, paired
+    right_vectors: np.ndarray  # (n, n) complex (also for a real spectrum), unit columns
+    left_vectors: np.ndarray  # (n, n) complex, unit columns, paired with the right ones
     rigidities: np.ndarray  # (n,) real in [0, 1]
     kappa: float  # condition number of right_vectors; may be inf
-    ambiguous_pairs: tuple[int, ...] = ()
 
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit 2-norm, over leading axes; zero columns stay."""
-    norms = np.linalg.norm(v, axis=-2, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return v / norms
+    """Nonzero columns scaled to unit 2-norm, over leading axes."""
+    return v / np.linalg.norm(v, axis=-2, keepdims=True)
 
 
 def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[int, ...]]:
@@ -79,6 +77,18 @@ def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[i
     return perm, tuple(ambiguous)
 
 
+def _unit_eig(mats: np.ndarray):
+    """(eigenvalues, unit complex right vectors, kappas) of a matrix or a stack
+    by one batched eig. kappa of a real spectrum comes from its real vectors,
+    as a lone eig returns them, so each row has the bits of the matrix alone."""
+    evals, vecs = np.linalg.eig(mats)
+    right = _unit_columns(vecs.astype(complex, copy=False))
+    kappas = np.asarray(condition_number(right))
+    real = (evals.imag == 0).all(axis=-1)
+    kappas[real] = condition_number(_unit_columns(vecs[real].real))
+    return evals, right, kappas
+
+
 def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The matrices as one (N, n, n) float stack; NumericalError unless
     they are finite, square and of one shape."""
@@ -100,53 +110,44 @@ def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _eig_stack(mats: np.ndarray):
-    """Bi-orthogonal eigendecomposition of each matrix of a checked stack:
-    (eigenvalues, right, left, rigidities, kappas, ambiguous pairs per
-    matrix), each row bit for bit what the matrix alone gives.
-
-    Two batched LAPACK eigensolves and one batched SVD; the left-right
-    pairing runs per matrix in Python."""
+    """(eigenvalues, right, left, rigidities, kappas) of each matrix of a
+    checked stack. The rows y_i of V^-1 are the left vectors, paired with
+    the unit right vectors v_i by y_i . v_i = 1: rigidity_i = |y_i . v_i| / ||y_i||."""
     try:
-        evals, right = np.linalg.eig(mats)
-        evals_t, left = np.linalg.eig(mats.swapaxes(-1, -2))
+        evals, right, kappas = _unit_eig(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    # eig returns real arrays when every eigenvalue of the stack is real,
-    # and real arithmetic rounds differently from complex: run the
-    # all-real rows of a mixed stack as stacks of their own
-    kind = 2 * (evals.imag == 0).all(axis=-1) + (evals_t.imag == 0).all(axis=-1)
-    if (kind != kind[0]).any():
-        order = np.argsort(kind, kind="stable")
-        parts = [_eig_stack(mats[kind == g]) for g in np.unique(kind)]
-        back = np.argsort(order)
-        fields = [np.concatenate([part[f] for part in parts])[back] for f in range(5)]
-        ambiguous = [amb for part in parts for amb in part[5]]
-        return (*fields, [ambiguous[i] for i in back.tolist()])
-    right = _unit_columns(right)
-    matches = [_greedy_match(a, b) for a, b in zip(evals.tolist(), evals_t.tolist())]
-    perms = np.array([perm for perm, _ in matches], dtype=np.intp).reshape(evals.shape)
-    # index the transposes: the per-matrix layout (and so the bits of the
-    # column norms and overlaps) is that of a one-matrix ``left[:, perm]``
-    left = np.take_along_axis(left.swapaxes(-1, -2), perms[..., None], axis=-2)
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        # an exactly singular V (an exact Jordan block): pseudo-inverses over
+        # the nonzero singular values; the one exception to the bits rule
+        left = np.linalg.pinv(right, rcond=0.0)
+    # at an exact Jordan block V^-1 holds entries near 1e292, whose plain
+    # norm overflows: scale each row by its largest entry first
+    left = left / np.abs(left).max(axis=-1, keepdims=True)
     left = _unit_columns(left.swapaxes(-1, -2))
-    # unit columns make the overlap the rigidity directly
-    rigidities = np.abs(np.sum(left.swapaxes(-1, -2) * right.swapaxes(-1, -2), axis=-1))
-    kappas = condition_number(right)
-    return evals, right, left, rigidities, kappas, [amb for _, amb in matches]
+    rigidities = np.abs(np.sum(left * right, axis=-2))
+    return evals, right, left, rigidities, kappas
 
 
 def eig(matrix: np.ndarray) -> EigenAnalysis:
     """Full bi-orthogonal eigendecomposition of a real square matrix.
 
-    rigidity_i = |w_i^T v_i| / (||w_i|| ||v_i||) with w_i the left
-    (transpose-eigenproblem) vector matched to v_i; it is 1 for normal
-    matrices and tends to 0 as eigenvectors coalesce.
+    rigidity_i = |y_i^T v_i| / (||y_i|| ||v_i||) with y_i^T the i-th row of
+    V^-1, the left vector paired with v_i; it is 1 for normal matrices and
+    tends to 0 as eigenvectors coalesce. V is complex, also for a real spectrum.
     """
     stack = _checked_stack([np.asarray(matrix, dtype=float)])
-    evals, right, left, rigidities, kappas, ambiguous = _eig_stack(stack)
-    return EigenAnalysis(
-        evals[0], right[0], left[0], rigidities[0], float(kappas[0]), ambiguous[0]
-    )
+    evals, right, left, rigidities, kappas = _eig_stack(stack)
+    return EigenAnalysis(evals[0], right[0], left[0], rigidities[0], float(kappas[0]))
+
+
+def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
+    """The kappa eig() reports, of one matrix or of each of a stack
+    (leading axes); a failed eig raises ``LinAlgError``."""
+    kappas = _unit_eig(np.asarray(matrix))[2]
+    return kappas if kappas.ndim else float(kappas)
 
 
 def condition_number(vectors: np.ndarray) -> float | np.ndarray:
@@ -169,7 +170,7 @@ class RigidityProfile:
     eigenvalues: np.ndarray  # (n_k, n) complex, continuity-ordered
     rigidities: np.ndarray  # (n_k, n) real, aligned with eigenvalues
     kappas: np.ndarray  # (n_k,)
-    flagged: tuple[int, ...]  # sweep indices with ambiguous tracking
+    flagged: tuple[int, ...]  # sweep indices where a tracking step is a tie
 
 
 def phase_rigidity_profile(
@@ -188,18 +189,14 @@ def phase_rigidity_profile(
         empty = np.array([])
         return RigidityProfile(params, empty, empty, empty, ())
     stack = _checked_stack([np.asarray(matrix_fn(v), dtype=float) for v in params.tolist()])
-    evals, _, _, rigidities, kappas, pair_ambiguous = _eig_stack(stack)
-    orders, flagged = [], []
-    prev = None
-    for idx, (values, ambiguous) in enumerate(zip(evals.tolist(), pair_ambiguous)):
-        order = list(range(len(values)))
-        if prev is not None:
-            order, step_ambiguous = _greedy_match(prev, values)
-            ambiguous = ambiguous or step_ambiguous
-        if ambiguous:
+    evals, _, _, rigidities, kappas = _eig_stack(stack)
+    values = evals.tolist()
+    orders, flagged = [list(range(len(values[0])))], []
+    for idx in range(1, len(values)):
+        order, ties = _greedy_match([values[idx - 1][j] for j in orders[-1]], values[idx])
+        if ties:
             flagged.append(idx)
         orders.append(order)
-        prev = [values[j] for j in order]
     orders = np.array(orders, dtype=np.intp)
     return RigidityProfile(
         params,

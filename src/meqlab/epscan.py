@@ -31,7 +31,7 @@ from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .generators import NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
-from .eigen import _unit_columns, condition_number
+from .eigen import condition_number_of
 
 __all__ = [
     "EpRoots",
@@ -64,7 +64,12 @@ def exceptional_line(
     if omega <= 0.0:
         raise DomainError("omega must be positive")
     if mode == "exact":
-        return 0.5 * omega * abs(delta_coeff(hot, omega) - delta_coeff(cold, omega))
+        if math.isfinite(float(omega) * float(omega)):
+            return 0.5 * omega * abs(delta_coeff(hot, omega) - delta_coeff(cold, omega))
+        # omega * omega overflows in delta_coeff: omega Delta = -lambda^2 Lambda r / (1 + r^2)
+        hot_r, cold_r = hot.cutoff / omega, cold.cutoff / omega  # r = Lambda / omega
+        return 0.5 * abs(hot.lambda_sq * hot.cutoff * hot_r / (1.0 + hot_r * hot_r)
+                         - cold.lambda_sq * cold.cutoff * cold_r / (1.0 + cold_r * cold_r))
     if mode == "large-cutoff":
         return 0.5 * omega * abs(hot.lambda_sq - cold.lambda_sq)
     raise ValidationError(f"mode must be 'exact' or 'large-cutoff', got {mode!r}")
@@ -82,11 +87,13 @@ class EpRoots:
 
 
 def nonresonant_ep_roots(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> EpRoots:
-    """Complex coupling values where two first-moment eigenvalues of the
-    local picture coalesce, plus a reality verdict.
+    """Leading-order complex coupling values where two first-moment
+    eigenvalues of the local picture coalesce, plus a reality verdict.
 
     The root is real only for resonant oscillators with asymmetric
-    dissipation; detuning pushes it into the complex plane.
+    dissipation; detuning pushes it into the complex plane and, at
+    omega_h = 1, about delta (delta + |k|) / 8 relative off the exact
+    coalescence (the drift's Jordan-chain root), delta = omega_c - omega_h.
     """
     dh = delta_coeff(hot, sys.omega_h)
     dc = delta_coeff(cold, sys.omega_c)
@@ -236,18 +243,10 @@ def scan(
     return ScanResult(omegas, ks, kappas, metadata)
 
 
-def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
-    """kappa of the unit-column right-eigenvector matrix of `matrix`, or
-    of each matrix of a stack (leading axes); a failed eig raises
-    ``LinAlgError``. Singular eigenvector matrices give inf."""
-    _, vecs = np.linalg.eig(matrix)
-    return condition_number(_unit_columns(vecs))
-
-
 #: Newton steps allowed before refine_ep gives up
 NEWTON_MAX_STEPS = 40
 
-#: central-difference step of dA/dk, relative to omega^2, the scale on
+#: central-difference step of dA/dk, relative to omega_h omega_c, the scale on
 #: which the drift varies with k (cube root of eps balances truncation
 #: against rounding)
 _DERIVATIVE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
@@ -280,11 +279,11 @@ def _seed_chain(drift: np.ndarray):
 
 
 def _jordan_chain_root(
-    label: str, omega: float, k0: float, hot: BathSpec, cold: BathSpec, rel_tol: float
+    label: str, wh: float, wc: float, k0: complex, hot: BathSpec, cold: BathSpec, rel_tol: float
 ) -> complex:
-    """Coupling k* at which the label's local closed-form drift A(k) has a
-    Jordan chain, by Newton's method from k0 (Mailybaev, Numer. Linear
-    Algebra Appl. 13, 419 (2006)).
+    """Coupling k* at which the label's local closed-form drift A(k) at
+    frequencies (wh, wc) has a Jordan chain, by Newton's method from k0
+    (Mailybaev, Numer. Linear Algebra Appl. 13, 419 (2006)).
 
     The unknowns (v, u, lam, k) solve, in complex arithmetic,
 
@@ -297,8 +296,8 @@ def _jordan_chain_root(
     and raises NumericalError when it does neither within
     NEWTON_MAX_STEPS.
     """
-    h = _DERIVATIVE_STEP * omega * omega
-    v, u, lam, tau, c = _seed_chain(closed_form_drift(label, omega, omega, k0, hot, cold))
+    h = _DERIVATIVE_STEP * wh * wc
+    v, u, lam, tau, c = _seed_chain(closed_form_drift(label, wh, wc, k0, hot, cold))
     k = complex(k0)
     eye = np.eye(4)
     jac = np.zeros((10, 10), dtype=complex)
@@ -307,7 +306,7 @@ def _jordan_chain_root(
     last = math.inf
     for _ in range(NEWTON_MAX_STEPS):
         below, drift, above = closed_form_drift(
-            label, omega, omega, np.array([k - h, k, k + h]), hot, cold
+            label, wh, wc, np.array([k - h, k, k + h]), hot, cold
         )
         shifted = drift - lam * eye
         slope = (above - below) / (2.0 * h)
@@ -387,7 +386,8 @@ def refine_ep(
             "kappa is monotone over the bracket; no interior maximum to refine"
         )
     a, b = float(coarse[peak - 1]), float(coarse[peak + 1])
-    k_star = float(_jordan_chain_root(label, omega, float(coarse[peak]), hot, cold, rel_tol).real)
+    k_star = _jordan_chain_root(label, omega, omega, float(coarse[peak]), hot, cold, rel_tol)
+    k_star = float(k_star.real)
     if not a <= k_star <= b:
         raise BracketError(
             f"the EP at Re k = {k_star!r} lies outside the kappa peak [{a!r}, {b!r}]"

@@ -160,6 +160,14 @@ def test_rigidity_output(tmp_path):
     assert np.abs(1.0 - data[:, 5:]).max() < 1e-4
 
 
+def test_rigidity_rejects_detuning(tmp_path, capsys):
+    # the sweep is resonant at omega_h; a detuned config is refused, not
+    # silently run at resonance
+    assert run(["rigidity", "--out", str(tmp_path), "--set", "system.omega_c=1.05"]) == 2
+    assert "system.omega_c" in capsys.readouterr().err
+    assert not (tmp_path / "rigidity.csv").exists()
+
+
 def test_matrices_dump_matches_fixture(tmp_path):
     assert run(["matrices", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "matrices_LME.json").read_text())

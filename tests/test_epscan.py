@@ -1,7 +1,9 @@
 """Exceptional-point loci, grid scans, refinement."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,20 @@ def test_exceptional_line_values():
         )
 
 
+@pytest.mark.parametrize("omega", [1e155, 1e200, 1e300])
+def test_exceptional_line_past_an_overflowing_square(omega):
+    # omega * omega overflows, yet k* (about 5e-299 at 1e300) is a
+    # representable number: it is kept to a few ulps of a 50-digit value
+    with mpmath.workdps(50):
+        w = mpmath.mpf(omega)
+
+        def delta(bath):
+            return -bath.lambda_sq * mpmath.mpf(bath.cutoff) ** 2 / (w * w + bath.cutoff**2)
+
+        exact = float(w / 2 * abs(delta(HOT) - delta(COLD)))
+    assert abs(exceptional_line(omega, HOT, COLD) - exact) <= 4 * math.ulp(exact)
+
+
 def test_exceptional_line_symmetric_dissipation():
     bath = BathSpec(1e-4, 3.0, 1e3)
     assert exceptional_line(1.0, bath, bath) == 0.0
@@ -71,6 +87,34 @@ def test_nonresonant_roots_complex_off_resonance():
     roots = nonresonant_ep_roots(sys, HOT, COLD)
     assert not roots.physical
     assert abs(roots.k_plus.imag) > 1e-12 * abs(roots.k_plus)
+
+
+def lme_eigenvalue_gap(omega_c, k):
+    """Smallest distance between the 50-digit eigenvalues of the float
+    LME drift at omega_h = 1 and complex coupling k."""
+    from meqlab.generators import closed_form_drift
+
+    drift = closed_form_drift(LME, 1.0, omega_c, k, HOT, COLD)
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(drift.tolist()), left=False, right=False)
+        return min(float(abs(a - b)) for i, a in enumerate(values) for b in values[i + 1:])
+
+
+@pytest.mark.parametrize("detune", [0.0, 1e-6, 1e-5, 1e-4, 1e-3])
+def test_newton_root_off_resonance_is_the_nonresonant_root(detune):
+    # the Newton core on a detuned drift, seeded at the leading-order
+    # formula, lands on it to about detune (detune + |k|) / 8 relative
+    import meqlab.epscan as emod
+
+    roots = nonresonant_ep_roots(SystemSpec(1.0, 1.0 + detune, 0.0), HOT, COLD)
+    root = emod._jordan_chain_root(LME, 1.0, 1.0 + detune, roots.k_plus, HOT, COLD, 1e-12)
+    bound = 1e-12 + detune * (detune + abs(root)) / 4
+    assert abs(root - roots.k_plus) <= bound * abs(root)
+    if detune == 1e-3:
+        # and it is the Newton root where the eigenvalues coalesce
+        assert lme_eigenvalue_gap(1.0 + detune, root) < 1e-2 * lme_eigenvalue_gap(
+            1.0 + detune, roots.k_plus
+        )
 
 
 def test_nonresonant_roots_degenerate_flag():
@@ -407,7 +451,7 @@ def test_redfield_ep_reaches_the_lme_line_quadratically(cutoff, leading):
         bracket = (0.5 * kstar, 1.5 * kstar)
         k_lme = refine_ep(LME, "first", 1.0, bracket, hot, cold)
         k_red = refine_ep(REDFIELD, "first", 1.0, bracket, hot, cold)
-        root = emod._jordan_chain_root(REDFIELD, 1.0, k_red, hot, cold, 1e-12)
+        root = emod._jordan_chain_root(REDFIELD, 1.0, 1.0, k_red, hot, cold, 1e-12)
         offsets.append((k_red - k_lme) / k_lme)
         imag.append(abs(root.imag) / abs(root))
     assert offsets[0] == pytest.approx(leading, rel=1e-3)
