@@ -406,7 +406,9 @@ def cmd_rigidity(cfg: dict, args) -> int:
 
 
 def cmd_epline(cfg: dict, args) -> int:
-    _system, hot, cold = parse_physics(cfg)
+    system, hot, cold = parse_physics(cfg)
+    if not is_resonant(system):
+        raise ValidationError("ep-line is resonant: system.omega_c must equal system.omega_h")
     omega = cfg["system"]["omega_h"]
     exact = exceptional_line(omega, hot, cold, mode="exact")
     asymptotic = exceptional_line(omega, hot, cold, mode="large-cutoff")

@@ -1,10 +1,11 @@
 """Initial states, moment propagation, and steady states.
 
 The moment flow is linear, so propagation uses the matrix exponential
-(scaling-and-squaring Pade via scipy) rather than a step integrator:
-x(t) = x_ss + exp(M t)(x(0) - x_ss), exact up to expm rounding. Steady
-states come from a dense pivoted solve of block2 x = -const2 after a
-Hurwitz check.
+rather than a step integrator: x(t) = x_ss + exp(M t)(x(0) - x_ss),
+exact up to expm rounding. `expm` is a numpy scaling-and-squaring Pade
+exponential (Al-Mohy and Higham 2009), batched over a stack, so a
+trajectory costs one call per block. Steady states come from a dense
+pivoted solve of block2 x = -const2 after a Hurwitz check.
 
 A MomentState holds one instant or a stack of them over leading axes,
 so a trajectory is one state of (T, 4) and (T, 10) arrays whose
@@ -33,6 +34,7 @@ from .model import SystemSpec, normal_modes
 
 __all__ = [
     "MomentState",
+    "expm",
     "gibbs_state_moments",
     "physicality_min_eig",
     "propagate",
@@ -189,6 +191,156 @@ def slowest_timescale(gen: MomentGenerator) -> float:
     return 1.0 / abs(margin)
 
 
+#: Pade degrees m and theta_m: the [m/m] approximant of exp(A) has
+#: backward error below the unit roundoff while eta, a max of terms
+#: d_j = ||A^j||^(1/j), stays below theta_m (Al-Mohy and Higham 2009, Table 3.1)
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+#: numerator coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m]
+#: approximant; the denominator's are (-1)^j b_j. All are exact floats.
+_PADE_COEFFS = {
+    m: tuple(float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+             for j in range(m + 1))
+    for m in _PADE_THETA
+}
+
+#: log2 |c_{2m+1}| - log2 u: the leading coefficient of the approximant's
+#: error series over the unit roundoff u = 2^-53, for the correction ell
+_ELL_OFFSET = {
+    m: 53.0 + math.log2(math.factorial(m) ** 2)
+    - math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1))
+    for m in _PADE_THETA
+}
+
+
+def _norm1(matrices: np.ndarray) -> np.ndarray:
+    return np.abs(matrices).sum(axis=-2).max(axis=-1)
+
+
+def _log2_norm1(matrices: np.ndarray) -> np.ndarray:
+    """log2 of each matrix's 1-norm, -inf for a zero matrix, without a warning."""
+    norm = _norm1(matrices)
+    return np.log2(norm, out=np.full_like(norm, -np.inf), where=norm > 0.0)
+
+
+def _ell(m: int, unit: np.ndarray, mantissa: np.ndarray, log2_scale: np.ndarray) -> np.ndarray:
+    """Extra squarings ell(A, m) that the approximant's error series asks
+    for, per matrix A = 2^log2_scale * unit with ||unit||_1 = mantissa.
+
+    The series is bounded through ||abs(A)^(2m+1)||_1; it is taken from
+    the powers of abs(unit), whose norms stay below one, and combined in
+    log2, so it does not overflow however large A is. A zero matrix has a
+    -inf power norm, and its mantissa is read as 1/2.
+    """
+    base, power, exponent = np.abs(unit), None, 2 * m + 1
+    while exponent:
+        if exponent & 1:
+            power = base if power is None else power @ base
+        exponent >>= 1
+        if exponent:
+            base = base @ base
+    log2_alpha = (_log2_norm1(power) - np.log2(np.maximum(mantissa, 0.5))
+                  + 2 * m * log2_scale + _ELL_OFFSET[m])
+    return np.maximum(np.ceil(log2_alpha / (2 * m)), 0.0).astype(int)
+
+
+def _pade(m: int, powers: dict[int, np.ndarray]) -> np.ndarray:
+    """The [m/m] Pade approximant of exp at A from its powers {1: A, 2: A^2, ...}.
+
+    With U odd and V even in A it is (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U;
+    the second form keeps the identity exact, so a slowly decaying
+    direction keeps its small distance from it to working accuracy. Sums
+    run from the constant term up.
+    """
+    b = _PADE_COEFFS[m]
+    eye = np.eye(powers[1].shape[-1])
+    powers = {0: eye, **powers}
+
+    def even(offset, degrees):
+        """sum of b_(j + offset) A^j over the even degrees j, lowest first."""
+        terms = (b[j + offset] * powers[j] for j in degrees)
+        total = next(terms)
+        for term in terms:
+            total = total + term
+        return total
+
+    if m == 13:
+        # Horner in A^6 saves the products that degrees 8 to 12 would take
+        u = powers[1] @ (powers[6] @ even(7, (2, 4, 6)) + even(1, (0, 2, 4, 6)))
+        v = powers[6] @ even(6, (2, 4, 6)) + even(0, (0, 2, 4, 6))
+    else:
+        u = powers[1] @ even(1, range(0, m, 2))
+        v = even(0, range(0, m, 2))
+    return eye + 2.0 * np.linalg.solve(v - u, u)
+
+
+def expm(matrices) -> np.ndarray:
+    """exp of one square matrix, or of each matrix of a stack (..., n, n).
+
+    Scaling and squaring with Pade approximants, Algorithm 3.1 of Al-Mohy
+    and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), with exact
+    1-norms. It takes no eigendecomposition, so its backward error stays
+    bounded at a defective matrix. Each matrix chooses its own degree m
+    and scaling 2^-s; the approximants are evaluated batched over the
+    matrices that share m, and every result has the bits that its matrix
+    gets alone. Degree selection works on the matrix divided by a power of
+    two near its norm and does not overflow; an exponential beyond the
+    float range comes back non-finite, with numpy's overflow warning unless
+    the caller silences it.
+    """
+    a = np.array(matrices, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expm needs square matrices (..., n, n), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("expm needs finite matrices")
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+
+    # A = 2^scale * unit exactly, with ||unit||_1 = mantissa in [1/2, 1) (or zero)
+    mantissa, scale = np.frexp(_norm1(a))
+    unit = np.ldexp(a, -scale[:, None, None])
+    unit_powers = {2: unit @ unit}
+    unit_powers[4] = unit_powers[2] @ unit_powers[2]
+    unit_powers[6] = unit_powers[4] @ unit_powers[2]
+    unit_powers[8] = unit_powers[4] @ unit_powers[4]
+    unit_powers[10] = unit_powers[4] @ unit_powers[6]
+    # log2 d_j = log2 ||A^j||^(1/j)
+    log2_d = {j: scale + _log2_norm1(p) / j for j, p in unit_powers.items()}
+    eta_low = np.maximum(log2_d[4], log2_d[6])
+    eta_mid = np.maximum(log2_d[6], log2_d[8])
+    eta_high = np.minimum(eta_mid, np.maximum(log2_d[8], log2_d[10]))
+
+    # the lowest degree whose bound holds unscaled wins; the rest take
+    # degree 13 with the fewest squarings 2^-s that its bound allows
+    degree = np.full(len(a), 13)
+    squarings = np.zeros(len(a), dtype=int)
+    undecided = np.ones(len(a), dtype=bool)
+    for m, eta in ((3, eta_low), (5, eta_low), (7, eta_mid), (9, eta_mid)):
+        fits = undecided & (eta <= math.log2(_PADE_THETA[m]))
+        if fits.any():
+            fits[fits] = _ell(m, unit[fits], mantissa[fits], scale[fits]) == 0
+            degree[fits] = m
+            undecided &= ~fits
+    s = np.maximum(np.ceil(eta_high[undecided] - math.log2(_PADE_THETA[13])), 0.0).astype(int)
+    s += _ell(13, unit[undecided], mantissa[undecided], scale[undecided] - s)
+    squarings[undecided] = s
+
+    result = np.empty_like(a)
+    for m in np.unique(degree):
+        rows = degree == m
+        shift = (scale - squarings)[rows][:, None, None]
+        powers = {1: np.ldexp(a[rows], -squarings[rows][:, None, None])}
+        powers.update((j, np.ldexp(unit_powers[j][rows], j * shift))
+                      for j in ((2, 4, 6) if m == 13 else range(2, m, 2)))
+        result[rows] = _pade(m, powers)
+    for done in range(squarings.max(initial=0)):
+        rows = squarings > done
+        squared = result[rows]
+        result[rows] = squared @ squared
+    return result.reshape(shape)
+
+
 def propagate(
     gen: MomentGenerator,
     state0: MomentState,
@@ -199,12 +351,13 @@ def propagate(
 
     Homogeneous if const2 vanishes (closed dynamics stays exactly
     unitary); otherwise the affine flow is shifted by the fixed point of
-    block2, which must then be invertible. Uncertainty violations along
-    the trajectory are logged once with the first offending time; they
-    are expected only for generators without GKSL structure. Moments that
+    block2, which must then be invertible. Each block is exponentiated in
+    one batched `expm` call over the grid's distinct steps; a sample is
+    then two matrix-vector products. Uncertainty violations along the
+    trajectory are logged once with the first offending time; they are
+    expected only for generators without GKSL structure. Moments that
     overflow raise NumericalError naming the first non-finite time.
     """
-    from scipy.linalg import expm  # only here: importing it dominates CLI start-up
     gen = _require_local(gen, sys)
     t_grid = np.asarray(list(times), dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -226,25 +379,28 @@ def propagate(
             margin,
         )
 
-    dev1 = state0.first.copy()
+    # a linspace grid has a handful of distinct float steps; only the first
+    # step can be zero, and it leaves the state as it is
+    distinct, which = np.unique(np.diff(t_grid, prepend=state0.time), return_inverse=True)
+    steps = distinct[distinct > 0.0]
+    zero = len(distinct) - len(steps)
+    dev1 = state0.first
     dev2 = state0.second - shift2
     first = np.empty((len(t_grid), 4))
     second = np.empty((len(t_grid), 10))
-    current = state0.time
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     # an overflow is reported once, below, as the first non-finite time
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(t_grid):
-            dt = t - current
-            if dt > 0.0:
-                if dt not in cache:
-                    cache[dt] = (expm(gen.block1 * dt), expm(gen.block2 * dt))
-                e1, e2 = cache[dt]
-                dev1 = e1 @ dev1
-                dev2 = e2 @ dev2
-                current = t
+        scaled = [block * steps[:, None, None] for block in (gen.block1, gen.block2)]
+        if not all(np.isfinite(m).all() for m in scaled):
+            raise NumericalError(f"{gen.label} drift times a time step overflows")
+        e1, e2 = (expm(m) for m in scaled)
+        for i, j in enumerate((which - zero).tolist()):
+            if j >= 0:
+                dev1 = e1[j] @ dev1
+                dev2 = e2[j] @ dev2
             first[i] = dev1
-            second[i] = dev2 + shift2
+            second[i] = dev2
+        second += shift2
     finite = np.isfinite(first).all(axis=-1) & np.isfinite(second).all(axis=-1)
     if not finite.all():
         raise NumericalError(

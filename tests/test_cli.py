@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -84,6 +85,15 @@ def test_epline_prints_both_modes(capsys):
     # the default system.k
     assert "k_exceptional_exact = 4.9994950005049998e-05" in out
     assert "k_exceptional_large_cutoff = 4.9995000000000005e-05" in out
+
+
+def test_epline_rejects_detuning(capsys):
+    # the exceptional line is resonant at omega_h; a detuned config is
+    # refused, not answered with the resonant coupling
+    assert run(["ep-line", "--set", "system.omega_c=1.05"]) == 2
+    captured = capsys.readouterr()
+    assert "system.omega_c" in captured.err
+    assert "k_exceptional" not in captured.out
 
 
 def test_hot_bath_keeps_both_routes_together(tmp_path):
@@ -266,25 +276,43 @@ def test_hot_bath_at_high_temperature(tmp_path):
 
 
 def test_cli_import_leaves_scipy_linalg_out(tmp_path):
-    # scipy.linalg is imported only where propagate needs expm: neither
-    # importing the cli nor refine_ep nor a rigidity run pulls it in
+    # meqlab needs no scipy: neither importing the cli nor refine_ep nor a
+    # rigidity, transient or steady run pulls in any part of it
     code = (
         "import sys, meqlab.cli\n"
         "from meqlab.bath import BathSpec\n"
         "from meqlab.epscan import exceptional_line, refine_ep\n"
-        "seen = ['scipy.linalg' in sys.modules]\n"
+        "seen = ['scipy' in sys.modules]\n"
         "hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)\n"
         "k = exceptional_line(1.0, hot, cold)\n"
         "refine_ep('LME', 'first', 1.0, (0.5 * k, 1.5 * k), hot, cold)\n"
-        "seen.append('scipy.linalg' in sys.modules)\n"
-        "code = meqlab.cli.main(['rigidity', '--out', sys.argv[1],\n"
-        "                        '--set', 'rigidity.points=2'])\n"
-        "seen.append('scipy.linalg' in sys.modules)\n"
-        "print(code, *seen)\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "codes = []\n"
+        "for command, setting in (('rigidity', 'rigidity.points=2'),\n"
+        "                         ('transient', 'transient.points=5'),\n"
+        "                         ('steady', 'steady.points=2')):\n"
+        "    codes.append(meqlab.cli.main([command, '--out', sys.argv[1],\n"
+        "                                  '--set', setting]))\n"
+        "    seen.append('scipy' in sys.modules)\n"
+        "print(*codes, *seen)\n"
     )
     src = str(Path(meqlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False False False"
-    assert (tmp_path / "rigidity.csv").is_file()
+    assert out.stdout.splitlines()[-1] == "0 0 0 False False False False False"
+    for table in ("rigidity.csv", "transient.csv", "steady.csv"):
+        assert (tmp_path / table).is_file()
+
+
+def test_no_module_imports_scipy():
+    # the import guard above sees only the paths it runs; the source sees all
+    for path in sorted(Path(meqlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name

@@ -2,14 +2,18 @@
 
 import logging
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from meqlab import dynamics
 from meqlab.algebra import pack_symmetric, unpack_symmetric
 from meqlab.bath import BathSpec
 from meqlab.dynamics import (
     MomentState,
+    expm,
     gibbs_state_moments,
     physicality_min_eig,
     propagate,
@@ -17,6 +21,7 @@ from meqlab.dynamics import (
     steady_state,
     thermal_product_state,
 )
+from meqlab.epscan import exceptional_line
 from meqlab.errors import NumericalError, StabilityError, ValidationError
 from meqlab.generators import (
     GME,
@@ -32,6 +37,7 @@ from meqlab.thermo import expectation
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
 FIG_SYS = SystemSpec(1.0, 1.0, 4.999495000505e-05)
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def test_thermal_product_state_values():
@@ -210,6 +216,9 @@ def test_propagate_overflow_is_a_numerical_error():
     state0 = MomentState(np.ones(4), np.ones(10))
     with pytest.raises(NumericalError, match="from t = 1.0 on"):
         propagate(gen, state0, [0.5, 1.0, 2.0], SystemSpec(1.0, 1.0, 0.0))
+    # a drift times a step beyond the float range is typed the same way
+    with pytest.raises(NumericalError, match="drift times a time step overflows"):
+        propagate(gen, state0, [1e308], SystemSpec(1.0, 1.0, 0.0))
 
 
 def test_propagation_preserves_uncertainty_gksl():
@@ -240,3 +249,105 @@ def test_redfield_violations_logged_not_fatal(caplog):
     assert messages == [
         f"Redfield trajectory violates the uncertainty relation from t = {violating[0]:g} on"
     ]
+
+
+def _mp_norm1(matrix) -> mpmath.mpf:
+    return max(sum(abs(matrix[i, j]) for i in range(matrix.rows)) for j in range(matrix.cols))
+
+
+@pytest.mark.parametrize("label", [LME, GME, REDFIELD])
+def test_expm_matches_mpmath_on_local_blocks(label):
+    # steps in units of the transient time unit, up to 3 units (||M||_1 =
+    # 2.4e5), and the step of the 4000-point transient-ep grid. The error
+    # stays within the exponential's conditioning scale u ||M||_1, and within
+    # 1e-11 up to one unit; scipy.linalg.expm is off by up to 6e-10 here
+    k_star = exceptional_line(1.0, HOT, COLD)
+    unit = slowest_timescale(build(REDFIELD, SystemSpec(1.0, 1.0, k_star), HOT, COLD))
+    with mpmath.workdps(40):
+        for factor in (1.0, 0.5, 1.5):
+            gen = build(label, SystemSpec(1.0, 1.0, factor * k_star), HOT, COLD)
+            for block in (gen.block1, gen.block2):
+                for step in (1e-4, 1.0, 3.0, 15.0 / 3999):
+                    m = block * (step * unit)
+                    reference = mpmath.expm(mpmath.matrix(m.tolist()))
+                    error = mpmath.matrix(expm(m).tolist()) - reference
+                    relative = float(_mp_norm1(error) / _mp_norm1(reference))
+                    assert relative <= 1e-15 + 2.0 * UNIT_ROUNDOFF * np.abs(m).sum(axis=0).max()
+                    assert step > 1.0 or relative <= 1e-11
+
+
+def test_expm_exact_cases():
+    for n in (1, 4, 10):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    for t in (1.0, 0.1, -3.0, 7.3e5, 1e300, 3.7e-300):
+        assert np.array_equal(expm([[0.0, t], [0.0, 0.0]]), [[1.0, t], [0.0, 1.0]])
+
+
+def test_expm_stack_rows_have_the_bits_of_lone_calls():
+    # norms from 1e-6 to 1e6 put the rows on every Pade degree and on many
+    # scalings; a zero row rides along
+    gen = build(REDFIELD, FIG_SYS, HOT, COLD)
+    for block in (gen.block1, gen.block2):
+        stack = block * np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 23)])[:, None, None]
+        stack = stack.reshape((2, 12) + block.shape)
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for index in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(out[index], expm(stack[index]))
+
+
+def test_expm_large_norms_raise_no_warning():
+    # ||M||^(2m+1) overflows from ||M|| = 3e11 and M^10 from 1e31: degree
+    # selection works on M over a power of two near its norm instead
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    for t in (1e12, 1e35, 1e300):
+        for block in (gen.block1, gen.block2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = expm(block * t)
+            assert np.abs(out).max() < 1e-300  # a Hurwitz drift decays
+
+
+def test_expm_rejects_bad_input():
+    for bad in (np.ones(3), np.ones((2, 3)), [[np.nan, 0.0], [0.0, 1.0]], [[np.inf]]):
+        with pytest.raises(ValidationError):
+            expm(bad)
+
+
+def test_propagate_exponentiates_each_block_once(monkeypatch):
+    shapes = []
+
+    def counting(matrices):
+        shapes.append(np.shape(matrices))
+        return expm(matrices)
+
+    monkeypatch.setattr(dynamics, "expm", counting)
+    gen = build(GME, FIG_SYS, HOT, COLD)
+    times = np.linspace(0.0, 10.0 * slowest_timescale(gen), 400)
+    propagate(gen, thermal_product_state(FIG_SYS, HOT, COLD), times, FIG_SYS)
+    steps = len(np.unique(np.diff(times)))
+    assert steps > 1  # a linspace grid has several distinct float steps
+    assert shapes == [(steps, 4, 4), (steps, 10, 10)]
+
+
+@pytest.mark.parametrize("label", [LME, GME, REDFIELD])
+def test_propagate_trajectory_matches_mpmath(label):
+    # the default transient grid against exp(M t_n)(S0 - S_inf) + S_inf at
+    # 40 digits: worst 1.8e-13 (LME), 2.0e-13 (GME), 2.2e-13 (Redfield)
+    # of max |S - S_inf|; the step-by-step scipy route gave 7.2e-13,
+    # 1.9e-13 and 2.6e-13
+    unit = slowest_timescale(build(REDFIELD, FIG_SYS, HOT, COLD))
+    times = np.linspace(0.0, 10.0 * unit, 400)
+    gen = build(label, FIG_SYS, HOT, COLD)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    trajectory = propagate(gen, state0, times, FIG_SYS)
+    s_inf = steady_state(gen, FIG_SYS).second
+    errors, deviations = [], []
+    with mpmath.workdps(40):
+        flow = mpmath.matrix(gen.block2.tolist())
+        start = mpmath.matrix((state0.second - s_inf).tolist())
+        for n in (1, 5, 20, 50, 100, 150, 250, 399):
+            reference = np.array([float(v) for v in mpmath.expm(flow * times[n]) * start])
+            errors.append(np.abs(trajectory.second[n] - s_inf - reference).max())
+            deviations.append(np.abs(reference).max())
+    assert max(errors) <= 5e-12 * max(deviations)
