@@ -80,6 +80,12 @@ def _fmt_row(values) -> list[str]:
     return list(map("{:.17g}".format, values))
 
 
+def _csv_line(width: int) -> str:
+    """A '%' template that spells a row of `width` numbers as the
+    comma-joined ``_fmt_row`` cells, newline included."""
+    return ",".join(["%.17g"] * width) + "\n"
+
+
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -242,6 +248,19 @@ def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
     return target
 
 
+def _write_numbers(path: Path, header: list[str], rows, fmt: str) -> Path:
+    """Write one table of numeric rows as ``_write_table`` would write
+    their ``_fmt_row`` cells; a CSV row is one ``_csv_line`` template."""
+    if fmt != "csv":
+        return _write_table(path, header, map(_fmt_row, rows), fmt)
+    line = _csv_line(len(header))
+    target = path.with_suffix(".csv")
+    with open(target, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+    return target
+
+
 def _write_sidecar(path: Path, command: str, cfg: dict, outputs: list[str],
                    extras: dict | None = None) -> None:
     payload = {
@@ -322,9 +341,8 @@ def cmd_transient(cfg: dict, args) -> int:
 
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
     table = np.column_stack([columns[name] for name in header])
-    rows = (_fmt_row(row) for row in table.tolist())
     out = _out_dir(cfg, args)
-    target = _write_table(out / "transient", header, rows, _out_format(cfg, args))
+    target = _write_numbers(out / "transient", header, table.tolist(), _out_format(cfg, args))
     _write_sidecar(
         out / "transient.meta.json", "transient", cfg, [target.name],
         extras={"steady_currents": steady_values,
@@ -365,7 +383,7 @@ def cmd_steady(cfg: dict, args) -> int:
         rows.append(tuple(row))
     header = ["k", "Qh_L", "Qc_L", "Qh_G", "Qc_G", "Qh_R", "Qc_R"]
     out = _out_dir(cfg, args)
-    target = _write_table(out / "steady", header, map(_fmt_row, rows), _out_format(cfg, args))
+    target = _write_numbers(out / "steady", header, rows, _out_format(cfg, args))
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
     return EXIT_OK
@@ -391,9 +409,9 @@ def cmd_rigidity(cfg: dict, args) -> int:
         profiles[label] = phase_rigidity_profile(drifts.__getitem__, ks)
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
     table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
-    rows = (_fmt_row(row.tolist()) for row in table)
     out = _out_dir(cfg, args)
-    target = _write_table(out / "rigidity", header, rows, _out_format(cfg, args))
+    rows = map(np.ndarray.tolist, table)
+    target = _write_numbers(out / "rigidity", header, rows, _out_format(cfg, args))
     flagged = {
         label: list(map(int, profiles[label].flagged)) for label in cfg["generators"]
     }

@@ -4,12 +4,17 @@ The moment flow is linear, so propagation uses the matrix exponential
 rather than a step integrator: x(t) = x_ss + exp(M t)(x(0) - x_ss),
 exact up to expm rounding. `expm` is a numpy scaling-and-squaring Pade
 exponential (Al-Mohy and Higham 2009), batched over a stack, so a
-trajectory costs one call per block. Steady states come from a dense
-pivoted solve of block2 x = -const2 after a Hurwitz check.
+trajectory costs one call per block. The T samples advance in about
+sqrt(T) chunks side by side, one batched matrix-vector product per
+position in a chunk, rather than one sample at a time. Steady states
+come from a dense pivoted solve of block2 x = -const2 after a Hurwitz
+check.
 
 A MomentState holds one instant or a stack of them over leading axes,
 so a trajectory is one state of (T, 4) and (T, 10) arrays whose
-uncertainty check is one batched eigensolve.
+uncertainty check is one batched Cholesky factorization; only a
+trajectory that fails it is searched for its first violation by
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -341,6 +346,30 @@ def expm(matrices) -> np.ndarray:
     return result.reshape(shape)
 
 
+def _advance(exps: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+             start: np.ndarray) -> np.ndarray:
+    """One block's deviations at every sample of a chunked grid, (C * L, n).
+
+    Step index 0 is a zero step, the identity, and j > 0 is `exps[j - 1]`.
+    `fine` (C, L) holds the index of each sample's step, chunk by chunk,
+    and `coarse` (C - 1,) that of the step to the last sample of each
+    chunk but the last. The state before each chunk is carried along the
+    chunks' last samples from `start`; then all chunks advance in
+    lockstep, one batched product per position.
+    """
+    table = np.concatenate([np.eye(len(start))[None], exps])
+    chunks, width = fine.shape
+    dev = np.empty((chunks, len(start), 1))
+    dev[0, :, 0] = start
+    for c, j in enumerate(coarse.tolist(), start=1):
+        dev[c] = table[j] @ dev[c - 1]
+    out = np.empty((chunks, width, len(start)))
+    for position in range(width):
+        dev = table[fine[:, position]] @ dev
+        out[:, position] = dev[..., 0]
+    return out.reshape(chunks * width, -1)
+
+
 def propagate(
     gen: MomentGenerator,
     state0: MomentState,
@@ -351,15 +380,27 @@ def propagate(
 
     Homogeneous if const2 vanishes (closed dynamics stays exactly
     unitary); otherwise the affine flow is shifted by the fixed point of
-    block2, which must then be invertible. Each block is exponentiated in
-    one batched `expm` call over the grid's distinct steps; a sample is
-    then two matrix-vector products. Uncertainty violations along the
-    trajectory are logged once with the first offending time; they are
-    expected only for generators without GKSL structure. Moments that
-    overflow raise NumericalError naming the first non-finite time.
+    block2, which must then be invertible. The T samples run in
+    C = ceil(T / L) chunks of L = ceil(sqrt(T)): the state before each
+    chunk is carried along the chunks' last samples, then the chunks fill
+    in lockstep, so a block takes about 2 sqrt(T) batched matrix-vector
+    products. Each block is exponentiated in one batched `expm` call over
+    the distinct positive steps of both grids; as the coarse steps sum to
+    the same times as the fine ones, the rounding keeps its order.
+    Uncertainty violations along the trajectory are logged once with the
+    first offending time; they are expected only for generators without
+    GKSL structure. Moments that overflow raise NumericalError naming the
+    first non-finite time.
     """
     gen = _require_local(gen, sys)
-    t_grid = np.asarray(list(times), dtype=float)
+    if np.ndim(state0.time) != 0:
+        raise ValidationError("state0 must be a single instant, not a stack")
+    if not math.isfinite(state0.time):
+        raise ValidationError(f"state0's time must be finite, got {state0.time!r}")
+    try:
+        t_grid = np.asarray(list(times), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"times must be a sequence of numbers: {exc}") from exc
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValidationError("times must be a non-empty 1-d grid")
     if not np.all(np.isfinite(t_grid)):
@@ -379,27 +420,27 @@ def propagate(
             margin,
         )
 
-    # a linspace grid has a handful of distinct float steps; only the first
-    # step can be zero, and it leaves the state as it is
-    distinct, which = np.unique(np.diff(t_grid, prepend=state0.time), return_inverse=True)
-    steps = distinct[distinct > 0.0]
-    zero = len(distinct) - len(steps)
-    dev1 = state0.first
-    dev2 = state0.second - shift2
-    first = np.empty((len(t_grid), 4))
-    second = np.empty((len(t_grid), 10))
+    count = len(t_grid)
+    width = math.isqrt(count - 1) + 1  # ceil(sqrt(T))
+    chunks = -(-count // width)
+    # the fine steps padded with zero steps to whole chunks, then the
+    # coarse steps between the chunks' last samples; a linspace grid has a
+    # handful of distinct float steps
+    fine = np.zeros(chunks * width)
+    fine[:count] = np.diff(t_grid, prepend=state0.time)
+    coarse = np.diff(t_grid[width - 1::width][:chunks - 1], prepend=state0.time)
+    distinct, which = np.unique(np.concatenate([[0.0], fine, coarse]), return_inverse=True)
+    which_fine = which[1:1 + fine.size].reshape(chunks, width)
+    which_coarse = which[1 + fine.size:]
     # an overflow is reported once, below, as the first non-finite time
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = [block * steps[:, None, None] for block in (gen.block1, gen.block2)]
+        scaled = [block * distinct[1:, None, None] for block in (gen.block1, gen.block2)]
         if not all(np.isfinite(m).all() for m in scaled):
             raise NumericalError(f"{gen.label} drift times a time step overflows")
-        e1, e2 = (expm(m) for m in scaled)
-        for i, j in enumerate((which - zero).tolist()):
-            if j >= 0:
-                dev1 = e1[j] @ dev1
-                dev2 = e2[j] @ dev2
-            first[i] = dev1
-            second[i] = dev2
+        first, second = (
+            _advance(expm(m), which_coarse, which_fine, start)[:count]
+            for m, start in zip(scaled, (state0.first, state0.second - shift2))
+        )
         second += shift2
     finite = np.isfinite(first).all(axis=-1) & np.isfinite(second).all(axis=-1)
     if not finite.all():
@@ -407,11 +448,16 @@ def propagate(
             f"{gen.label} moments overflow from t = {t_grid[np.argmin(finite)]} on"
         )
     states = MomentState(first, second, time=t_grid)
-    violations = np.flatnonzero(physicality_min_eig(states) < PHYSICALITY_TOL)
-    if violations.size:
-        log.warning(
-            "%s trajectory violates the uncertainty relation from t = %g on",
-            gen.label,
-            t_grid[violations[0]],
-        )
+    # one Cholesky of Sigma + (i/2) J - PHYSICALITY_TOL screens the whole
+    # trajectory; only a failed one asks the eigenvalues for the first time
+    try:
+        np.linalg.cholesky(states.covariance() + (0.5j * SYMPLECTIC - PHYSICALITY_TOL * np.eye(4)))
+    except np.linalg.LinAlgError:
+        violations = np.flatnonzero(physicality_min_eig(states) < PHYSICALITY_TOL)
+        if violations.size:
+            log.warning(
+                "%s trajectory violates the uncertainty relation from t = %g on",
+                gen.label,
+                t_grid[violations[0]],
+            )
     return states

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import meqlab
-from meqlab.cli import _fmt_row, main
+from meqlab.cli import _csv_line, _fmt_row, main
 from meqlab.generators import lme_drift
 
 
@@ -44,6 +44,15 @@ def test_fmt_row_spells_special_values():
     values = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 3]
     assert _fmt_row(values) == ["nan", "nan", "inf", "-inf", "0.10000000000000001", "-0", "3"]
     assert _fmt_row(np.array(values).tolist())[:4] == ["nan", "nan", "inf", "-inf"]
+
+
+def test_csv_line_spells_floats_as_format():
+    values = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+              5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.1, 3.0]
+    expected = ",".join("{:.17g}".format(v) for v in values) + "\n"
+    assert _csv_line(len(values)) % tuple(values) == expected
+    assert _csv_line(len(values)) % tuple(np.array(values)) == expected
+    assert expected == ",".join(_fmt_row(values)) + "\n"
 
 
 def test_scan_single_point(tmp_path):

@@ -32,7 +32,7 @@ from meqlab.generators import (
     quadrature_rotation,
 )
 from meqlab.model import SystemSpec, hamiltonian, normal_modes
-from meqlab.thermo import expectation
+from meqlab.thermo import expectation, transient_currents
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -230,11 +230,13 @@ def test_propagation_preserves_uncertainty_gksl():
             assert physicality_min_eig(state) > -1e-8
 
 
-def test_redfield_violations_logged_not_fatal(caplog):
+def test_redfield_violations_logged_not_fatal(caplog, monkeypatch):
     # squeezed initial moments push the Redfield flow outside the
     # physical cone (strong coupling, very unequal bath couplings near
     # zero temperature); the trajectory must still be produced and the
-    # first violating time logged once
+    # first violating time logged once. The Cholesky screen fails, and
+    # the eigenvalues of the whole trajectory name that time
+    calls = _count_min_eig(monkeypatch)
     sys = SystemSpec(1.0, 1.0, 0.9)
     gen = build(REDFIELD, sys, BathSpec(1e-3, 1e-3, 1e3), BathSpec(1e-1, 1e-3, 1e3))
     squeezed = MomentState(np.zeros(4), [0.05, 5.0, 0.0, 0.05, 5.0, 0.0,
@@ -243,8 +245,11 @@ def test_redfield_violations_logged_not_fatal(caplog):
     with caplog.at_level(logging.WARNING, logger="meqlab.dynamics"):
         out = propagate(gen, squeezed, times, sys)
     assert len(out) == len(times)
+    assert calls == [len(times)]
     violating = [s.time for s in out if physicality_min_eig(s) < -1e-8]
     assert violating and violating[0] > times[0]
+    first = np.flatnonzero(physicality_min_eig(out) < dynamics.PHYSICALITY_TOL)[0]
+    assert times[first] == violating[0]
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert messages == [
         f"Redfield trajectory violates the uncertainty relation from t = {violating[0]:g} on"
@@ -315,6 +320,9 @@ def test_expm_rejects_bad_input():
 
 
 def test_propagate_exponentiates_each_block_once(monkeypatch):
+    # 400 samples run in 20 chunks of 20: one call per block over the
+    # distinct positive steps of the fine grid and of the 19 coarse steps
+    # to the chunks' last samples
     shapes = []
 
     def counting(matrices):
@@ -325,17 +333,139 @@ def test_propagate_exponentiates_each_block_once(monkeypatch):
     gen = build(GME, FIG_SYS, HOT, COLD)
     times = np.linspace(0.0, 10.0 * slowest_timescale(gen), 400)
     propagate(gen, thermal_product_state(FIG_SYS, HOT, COLD), times, FIG_SYS)
-    steps = len(np.unique(np.diff(times)))
-    assert steps > 1  # a linspace grid has several distinct float steps
+    coarse = np.diff(times[19::20][:-1], prepend=0.0)
+    steps = len(np.unique(np.concatenate([np.diff(times), coarse])))
+    assert len(np.unique(np.diff(times))) > 1  # a linspace grid has several distinct float steps
     assert shapes == [(steps, 4, 4), (steps, 10, 10)]
+
+
+def _displaced_thermal_state(time=0.0) -> MomentState:
+    """The thermal product state shifted to non-zero means, so that both
+    blocks carry a deviation."""
+    mean = np.array([0.3, -0.2, 0.1, 0.4])
+    thermal = thermal_product_state(FIG_SYS, HOT, COLD)
+    return MomentState(mean, thermal.second + pack_symmetric(np.outer(mean, mean)), time=time)
+
+
+def _stepwise(gen, state0, times):
+    """Reference trajectory: one exponential per step, one sample at a time."""
+    shift = np.linalg.solve(gen.block2, -gen.const2)
+    dev1, dev2 = state0.first, state0.second - shift
+    exps, first, second, previous = {}, [], [], state0.time
+    for t in times:
+        step, previous = t - previous, t
+        if step not in exps:
+            exps[step] = expm(gen.block1 * step), expm(gen.block2 * step)
+        dev1, dev2 = exps[step][0] @ dev1, exps[step][1] @ dev2
+        first.append(dev1)
+        second.append(dev2)
+    return np.array(first), np.array(second) + shift
+
+
+def _assert_matches_stepwise(gen, state0, times):
+    # both routes carry the exponentials' rounding, which grows with
+    # ||M dt||, up to 2e5 here. Against 40-digit mpmath, at 12 samples of
+    # five of these trajectories, the stepwise loop itself is off by up to
+    # 1.3e-12 of max |S - S_inf| and 5.6e-12 of max |first|, the chunked
+    # route by as much; over all the trajectories they differ by at most
+    # 2.5e-12 and 3.9e-12
+    trajectory = propagate(gen, state0, times, FIG_SYS)
+    first, second = _stepwise(gen, state0, times)
+    s_inf = steady_state(gen, FIG_SYS).second
+    assert np.array_equal(trajectory.time, times)
+    assert np.abs(trajectory.second - second).max() <= 5e-12 * np.abs(second - s_inf).max()
+    assert np.abs(trajectory.first - first).max() <= 1e-11 * np.abs(first).max()
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 5, 17, 400, 4000])
+def test_propagate_chunks_match_a_stepwise_loop(points):
+    # every chunk layout from one sample (one chunk of one) to the 4000
+    # samples of the transient-ep grid (63 chunks of 64, the last one
+    # padded), starting at the initial state's time or after it
+    unit = slowest_timescale(build(REDFIELD, FIG_SYS, HOT, COLD))
+    state0 = _displaced_thermal_state()
+    for label in (LME, REDFIELD):
+        gen = build(label, FIG_SYS, HOT, COLD)
+        for start in (0.0, 0.37 * unit):
+            _assert_matches_stepwise(gen, state0, np.linspace(start, 10.0 * unit, points))
+
+
+def test_propagate_geometric_grid_matches_a_stepwise_loop():
+    # every step distinct, spanning four decades
+    unit = slowest_timescale(build(REDFIELD, FIG_SYS, HOT, COLD))
+    times = np.geomspace(1e-3, 10.0, 60) * unit
+    for label in (LME, GME, REDFIELD):
+        _assert_matches_stepwise(build(label, FIG_SYS, HOT, COLD),
+                                 _displaced_thermal_state(-0.5 * unit), times)
+
+
+def _count_min_eig(monkeypatch) -> list[int]:
+    """The lengths of the stacks that `propagate` hands to physicality_min_eig."""
+    calls = []
+
+    def counting(state):
+        calls.append(len(state))
+        return physicality_min_eig(state)
+
+    monkeypatch.setattr(dynamics, "physicality_min_eig", counting)
+    return calls
+
+
+def test_gksl_trajectory_passes_the_cholesky_screen(monkeypatch):
+    # a physical trajectory never reaches the eigenvalue search
+    calls = _count_min_eig(monkeypatch)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    for label in (LME, GME):
+        gen = build(label, FIG_SYS, HOT, COLD)
+        times = np.linspace(0.0, 10.0 * slowest_timescale(gen), 400)
+        propagate(gen, state0, times, FIG_SYS)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", ["propagate", "transient_currents"])
+def test_scalar_times_are_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="times must be a sequence of numbers"):
+        _propagate_via(entry, thermal_product_state(FIG_SYS, HOT, COLD), 1.0)
+
+
+@pytest.mark.parametrize("entry", ["propagate", "transient_currents"])
+def test_non_numeric_times_are_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="times must be a sequence of numbers"):
+        _propagate_via(entry, thermal_product_state(FIG_SYS, HOT, COLD), ["0", "later"])
+
+
+@pytest.mark.parametrize("entry", ["propagate", "transient_currents"])
+def test_stacked_initial_state_is_a_validation_error(entry):
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    stack = propagate(gen, thermal_product_state(FIG_SYS, HOT, COLD), [1.0, 2.0], FIG_SYS)
+    with pytest.raises(ValidationError, match="single instant"):
+        _propagate_via(entry, stack, [3.0, 4.0])
+
+
+def test_initial_time_must_be_finite():
+    # a steady state carries time inf; none of these is a starting time
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    thermal = thermal_product_state(FIG_SYS, HOT, COLD)
+    for state0 in (steady_state(gen, FIG_SYS),
+                   MomentState(thermal.first, thermal.second, time=-np.inf),
+                   MomentState(thermal.first, thermal.second, time=np.nan)):
+        with pytest.raises(ValidationError, match="time must be finite"):
+            propagate(gen, state0, [0.0, 1.0], FIG_SYS)
+
+
+def _propagate_via(entry, state0, times):
+    if entry == "propagate":
+        return propagate(build(LME, FIG_SYS, HOT, COLD), state0, times, FIG_SYS)
+    return transient_currents(LME, FIG_SYS, HOT, COLD, state0, times)
 
 
 @pytest.mark.parametrize("label", [LME, GME, REDFIELD])
 def test_propagate_trajectory_matches_mpmath(label):
     # the default transient grid against exp(M t_n)(S0 - S_inf) + S_inf at
-    # 40 digits: worst 1.8e-13 (LME), 2.0e-13 (GME), 2.2e-13 (Redfield)
-    # of max |S - S_inf|; the step-by-step scipy route gave 7.2e-13,
-    # 1.9e-13 and 2.6e-13
+    # 40 digits: worst 4.4e-13 (LME), 1.2e-13 (GME), 2.2e-13 (Redfield)
+    # of max |S - S_inf| in chunks; one sample at a time gave 1.8e-13,
+    # 2.0e-13 and 2.2e-13, the step-by-step scipy route 7.2e-13, 1.9e-13
+    # and 2.6e-13
     unit = slowest_timescale(build(REDFIELD, FIG_SYS, HOT, COLD))
     times = np.linspace(0.0, 10.0 * unit, 400)
     gen = build(label, FIG_SYS, HOT, COLD)
@@ -347,6 +477,30 @@ def test_propagate_trajectory_matches_mpmath(label):
         flow = mpmath.matrix(gen.block2.tolist())
         start = mpmath.matrix((state0.second - s_inf).tolist())
         for n in (1, 5, 20, 50, 100, 150, 250, 399):
+            reference = np.array([float(v) for v in mpmath.expm(flow * times[n]) * start])
+            errors.append(np.abs(trajectory.second[n] - s_inf - reference).max())
+            deviations.append(np.abs(reference).max())
+    assert max(errors) <= 5e-12 * max(deviations)
+
+
+def test_propagate_matches_mpmath_across_chunk_boundaries():
+    # the transient-ep benchmark grid at seed 1 (4000 samples in 63 chunks
+    # of 64) against exp(M t_n)(S0 - S_inf) + S_inf at 40 digits, at the
+    # first and last samples of chunks: worst 1.5e-13 of max |S - S_inf|,
+    # as for a stepwise loop
+    hot = BathSpec(1e-8, 8.537456976449604, 1e3)
+    cold = BathSpec(1e-4, 5.694867473874465, 1e3)
+    unit = slowest_timescale(build(REDFIELD, FIG_SYS, hot, cold))
+    times = np.linspace(0.0, 15.527549237953227 * unit, 4000)
+    gen = build(LME, FIG_SYS, hot, cold)
+    state0 = thermal_product_state(FIG_SYS, hot, cold)
+    trajectory = propagate(gen, state0, times, FIG_SYS)
+    s_inf = steady_state(gen, FIG_SYS).second
+    errors, deviations = [], []
+    with mpmath.workdps(40):
+        flow = mpmath.matrix(gen.block2.tolist())
+        start = mpmath.matrix((state0.second - s_inf).tolist())
+        for n in (1, 63, 64, 2047, 2048, 3967, 3968, 3999):
             reference = np.array([float(v) for v in mpmath.expm(flow * times[n]) * start])
             errors.append(np.abs(trajectory.second[n] - s_inf - reference).max())
             deviations.append(np.abs(reference).max())
