@@ -75,15 +75,9 @@ DEFAULT_CONFIG = {
 
 
 def _fmt_row(values) -> list[str]:
-    """Each number with 17 significant digits; '.17g' already spells
+    """Each number with 17 significant digits; '%.17g' already spells
     nan (of either sign), inf and -inf."""
-    return list(map("{:.17g}".format, values))
-
-
-def _csv_line(width: int) -> str:
-    """A '%' template that spells a row of `width` numbers as the
-    comma-joined ``_fmt_row`` cells, newline included."""
-    return ",".join(["%.17g"] * width) + "\n"
+    return ["%.17g" % value for value in values]
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -234,30 +228,23 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
-    """Write one table of already formatted cells (see ``_fmt_row``)
-    deterministically; CSV uses '\\n' endings."""
+def _write_table(path: Path, header: list[str], rows, fmt: str, line: str = "") -> Path:
+    """Write one table deterministically, each row spelled by the
+    comma-separated '%' template ``line`` (default '%.17g' in every
+    column): a CSV row is the template with a '\\n' ending, a JSON row
+    the list of its cells."""
+    line = line or ",".join(["%.17g"] * len(header))
     if fmt == "csv":
         target = path.with_suffix(".csv")
+        template = line + "\n"
         with open(target, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in rows)
+            fh.writelines(template % tuple(row) for row in rows)
     else:
         target = path.with_suffix(".json")
-        _write_json(target, {"header": header, "rows": [list(row) for row in rows]})
-    return target
-
-
-def _write_numbers(path: Path, header: list[str], rows, fmt: str) -> Path:
-    """Write one table of numeric rows as ``_write_table`` would write
-    their ``_fmt_row`` cells; a CSV row is one ``_csv_line`` template."""
-    if fmt != "csv":
-        return _write_table(path, header, map(_fmt_row, rows), fmt)
-    line = _csv_line(len(header))
-    target = path.with_suffix(".csv")
-    with open(target, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        cells = line.split(",")
+        rows = [[cell % value for cell, value in zip(cells, row)] for row in rows]
+        _write_json(target, {"header": header, "rows": rows})
     return target
 
 
@@ -305,9 +292,10 @@ def cmd_scan(cfg: dict, args) -> int:
             (w, k, kappa, block)
             for block in blocks
             for w, kap_row in zip(omegas, result.kappas[(label, block)])
-            for k, kappa in zip(ks, _fmt_row(kap_row.tolist()))
+            for k, kappa in zip(ks, kap_row.tolist())
         )
-        target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows, fmt)
+        target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows,
+                              fmt, "%s,%s,%.17g,%s")
         outputs.append(target.name)
     _write_sidecar(
         out / "scan.meta.json", "scan-ep", cfg, outputs,
@@ -342,7 +330,7 @@ def cmd_transient(cfg: dict, args) -> int:
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
     table = np.column_stack([columns[name] for name in header])
     out = _out_dir(cfg, args)
-    target = _write_numbers(out / "transient", header, table.tolist(), _out_format(cfg, args))
+    target = _write_table(out / "transient", header, table.tolist(), _out_format(cfg, args))
     _write_sidecar(
         out / "transient.meta.json", "transient", cfg, [target.name],
         extras={"steady_currents": steady_values,
@@ -383,7 +371,7 @@ def cmd_steady(cfg: dict, args) -> int:
         rows.append(tuple(row))
     header = ["k", "Qh_L", "Qc_L", "Qh_G", "Qc_G", "Qh_R", "Qc_R"]
     out = _out_dir(cfg, args)
-    target = _write_numbers(out / "steady", header, rows, _out_format(cfg, args))
+    target = _write_table(out / "steady", header, rows, _out_format(cfg, args))
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
     return EXIT_OK
@@ -411,7 +399,7 @@ def cmd_rigidity(cfg: dict, args) -> int:
     table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
     out = _out_dir(cfg, args)
     rows = map(np.ndarray.tolist, table)
-    target = _write_numbers(out / "rigidity", header, rows, _out_format(cfg, args))
+    target = _write_table(out / "rigidity", header, rows, _out_format(cfg, args))
     flagged = {
         label: list(map(int, profiles[label].flagged)) for label in cfg["generators"]
     }
@@ -485,9 +473,13 @@ def make_parser() -> argparse.ArgumentParser:
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override one config entry (dotted path, JSON value)",
         )
-        p.add_argument("--out", help="output directory (default: config output.dir)")
-        p.add_argument("--format", choices=["csv", "json"], help="table format")
-        p.add_argument("--threads", type=int, help="scan worker count")
+        # each command takes only the flags it reads
+        if name != "ep-line":
+            p.add_argument("--out", help="output directory (default: config output.dir)")
+        if name not in ("ep-line", "matrices"):
+            p.add_argument("--format", choices=["csv", "json"], help="table format")
+        if name == "scan-ep":
+            p.add_argument("--threads", type=int, help="scan worker count")
     return parser
 
 

@@ -8,7 +8,8 @@ trajectory costs one call per block. The T samples advance in about
 sqrt(T) chunks side by side, one batched matrix-vector product per
 position in a chunk, rather than one sample at a time. Steady states
 come from a dense pivoted solve of block2 x = -const2 after a Hurwitz
-check.
+check of the drift block1: the eigenvalues of block2 are the pair sums
+of block1's, so block2 is Hurwitz exactly when block1 is.
 
 A MomentState holds one instant or a stack of them over leading axes,
 so a trajectory is one state of (T, 4) and (T, 10) arrays whose
@@ -175,15 +176,14 @@ def _fixed_point(gen: MomentGenerator) -> np.ndarray:
 
 def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
     """Stationary moments: first moments vanish, second solve the
-    affine fixed point. Raises StabilityError for non-Hurwitz blocks."""
+    affine fixed point. Raises StabilityError for a non-Hurwitz drift."""
     gen = _require_local(gen, sys)
-    for name, block in (("block1", gen.block1), ("block2", gen.block2)):
-        margin = _hurwitz_margin(block)
-        if margin >= -HURWITZ_RTOL * np.linalg.norm(block):
-            raise StabilityError(
-                f"{gen.label} {name} is not Hurwitz (max Re eigenvalue {margin:g}); "
-                "no steady state"
-            )
+    margin = _hurwitz_margin(gen.block1)
+    if margin >= -HURWITZ_RTOL * np.linalg.norm(gen.block1):
+        raise StabilityError(
+            f"{gen.label} block1 is not Hurwitz (max Re eigenvalue {margin:g}); "
+            "no steady state"
+        )
     return MomentState(np.zeros(4), _fixed_point(gen), time=math.inf)
 
 
@@ -412,10 +412,10 @@ def propagate(
 
     shift2 = _fixed_point(gen) if gen.const2.any() else np.zeros(10)
 
-    margin = _hurwitz_margin(gen.block2)
+    margin = _hurwitz_margin(gen.block1)
     if margin >= 0.0:
         log.warning(
-            "%s second-moment block is not Hurwitz (max Re = %g); propagating anyway",
+            "%s block1 is not Hurwitz (max Re eigenvalue %g); propagating anyway",
             gen.label,
             margin,
         )

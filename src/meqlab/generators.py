@@ -19,8 +19,9 @@ the single home of that pairing rule, which the heat-current check
 reuses. ``build()`` assembles (A, D) in the local frame
 (:func:`_gaussian_blocks`) and reaches the normal frame only through
 :func:`frame_rotate`. Where a closed form exists, the result is
-cross-checked against it before being returned, the coherent and the
-dissipative entries each relative to their own largest entry; a
+cross-checked against it before being returned, each closed form in the
+frame it is written in (the generator is rotated there), the coherent
+and the dissipative entries each relative to their own largest entry; a
 mismatch is an internal error, never silently ignored. The closed
 forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
@@ -406,28 +407,19 @@ def _mismatch(name: str, got: np.ndarray, reference: np.ndarray) -> str:
 def _crosscheck(
     gen: MomentGenerator, closed: dict[str, np.ndarray], modes: NormalModes
 ) -> None:
-    """Compare a built generator with every applicable closed form,
-    rotating the closed form into the generator's frame where needed (a
-    block2 in that frame is the flow of the rotated block1). The
+    """Compare a built generator with every closed form in the frame the
+    form is written in: the generator is rotated once into each frame
+    that ``closed`` has keys for, with :func:`frame_rotate`. The
     coherent and the dissipative entries must each agree to
     CROSSCHECK_TOL of the largest closed-form entry of their part;
     const2 is all dissipative."""
-    t, suffix, other = quadrature_rotation(modes), "normal", "local"
-    if gen.frame == LOCAL_FRAME:
-        t, suffix, other = t.T, "local", "normal"
-    rotations = {
-        "block1": lambda m: t @ m @ t.T,
-        "block2": lambda _: second_moment_flow(t @ closed[f"block1_{other}"] @ t.T),
-        "const2": lambda v: pack_symmetric(t @ unpack_symmetric(v) @ t.T),
-    }
-    for name in rotations:
-        if f"{name}_{suffix}" in closed:
-            closed_arr = closed[f"{name}_{suffix}"]
-        elif f"{name}_{other}" in closed:
-            closed_arr = rotations[name](closed[f"{name}_{other}"])
-        else:
-            continue
-        mismatch = _mismatch(name, getattr(gen, name), closed_arr)
+    views = {}
+    for key, reference in closed.items():
+        name, suffix = key.split("_")
+        if suffix not in views:
+            frame = LOCAL_FRAME if suffix == "local" else NORMAL_FRAME
+            views[suffix] = frame_rotate(gen, frame, modes)
+        mismatch = _mismatch(name, getattr(views[suffix], name), reference)
         if mismatch:
             raise ConsistencyError(
                 f"{gen.label} {name} disagrees with its closed form ({mismatch})"
@@ -442,10 +434,11 @@ def build(
     frame: str = LOCAL_FRAME,
 ) -> MomentGenerator:
     """Build a generator from its local-frame drift/diffusion pair, rotate
-    it into ``frame`` and cross-check it there against the closed-form
-    coefficient matrices where those exist.
+    it into ``frame`` and cross-check it against every closed-form
+    coefficient matrix that exists, each in its own frame.
 
-    The zeroth-order labels delegate to :func:`zeroth_order`.
+    The zeroth-order labels are built here too; :func:`zeroth_order`
+    delegates to this function.
     """
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")

@@ -28,13 +28,12 @@ import numpy as np
 
 from .algebra import QuadOp, dissipator_action, pack_symmetric, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
-from .dynamics import MomentState, _Stack, propagate
+from .dynamics import MomentState, _Stack, _require_local, propagate
 from .errors import ConsistencyError, ValidationError
 from .generators import (
     CROSSCHECK_TOL,
     GME,
     LME,
-    LOCAL_FRAME,
     REDFIELD,
     MomentGenerator,
     _dissipator_terms,
@@ -226,9 +225,13 @@ def transient_currents(
     times: Sequence[float],
     gen: MomentGenerator | None = None,
 ) -> HeatCurrentSample:
-    """Propagate and map the heat currents over the trajectory, stacked."""
+    """Propagate and map the heat currents over the trajectory, stacked.
+    A given ``gen`` must carry ``label``: the currents' closed forms are
+    the label's."""
     if gen is None:
         gen = build(label, sys, hot, cold)
+    elif gen.label != label:
+        raise ValidationError(f"transient_currents({label!r}) got a {gen.label!r} generator")
     return _verified_currents(label, sys, hot, cold, propagate(gen, state0, times, sys))
 
 
@@ -237,9 +240,9 @@ def energy_flow_rate(
 ) -> float | np.ndarray:
     """d<H>/dt straight from the moment flow, independent of the current
     closed forms: <H> on the rates block2 theta + const2, per instant of
-    a state of any leading shape (a float for one instant)."""
-    if gen.frame != LOCAL_FRAME:
-        raise ValidationError("energy_flow_rate expects a local-frame generator")
+    a state of any leading shape (a float for one instant). A
+    normal-frame generator is rotated to the local frame of the state."""
+    gen = _require_local(gen, sys)
     lead = state.second.shape[:-1]
     # stacks of one-column and one-row products: each instant has the bits
     # it has alone, where a matrix product over the instants would not

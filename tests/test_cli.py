@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import meqlab
-from meqlab.cli import _csv_line, _fmt_row, main
+from meqlab.cli import _fmt_row, main
 from meqlab.generators import lme_drift
 
 
@@ -46,13 +47,14 @@ def test_fmt_row_spells_special_values():
     assert _fmt_row(np.array(values).tolist())[:4] == ["nan", "nan", "inf", "-inf"]
 
 
-def test_csv_line_spells_floats_as_format():
+def test_fmt_row_spells_floats_as_format():
+    # '%.17g' % (the tables' template) and '{:.17g}'.format spell every
+    # float alike, numpy's included
     values = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
               5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.1, 3.0]
-    expected = ",".join("{:.17g}".format(v) for v in values) + "\n"
-    assert _csv_line(len(values)) % tuple(values) == expected
-    assert _csv_line(len(values)) % tuple(np.array(values)) == expected
-    assert expected == ",".join(_fmt_row(values)) + "\n"
+    expected = ["{:.17g}".format(v) for v in values]
+    assert _fmt_row(values) == expected
+    assert _fmt_row(np.array(values)) == expected
 
 
 def test_scan_single_point(tmp_path):
@@ -204,6 +206,39 @@ def test_json_format(tmp_path):
     payload = json.loads((tmp_path / "steady.json").read_text())
     assert payload["header"][0] == "k"
     assert len(payload["rows"]) == 2
+
+
+def test_json_rows_are_the_csv_cells(tmp_path):
+    # one row template spells both formats: each JSON row is its CSV line
+    # split at the commas
+    for command, settings in (
+        ("scan-ep", [*SMALL_SCAN, "--set", 'scan.blocks=["first","second"]']),
+        ("transient", ["--set", "transient.points=7"]),
+        ("steady", ["--set", "steady.points=3"]),
+        ("rigidity", ["--set", "rigidity.points=5"]),
+    ):
+        tables = {}
+        for fmt in ("csv", "json"):
+            assert run([command, "--out", str(tmp_path / fmt), "--format", fmt, *settings]) == 0
+            tables[fmt] = sorted(path for path in (tmp_path / fmt).glob(f"*.{fmt}")
+                                 if not path.name.endswith(".meta.json"))
+        assert tables["csv"] and [t.stem for t in tables["csv"]] == [t.stem for t in tables["json"]]
+        for csv_path, json_path in zip(tables["csv"], tables["json"]):
+            lines = csv_path.read_text().splitlines()
+            payload = json.loads(json_path.read_text())
+            assert payload["header"] == lines[0].split(",")
+            assert payload["rows"] == [line.split(",") for line in lines[1:]]
+            assert len(payload["rows"]) > 1
+
+
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys):
+    for args in (["steady", "--threads", "2"], ["ep-line", "--out", str(tmp_path)],
+                 ["matrices", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*args, "--set", "steady.points=1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["scan-ep", *SMALL_SCAN, "--out", str(tmp_path), "--threads", "1"]) == 0
 
 
 def test_set_override_roundtrip(tmp_path):

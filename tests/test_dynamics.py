@@ -148,8 +148,40 @@ def test_steady_state_requires_hurwitz():
     gen = build(LME, FIG_SYS, HOT, COLD)
     # block2 is the flow of block1, so both blocks flip
     flipped = MomentGenerator(gen.label, gen.frame, -gen.block1, gen.const2)
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match="block1 is not Hurwitz"):
         steady_state(flipped, FIG_SYS)
+
+
+def test_propagate_logs_a_non_hurwitz_drift_once(caplog):
+    gen = build(LME, FIG_SYS, HOT, COLD)
+    flipped = MomentGenerator(gen.label, gen.frame, -gen.block1, gen.const2)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    with caplog.at_level(logging.WARNING, logger="meqlab.dynamics"):
+        out = propagate(flipped, state0, [0.0, 0.5, 1.0], FIG_SYS)
+    assert len(out) == 3
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert messages == [
+        "LME block1 is not Hurwitz (max Re eigenvalue 2.50025e-05); propagating anyway"
+    ]
+
+
+def test_stability_is_decided_on_the_drift(monkeypatch):
+    # block2's eigenvalues are the pair sums of block1's, so only the 4x4
+    # drift is eigensolved, by steady_state and propagate alike
+    shapes = []
+    margin = dynamics._hurwitz_margin
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return margin(matrix)
+
+    monkeypatch.setattr(dynamics, "_hurwitz_margin", recording)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    for label in (LME, GME, REDFIELD):
+        gen = build(label, FIG_SYS, HOT, COLD)
+        steady_state(gen, FIG_SYS)
+        propagate(gen, state0, [0.0, 1.0], FIG_SYS)
+    assert shapes == [(4, 4)] * 6
 
 
 def test_propagate_identity_at_t0():

@@ -611,6 +611,60 @@ def test_crosscheck_covers_detuned_lme_const2(monkeypatch):
         gmod.build(LME, detuned, HOT, COLD)
 
 
+def test_crosscheck_compares_each_closed_form_in_its_own_frame(monkeypatch):
+    # a build in either frame compares every closed-form key, so a 1e-6
+    # relative error in one damping entry of the drift of the other frame
+    # aborts it
+    import meqlab.generators as gmod
+    from meqlab.errors import ConsistencyError
+
+    original = gmod.closed_form_blocks
+    for key, frame in (("block1_local", NORMAL_FRAME), ("block1_normal", LOCAL_FRAME)):
+        def corrupted(label, sys, hot, cold, modes, key=key):
+            out = original(label, sys, hot, cold, modes)
+            out[key] = out[key].copy()
+            out[key][0, 0] *= 1 + 1e-6
+            return out
+
+        for label in (GME, REDFIELD, GME_ZEROTH):
+            monkeypatch.setattr(gmod, "closed_form_blocks", original)
+            gmod.build(label, FIG_SYS, HOT, COLD, frame=frame)
+            monkeypatch.setattr(gmod, "closed_form_blocks", corrupted)
+            with pytest.raises(ConsistencyError, match="block1"):
+                gmod.build(label, FIG_SYS, HOT, COLD, frame=frame)
+
+
+def test_crosscheck_compares_every_closed_form_key(monkeypatch):
+    # every array closed_form_blocks returns reaches _mismatch, on every
+    # build, resonant and detuned, in both frames
+    import meqlab.generators as gmod
+
+    original_blocks, original_mismatch = gmod.closed_form_blocks, gmod._mismatch
+    returned, compared, keys = [], [], set()
+
+    def recording_blocks(*args):
+        out = original_blocks(*args)
+        returned.extend((id(v), key.split("_")[0]) for key, v in out.items())
+        keys.update(out)
+        return out
+
+    def recording_mismatch(name, got, reference):
+        compared.append((id(reference), name))
+        return original_mismatch(name, got, reference)
+
+    monkeypatch.setattr(gmod, "closed_form_blocks", recording_blocks)
+    monkeypatch.setattr(gmod, "_mismatch", recording_mismatch)
+    for sys in (FIG_SYS, SystemSpec(1.0, 1.3, 4.999495000505e-05)):
+        for label in GENERATOR_LABELS:
+            for frame in (LOCAL_FRAME, NORMAL_FRAME):
+                returned.clear()
+                compared.clear()
+                gmod.build(label, sys, HOT, COLD, frame=frame)
+                assert sorted(compared) == sorted(returned)
+    assert keys == {f"{name}_{suffix}" for name in ("block1", "block2", "const2")
+                    for suffix in ("local", "normal")}
+
+
 def test_closed_form_drift_at_complex_coupling():
     # complex k, as the EP Newton solve uses, gives a complex drift: on the
     # real axis the float drift to an ulp of the bath coefficients (about

@@ -12,7 +12,7 @@ from meqlab.dynamics import (
     thermal_product_state,
 )
 from meqlab.errors import ConsistencyError, ValidationError
-from meqlab.generators import GME, LME, REDFIELD, build
+from meqlab.generators import GME, LME, NORMAL_FRAME, REDFIELD, build
 from meqlab.model import SystemSpec
 from meqlab.thermo import (
     clausius_check,
@@ -343,3 +343,29 @@ def test_energy_flow_rate_broadcasts_over_a_trajectory():
         grid = MomentState(states.first.reshape(3, 3, 4), states.second.reshape(3, 3, 10),
                            np.reshape(states.time, (3, 3)))
         assert energy_flow_rate(gen, FIG_SYS, grid).tobytes() == flows.tobytes()
+
+
+def test_energy_flow_rate_takes_either_frame():
+    # a normal-frame generator is rotated to the local frame of the state,
+    # as steady_state and propagate do
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    for label in LABELS:
+        local = build(label, FIG_SYS, HOT, COLD)
+        normal = build(label, FIG_SYS, HOT, COLD, frame=NORMAL_FRAME)
+        states = propagate(local, state0, np.linspace(0.0, 3.0 * slowest_timescale(local), 9),
+                           FIG_SYS)
+        flows = energy_flow_rate(local, FIG_SYS, states)
+        scale = np.abs(flows).max()
+        assert np.abs(energy_flow_rate(normal, FIG_SYS, states) - flows).max() < 1e-12 * scale
+        single = energy_flow_rate(normal, FIG_SYS, state0)
+        assert abs(single - energy_flow_rate(local, FIG_SYS, state0)) < 1e-12 * scale
+
+
+def test_transient_currents_rejects_a_generator_of_another_label():
+    # the closed-form currents are the label's: a GME trajectory read with
+    # the LME forms would be silently wrong
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    gen = build(GME, FIG_SYS, HOT, COLD)
+    with pytest.raises(ValidationError, match="'GME' generator"):
+        transient_currents(LME, FIG_SYS, HOT, COLD, state0, [0.0, 1.0], gen=gen)
+    transient_currents(GME, FIG_SYS, HOT, COLD, state0, [0.0, 1.0], gen=gen)
