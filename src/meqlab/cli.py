@@ -2,7 +2,9 @@
 
 Subcommands: scan-ep, transient, steady, rigidity, ep-line, matrices.
 One JSON config document drives everything (--config), with individual
---set key=value overrides using dotted paths. Numeric output is
+--set key=value overrides using dotted paths. load_config checks the
+whole document against one table of rules, whichever command reads
+it; each command then reads plain values. Numeric output is
 formatted with 17 significant digits and '\\n' line endings, so
 identical configs produce byte-identical files.
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys as _sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bath import BathSpec
 from .dynamics import slowest_timescale, steady_state, thermal_product_state
-from .epscan import EP_KAPPA_THRESHOLD, exceptional_line, scan
+from .epscan import BLOCKS, EP_KAPPA_THRESHOLD, exceptional_line, grid_block_matrices, scan
 from .errors import (
     BracketError,
     ConsistencyError,
@@ -35,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import (
+    FRAME_NAMES,
     GENERATOR_LABELS,
     GME,
     LME,
@@ -42,7 +44,6 @@ from .generators import (
     REDFIELD,
     build,
 )
-from .epscan import grid_block_matrices
 from .eigen import phase_rigidity_profile
 from .model import SystemSpec, is_resonant
 from .thermo import heat_current, transient_currents
@@ -109,46 +110,103 @@ def _set_override(cfg: dict, assignment: str) -> dict:
     return _deep_merge(cfg, value)
 
 
-def _as_number(node, path: str, positive: bool = False) -> float:
+def _number(node, path: str, positive: bool = False) -> None:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"config {path!r} must be a number, got {node!r}")
-    value = float(node)
-    if not math.isfinite(value):
+    if not abs(node) <= _sys.float_info.max:  # inf, nan, or an int past the floats
         raise ValidationError(f"config {path!r} must be finite")
-    if positive and value <= 0.0:
-        raise ValidationError(f"config {path!r} must be positive, got {value!r}")
-    return value
+    if positive and node <= 0:
+        raise ValidationError(f"config {path!r} must be positive, got {float(node)!r}")
 
 
-def _lookup(cfg: dict, path: str):
-    for part in path.split("."):
-        cfg = cfg[part]
-    return cfg
+def _positive(node, path: str) -> None:
+    _number(node, path, positive=True)
 
 
-def _require_number(cfg: dict, path: str, positive: bool = False) -> float:
-    return _as_number(_lookup(cfg, path), path, positive)
+def _integer(minimum: int, pair: bool = False):
+    """Rule: an integer, or a list of two, each at least ``minimum``."""
+    what = "two integers" if pair else "an integer"
+
+    def check(node, path: str) -> None:
+        values = (node if isinstance(node, list) and len(node) == 2 else [None]) if pair else [node]
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < minimum for v in values):
+            raise ValidationError(f"{path} must be {what} >= {minimum}")
+    return check
 
 
-def _require_int(cfg: dict, path: str, minimum: int):
-    """The integer at ``path``, or both of the pair where the default
-    config holds two, each at least ``minimum``."""
-    node = _lookup(cfg, path)
-    pair = isinstance(_lookup(DEFAULT_CONFIG, path), list)
-    values = (node if isinstance(node, list) and len(node) == 2 else [None]) if pair else [node]
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < minimum for v in values):
-        what = "two integers" if pair else "an integer"
-        raise ValidationError(f"{path} must be {what} >= {minimum}")
-    return node
-
-
-def _require_range(node, path: str) -> tuple[float, float]:
+def _range(node, path: str) -> None:
     if not isinstance(node, list) or len(node) != 2:
         raise ValidationError(f"config {path!r} must be two numbers, got {node!r}")
-    return tuple(_as_number(v, path) for v in node)
+    for value in node:
+        _number(value, path)
+
+
+def _one_of(options: tuple, many: bool = False):
+    """Rule: one of ``options`` or, with ``many``, a non-empty list of
+    distinct ones."""
+    what = "a non-empty list of distinct entries of" if many else "one of"
+
+    def check(node, path: str) -> None:
+        entries = (node if isinstance(node, list) else [None]) if many else [node]
+        if (not entries or not all(isinstance(e, str) and e in options for e in entries)
+                or len(set(entries)) < len(entries)):
+            raise ValidationError(f"config {path!r} must be {what} {options}, got {node!r}")
+    return check
+
+
+def _string(node, path: str) -> None:
+    if not isinstance(node, str):
+        raise ValidationError(f"config {path!r} must be a string, got {node!r}")
+
+
+#: the rule for every setting of DEFAULT_CONFIG, by dotted path
+_RULES = {
+    "system.omega_h": _positive,
+    "system.omega_c": _positive,
+    "system.k": _number,
+    "baths.hot.lambda_sq": _positive,
+    "baths.hot.temperature": _positive,
+    "baths.cold.lambda_sq": _positive,
+    "baths.cold.temperature": _positive,
+    "cutoff": _positive,
+    "generators": _one_of(GENERATOR_LABELS, many=True),
+    "scan.omega": _range,
+    "scan.k": lambda node, path: node is None or _range(node, path),  # null: auto-ranged
+    "scan.resolution": _integer(1, pair=True),
+    "scan.blocks": _one_of(BLOCKS, many=True),
+    "transient.t_max_factor": _positive,
+    "transient.points": _integer(1),
+    "steady.k_min": _number,
+    "steady.k_max": _number,
+    "steady.points": _integer(1),
+    "steady.spacing": _one_of(("log", "linear")),
+    "rigidity.k_min": _number,
+    "rigidity.k_max": _number,
+    "rigidity.points": _integer(2),
+    "matrices.label": _one_of(GENERATOR_LABELS),
+    "matrices.frame": _one_of(tuple(FRAME_NAMES)),
+    "output.dir": _string,
+    "output.format": _one_of(("csv", "json")),
+}
+
+
+def _check_config(cfg: dict) -> None:
+    """Raise ValidationError unless every setting of ``cfg`` obeys its rule."""
+    for path, rule in _RULES.items():
+        node = cfg
+        for part in path.split("."):
+            node = node[part]
+        rule(node, path)
+    if cfg["steady"]["spacing"] == "log":
+        for name in ("k_min", "k_max"):
+            if cfg["steady"][name] <= 0.0:
+                raise ValidationError(f"steady.{name} must be positive for log spacing")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
+    """The defaults, merged with the JSON file at ``path`` and then with
+    each --set assignment, checked whole: every command accepts the same
+    documents, whichever sections it reads."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
@@ -167,59 +225,27 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         cfg = _deep_merge(cfg, user)
     for assignment in overrides:
         cfg = _set_override(cfg, assignment)
+    _check_config(cfg)
     return cfg
 
 
 def parse_physics(cfg: dict) -> tuple[SystemSpec, BathSpec, BathSpec]:
-    """Validate the physical block of the config and build the specs."""
-    for path in (
-        "system.omega_h",
-        "system.omega_c",
-        "baths.hot.lambda_sq",
-        "baths.hot.temperature",
-        "baths.cold.lambda_sq",
-        "baths.cold.temperature",
-        "cutoff",
-    ):
-        _require_number(cfg, path, positive=True)
-    _require_number(cfg, "system.k")
-    labels = cfg["generators"]
-    if not isinstance(labels, list) or not labels:
-        raise ValidationError("config 'generators' must be a non-empty list")
-    for label in labels:
-        if label not in GENERATOR_LABELS:
-            raise ValidationError(
-                f"unknown generator label {label!r}; choose from {GENERATOR_LABELS}"
-            )
-    cutoff = cfg["cutoff"]
-    system = SystemSpec(
-        cfg["system"]["omega_h"], cfg["system"]["omega_c"], cfg["system"]["k"]
-    )
-    hot = BathSpec(
-        cfg["baths"]["hot"]["lambda_sq"], cfg["baths"]["hot"]["temperature"], cutoff
-    )
-    cold = BathSpec(
-        cfg["baths"]["cold"]["lambda_sq"], cfg["baths"]["cold"]["temperature"], cutoff
-    )
-    return system, hot, cold
+    """The system and the hot and cold baths of a config from
+    :func:`load_config`; the specs refuse what the config rules cannot
+    see (an unstable coupling, a square that overflows)."""
+    hot, cold = (BathSpec(cutoff=cfg["cutoff"], **cfg["baths"][name]) for name in ("hot", "cold"))
+    return SystemSpec(**cfg["system"]), hot, cold
 
 
-def _out_dir(cfg: dict, args) -> Path:
+def _output(cfg: dict, args) -> tuple[Path, str]:
+    """The output directory, created, and the table format: each from its
+    flag where the command has it and it is given, else from the config."""
     directory = args.out if args.out is not None else cfg["output"]["dir"]
-    if not isinstance(directory, str):
-        raise ValidationError(f"output.dir must be a string, got {directory!r}")
     try:
         Path(directory).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {directory!r}: {exc}") from exc
-    return Path(directory)
-
-
-def _out_format(cfg: dict, args) -> str:
-    fmt = args.format if args.format is not None else cfg["output"]["format"]
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return fmt
+    return Path(directory), getattr(args, "format", None) or cfg["output"]["format"]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -265,24 +291,17 @@ def _write_sidecar(path: Path, command: str, cfg: dict, outputs: list[str],
 
 
 def cmd_scan(cfg: dict, args) -> int:
-    system, hot, cold = parse_physics(cfg)
-    block_cfg = cfg["scan"]
-    omega_lo, omega_hi = _require_range(block_cfg["omega"], "scan.omega")
-    res = _require_int(cfg, "scan.resolution", 1)
-    blocks = block_cfg["blocks"]
-    for b in blocks:
-        if b not in ("first", "second"):
-            raise ValidationError(f"scan.blocks entries must be 'first'/'second', got {b!r}")
-    if block_cfg["k"] is None:
-        k_lo, k_hi = 0.0, 1.5 * exceptional_line(omega_hi, hot, cold)
+    _, hot, cold = parse_physics(cfg)
+    settings = cfg["scan"]
+    blocks = settings["blocks"]
+    omega_range = tuple(map(float, settings["omega"]))
+    if settings["k"] is None:
+        k_range = (0.0, 1.5 * exceptional_line(omega_range[1], hot, cold))
     else:
-        k_lo, k_hi = _require_range(block_cfg["k"], "scan.k")
-    result = scan(
-        cfg["generators"], blocks, (omega_lo, omega_hi), (k_lo, k_hi),
-        (res[0], res[1]), hot, cold, threads=args.threads,
-    )
-    out = _out_dir(cfg, args)
-    fmt = _out_format(cfg, args)
+        k_range = tuple(map(float, settings["k"]))
+    result = scan(cfg["generators"], blocks, omega_range, k_range,
+                  tuple(settings["resolution"]), hot, cold, threads=args.threads)
+    out, fmt = _output(cfg, args)
     # each grid value repeats on many rows: format it once
     omegas = _fmt_row(result.omegas.tolist())
     ks = _fmt_row(result.ks.tolist())
@@ -312,12 +331,10 @@ _TRANSIENT_LABELS = ((LME, "L"), (GME, "G"), (REDFIELD, "R"))
 
 def cmd_transient(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
-    points = _require_int(cfg, "transient.points", 1)
-    factor = _require_number(cfg, "transient.t_max_factor", positive=True)
-
     gens = {label: build(label, system, hot, cold) for label, _ in _TRANSIENT_LABELS}
     time_unit = slowest_timescale(gens[REDFIELD])
-    times = np.linspace(0.0, factor * time_unit, points)
+    times = np.linspace(0.0, cfg["transient"]["t_max_factor"] * time_unit,
+                        cfg["transient"]["points"])
     state0 = thermal_product_state(system, hot, cold)
 
     columns, steady_values = {"t": times}, {}
@@ -329,8 +346,8 @@ def cmd_transient(cfg: dict, args) -> int:
 
     header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
     table = np.column_stack([columns[name] for name in header])
-    out = _out_dir(cfg, args)
-    target = _write_table(out / "transient", header, table.tolist(), _out_format(cfg, args))
+    out, fmt = _output(cfg, args)
+    target = _write_table(out / "transient", header, table.tolist(), fmt)
     _write_sidecar(
         out / "transient.meta.json", "transient", cfg, [target.name],
         extras={"steady_currents": steady_values,
@@ -345,18 +362,8 @@ def cmd_transient(cfg: dict, args) -> int:
 def cmd_steady(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     sweep = cfg["steady"]
-    k_min = _require_number(cfg, "steady.k_min")
-    k_max = _require_number(cfg, "steady.k_max")
-    points = _require_int(cfg, "steady.points", 1)
-    if sweep["spacing"] == "log":
-        for name, value in (("k_min", k_min), ("k_max", k_max)):
-            if value <= 0.0:
-                raise ValidationError(f"steady.{name} must be positive for log spacing")
-        ks = np.geomspace(k_min, k_max, points)
-    elif sweep["spacing"] == "linear":
-        ks = np.linspace(k_min, k_max, points)
-    else:
-        raise ValidationError("steady.spacing must be 'log' or 'linear'")
+    spaced = np.geomspace if sweep["spacing"] == "log" else np.linspace
+    ks = spaced(float(sweep["k_min"]), float(sweep["k_max"]), sweep["points"])
 
     rows = []
     for k in ks:
@@ -370,8 +377,8 @@ def cmd_steady(cfg: dict, args) -> int:
             row.extend([sample.q_hot, sample.q_cold])
         rows.append(tuple(row))
     header = ["k", "Qh_L", "Qc_L", "Qh_G", "Qc_G", "Qh_R", "Qc_R"]
-    out = _out_dir(cfg, args)
-    target = _write_table(out / "steady", header, rows, _out_format(cfg, args))
+    out, fmt = _output(cfg, args)
+    target = _write_table(out / "steady", header, rows, fmt)
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
     return EXIT_OK
@@ -381,9 +388,8 @@ def cmd_rigidity(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     if not is_resonant(system):
         raise ValidationError("rigidity is resonant: system.omega_c must equal system.omega_h")
-    k_min = _require_number(cfg, "rigidity.k_min")
-    k_max = _require_number(cfg, "rigidity.k_max")
-    ks = np.linspace(k_min, k_max, _require_int(cfg, "rigidity.points", 2))
+    sweep = cfg["rigidity"]
+    ks = np.linspace(float(sweep["k_min"]), float(sweep["k_max"]), sweep["points"])
     omega = system.omega_h
     if np.any(np.abs(ks) >= omega**2):
         raise ValidationError("rigidity k range leaves the stability region |k| < omega^2")
@@ -397,9 +403,9 @@ def cmd_rigidity(cfg: dict, args) -> int:
         profiles[label] = phase_rigidity_profile(drifts.__getitem__, ks)
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
     table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
-    out = _out_dir(cfg, args)
+    out, fmt = _output(cfg, args)
     rows = map(np.ndarray.tolist, table)
-    target = _write_table(out / "rigidity", header, rows, _out_format(cfg, args))
+    target = _write_table(out / "rigidity", header, rows, fmt)
     flagged = {
         label: list(map(int, profiles[label].flagged)) for label in cfg["generators"]
     }
@@ -441,7 +447,7 @@ def cmd_matrices(cfg: dict, args) -> int:
         "cutoff": cfg["cutoff"],
         "version": __version__,
     }
-    out = _out_dir(cfg, args)
+    out, _ = _output(cfg, args)
     target = out / f"matrices_{label}.json"
     _write_json(target, payload)
     print(f"wrote {target}")

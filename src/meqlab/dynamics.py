@@ -133,10 +133,7 @@ def thermal_product_state(
     correlations, zero means."""
     xh2, ph2 = _thermal_diag(sys.omega_h, hot.temperature)
     xc2, pc2 = _thermal_diag(sys.omega_c, cold.temperature)
-    second = np.zeros(10)
-    second[0], second[1] = xh2, ph2
-    second[3], second[4] = xc2, pc2
-    return MomentState(np.zeros(4), second)
+    return MomentState(np.zeros(4), pack_symmetric(np.diag([xh2, ph2, xc2, pc2])))
 
 
 def gibbs_state_moments(sys: SystemSpec, temperature: float) -> MomentState:

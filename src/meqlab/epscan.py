@@ -156,20 +156,11 @@ def _kappa_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise ValidationError("threads must be >= 1")
-        return threads
-    env = os.environ.get("MEQLAB_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(f"MEQLAB_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ValidationError("MEQLAB_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    if threads is None:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
+    return threads
 
 
 def scan(
@@ -186,8 +177,10 @@ def scan(
     frequency and coupling.
 
     Grid points are independent; rows are chunked over `threads` workers
-    (default: MEQLAB_THREADS or the available parallelism) and merged by
-    index, so the output is deterministic.
+    (default: the core count) and merged by index, so the output is
+    deterministic. ``metadata`` holds the kappa ``norm``, the worker
+    count ``threads`` and ``nan_points``, the number of points per
+    "label/block" whose eigensolve failed (their kappa is NaN).
     """
     n_omega, n_k = resolution
     if n_omega < 1 or n_k < 1:
@@ -228,15 +221,9 @@ def scan(
                 ]
                 kappas[(label, block)] = np.vstack([f.result() for f in futures])
 
-    # points whose eigensolve failed (NaN kappa), per "label/block"
     nan_points = {"/".join(key): int(np.isnan(m).sum()) for key, m in kappas.items()}
     metadata = {
-        "hot": {"lambda_sq": hot.lambda_sq, "temperature": hot.temperature,
-                "cutoff": hot.cutoff},
-        "cold": {"lambda_sq": cold.lambda_sq, "temperature": cold.temperature,
-                 "cutoff": cold.cutoff},
         "norm": "2-norm, unit-column eigenvector matrix",
-        "ep_kappa_threshold": EP_KAPPA_THRESHOLD,
         "threads": workers,
         "nan_points": nan_points,
     }
@@ -267,7 +254,10 @@ def _seed_chain(drift: np.ndarray):
     an arbitrary phase, rounding of order eps/|k*| reached Re k* (up to
     3e-10 relative on the LME instead of a few ulps).
     """
-    evals, vecs = np.linalg.eig(drift)
+    try:
+        evals, vecs = np.linalg.eig(drift)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"EP seed eigensolve failed: {exc}") from exc
     gaps = np.abs(evals[:, None] - evals[None, :]) + np.diag(np.full(len(evals), np.inf))
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
     m = np.argmax(np.abs(vecs[:, i]))
@@ -359,7 +349,8 @@ def refine_ep(
     the peak; DomainError when omega or its square is not finite;
     ValidationError when ``rel_tol`` is not a finite number of at least
     two ulps, or when the bracket leaves the stability region;
-    NumericalError when the Newton iteration fails.
+    NumericalError when the eigensolve of the pre-scan or of the Newton
+    seed fails, or when the Newton iteration fails.
     """
     min_tol = 2.0 * np.finfo(float).eps
     if not (math.isfinite(rel_tol) and rel_tol >= min_tol):
@@ -378,7 +369,10 @@ def refine_ep(
     # coarse pre-scan, one stacked eig: reject brackets whose maximum sits
     # on the boundary
     coarse = np.linspace(lo, hi, 33)
-    kappas = condition_number_of(grid_block_matrices(label, block, omega, coarse, hot, cold))
+    try:
+        kappas = condition_number_of(grid_block_matrices(label, block, omega, coarse, hot, cold))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"kappa pre-scan of the bracket failed: {exc}") from exc
     values = [log_kappa(kappa) for kappa in kappas.tolist()]
     peak = int(np.argmax(values))
     if peak in (0, len(coarse) - 1):

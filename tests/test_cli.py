@@ -1,8 +1,10 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import meqlab
+from meqlab import cli
 from meqlab.cli import _fmt_row, main
 from meqlab.generators import lme_drift
 
@@ -265,15 +268,66 @@ def test_bad_set_path_rejected(tmp_path):
         assert run(["matrices", "--out", str(tmp_path), "--set", huge]) == 2
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MEQLAB_THREADS", "2")
-    assert run(["scan-ep", *SMALL_SCAN, "--out", str(tmp_path)]) == 0
-    monkeypatch.setenv("MEQLAB_THREADS", "zero")
-    assert run(["scan-ep", *SMALL_SCAN, "--out", str(tmp_path)]) == 2
+COMMANDS = ("scan-ep", "transient", "steady", "rigidity", "ep-line", "matrices")
+
+
+@pytest.mark.parametrize("setting", [
+    "transient.points=0", 'scan.blocks=["bogus"]', 'steady.spacing="cubic"',
+    'output.format="xml"', 'generators=["LME","LME"]', "generators=[]",
+    'scan.blocks=["first","first"]', "scan.blocks=[]", "rigidity.points=1",
+    'matrices.frame="bogus"', 'matrices.label="bogus"', "output.dir=5",
+    pytest.param("steady.k_min=1" + "0" * 400, id="int-beyond-float"),
+])
+def test_every_command_checks_the_whole_config(tmp_path, capsys, setting):
+    # a config is valid or not whatever command reads it; lists are
+    # non-empty and distinct
+    for command in COMMANDS:
+        capsys.readouterr()
+        argv = [command, "--set", setting] + (["--out", str(tmp_path)] if command != "ep-line" else [])
+        assert run(argv) == 2, command
+        assert setting.split("=")[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_setting_has_one_rule():
+    def leaves(node, prefix=""):
+        for key, value in node.items():
+            path = prefix + key
+            yield from leaves(value, path + ".") if isinstance(value, dict) else [path]
+    assert sorted(cli._RULES) == sorted(leaves(cli.DEFAULT_CONFIG))
+
+
+def test_parse_physics_reads_ints_as_floats():
+    as_ints = ["system.omega_h=2", "system.omega_c=3", "system.k=1", "cutoff=1000",
+               "baths.hot.lambda_sq=1", "baths.hot.temperature=10",
+               "baths.cold.lambda_sq=2", "baths.cold.temperature=5"]
+    as_floats = [setting + ".0" for setting in as_ints]
+    ints = cli.parse_physics(cli.load_config(None, as_ints))
+    floats = cli.parse_physics(cli.load_config(None, as_floats))
+    assert ints == floats
+    assert all(type(getattr(spec, name)) is float for spec in ints
+               for name in spec.__dataclass_fields__)
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |\n| --- | --- |\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            documented[command] = sorted(re.findall(r"`(--[a-z-]+)", flags))
+    subparsers = next(action for action in cli.make_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actual = {
+        name: sorted(option for action in parser._actions for option in action.option_strings
+                     if option not in ("-h", "--help", "--config", "--set"))
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == actual
 
 
 def test_numerical_failure_exit_code(monkeypatch):
-    from meqlab import cli
     from meqlab.errors import NumericalError
 
     def boom(*args, **kwargs):

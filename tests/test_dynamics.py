@@ -61,6 +61,19 @@ def test_thermal_product_vacuum_limit():
     assert state.second[4] == pytest.approx(0.25, rel=1e-9)
 
 
+def test_thermal_product_state_packs_the_local_diagonal():
+    # the packing order belongs to algebra; the vector keeps the bits of
+    # the entries written at indices 0, 1, 3 and 4
+    sys = SystemSpec(1.0, 1.7, 0.2)
+    hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 0.3, 1e3)
+    state = thermal_product_state(sys, hot, cold)
+    expected = np.zeros(10)
+    expected[0], expected[1] = dynamics._thermal_diag(sys.omega_h, hot.temperature)
+    expected[3], expected[4] = dynamics._thermal_diag(sys.omega_c, cold.temperature)
+    assert state.second.tobytes() == expected.tobytes()
+    assert state.first.tobytes() == np.zeros(4).tobytes()
+
+
 def test_thermal_uncertainty():
     for temperature in (1e-9, 0.3, 5.0, 80.0):
         bath = BathSpec(1e-5, temperature, 1e3)

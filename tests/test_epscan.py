@@ -1,6 +1,7 @@
 """Exceptional-point loci, grid scans, refinement."""
 
 import math
+import os
 import warnings
 
 import mpmath
@@ -353,6 +354,33 @@ def test_scan_counts_nan_points(monkeypatch):
                   threads=1)
     assert int(np.isnan(result.kappas[(LME, "first")]).sum()) == 1
     assert result.metadata["nan_points"] == {"LME/first": 1}
+
+
+def test_scan_metadata_keys(monkeypatch):
+    # the worker count defaults to the core count; no environment
+    # variable sets it
+    monkeypatch.setenv("MEQLAB_THREADS", "zero")
+    result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (2, 3), HOT, COLD)
+    assert sorted(result.metadata) == ["nan_points", "norm", "threads"]
+    assert result.metadata["threads"] == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("failing", ["pre-scan", "seed"])
+def test_refine_ep_eigensolve_failure_is_numerical(monkeypatch, failing):
+    # the 33-point pre-scan eigensolves a stack, the Newton seed one 4x4
+    # drift; a LinAlgError from either surfaces as NumericalError
+    real_eig = np.linalg.eig
+
+    def fail_one_kind(mats):
+        if (np.ndim(mats) > 2) == (failing == "pre-scan"):
+            raise np.linalg.LinAlgError("eig did not converge")
+        return real_eig(mats)
+
+    monkeypatch.setattr(np.linalg, "eig", fail_one_kind)
+    kstar = exceptional_line(1.0, HOT, COLD)
+    with pytest.raises(NumericalError, match="eigensolve|pre-scan") as info:
+        refine_ep(LME, "first", 1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_non_finite_omega_is_a_domain_error(monkeypatch):
