@@ -43,7 +43,6 @@ __all__ = [
     "QuadOp",
     "commutator",
     "dissipator_action",
-    "multiply_linear",
     "position",
     "momentum",
     "moment_labels",
@@ -135,16 +134,6 @@ class QuadOp:
 
     # -- queries ---------------------------------------------------------
 
-    def is_linear(self, tol: float = 1e-14) -> bool:
-        return bool(np.abs(self.quad).max() <= tol)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.scalar.imag) <= tol
-            and np.abs(self.linear.imag).max() <= tol
-            and np.abs(self.quad.imag).max() <= tol
-        )
-
     def max_abs(self) -> float:
         return max(
             abs(self.scalar), np.abs(self.linear).max(), np.abs(self.quad).max()
@@ -174,20 +163,6 @@ def commutator(a: QuadOp, b: QuadOp) -> QuadOp:
     scalar = 1j * (a.linear @ w @ b.linear)
     linear = 2j * (a.quad @ w @ b.linear - b.quad @ w @ a.linear)
     quad = 2j * (a.quad @ w @ b.quad - b.quad @ w @ a.quad)
-    return QuadOp(scalar, linear, quad)
-
-
-def multiply_linear(a: QuadOp, b: QuadOp) -> QuadOp:
-    """Product of two affine (scalar + linear) operators.
-
-    a b = (1/2){a, b} + (1/2)[a, b]: the symmetrized quadratic plus the
-    commutator scalar.
-    """
-    if not a.is_linear() or not b.is_linear():
-        raise ContractError("multiply_linear requires operators with no quadratic part")
-    scalar = a.scalar * b.scalar + 0.5j * (a.linear @ SYMPLECTIC @ b.linear)
-    linear = a.scalar * b.linear + b.scalar * a.linear
-    quad = 0.5 * (np.outer(a.linear, b.linear) + np.outer(b.linear, a.linear))
     return QuadOp(scalar, linear, quad)
 
 
@@ -288,14 +263,6 @@ def second_moment_flow(a: np.ndarray) -> np.ndarray:
     flow = np.take(padded, _FLOW_INDICES[0], axis=-1)
     flow += np.take(padded, _FLOW_INDICES[1], axis=-1)
     return flow
-
-
-def quadratic_basis_op(i: int, j: int) -> QuadOp:
-    """(1/2){q_i, q_j} as a QuadOp."""
-    q = np.zeros((4, 4))
-    q[i, j] += 0.5
-    q[j, i] += 0.5
-    return QuadOp(quad=q)
 
 
 def moment_labels(names: Sequence[str]) -> tuple[str, ...]:

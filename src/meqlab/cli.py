@@ -421,7 +421,7 @@ def cmd_epline(cfg: dict, args) -> int:
     system, hot, cold = parse_physics(cfg)
     if not is_resonant(system):
         raise ValidationError("ep-line is resonant: system.omega_c must equal system.omega_h")
-    omega = cfg["system"]["omega_h"]
+    omega = system.omega_h
     exact = exceptional_line(omega, hot, cold, mode="exact")
     asymptotic = exceptional_line(omega, hot, cold, mode="large-cutoff")
     omega_s, exact_s, asymptotic_s = _fmt_row([omega, exact, asymptotic])

@@ -284,7 +284,8 @@ def _jordan_chain_root(
     one 10x10 solve, with dA/dk by central difference. The iteration
     stops when |dk| <= rel_tol |k| or |dk| stops shrinking (rounding),
     and raises NumericalError when it does neither within
-    NEWTON_MAX_STEPS.
+    NEWTON_MAX_STEPS. Only the LME and Redfield-zeroth answer at wh != wc;
+    the other labels raise ValidationError there (:func:`closed_form_drift`).
     """
     h = _DERIVATIVE_STEP * wh * wc
     v, u, lam, tau, c = _seed_chain(closed_form_drift(label, wh, wc, k0, hot, cold))
@@ -346,7 +347,8 @@ def refine_ep(
 
     Raises BracketError when the bracket has no interior maximum (kappa
     monotone across it) or Re k* leaves the two pre-scan points around
-    the peak; DomainError when omega or its square is not finite;
+    the peak; DomainError when omega or its square is not finite, or
+    when omega is negative (the closed forms refuse it for every label);
     ValidationError when ``rel_tol`` is not a finite number of at least
     two ulps, or when the bracket leaves the stability region;
     NumericalError when the eigensolve of the pre-scan or of the Newton

@@ -27,6 +27,8 @@ forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
 label's drifts from them, for this cross-check and the EP scans alike.
+Only the LME forms hold off resonance; the others refuse detuned
+input, by the one rule of ``model.is_resonant`` (omega_h == omega_c).
 Tables and closed forms read the same Delta and Sigma of ``bath``, so
 the two routes differ only in their algebra.
 """
@@ -47,13 +49,14 @@ from .algebra import (
     unpack_symmetric,
 )
 from .bath import BathSpec, delta_coeff, sigma_coeff
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, DomainError, ValidationError
 from .model import (
     JumpChannel,
     NormalModes,
     SystemSpec,
     global_jump_ops,
     hamiltonian,
+    is_resonant,
     local_jump_ops,
     normal_modes,
 )
@@ -137,7 +140,7 @@ def _zeroth_channels(sys: SystemSpec, modes: NormalModes) -> list[JumpChannel]:
     collapse; off resonance the k = 0 modes are the bare oscillators, so
     the channels are the local ones.
     """
-    if modes.resonant:
+    if is_resonant(sys):
         return global_jump_ops(sys, replace(modes, omega1=sys.omega_h, omega2=sys.omega_h))
     return local_jump_ops(sys)
 
@@ -279,10 +282,13 @@ def closed_form_drift(
 
     The one place that decides which closed form gives a label's drift,
     from which coefficients. The LME form holds at any detuning, and
-    Redfield-zeroth shares it at resonance; the other forms are resonant
-    and take ``wh`` as the common frequency. The result is complex when
-    an input is (complex k continues the drift off the real axis), else
-    float.
+    Redfield-zeroth shares it at resonance. The GME, GME-zeroth and
+    Redfield forms hold only at resonance and refuse other input: they
+    raise DomainError unless every Re ``wh`` > 0 (their mode frequencies
+    read only wh^2, which hides the sign) and ValidationError unless
+    ``wh == wc`` exactly in every entry, the rule of
+    ``model.is_resonant``. The result is complex when an input is
+    (complex k continues the drift off the real axis), else float.
     """
     local = frame == LOCAL_FRAME
     wh, wc, k = np.asarray(wh), np.asarray(wc), np.asarray(k)
@@ -293,6 +299,8 @@ def closed_form_drift(
                 if local else None)
     if label not in (GME, GME_ZEROTH, REDFIELD):
         raise ValidationError(f"unknown generator label {label!r}")
+    if not (wh.real > 0.0).all():
+        raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
     o1, o2 = np.sqrt(wh**2 + k), np.sqrt(wh**2 - k)
     if label == GME_ZEROTH:
         dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))
@@ -300,6 +308,8 @@ def closed_form_drift(
         d1h, d2h = delta_coeff(hot, o1), delta_coeff(hot, o2)
         d1c, d2c = delta_coeff(cold, o1), delta_coeff(cold, o2)
         dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
+    if not (wh == wc).all():
+        raise ValidationError(f"{label} closed form is resonant: omega_c must equal omega_h")
     if local and label == REDFIELD:
         return redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c)
     if local:
@@ -318,16 +328,17 @@ def closed_form_blocks(
     with a closed form for the label/parameters are present); the drifts
     come from :func:`closed_form_drift`. The LME forms give the local
     blocks at any detuning, also for Redfield-zeroth and, off resonance,
-    for GME-zeroth. The other forms hold only at resonance,
-    ``modes.resonant`` (omega_h == omega_c), and give block2 and const2
-    in the normal frame.
+    for GME-zeroth. The other forms hold only at resonance
+    (``model.is_resonant``), give block2 and const2 in the normal frame,
+    and are absent, not refused, off it: the result is ``{}``.
     """
     wh, wc = sys.omega_h, sys.omega_c
+    resonant = is_resonant(sys)
     # off resonance the zeroth-order channels are the local ones, and at
     # resonance Redfield-zeroth's cross pairs sum to them
-    if label == REDFIELD_ZEROTH or (label == GME_ZEROTH and not modes.resonant):
+    if label == REDFIELD_ZEROTH or (label == GME_ZEROTH and not resonant):
         label = LME
-    elif label != LME and not modes.resonant:
+    elif label != LME and not resonant:
         return {}
     out = {"block1_local": closed_form_drift(label, wh, wc, sys.k, hot, cold)}
     if label == LME:

@@ -64,24 +64,24 @@ class SystemSpec:
 
 
 def is_resonant(sys: SystemSpec) -> bool:
+    """The one resonance rule: the bare frequencies are equal, bit for bit."""
     return sys.omega_h == sys.omega_c
 
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Orthogonal mode transform (x_h, x_c)^T = P (eta_1, eta_2)^T.
+    """Orthogonal mode transform (x_h, x_c)^T = P (eta_1, eta_2)^T and the
+    two normal-mode frequencies.
 
-    Momenta transform with the same P. At resonance P is the fixed
-    +/-45 degree rotation and Omega_{1,2} = sqrt(omega^2 +/- k) (mode 1
-    is the symmetric one); off resonance modes are ordered by frequency,
-    Omega_1 >= Omega_2.
+    Momenta transform with the same P. At resonance (:func:`is_resonant`)
+    P is the fixed +/-45 degree rotation and Omega_{1,2} =
+    sqrt(omega^2 +/- k) (mode 1 is the symmetric one); off resonance
+    modes are ordered by frequency, Omega_1 >= Omega_2.
     """
 
     matrix: np.ndarray  # 2x2 orthogonal
     omega1: float
     omega2: float
-    zeta: float
-    resonant: bool
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -107,7 +107,6 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
         if o2_sq <= 0.0 or o1_sq <= 0.0:
             raise StabilityError("normal-mode frequency squared is not positive")
         p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        zeta, resonant = math.pi / 4, True
     else:
         delta = wh_sq - wc_sq
         s = math.hypot(2.0 * k, delta)
@@ -115,20 +114,19 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
         o2_sq = 0.5 * (wh_sq + wc_sq - s)
         if o2_sq <= 0.0:
             raise StabilityError("normal-mode frequency squared is not positive")
-        # cos(zeta)^2 = (s - delta)/(2s), sin(zeta)^2 = (s + delta)/(2s); the
-        # smaller is 4k^2/((s + |delta|) 2s), as s - |delta| cancels for
-        # small k. sin carries the sign of k: the first column has the
-        # larger eigenvalue
+        # for the mixing angle z, cos(z)^2 = (s - delta)/(2s) and
+        # sin(z)^2 = (s + delta)/(2s); the smaller is 4k^2/((s + |delta|) 2s),
+        # as s - |delta| cancels for small k. sin carries the sign of k: the
+        # first column has the larger eigenvalue
         large = math.sqrt((s + abs(delta)) / (2.0 * s))
         small = abs(k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
         cos_z, sin_z = (small, large) if delta > 0.0 else (large, small)
         if k < 0.0:
             sin_z = -sin_z
-        zeta, resonant = math.atan2(sin_z, cos_z), False
         p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
     omega1 = math.ldexp(math.sqrt(o1_sq), e)
     omega2 = math.ldexp(math.sqrt(o2_sq), e)
-    return NormalModes(p, omega1, omega2, zeta, resonant)
+    return NormalModes(p, omega1, omega2)
 
 
 def hamiltonian(sys: SystemSpec) -> QuadOp:

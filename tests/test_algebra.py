@@ -11,16 +11,36 @@ from meqlab.algebra import (
     commutator,
     dissipator_action,
     momentum,
-    multiply_linear,
     pack_symmetric,
     position,
-    quadratic_basis_op,
     unpack_symmetric,
 )
 from meqlab.errors import ContractError
 
 X_H, P_H = position(0), momentum(0)
 X_C, P_C = position(1), momentum(1)
+
+
+def quadratic_basis_op(i: int, j: int) -> QuadOp:
+    """(1/2){q_i, q_j} as a QuadOp."""
+    q = np.zeros((4, 4))
+    q[i, j] += 0.5
+    q[j, i] += 0.5
+    return QuadOp(quad=q)
+
+
+def multiply_linear(a: QuadOp, b: QuadOp) -> QuadOp:
+    """Product of two affine (scalar + linear) operators, the oracle the
+    dissipator action is checked against.
+
+    a b = (1/2){a, b} + (1/2)[a, b]: the symmetrized quadratic plus the
+    commutator scalar.
+    """
+    assert not a.quad.any() and not b.quad.any(), "operands must be affine"
+    scalar = a.scalar * b.scalar + 0.5j * (a.linear @ SYMPLECTIC @ b.linear)
+    linear = a.scalar * b.linear + b.scalar * a.linear
+    quad = 0.5 * (np.outer(a.linear, b.linear) + np.outer(b.linear, a.linear))
+    return QuadOp(scalar, linear, quad)
 
 
 def random_quadop(rng, hermitian=False):
@@ -94,11 +114,6 @@ def test_multiply_linear_cases():
     prod = multiply_linear(plus, minus)
     expected = quadratic_basis_op(0, 0) + quadratic_basis_op(1, 1) + QuadOp(scalar=1.0)
     assert prod.distance(expected) < 1e-15
-
-
-def test_multiply_linear_rejects_quadratic_input():
-    with pytest.raises(ContractError):
-        multiply_linear(quadratic_basis_op(0, 0), X_H)
 
 
 def pair_table(rate, x, y):
@@ -179,7 +194,9 @@ def test_pair_action_hermiticity_preservation():
         x = random_linear(rng)
         obs = random_quadop(rng, hermitian=True)
         out = dissipator_action(pair_table(0.4, x, x), obs)
-        assert out.is_hermitian(tol=1e-12)
+        # the adjoint conjugates every coefficient, so this bounds each
+        # imaginary part by 1e-12
+        assert out.distance(out.adjoint()) <= 2e-12
 
 
 def test_pair_action_rejects_quadratic_channel():

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -414,3 +415,18 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+@pytest.mark.parametrize("module", sorted(
+    "meqlab" if path.stem == "__init__" else f"meqlab.{path.stem}"
+    for path in Path(meqlab.__file__).parent.glob("*.py")
+))
+def test_module_exports_resolve(module):
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", ())
+    missing = [name for name in exported if not hasattr(mod, name)]
+    assert not missing, missing
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(exported) <= namespace.keys()

@@ -20,7 +20,7 @@ from meqlab.epscan import (
     condition_number_of,
 )
 from meqlab.errors import BracketError, DomainError, NumericalError, ValidationError
-from meqlab.generators import GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build
+from meqlab.generators import GENERATOR_LABELS, GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build
 from meqlab.model import SystemSpec
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
@@ -401,6 +401,24 @@ def test_non_finite_omega_is_a_domain_error(monkeypatch):
         for omega in (np.inf, np.nan):
             with pytest.raises(DomainError, match="omega"):
                 exceptional_line(omega, HOT, COLD)
+
+
+@pytest.mark.parametrize("label", GENERATOR_LABELS)
+def test_negative_omega_is_a_domain_error_for_every_label(label):
+    # omega = -1 has the square of omega = 1; no label may answer with the
+    # omega = 1 root, as exceptional_line(-1.0) does not
+    kstar = exceptional_line(1.0, HOT, COLD)
+    with pytest.raises(DomainError, match="omega"):
+        refine_ep(label, "first", -1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD)
+
+
+def test_detuned_redfield_jordan_chain_is_refused():
+    # the resonant Redfield form has no detuned version, so the Newton core
+    # raises instead of returning the resonant k*
+    import meqlab.epscan as emod
+
+    with pytest.raises(ValidationError, match="resonant"):
+        emod._jordan_chain_root(REDFIELD, 1.0, 1.01, 5e-5, HOT, COLD, 1e-12)
 
 
 def test_refine_newton_gives_up_at_its_step_cap(monkeypatch):

@@ -18,9 +18,9 @@ from meqlab.algebra import (
     second_moment_flow,
     unpack_symmetric,
 )
-from meqlab.bath import BathSpec, decay_rate
+from meqlab.bath import BathSpec, decay_rate, delta_coeff
 from meqlab.dynamics import steady_state
-from meqlab.errors import ValidationError
+from meqlab.errors import DomainError, ValidationError
 from meqlab.generators import (
     GENERATOR_LABELS,
     GME,
@@ -529,8 +529,6 @@ def test_resonance_window_properties(omega_h, ratio, k_frac, baths):
 def test_block1_trace_matches_analytic_dissipation():
     # the only trace contribution is the dissipative diagonal: the sum of
     # per-channel drift coefficients weighted by the squared mode weights
-    from meqlab.bath import delta_coeff
-
     rng = np.random.default_rng(14)
     for _ in range(20):
         sys, hot, cold = random_setup(rng)
@@ -685,3 +683,45 @@ def test_closed_form_drift_at_complex_coupling():
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = expected[3, 0] = -1e-4j
     np.testing.assert_allclose(shift, expected, rtol=0, atol=1e-19)
+
+
+@pytest.mark.parametrize("frame", [LOCAL_FRAME, NORMAL_FRAME])
+@pytest.mark.parametrize("label", GENERATOR_LABELS)
+def test_closed_form_drift_off_resonance(label, frame):
+    # the LME forms answer at any detuning, bit for bit the LME drift; the
+    # resonant forms read one frequency, so a detuned pair (scalar, one
+    # entry of an array, or a NaN omega_c) is refused, not answered at
+    # omega_h
+    wh = np.float64(1.0)
+    ks = np.linspace(1e-4, 1e-3, 5)
+    wcs = np.full(5, wh)
+    wcs[3] = np.nextafter(wh, 2.0)
+    cases = [(np.nextafter(wh, 2.0), 2e-3), (wcs, ks), (np.float64(1.01), 2e-3)]
+    for wc, k in cases:
+        if label in (LME, REDFIELD_ZEROTH):
+            got = closed_form_drift(label, wh, wc, k, HOT, COLD, frame)
+            if frame == NORMAL_FRAME:
+                assert got is None
+                continue
+            wh_a, wc_a, k_a = np.asarray(wh), np.asarray(wc), np.asarray(k)
+            want = lme_drift(wh_a, wc_a, k_a, delta_coeff(HOT, wh_a), delta_coeff(COLD, wc_a))
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValidationError, match="resonant"):
+                closed_form_drift(label, wh, wc, k, HOT, COLD, frame)
+    if label not in (LME, REDFIELD_ZEROTH):
+        with pytest.raises(ValidationError, match="resonant"):
+            closed_form_drift(label, wh, np.nan, 2e-3, HOT, COLD, frame)
+        # the same grid at resonance still answers
+        assert closed_form_drift(label, wh, wh, ks, HOT, COLD, frame).shape == (5, 4, 4)
+
+
+@pytest.mark.parametrize("label", GENERATOR_LABELS)
+@pytest.mark.parametrize(
+    "omega", [-1.0, 0.0, np.array([1.0, -1.0])], ids=["negative", "zero", "one-negative-entry"]
+)
+def test_closed_form_drift_refuses_non_positive_omega(label, omega):
+    # the resonant forms read only omega^2 and would hide the sign; like the
+    # LME's drift coefficients, they refuse a non-positive omega
+    with pytest.raises(DomainError, match="omega"):
+        closed_form_drift(label, omega, omega, 2e-3, HOT, COLD)

@@ -101,10 +101,10 @@ def test_normal_modes_near_overflow():
 
 def unscaled_normal_modes(wh, wc, k):
     """The normal-mode formulas on the unscaled squares, kept as the
-    reference: (omega1, omega2, P, zeta)."""
+    reference: (omega1, omega2, P)."""
     if wh == wc:
         p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        return math.sqrt(wh**2 + k), math.sqrt(wh**2 - k), p, math.pi / 4
+        return math.sqrt(wh**2 + k), math.sqrt(wh**2 - k), p
     delta = wh**2 - wc**2
     s = math.hypot(2.0 * k, delta)
     large = math.sqrt((s + abs(delta)) / (2.0 * s))
@@ -113,8 +113,7 @@ def unscaled_normal_modes(wh, wc, k):
     if k < 0.0:
         sin_z = -sin_z
     p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
-    return (math.sqrt(0.5 * (wh**2 + wc**2 + s)), math.sqrt(0.5 * (wh**2 + wc**2 - s)),
-            p, math.atan2(sin_z, cos_z))
+    return math.sqrt(0.5 * (wh**2 + wc**2 + s)), math.sqrt(0.5 * (wh**2 + wc**2 - s)), p
 
 
 OMEGA_H = st.floats(0.3, 2.5)
@@ -130,8 +129,8 @@ def test_normal_modes_keep_the_unscaled_bits(omega_h, ratio, k_frac, shift):
     wh, wc = math.ldexp(omega_h, shift), math.ldexp(omega_h * ratio, shift)
     k = k_frac * wh * wc
     nm = normal_modes(SystemSpec(wh, wc, k))
-    omega1, omega2, p, zeta = unscaled_normal_modes(wh, wc, k)
-    assert (nm.omega1, nm.omega2, nm.zeta) == (omega1, omega2, zeta)
+    omega1, omega2, p = unscaled_normal_modes(wh, wc, k)
+    assert (nm.omega1, nm.omega2) == (omega1, omega2)
     assert nm.matrix.tobytes() == p.tobytes()
 
 
@@ -152,7 +151,6 @@ def test_normal_modes_scale_exactly_by_powers_of_two(omega_h, ratio, k_frac, shi
     assert scaled.omega1 == math.ldexp(base.omega1, shift)
     assert scaled.omega2 == math.ldexp(base.omega2, shift)
     assert scaled.matrix.tobytes() == base.matrix.tobytes()
-    assert scaled.zeta == base.zeta
 
 
 def test_hamiltonian_quadratic_form():
