@@ -8,9 +8,10 @@ eigenvalue condition number, Golub and Van Loan, *Matrix Computations*,
 sec. 7.2.2) and the condition number of the eigenvector matrix are the
 two witnesses of eigenvector coalescence used throughout.
 
-A stack of matrices is analysed by one batched eigensolve, inverse and
-SVD; the branch tracking of a sweep runs per point in Python. Each row of
-a stack has the bits the matrix alone gives.
+A stack of matrices is analysed by one batched eigensolve and inverse;
+only the callers that report the condition number add one batched SVD.
+The branch tracking of a sweep runs per point in Python. Each row of a
+stack has the bits the matrix alone gives.
 """
 
 from __future__ import annotations
@@ -78,15 +79,10 @@ def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[i
 
 
 def _unit_eig(mats: np.ndarray):
-    """(eigenvalues, unit complex right vectors, kappas) of a matrix or a stack
-    by one batched eig. kappa of a real spectrum comes from its real vectors,
-    as a lone eig returns them, so each row has the bits of the matrix alone."""
+    """(eigenvalues, unit complex right vectors) of a matrix or a stack by one
+    batched eig."""
     evals, vecs = np.linalg.eig(mats)
-    right = _unit_columns(vecs.astype(complex, copy=False))
-    kappas = np.asarray(condition_number(right))
-    real = (evals.imag == 0).all(axis=-1)
-    kappas[real] = condition_number(_unit_columns(vecs[real].real))
-    return evals, right, kappas
+    return evals, _unit_columns(vecs.astype(complex, copy=False))
 
 
 def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -110,11 +106,11 @@ def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _eig_stack(mats: np.ndarray):
-    """(eigenvalues, right, left, rigidities, kappas) of each matrix of a
-    checked stack. The rows y_i of V^-1 are the left vectors, paired with
+    """(eigenvalues, right, left, rigidities) of each matrix of a checked
+    stack. The rows y_i of V^-1 are the left vectors, paired with
     the unit right vectors v_i by y_i . v_i = 1: rigidity_i = |y_i . v_i| / ||y_i||."""
     try:
-        evals, right, kappas = _unit_eig(mats)
+        evals, right = _unit_eig(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     try:
@@ -128,7 +124,7 @@ def _eig_stack(mats: np.ndarray):
     left = left / np.abs(left).max(axis=-1, keepdims=True)
     left = _unit_columns(left.swapaxes(-1, -2))
     rigidities = np.abs(np.sum(left * right, axis=-2))
-    return evals, right, left, rigidities, kappas
+    return evals, right, left, rigidities
 
 
 def eig(matrix: np.ndarray) -> EigenAnalysis:
@@ -139,15 +135,14 @@ def eig(matrix: np.ndarray) -> EigenAnalysis:
     tends to 0 as eigenvectors coalesce. V is complex, also for a real spectrum.
     """
     stack = _checked_stack([np.asarray(matrix, dtype=float)])
-    evals, right, left, rigidities, kappas = _eig_stack(stack)
-    return EigenAnalysis(evals[0], right[0], left[0], rigidities[0], float(kappas[0]))
+    evals, right, left, rigidities = _eig_stack(stack)
+    return EigenAnalysis(evals[0], right[0], left[0], rigidities[0], condition_number(right[0]))
 
 
 def condition_number_of(matrix: np.ndarray) -> float | np.ndarray:
     """The kappa eig() reports, of one matrix or of each of a stack
     (leading axes); a failed eig raises ``LinAlgError``."""
-    kappas = _unit_eig(np.asarray(matrix))[2]
-    return kappas if kappas.ndim else float(kappas)
+    return condition_number(_unit_eig(np.asarray(matrix))[1])
 
 
 def condition_number(vectors: np.ndarray) -> float | np.ndarray:
@@ -169,7 +164,6 @@ class RigidityProfile:
     parameters: np.ndarray  # (n_k,)
     eigenvalues: np.ndarray  # (n_k, n) complex, continuity-ordered
     rigidities: np.ndarray  # (n_k, n) real, aligned with eigenvalues
-    kappas: np.ndarray  # (n_k,)
     flagged: tuple[int, ...]  # sweep indices where a tracking step is a tie
 
 
@@ -180,16 +174,17 @@ def phase_rigidity_profile(
     rigidity of each branch.
 
     ``matrix_fn`` is called once per parameter and the matrices are
-    analysed as one stack. Branches are matched between consecutive
+    analysed as one stack, by one eig and one inverse (no SVD: a profile
+    reports no condition number). Branches are matched between consecutive
     points by nearest eigenvalue; exact ties are flagged (not fatal), the
     tracking then proceeds with the greedy choice.
     """
     params = np.asarray(list(parameters), dtype=float)
     if not len(params):
         empty = np.array([])
-        return RigidityProfile(params, empty, empty, empty, ())
+        return RigidityProfile(params, empty, empty, ())
     stack = _checked_stack([np.asarray(matrix_fn(v), dtype=float) for v in params.tolist()])
-    evals, _, _, rigidities, kappas = _eig_stack(stack)
+    evals, _, _, rigidities = _eig_stack(stack)
     values = evals.tolist()
     orders, flagged = [list(range(len(values[0])))], []
     for idx in range(1, len(values)):
@@ -202,6 +197,5 @@ def phase_rigidity_profile(
         params,
         np.take_along_axis(evals, orders, axis=-1),
         np.take_along_axis(rigidities, orders, axis=-1),
-        kappas,
         tuple(flagged),
     )

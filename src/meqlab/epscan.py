@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
-from .generators import NORMAL_FRAME, closed_form_drift
+from .generators import LOCAL_FRAME, NORMAL_FORMS, NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
 from .eigen import condition_number_of
 
@@ -115,16 +115,14 @@ def grid_block_matrices(
     resonant oscillators. Returns shape broadcast + (4, 4) or (10, 10).
 
     The first block is the local closed-form drift; the second is the
-    flow of the normal-frame drift where the label has one (GME,
-    GME-zeroth, Redfield), else of the local one."""
+    flow of the normal-frame drift for the NORMAL_FORMS (GME, GME-zeroth,
+    Redfield), else of the local one."""
     if block not in BLOCKS:
         raise ValidationError(f"block must be one of {BLOCKS}")
     if block == "first":
         return closed_form_drift(label, omega, omega, k, hot, cold)
-    drift = closed_form_drift(label, omega, omega, k, hot, cold, NORMAL_FRAME)
-    if drift is None:
-        drift = closed_form_drift(label, omega, omega, k, hot, cold)
-    return second_moment_flow(drift)
+    frame = NORMAL_FRAME if label in NORMAL_FORMS else LOCAL_FRAME
+    return second_moment_flow(closed_form_drift(label, omega, omega, k, hot, cold, frame))
 
 
 @dataclass(frozen=True)
@@ -233,6 +231,9 @@ def scan(
 #: Newton steps allowed before refine_ep gives up
 NEWTON_MAX_STEPS = 40
 
+#: refine_ep stops once a Newton step moves k by at most this times |k|
+NEWTON_REL_TOL = 1e-12
+
 #: central-difference step of dA/dk, relative to omega_h omega_c, the scale on
 #: which the drift varies with k (cube root of eps balances truncation
 #: against rounding)
@@ -269,7 +270,7 @@ def _seed_chain(drift: np.ndarray):
 
 
 def _jordan_chain_root(
-    label: str, wh: float, wc: float, k0: complex, hot: BathSpec, cold: BathSpec, rel_tol: float
+    label: str, wh: float, wc: float, k0: complex, hot: BathSpec, cold: BathSpec
 ) -> complex:
     """Coupling k* at which the label's local closed-form drift A(k) at
     frequencies (wh, wc) has a Jordan chain, by Newton's method from k0
@@ -282,7 +283,7 @@ def _jordan_chain_root(
     a regular root at a generic EP2, with tau and c fixed by
     :func:`_seed_chain` (u is the chain vector scaled by tau). Each step is
     one 10x10 solve, with dA/dk by central difference. The iteration
-    stops when |dk| <= rel_tol |k| or |dk| stops shrinking (rounding),
+    stops when |dk| <= NEWTON_REL_TOL |k| or |dk| stops shrinking (rounding),
     and raises NumericalError when it does neither within
     NEWTON_MAX_STEPS. Only the LME and Redfield-zeroth answer at wh != wc;
     the other labels raise ValidationError there (:func:`closed_form_drift`).
@@ -315,7 +316,7 @@ def _jordan_chain_root(
             raise NumericalError("EP Newton step is not finite")
         v, u, lam, k = v + step[:4], u + step[4:8], lam + step[8], k + step[9]
         size = abs(step[9])
-        if size <= rel_tol * abs(k) or size >= last:
+        if size <= NEWTON_REL_TOL * abs(k) or size >= last:
             return k
         last = size
     raise NumericalError(f"EP Newton did not converge in {NEWTON_MAX_STEPS} steps")
@@ -328,7 +329,6 @@ def refine_ep(
     k_bracket: tuple[float, float],
     hot: BathSpec,
     cold: BathSpec,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Exceptional coupling of ``label`` at resonant frequency omega inside
     the bracket: a stacked pre-scan of log kappa on ``block`` locates the
@@ -342,21 +342,17 @@ def refine_ep(
     terms move its EP slightly off the real axis (Im k*/|k*| about 1e-3
     at lambda_c^2 = 1e-2, falling linearly with lambda^2), so no real k
     is exactly defective there and Re k* is the real coupling nearest
-    the EP. ``rel_tol`` ends the iteration once a Newton step moves k by
-    at most rel_tol |k|.
+    the EP. The iteration ends once a Newton step moves k by at most
+    NEWTON_REL_TOL |k|.
 
     Raises BracketError when the bracket has no interior maximum (kappa
     monotone across it) or Re k* leaves the two pre-scan points around
     the peak; DomainError when omega or its square is not finite, or
     when omega is negative (the closed forms refuse it for every label);
-    ValidationError when ``rel_tol`` is not a finite number of at least
-    two ulps, or when the bracket leaves the stability region;
+    ValidationError when the bracket leaves the stability region;
     NumericalError when the eigensolve of the pre-scan or of the Newton
     seed fails, or when the Newton iteration fails.
     """
-    min_tol = 2.0 * np.finfo(float).eps
-    if not (math.isfinite(rel_tol) and rel_tol >= min_tol):
-        raise ValidationError(f"rel_tol must be finite and >= {min_tol!r}, got {rel_tol!r}")
     lo, hi = k_bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")
@@ -382,7 +378,7 @@ def refine_ep(
             "kappa is monotone over the bracket; no interior maximum to refine"
         )
     a, b = float(coarse[peak - 1]), float(coarse[peak + 1])
-    k_star = _jordan_chain_root(label, omega, omega, float(coarse[peak]), hot, cold, rel_tol)
+    k_star = _jordan_chain_root(label, omega, omega, float(coarse[peak]), hot, cold)
     k_star = float(k_star.real)
     if not a <= k_star <= b:
         raise BracketError(

@@ -70,6 +70,7 @@ __all__ = [
     "REDFIELD",
     "REDFIELD_ZEROTH",
     "LOCAL_FRAME",
+    "NORMAL_FORMS",
     "NORMAL_FRAME",
     "build",
     "frame_rotate",
@@ -83,6 +84,8 @@ REDFIELD = "Redfield"
 GME_ZEROTH = "GME-zeroth"
 REDFIELD_ZEROTH = "Redfield-zeroth"
 GENERATOR_LABELS = (LME, GME, REDFIELD, GME_ZEROTH, REDFIELD_ZEROTH)
+#: the labels whose closed-form drift is also written in the normal frame
+NORMAL_FORMS = (GME, GME_ZEROTH, REDFIELD)
 
 LOCAL_FRAME = "local-quadratures"
 NORMAL_FRAME = "normal-mode-quadratures"
@@ -141,7 +144,7 @@ def _zeroth_channels(sys: SystemSpec, modes: NormalModes) -> list[JumpChannel]:
     the channels are the local ones.
     """
     if is_resonant(sys):
-        return global_jump_ops(sys, replace(modes, omega1=sys.omega_h, omega2=sys.omega_h))
+        return global_jump_ops(replace(modes, omega1=sys.omega_h, omega2=sys.omega_h))
     return local_jump_ops(sys)
 
 
@@ -163,7 +166,7 @@ def _dissipator_terms(
     if label == LME:
         channels = local_jump_ops(sys)
     elif label in (GME, REDFIELD):
-        channels = global_jump_ops(sys, modes)
+        channels = global_jump_ops(modes)
     elif label in (GME_ZEROTH, REDFIELD_ZEROTH):
         channels = _zeroth_channels(sys, modes)
     else:
@@ -275,18 +278,19 @@ def normal_const2(c1, c2, sm1, sm2, ss1, ss2) -> np.ndarray:
 
 def closed_form_drift(
     label: str, wh, wc, k, hot: BathSpec, cold: BathSpec, frame: str = LOCAL_FRAME
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Closed-form 4x4 drift of one label in LOCAL_FRAME or NORMAL_FRAME over
-    broadcastable arrays, shape broadcast + (4, 4); None in the normal
-    frame of the LME and Redfield-zeroth, which have no closed form there.
+    broadcastable arrays, shape broadcast + (4, 4).
 
     The one place that decides which closed form gives a label's drift,
     from which coefficients. The LME form holds at any detuning, and
-    Redfield-zeroth shares it at resonance. The GME, GME-zeroth and
-    Redfield forms hold only at resonance and refuse other input: they
-    raise DomainError unless every Re ``wh`` > 0 (their mode frequencies
-    read only wh^2, which hides the sign) and ValidationError unless
-    ``wh == wc`` exactly in every entry, the rule of
+    Redfield-zeroth shares it at resonance; both are written in the local
+    frame only, and raise ValidationError for NORMAL_FRAME once their
+    input has passed the local frame's checks. The NORMAL_FORMS (GME,
+    GME-zeroth and Redfield) hold only at resonance and refuse other
+    input: they raise DomainError unless every Re ``wh`` > 0 (their mode
+    frequencies read only wh^2, which hides the sign) and ValidationError
+    unless ``wh == wc`` exactly in every entry, the rule of
     ``model.is_resonant``. The result is complex when an input is
     (complex k continues the drift off the real axis), else float.
     """
@@ -295,9 +299,11 @@ def closed_form_drift(
     dtype = np.result_type(wh, wc, k, float)
     wh, wc, k = (v.astype(dtype, copy=False) for v in (wh, wc, k))
     if label in (LME, REDFIELD_ZEROTH):
-        return (lme_drift(wh, wc, k, delta_coeff(hot, wh), delta_coeff(cold, wc))
-                if local else None)
-    if label not in (GME, GME_ZEROTH, REDFIELD):
+        dh, dc = delta_coeff(hot, wh), delta_coeff(cold, wc)
+        if not local:
+            raise ValidationError(f"{label} has no closed form in the {NORMAL_FRAME} frame")
+        return lme_drift(wh, wc, k, dh, dc)
+    if label not in NORMAL_FORMS:
         raise ValidationError(f"unknown generator label {label!r}")
     if not (wh.real > 0.0).all():
         raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
@@ -461,18 +467,14 @@ def build(
 
 
 def zeroth_order(
-    label: str,
-    sys: SystemSpec,
-    hot: BathSpec,
-    cold: BathSpec,
-    frame: str = LOCAL_FRAME,
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec
 ) -> MomentGenerator:
-    """Weak-coupling zeroth order of the global or Redfield generator:
-    k is set to zero inside every dissipative ingredient while the
-    coherent part keeps the true coupling."""
+    """Weak-coupling zeroth order of the global or Redfield generator, in
+    the local frame: k is set to zero inside every dissipative ingredient
+    while the coherent part keeps the true coupling."""
     if label in (GME, GME_ZEROTH):
-        return build(GME_ZEROTH, sys, hot, cold, frame)
+        return build(GME_ZEROTH, sys, hot, cold)
     if label in (REDFIELD, REDFIELD_ZEROTH):
-        return build(REDFIELD_ZEROTH, sys, hot, cold, frame)
+        return build(REDFIELD_ZEROTH, sys, hot, cold)
     raise ValidationError(f"zeroth_order is defined for {GME!r} and {REDFIELD!r}")
 

@@ -181,20 +181,18 @@ def local_jump_ops(sys: SystemSpec) -> list[JumpChannel]:
     return channels
 
 
-def global_jump_ops(
-    sys: SystemSpec, modes: NormalModes | None = None
-) -> list[JumpChannel]:
-    """Eigenoperators of the full coupled Hamiltonian.
+def global_jump_ops(modes: NormalModes) -> list[JumpChannel]:
+    """Eigenoperators of the full coupled Hamiltonian with normal modes
+    ``modes`` (:func:`normal_modes`).
 
     Decomposing x_alpha over the normal modes gives, per bath, one
     lowering operator for each mode weighted by the corresponding entry
     of P; eight channels in total (two modes, two signs, two baths).
     """
-    nm = normal_modes(sys) if modes is None else modes
-    p = nm.matrix
+    p = modes.matrix
     eta = [p[0, j] * _X[0] + p[1, j] * _X[1] for j in range(2)]
     pi = [p[0, j] * _P[0] + p[1, j] * _P[1] for j in range(2)]
-    freqs = (nm.omega1, nm.omega2)
+    freqs = (modes.omega1, modes.omega2)
     channels = []
     for row, name in ((0, "h"), (1, "c")):
         for j in range(2):

@@ -37,7 +37,6 @@ from .generators import (
     REDFIELD,
     MomentGenerator,
     _dissipator_terms,
-    build,
     quadrature_rotation,
 )
 from .model import SystemSpec, hamiltonian, normal_modes
@@ -223,14 +222,12 @@ def transient_currents(
     cold: BathSpec,
     state0: MomentState,
     times: Sequence[float],
-    gen: MomentGenerator | None = None,
+    gen: MomentGenerator,
 ) -> HeatCurrentSample:
-    """Propagate and map the heat currents over the trajectory, stacked.
-    A given ``gen`` must carry ``label``: the currents' closed forms are
-    the label's."""
-    if gen is None:
-        gen = build(label, sys, hot, cold)
-    elif gen.label != label:
+    """Propagate ``gen`` from ``state0`` and map the heat currents over the
+    trajectory, stacked. ``gen`` must carry ``label``: the currents' closed
+    forms are the label's."""
+    if gen.label != label:
         raise ValidationError(f"transient_currents({label!r}) got a {gen.label!r} generator")
     return _verified_currents(label, sys, hot, cold, propagate(gen, state0, times, sys))
 

@@ -328,6 +328,22 @@ def test_readme_flag_table_matches_the_parser():
     assert documented == actual
 
 
+def test_readme_library_example_runs(capsys):
+    # the example's code block runs against the current API, and its
+    # currents are equal and opposite to 1e-10 of the natural current scale
+    from meqlab.thermo import current_scale
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example\n")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    sample, scale = namespace["sample"], current_scale(
+        namespace["system"], namespace["hot"], namespace["cold"])
+    assert abs(sample.q_hot + sample.q_cold) <= 1e-10 * scale
+    assert capsys.readouterr().out.strip() == f"{sample.q_hot} {sample.q_cold}"
+
+
 def test_numerical_failure_exit_code(monkeypatch):
     from meqlab.errors import NumericalError
 

@@ -501,7 +501,8 @@ def test_initial_time_must_be_finite():
 def _propagate_via(entry, state0, times):
     if entry == "propagate":
         return propagate(build(LME, FIG_SYS, HOT, COLD), state0, times, FIG_SYS)
-    return transient_currents(LME, FIG_SYS, HOT, COLD, state0, times)
+    return transient_currents(LME, FIG_SYS, HOT, COLD, state0, times,
+                              gen=build(LME, FIG_SYS, HOT, COLD))
 
 
 @pytest.mark.parametrize("label", [LME, GME, REDFIELD])

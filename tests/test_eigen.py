@@ -16,6 +16,7 @@ from meqlab.eigen import (
     _eig_stack,
     _greedy_match,
     condition_number,
+    condition_number_of,
     eig,
     phase_rigidity_profile,
 )
@@ -203,7 +204,9 @@ def same_bits(a, b) -> bool:
 
 
 def assert_rows_are_one_matrix_eig(mats):
-    evals, right, left, rigidities, kappas = _eig_stack(_checked_stack(mats))
+    stack = _checked_stack(mats)
+    evals, right, left, rigidities = _eig_stack(stack)
+    kappas = condition_number_of(stack)
     for i, m in enumerate(mats):
         one = eig(m)
         assert same_bits(evals[i], one.eigenvalues)
@@ -255,7 +258,6 @@ def test_stacked_profile_rows_are_one_matrix_eig(label, omega, k_fracs, points, 
         prev = [values[j] for j in order]
         assert same_bits(profile.eigenvalues[idx], one.eigenvalues[order])
         assert same_bits(profile.rigidities[idx], one.rigidities[order])
-        assert same_bits(profile.kappas[idx], one.kappa)
     assert profile.flagged == tuple(flagged)
 
 
@@ -280,11 +282,10 @@ def _numpy_greedy_match(reference, candidates):
 
 
 def per_point_profile(matrix_fn, ks):
-    """The per-point loop, kept as the reference: one eig, inverse and
-    SVD of each matrix, tracked with the numpy matcher. Returns
-    eigenvalues, rigidities and kappas per point, in continuity order,
-    and the flagged samples."""
-    evs, rigs, kappas, flagged, prev = [], [], [], [], None
+    """The per-point loop, kept as the reference: one eig and inverse of
+    each matrix, tracked with the numpy matcher. Returns eigenvalues and
+    rigidities per point, in continuity order, and the flagged samples."""
+    evs, rigs, flagged, prev = [], [], [], None
     for idx, k in enumerate(ks):
         evals, right = np.linalg.eig(matrix_fn(float(k)))
         right = right / np.linalg.norm(right, axis=0)
@@ -292,7 +293,6 @@ def per_point_profile(matrix_fn, ks):
         left = left / np.abs(left).max(axis=1)[:, None]
         left = left.T / np.linalg.norm(left.T, axis=0)
         rigidities = np.abs(np.sum(left * right, axis=0))
-        svals = np.linalg.svd(right, compute_uv=False)
         order = np.arange(len(evals))
         if prev is not None:
             order, ties = _numpy_greedy_match(prev, evals)
@@ -301,8 +301,7 @@ def per_point_profile(matrix_fn, ks):
         prev = evals[order]
         evs.append(prev)
         rigs.append(rigidities[order])
-        kappas.append(svals[0] / svals[-1])
-    return np.array(evs), np.array(rigs), np.array(kappas), tuple(flagged)
+    return np.array(evs), np.array(rigs), tuple(flagged)
 
 
 @pytest.mark.parametrize("label, ks", [
@@ -317,12 +316,11 @@ def test_profile_is_the_per_point_loop_bit_for_bit(label, ks):
         return grid_block_matrices(label, "first", 1.0, k, HOT, COLD)
 
     profile = phase_rigidity_profile(block, ks)
-    evs, rigs, kappas, flagged = per_point_profile(block, ks)
+    evs, rigs, flagged = per_point_profile(block, ks)
     assert profile.flagged
     assert profile.flagged == flagged
     assert same_bits(profile.eigenvalues, evs)
     assert same_bits(profile.rigidities, rigs)
-    assert same_bits(profile.kappas, kappas)
 
 
 def test_profile_keeps_numerical_error_types(monkeypatch):
@@ -350,5 +348,22 @@ def test_profile_keeps_numerical_error_types(monkeypatch):
 
 def test_empty_profile():
     profile = phase_rigidity_profile(lme_block1, [])
-    assert profile.eigenvalues.size == profile.kappas.size == 0
+    assert profile.eigenvalues.size == profile.rigidities.size == 0
     assert profile.flagged == ()
+
+
+def test_profile_runs_no_condition_number(monkeypatch):
+    # a profile reports rigidities only: it computes no kappa, so it runs
+    # with the condition number unavailable and gives the same rigidities
+    import meqlab.eigen as eigen_mod
+
+    ks = np.linspace(0.5 * K_STAR, 1.5 * K_STAR, 9)
+    want = phase_rigidity_profile(lme_block1, ks)
+
+    def no_kappa(vectors):
+        raise AssertionError("the profile computed a condition number")
+
+    monkeypatch.setattr(eigen_mod, "condition_number", no_kappa)
+    got = phase_rigidity_profile(lme_block1, ks)
+    assert same_bits(got.eigenvalues, want.eigenvalues)
+    assert same_bits(got.rigidities, want.rigidities)

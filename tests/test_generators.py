@@ -27,6 +27,7 @@ from meqlab.generators import (
     GME_ZEROTH,
     LME,
     LOCAL_FRAME,
+    NORMAL_FORMS,
     NORMAL_FRAME,
     REDFIELD,
     REDFIELD_ZEROTH,
@@ -365,7 +366,7 @@ def oracle_table(label, sys, hot, cold):
     if label == LME:
         channels = local_jump_ops(sys)
     elif label in (GME, REDFIELD):
-        channels = global_jump_ops(sys, modes)
+        channels = global_jump_ops(modes)
     else:
         channels = _zeroth_channels(sys, modes)
     baths = {"h": hot, "c": cold}
@@ -670,10 +671,8 @@ def test_closed_form_drift_at_complex_coupling():
     # moves only its two coupling entries
     hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)
     for label in GENERATOR_LABELS:
-        for frame in (LOCAL_FRAME, NORMAL_FRAME):
+        for frame in (LOCAL_FRAME, NORMAL_FRAME) if label in NORMAL_FORMS else (LOCAL_FRAME,):
             real = closed_form_drift(label, 1.1, 1.1, 2e-3, hot, cold, frame)
-            if real is None:
-                continue
             on_axis = closed_form_drift(label, 1.1, 1.1, 2e-3 + 0j, hot, cold, frame)
             assert on_axis.dtype == complex
             np.testing.assert_allclose(on_axis.real, real, rtol=1e-15, atol=1e-19)
@@ -688,10 +687,10 @@ def test_closed_form_drift_at_complex_coupling():
 @pytest.mark.parametrize("frame", [LOCAL_FRAME, NORMAL_FRAME])
 @pytest.mark.parametrize("label", GENERATOR_LABELS)
 def test_closed_form_drift_off_resonance(label, frame):
-    # the LME forms answer at any detuning, bit for bit the LME drift; the
-    # resonant forms read one frequency, so a detuned pair (scalar, one
-    # entry of an array, or a NaN omega_c) is refused, not answered at
-    # omega_h
+    # the LME forms answer at any detuning, bit for bit the LME drift, and
+    # only in the local frame; the resonant forms read one frequency, so a
+    # detuned pair (scalar, one entry of an array, or a NaN omega_c) is
+    # refused, not answered at omega_h
     wh = np.float64(1.0)
     ks = np.linspace(1e-4, 1e-3, 5)
     wcs = np.full(5, wh)
@@ -699,10 +698,11 @@ def test_closed_form_drift_off_resonance(label, frame):
     cases = [(np.nextafter(wh, 2.0), 2e-3), (wcs, ks), (np.float64(1.01), 2e-3)]
     for wc, k in cases:
         if label in (LME, REDFIELD_ZEROTH):
-            got = closed_form_drift(label, wh, wc, k, HOT, COLD, frame)
             if frame == NORMAL_FRAME:
-                assert got is None
+                with pytest.raises(ValidationError, match="no closed form"):
+                    closed_form_drift(label, wh, wc, k, HOT, COLD, frame)
                 continue
+            got = closed_form_drift(label, wh, wc, k, HOT, COLD, frame)
             wh_a, wc_a, k_a = np.asarray(wh), np.asarray(wc), np.asarray(k)
             want = lme_drift(wh_a, wc_a, k_a, delta_coeff(HOT, wh_a), delta_coeff(COLD, wc_a))
             assert got.tobytes() == want.tobytes()
@@ -718,10 +718,14 @@ def test_closed_form_drift_off_resonance(label, frame):
 
 @pytest.mark.parametrize("label", GENERATOR_LABELS)
 @pytest.mark.parametrize(
-    "omega", [-1.0, 0.0, np.array([1.0, -1.0])], ids=["negative", "zero", "one-negative-entry"]
+    "omega",
+    [-1.0, 0.0, np.array([1.0, -1.0]), np.nan],
+    ids=["negative", "zero", "one-negative-entry", "nan"],
 )
 def test_closed_form_drift_refuses_non_positive_omega(label, omega):
     # the resonant forms read only omega^2 and would hide the sign; like the
-    # LME's drift coefficients, they refuse a non-positive omega
-    with pytest.raises(DomainError, match="omega"):
-        closed_form_drift(label, omega, omega, 2e-3, HOT, COLD)
+    # LME's drift coefficients, they refuse a non-positive omega, in either
+    # frame: the LME forms check their input before refusing the normal one
+    for frame in (LOCAL_FRAME, NORMAL_FRAME):
+        with pytest.raises(DomainError, match="omega"):
+            closed_form_drift(label, omega, omega, 2e-3, HOT, COLD, frame)

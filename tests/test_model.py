@@ -188,7 +188,7 @@ def test_global_jump_ops_eigenoperators():
     for sys in (SystemSpec(1.0, 1.0, 0.3), SystemSpec(1.0, 1.4, 0.3),
                 SystemSpec(0.8, 0.6, -0.2)):
         h = hamiltonian(sys)
-        channels = global_jump_ops(sys)
+        channels = global_jump_ops(normal_modes(sys))
         assert len(channels) == 8
         for ch in channels:
             residual = commutator(h, op(ch)) - (-ch.frequency) * op(ch)
@@ -202,7 +202,7 @@ def test_global_jump_ops_eigenoperators():
 
 
 def test_global_jump_ops_resonant_weights():
-    channels = global_jump_ops(SystemSpec(1.0, 1.0, 0.1))
+    channels = global_jump_ops(normal_modes(SystemSpec(1.0, 1.0, 0.1)))
     # symmetric mode carries equal weight on both oscillators
     a1h = next(c for c in channels if c.bath == "h" and c.frequency > 0
                and abs(c.frequency - math.sqrt(1.1)) < 1e-12)
@@ -211,7 +211,7 @@ def test_global_jump_ops_resonant_weights():
 
 def test_global_jump_ops_decoupled_reduce_to_local():
     sys = SystemSpec(1.0, 2.0, 0.0)
-    global_channels = global_jump_ops(sys)
+    global_channels = global_jump_ops(normal_modes(sys))
     local_channels = local_jump_ops(sys)
     # the high-frequency channel equals the local one; the cross-mode
     # channel weight vanishes
