@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -117,7 +119,8 @@ def delta_coeff(bath: BathSpec, omega):
     """
     real = omega.real
     if not ((real > 0.0).all() if getattr(real, "ndim", 0) else float(real) > 0.0):
-        raise DomainError(f"delta_coeff requires Re omega > 0, got {omega!r}")
+        first = np.ravel(omega)[np.argmin(np.ravel(real) > 0.0)].item()
+        raise DomainError(f"delta_coeff requires Re omega > 0, got {first!r}")
     return -bath.lambda_sq * bath.cutoff**2 / (omega * omega + bath.cutoff**2)
 
 

@@ -10,13 +10,13 @@ two witnesses of eigenvector coalescence used throughout.
 
 A stack of matrices is analysed by one batched eigensolve and inverse;
 only the callers that report the condition number add one batched SVD.
-The branch tracking of a sweep runs per point in Python. Each row of a
-stack has the bits the matrix alone gives.
+The branch tracking of a sweep matches all its steps at once, as array
+operations, and gives the orders of point-by-point greedy matching. Each
+row of a stack has the bits the matrix alone gives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,30 +52,6 @@ class EigenAnalysis:
 def _unit_columns(v: np.ndarray) -> np.ndarray:
     """Nonzero columns scaled to unit 2-norm, over leading axes."""
     return v / np.linalg.norm(v, axis=-2, keepdims=True)
-
-
-def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[int, ...]]:
-    """Greedily pair each reference eigenvalue, most constrained (smallest
-    nearest distance) first, with the nearest unused candidate.
-
-    Plain lists of Python numbers: one call per sweep point is cheaper
-    than numpy at this size. Returns the permutation and the reference
-    indices, in processing order, whose best and second-best distances
-    differ by less than PAIRING_ATOL."""
-    dist = [[abs(r - c) for c in candidates] for r in reference]
-    nearest = list(map(min, dist))
-    free = list(range(len(candidates)))  # ascending: min() keeps the first
-    perm = [0] * len(reference)
-    ambiguous = []
-    for i in sorted(range(len(dist)), key=nearest.__getitem__):
-        row = dist[i]
-        j = min(free, key=row.__getitem__)
-        free.remove(j)
-        second = min([row[f] for f in free], default=math.inf)
-        if second < math.inf and abs(second - row[j]) < PAIRING_ATOL:
-            ambiguous.append(i)
-        perm[i] = j
-    return perm, tuple(ambiguous)
 
 
 def _unit_eig(mats: np.ndarray):
@@ -167,6 +143,40 @@ class RigidityProfile:
     flagged: tuple[int, ...]  # sweep indices where a tracking step is a tie
 
 
+def _match_steps(dist: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One greedy matching of every step of a sweep, all steps at once.
+
+    ``dist[s, i, j]`` is |lambda_i(s) - lambda_j(s + 1)| in raw LAPACK
+    order and ``orders[s, b]`` the raw index of branch b at point s, of
+    which only the branch position rank[s, i] of each raw index is read.
+    At each step the references go in order of nearest distance, ties
+    broken by rank; each takes the first free candidate at minimum
+    distance, and the step is a tie when the best and second-best
+    distances of one reference differ by less than PAIRING_ATOL. Returns
+    the continuity orders these matchings compose to, (N, n) from the
+    identity at point 0, and the (N - 1,) tie flags of the steps.
+    """
+    steps, n, _ = dist.shape
+    rank = np.argsort(orders[:-1], axis=-1)
+    queue = np.lexsort((rank, dist.min(axis=-1)), axis=-1)
+    at = np.arange(steps)
+    free = np.ones((steps, n), dtype=bool)
+    maps = np.empty((steps, n), dtype=np.intp)
+    ties = np.zeros(steps, dtype=bool)
+    for i in queue.T:
+        row = np.where(free, dist[at, i], np.inf)
+        j = row.argmin(axis=-1)
+        best = row[at, j]
+        row[at, j] = np.inf
+        ties |= np.abs(row.min(axis=-1) - best) < PAIRING_ATOL
+        free[at, j] = False
+        maps[at, i] = j
+    composed = [list(range(n))]
+    for step in maps.tolist():
+        composed.append([step[i] for i in composed[-1]])
+    return np.array(composed, dtype=np.intp), ties
+
+
 def phase_rigidity_profile(
     matrix_fn: Callable[[float], np.ndarray], parameters: Sequence[float]
 ) -> RigidityProfile:
@@ -176,8 +186,22 @@ def phase_rigidity_profile(
     ``matrix_fn`` is called once per parameter and the matrices are
     analysed as one stack, by one eig and one inverse (no SVD: a profile
     reports no condition number). Branches are matched between consecutive
-    points by nearest eigenvalue; exact ties are flagged (not fatal), the
-    tracking then proceeds with the greedy choice.
+    points by nearest eigenvalue, greedily: the branches go in order of
+    their nearest distance, and each takes the first free eigenvalue (in
+    LAPACK's order) at its minimum distance. Exact ties in nearest
+    distance are common (the conjugate eigenvalues of a real matrix are
+    equidistant bit for bit) and are broken by branch position. A step
+    whose best and second-best distances differ by less than PAIRING_ATOL
+    is flagged (not fatal); the tracking proceeds with the greedy choice.
+
+    All steps are matched at once (:func:`_match_steps`), so the branch
+    positions that break the ties are found as a fixed point: the first
+    pass ranks each point's eigenvalues in LAPACK's order, every later
+    pass by the orders the one before it gave, until the orders repeat.
+    A pass that ranks points 0..s exactly orders points 0..s+1 exactly,
+    so the repeated orders are the point-by-point tracking's, after at
+    most N passes over N points (one or two on the sweeps of
+    ``meqlab rigidity`` measured so far).
     """
     params = np.asarray(list(parameters), dtype=float)
     if not len(params):
@@ -185,17 +209,19 @@ def phase_rigidity_profile(
         return RigidityProfile(params, empty, empty, ())
     stack = _checked_stack([np.asarray(matrix_fn(v), dtype=float) for v in params.tolist()])
     evals, _, _, rigidities = _eig_stack(stack)
-    values = evals.tolist()
-    orders, flagged = [list(range(len(values[0])))], []
-    for idx in range(1, len(values)):
-        order, ties = _greedy_match([values[idx - 1][j] for j in orders[-1]], values[idx])
-        if ties:
-            flagged.append(idx)
-        orders.append(order)
-    orders = np.array(orders, dtype=np.intp)
+    with np.errstate(over="ignore"):
+        dist = np.abs(evals[:-1, :, None] - evals[1:, None, :])
+    if not np.isfinite(dist).all():
+        raise NumericalError("eigenvalue distances along the sweep are not finite")
+    orders = np.broadcast_to(np.arange(evals.shape[-1]), evals.shape)
+    while True:
+        tracked, ties = _match_steps(dist, orders)
+        if np.array_equal(tracked, orders):
+            break
+        orders = tracked
     return RigidityProfile(
         params,
         np.take_along_axis(evals, orders, axis=-1),
         np.take_along_axis(rigidities, orders, axis=-1),
-        tuple(flagged),
+        tuple((np.flatnonzero(ties) + 1).tolist()),
     )

@@ -289,8 +289,10 @@ def closed_form_drift(
     input has passed the local frame's checks. The NORMAL_FORMS (GME,
     GME-zeroth and Redfield) hold only at resonance and refuse other
     input: they raise DomainError unless every Re ``wh`` > 0 (their mode
-    frequencies read only wh^2, which hides the sign) and ValidationError
-    unless ``wh == wc`` exactly in every entry, the rule of
+    frequencies read only wh^2, which hides the sign), for real input
+    also unless every |k| < wh^2 (the mode frequencies sqrt(wh^2 -+ k)
+    are real), naming the first bad entry, and ValidationError unless
+    ``wh == wc`` exactly in every entry, the rule of
     ``model.is_resonant``. The result is complex when an input is
     (complex k continues the drift off the real axis), else float.
     """
@@ -307,6 +309,14 @@ def closed_form_drift(
         raise ValidationError(f"unknown generator label {label!r}")
     if not (wh.real > 0.0).all():
         raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
+    if dtype.kind != "c":
+        stable = np.abs(k) < wh**2
+        if not stable.all():
+            first, (kb, whb) = np.argmin(stable), np.broadcast_arrays(k, wh)
+            raise DomainError(
+                f"{label} closed form requires |k| < omega_h^2, got k = "
+                f"{kb.flat[first].item()!r} at omega_h = {whb.flat[first].item()!r}"
+            )
     o1, o2 = np.sqrt(wh**2 + k), np.sqrt(wh**2 - k)
     if label == GME_ZEROTH:
         dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))

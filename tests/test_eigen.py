@@ -1,6 +1,7 @@
 """Dense non-symmetric eigenanalysis: residuals, bi-orthogonality,
 rigidities, condition numbers."""
 
+import math
 import warnings
 
 import mpmath
@@ -14,7 +15,6 @@ from meqlab.eigen import (
     PAIRING_ATOL,
     _checked_stack,
     _eig_stack,
-    _greedy_match,
     condition_number,
     condition_number_of,
     eig,
@@ -27,6 +27,31 @@ from meqlab.generators import GME, LME, REDFIELD
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
 K_STAR = exceptional_line(1.0, HOT, COLD)
+
+
+# the point-by-point matcher the profile once ran, kept as its oracle
+def _greedy_match(reference: list, candidates: list) -> tuple[list[int], tuple[int, ...]]:
+    """Greedily pair each reference eigenvalue, most constrained (smallest
+    nearest distance) first, with the nearest unused candidate.
+
+    Plain lists of Python numbers: one call per sweep point is cheaper
+    than numpy at this size. Returns the permutation and the reference
+    indices, in processing order, whose best and second-best distances
+    differ by less than PAIRING_ATOL."""
+    dist = [[abs(r - c) for c in candidates] for r in reference]
+    nearest = list(map(min, dist))
+    free = list(range(len(candidates)))  # ascending: min() keeps the first
+    perm = [0] * len(reference)
+    ambiguous = []
+    for i in sorted(range(len(dist)), key=nearest.__getitem__):
+        row = dist[i]
+        j = min(free, key=row.__getitem__)
+        free.remove(j)
+        second = min([row[f] for f in free], default=math.inf)
+        if second < math.inf and abs(second - row[j]) < PAIRING_ATOL:
+            ambiguous.append(i)
+        perm[i] = j
+    return perm, tuple(ambiguous)
 
 
 def lme_block1(k):
@@ -261,6 +286,109 @@ def test_stacked_profile_rows_are_one_matrix_eig(label, omega, k_fracs, points, 
     assert profile.flagged == tuple(flagged)
 
 
+def greedy_profile(mats):
+    """The point-by-point tracking with the oracle matcher: each matrix's
+    eig() eigenvalues and rigidities in continuity order, and the flagged
+    samples."""
+    evs, rigs, flagged, prev = [], [], [], None
+    for idx, m in enumerate(mats):
+        one = eig(m)
+        values = one.eigenvalues.tolist()
+        order = list(range(len(values)))
+        if prev is not None:
+            order, ties = _greedy_match(prev, values)
+            if ties:
+                flagged.append(idx)
+        prev = [values[j] for j in order]
+        evs.append(one.eigenvalues[order])
+        rigs.append(one.rigidities[order])
+    return np.array(evs), np.array(rigs), tuple(flagged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    kind=st.sampled_from(["random", "b_is_a", "repeated", "similar"]),
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(1, 40),
+)
+def test_profile_is_the_greedy_oracle_on_real_families(n, kind, seed, points):
+    # a + s b: random a and b; b = a, a spectrum that only scales; integer
+    # diagonals, whose repeated eigenvalues cross exactly; and a repeated
+    # integer spectrum in a random basis. Real matrices make the nearest
+    # distances of conjugate eigenvalues tie bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "repeated":
+        a, b = (np.diag(rng.integers(-2, 3, n).astype(float)) for _ in range(2))
+    elif kind == "similar":
+        q = rng.normal(size=(n, n))
+        a = q @ np.diag(rng.integers(-2, 3, n).astype(float)) @ np.linalg.inv(q)
+        b = rng.normal(size=(n, n))
+    else:
+        a = rng.normal(size=(n, n))
+        b = a if kind == "b_is_a" else rng.normal(size=(n, n))
+    ss = np.linspace(-1.0, 1.0, points)
+    profile = phase_rigidity_profile(lambda s: a + s * b, ss)
+    evs, rigs, flagged = greedy_profile([a + s * b for s in ss.tolist()])
+    assert same_bits(profile.eigenvalues, evs)
+    assert same_bits(profile.rigidities, rigs)
+    assert profile.flagged == flagged
+
+
+def test_tie_broken_by_branch_position_takes_a_second_pass(monkeypatch):
+    # branch 0 walks 0, 1, 2, 3 past branch 1 resting at 2.5; the diagonals
+    # are sorted, so after the crossing branch 0 is raw eigenvalue 1. Then
+    # both branches lie 0.25 from 2.75: the tie goes to branch position 0,
+    # which is raw index 1, so a first pass that ranks by raw index is wrong
+    import meqlab.eigen as eigen_mod
+
+    mats = [np.diag(v) for v in ([0.0, 2.5], [1.0, 2.5], [2.0, 2.5], [2.5, 3.0], [2.75, 5.0])]
+    passes, match = [], eigen_mod._match_steps
+
+    def recorded(dist, orders):
+        tracked, ties = match(dist, orders)
+        passes.append(tracked)
+        return tracked, ties
+
+    monkeypatch.setattr(eigen_mod, "_match_steps", recorded)
+    profile = phase_rigidity_profile(lambda s: mats[int(s)], range(len(mats)))
+    evs, rigs, flagged = greedy_profile(mats)
+    assert same_bits(profile.eigenvalues, evs)
+    assert same_bits(profile.rigidities, rigs)
+    assert profile.flagged == flagged
+    assert profile.eigenvalues[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 2.75]
+    assert not np.array_equal(passes[0], passes[-1])
+
+
+def test_default_rigidity_sweep_takes_at_most_two_passes(monkeypatch, tmp_path):
+    import meqlab.cli as cli
+    import meqlab.eigen as eigen_mod
+
+    calls, passes, match = [], [], eigen_mod._match_steps
+
+    def counted(dist, orders):
+        calls.append(1)
+        return match(dist, orders)
+
+    def profile(matrix_fn, ks):
+        calls.clear()
+        result = phase_rigidity_profile(matrix_fn, ks)
+        passes.append(len(calls))
+        return result
+
+    monkeypatch.setattr(eigen_mod, "_match_steps", counted)
+    monkeypatch.setattr(cli, "phase_rigidity_profile", profile)
+    assert cli.main(["rigidity", "--out", str(tmp_path)]) == 0
+    assert len(passes) == len(cli.DEFAULT_CONFIG["generators"])
+    assert 1 <= max(passes) <= 2
+
+
+def test_profile_refuses_overflowing_eigenvalue_distances():
+    # |1e308 - (-1e308)| overflows: no tracking can rank such distances
+    with pytest.raises(NumericalError):
+        phase_rigidity_profile(lambda k: np.diag([1e308, -1e308]), [0.0, 1.0])
+
+
 def _numpy_greedy_match(reference, candidates):
     """The numpy matcher of the per-point loop, kept as the reference."""
     n = len(reference)
@@ -268,7 +396,7 @@ def _numpy_greedy_match(reference, candidates):
     perm = np.full(n, -1)
     used = np.zeros(n, dtype=bool)
     ambiguous = []
-    for i in np.argsort(dist.min(axis=1)):
+    for i in np.argsort(dist.min(axis=1), kind="stable"):
         row = np.where(used, np.inf, dist[i])
         j = int(np.argmin(row))
         best = row[j]

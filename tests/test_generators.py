@@ -2,6 +2,7 @@
 identities, frame rotation, and independent oracles."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -729,3 +730,23 @@ def test_closed_form_drift_refuses_non_positive_omega(label, omega):
     for frame in (LOCAL_FRAME, NORMAL_FRAME):
         with pytest.raises(DomainError, match="omega"):
             closed_form_drift(label, omega, omega, 2e-3, HOT, COLD, frame)
+
+
+@pytest.mark.parametrize("frame", [LOCAL_FRAME, NORMAL_FRAME])
+@pytest.mark.parametrize("label", NORMAL_FORMS)
+@pytest.mark.parametrize(
+    "ratios", [1.5, np.linspace(0.0, 1.5, 301)[::-1]], ids=["scalar", "array"]
+)
+def test_closed_form_drift_refuses_real_k_past_omega_squared(label, frame, ratios):
+    # the resonant forms take the mode frequencies sqrt(omega^2 -+ k): a real
+    # |k| >= omega^2 is refused in a short message naming the first bad
+    # entry, silently, not answered with NaN
+    omega = 1.1
+    k = ratios * omega**2
+    first = np.ravel(k)[0].item()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"\|k\| < omega_h\^2") as exc:
+            closed_form_drift(label, omega, omega, k, HOT, COLD, frame)
+    assert f"k = {first!r} at omega_h = {omega!r}" in str(exc.value)
+    assert len(str(exc.value)) < 200
