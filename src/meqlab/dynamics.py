@@ -35,6 +35,7 @@ from .generators import (
     MomentGenerator,
     frame_rotate,
     quadrature_rotation,
+    real_array,
 )
 from .model import SystemSpec, normal_modes
 
@@ -91,9 +92,7 @@ class MomentState(_Stack):
     time: float | np.ndarray = 0.0  # (...)
 
     def __post_init__(self):
-        first = np.array(self.first, dtype=float)
-        second = np.array(self.second, dtype=float)
-        time = np.array(self.time, dtype=float)
+        first, second, time = (real_array(getattr(self, f), f) for f in ("first", "second", "time"))
         if first.shape != time.shape + (4,) or second.shape != time.shape + (10,):
             raise ValidationError(f"MomentState needs (..., 4) and (..., 10) moments over the "
                                   f"time's shape, got {first.shape}, {second.shape}, {time.shape}")
@@ -291,9 +290,9 @@ def expm(matrices) -> np.ndarray:
     float range comes back non-finite, with numpy's overflow warning unless
     the caller silences it.
     """
-    a = np.array(matrices, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expm needs square matrices (..., n, n), got shape {a.shape}")
+    a = real_array(matrices, "expm input")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise ValidationError(f"expm needs square matrices (..., n, n), n > 0, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("expm needs finite matrices")
     shape = a.shape

@@ -61,18 +61,22 @@ def _unit_eig(mats: np.ndarray):
     return evals, _unit_columns(vecs.astype(complex, copy=False))
 
 
-def _checked_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
+def _checked_stack(mats: Sequence) -> np.ndarray:
     """The matrices as one (N, n, n) float stack; NumericalError unless
-    they are finite, square and of one shape."""
+    they are real, finite, square with n > 0 and of one shape."""
+    mats = [np.asarray(m) for m in mats]
     first = mats[0]
-    if first.ndim != 2 or first.shape[0] != first.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {first.shape}")
+    if first.ndim != 2 or first.shape[0] != first.shape[1] or not first.size:
+        raise NumericalError(f"expected a non-empty square matrix, got shape {first.shape}")
     for m in mats:
         if m.shape != first.shape:
             raise NumericalError(
                 f"matrix shape changes from {first.shape} to {m.shape}"
             )
     stack = np.stack(mats)
+    if np.iscomplexobj(stack):
+        raise NumericalError(f"expected real matrices, got {stack.dtype}")
+    stack = stack.astype(float, copy=False)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(
@@ -110,7 +114,7 @@ def eig(matrix: np.ndarray) -> EigenAnalysis:
     V^-1, the left vector paired with v_i; it is 1 for normal matrices and
     tends to 0 as eigenvectors coalesce. V is complex, also for a real spectrum.
     """
-    stack = _checked_stack([np.asarray(matrix, dtype=float)])
+    stack = _checked_stack([matrix])
     evals, right, left, rigidities = _eig_stack(stack)
     return EigenAnalysis(evals[0], right[0], left[0], rigidities[0], condition_number(right[0]))
 
@@ -125,8 +129,12 @@ def condition_number(vectors: np.ndarray) -> float | np.ndarray:
     """2-norm condition number of an (eigenvector) matrix via its
     singular values, inf where the smallest one underflows. A stack of
     matrices (leading axes) gives an array, one matrix a float; the bits
-    of each entry do not depend on the stack."""
-    svals = np.linalg.svd(np.asarray(vectors), compute_uv=False)
+    of each entry do not depend on the stack. A 0x0 matrix raises
+    NumericalError."""
+    vectors = np.asarray(vectors)
+    if 0 in vectors.shape[-2:]:
+        raise NumericalError(f"no condition number of an empty matrix, shape {vectors.shape}")
+    svals = np.linalg.svd(vectors, compute_uv=False)
     smin = svals[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(smin > 0.0, svals[..., 0] / smin, np.inf)
@@ -207,10 +215,13 @@ def phase_rigidity_profile(
     if not len(params):
         empty = np.array([])
         return RigidityProfile(params, empty, empty, ())
-    stack = _checked_stack([np.asarray(matrix_fn(v), dtype=float) for v in params.tolist()])
+    stack = _checked_stack([matrix_fn(v) for v in params.tolist()])
     evals, _, _, rigidities = _eig_stack(stack)
     with np.errstate(over="ignore"):
-        dist = np.abs(evals[:-1, :, None] - evals[1:, None, :])
+        step = evals[:-1, :, None] - evals[1:, None, :]
+        # libm's hypot, as Python's abs of a complex; numpy's complex abs
+        # can differ in the last bit and so flip a near-tie
+        dist = np.hypot(step.real, step.imag)
     if not np.isfinite(dist).all():
         raise NumericalError("eigenvalue distances along the sweep are not finite")
     orders = np.broadcast_to(np.arange(evals.shape[-1]), evals.shape)

@@ -13,10 +13,11 @@ generator is fixed by its Gaussian drift/diffusion pair (A, D), and
 const2, the packed symmetric part of D. block2, the flow
 S -> A S + S A^T of A (``algebra.second_moment_flow``), and the basis
 labels are derived from them, so no stored pair can disagree. The
-labels differ only in which jump-operator pairs they keep; each bath's
-kept pairs are summed into one channel table (:func:`_dissipator_terms`),
-the single home of that pairing rule, which the heat-current check
-reuses. ``build()`` assembles (A, D) in the local frame
+labels differ only in the mode set whose jump operators
+(``model.lowering_ops``) they keep and in how they pair them; each
+bath's kept pairs are summed into one channel table
+(:func:`_dissipator_terms`), the single home of that choice, which the
+heat-current check reuses. ``build()`` assembles (A, D) in the local frame
 (:func:`_gaussian_blocks`) and reaches the normal frame only through
 :func:`frame_rotate`. Where a closed form exists, the result is
 cross-checked against it before being returned, each closed form in the
@@ -50,16 +51,7 @@ from .algebra import (
 )
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .errors import ConsistencyError, DomainError, ValidationError
-from .model import (
-    JumpChannel,
-    NormalModes,
-    SystemSpec,
-    global_jump_ops,
-    hamiltonian,
-    is_resonant,
-    local_jump_ops,
-    normal_modes,
-)
+from .model import NormalModes, SystemSpec, hamiltonian, is_resonant, lowering_ops, normal_modes
 
 __all__ = [
     "GENERATOR_LABELS",
@@ -99,6 +91,15 @@ FRAME_NAMES = {
 }
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """``value`` as a new float array; complex input, whose imaginary part
+    a float cast would drop, raises ValidationError."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise ValidationError(f"{name} must be real, got {arr.dtype}")
+    return np.array(arr, dtype=float)
+
+
 @dataclass(frozen=True)
 class MomentGenerator:
     """One moment-dynamics generator in one quadrature frame, stored as
@@ -117,7 +118,7 @@ class MomentGenerator:
         if not isinstance(self.frame, str) or self.frame not in FRAME_NAMES:
             raise ValidationError(f"unknown frame {self.frame!r}")
         for name, shape in (("block1", (4, 4)), ("const2", (10,))):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = real_array(getattr(self, name), name)
             if arr.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
@@ -134,54 +135,51 @@ class MomentGenerator:
 # -- dissipator channel assembly ------------------------------------------
 
 
-def _zeroth_channels(sys: SystemSpec, modes: NormalModes) -> list[JumpChannel]:
-    """Global channels with the coupling removed from every dissipative
-    ingredient: mode weights and channel frequencies taken at k = 0, the
-    commutator part untouched by construction.
-
-    At resonance the rotation is k-independent, so only the frequencies
-    collapse; off resonance the k = 0 modes are the bare oscillators, so
-    the channels are the local ones.
-    """
-    if is_resonant(sys):
-        return global_jump_ops(replace(modes, omega1=sys.omega_h, omega2=sys.omega_h))
-    return local_jump_ops(sys)
-
-
 def _dissipator_terms(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
 ) -> dict[str, np.ndarray]:
     """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
-    from the coefficient vectors x, y of the channels' jump operators.
+    from the coefficient vectors x, y of the jump operators
+    (``model.lowering_ops``).
 
-    The sum runs over the bath's channel pairs (X, Y) with the decay rate
-    of X: Y is X for the secular forms, every same-bath pair of lowering
-    channels for the Redfield forms, and each pair's adjoint (X^+, Y^+).
-    For a lowering X of frequency w the two add rate(w) M + rate(-w)
-    conj(M) = 2w (Sigma Re M - i Delta Im M), M = conj(x) y^T, so no table
-    subtracts two rates. Feeds :func:`_gaussian_blocks` and, through
-    ``algebra.dissipator_action``, the heat-current check in ``thermo``.
+    A label picks only the modes and the pairing. The modes are the bare
+    oscillators for the LME, ``modes`` (the normal modes) for GME and
+    Redfield, and for the zeroth-order labels the normal modes with the
+    coupling removed from every dissipative ingredient: at resonance the
+    rotation is k-independent and only the frequencies collapse to
+    omega_h, off resonance the k = 0 modes are the bare oscillators. The
+    pairing is Y = X for the secular labels and the sum of the bath's
+    lowering operators for the Redfield labels, with the rate of X, and
+    each pair's adjoint (X^+, Y^+). For a lowering X of frequency w the
+    two add rate(w) M + rate(-w) conj(M) = 2w (Sigma Re M - i Delta Im M),
+    M = conj(x) y^T, so no table subtracts two rates and no raising
+    operator is built. Each bath's table sums its modes in order, from
+    zero. An operator of zero weight (the other oscillator's mode of the
+    bare set, a decoupled detuned normal mode) is skipped: it adds
+    nothing, and its rate, at a frequency foreign to the bath, may
+    overflow where the kept ones do not. Feeds :func:`_gaussian_blocks`
+    and, through ``algebra.dissipator_action``, the heat-current check in
+    ``thermo``.
     """
-    baths = {"h": hot, "c": cold}
-    if label == LME:
-        channels = local_jump_ops(sys)
-    elif label in (GME, REDFIELD):
-        channels = global_jump_ops(modes)
-    elif label in (GME_ZEROTH, REDFIELD_ZEROTH):
-        channels = _zeroth_channels(sys, modes)
-    else:
+    if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
-
+    zeroth = label in (GME_ZEROTH, REDFIELD_ZEROTH)
+    if zeroth and is_resonant(sys):
+        modes = replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
+    elif zeroth or label == LME:
+        modes = NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
     secular = label in (LME, GME, GME_ZEROTH)
-    tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
-    lowering = [ch for ch in channels if ch.frequency > 0.0]
-    for x_ch in lowering:
-        bath, omega = baths[x_ch.bath], x_ch.frequency
-        ys = [x_ch] if secular else [ch for ch in lowering if ch.bath == x_ch.bath]
-        m = np.outer(np.conj(x_ch.coeffs), sum(y.coeffs for y in ys))
-        m.real *= 2.0 * omega * sigma_coeff(bath, omega)
-        m.imag *= -2.0 * omega * delta_coeff(bath, omega)
-        tables[x_ch.bath] += m
+    freqs = (modes.omega1, modes.omega2)
+    tables = {}
+    for name, bath, row in zip("hc", (hot, cold), lowering_ops(modes)):
+        tables[name] = np.zeros((4, 4), dtype=complex)
+        for x, omega in zip(row, freqs):
+            if not x.any():
+                continue
+            m = np.outer(np.conj(x), x if secular else sum(row))
+            m.real *= 2.0 * omega * sigma_coeff(bath, omega)
+            m.imag *= -2.0 * omega * delta_coeff(bath, omega)
+            tables[name] += m
     return tables
 
 

@@ -1,6 +1,8 @@
 """System description: two linearly coupled resonators, their normal
-modes, the Hamiltonian, and the jump operators of the local and global
-pictures, each linear, L = x . q, and kept as its coefficient vector x.
+modes, the Hamiltonian, and the lowering jump operators of a mode set,
+each linear, L = x . q, and kept as its coefficient vector x in one
+array (:func:`lowering_ops`): the bare oscillators' give the local
+picture, the normal modes' the global one.
 
 Resonance is exact equality of the bare frequencies, omega_h == omega_c:
 only there are the normal modes the fixed 45 degree pair. Distinct
@@ -19,13 +21,11 @@ from .algebra import QuadOp
 from .errors import ContractError, StabilityError, ValidationError
 
 __all__ = [
-    "JumpChannel",
     "NormalModes",
     "SystemSpec",
-    "global_jump_ops",
     "hamiltonian",
     "is_resonant",
-    "local_jump_ops",
+    "lowering_ops",
     "normal_modes",
 ]
 
@@ -76,7 +76,9 @@ class NormalModes:
     Momenta transform with the same P. At resonance (:func:`is_resonant`)
     P is the fixed +/-45 degree rotation and Omega_{1,2} =
     sqrt(omega^2 +/- k) (mode 1 is the symmetric one); off resonance
-    modes are ordered by frequency, Omega_1 >= Omega_2.
+    modes are ordered by frequency, Omega_1 >= Omega_2. :func:`lowering_ops`
+    also takes the bare oscillators, P = I with the bare frequencies
+    omega_h, omega_c, which are not frequency-ordered.
     """
 
     matrix: np.ndarray  # 2x2 orthogonal
@@ -140,63 +142,24 @@ def hamiltonian(sys: SystemSpec) -> QuadOp:
     return QuadOp(quad=q)
 
 
-@dataclass(frozen=True)
-class JumpChannel:
-    """One decay channel: which bath it couples to, its signed Bohr frequency,
-    and its jump operator L = x . q as the read-only complex 4-vector x, so
-    a channel is linear by construction; anything else is refused."""
+def lowering_ops(modes: NormalModes) -> np.ndarray:
+    """Lowering jump operators of each bath and mode, as the complex
+    coefficient vectors over (x_h, p_h, x_c, p_c), shape (2 baths, 2
+    modes, 4).
 
-    bath: str  # "h" or "c"
-    frequency: float
-    coeffs: np.ndarray  # complex, shape (4,)
-
-    def __post_init__(self):
-        x = np.array(self.coeffs, dtype=complex)
-        if x.shape != (4,) or not np.isfinite(x).all():
-            raise ContractError(f"jump coefficients must be a finite 4-vector, got {x!r}")
-        x.setflags(write=False)
-        object.__setattr__(self, "coeffs", x)
-
-
-#: coefficient vectors of x_h, x_c and of p_h, p_c
-_X, _P = np.eye(4, dtype=complex)[[0, 2]], np.eye(4, dtype=complex)[[1, 3]]
-
-
-def _lowering(x: np.ndarray, p: np.ndarray, omega: float) -> np.ndarray:
-    """Normalized lowering combination x/2 + i p/(2w).
-
-    Fixed by the two identities [H, L] = -w L and L + L† = x.
-    """
-    return 0.5 * x + (0.5j / omega) * p
-
-
-def local_jump_ops(sys: SystemSpec) -> list[JumpChannel]:
-    """Eigenoperators of each oscillator's own Hamiltonian, one +/- pair
-    per bath."""
-    channels = []
-    for idx, (name, omega) in enumerate((("h", sys.omega_h), ("c", sys.omega_c))):
-        low = _lowering(_X[idx], _P[idx], omega)
-        channels.append(JumpChannel(name, omega, low))
-        channels.append(JumpChannel(name, -omega, np.conj(low)))
-    return channels
-
-
-def global_jump_ops(modes: NormalModes) -> list[JumpChannel]:
-    """Eigenoperators of the full coupled Hamiltonian with normal modes
-    ``modes`` (:func:`normal_modes`).
-
-    Decomposing x_alpha over the normal modes gives, per bath, one
-    lowering operator for each mode weighted by the corresponding entry
-    of P; eight channels in total (two modes, two signs, two baths).
+    Bath a's operator for mode j is P_aj (eta_j/2 + i Pi_j/(2 w_j)), with
+    (eta_j, Pi_j) the mode's quadratures and w_j its frequency, fixed by
+    [H, L] = -w_j L and sum_j (L + L†) = x_a. The raising operators are
+    the conjugates at -w_j. Non-finite output raises ContractError.
     """
     p = modes.matrix
-    eta = [p[0, j] * _X[0] + p[1, j] * _X[1] for j in range(2)]
-    pi = [p[0, j] * _P[0] + p[1, j] * _P[1] for j in range(2)]
-    freqs = (modes.omega1, modes.omega2)
-    channels = []
-    for row, name in ((0, "h"), (1, "c")):
-        for j in range(2):
-            low = p[row, j] * _lowering(eta[j], pi[j], freqs[j])
-            channels.append(JumpChannel(name, freqs[j], low))
-            channels.append(JumpChannel(name, -freqs[j], np.conj(low)))
-    return channels
+    with np.errstate(all="ignore"):
+        half_inv = 0.5 / np.array([modes.omega1, modes.omega2], dtype=float)
+        ops = np.zeros((2, 2, 4), dtype=complex)
+        # [a, j, i] = P_aj * (0.5 * P_ij) on x_i and P_aj * ((0.5 / w_j) * P_ij)
+        # on p_i, rounded innermost first
+        ops.real[..., 0::2] = p[:, :, None] * (0.5 * p.T)
+        ops.imag[..., 1::2] = p[:, :, None] * (half_inv[:, None] * p.T)
+    if not np.isfinite(ops).all():
+        raise ContractError(f"lowering operators of {modes!r} are not finite")
+    return ops

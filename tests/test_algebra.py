@@ -2,7 +2,6 @@
 second-moment packing."""
 
 import numpy as np
-import pytest
 
 from meqlab.algebra import (
     SECOND_MOMENT_PAIRS,
@@ -15,7 +14,6 @@ from meqlab.algebra import (
     position,
     unpack_symmetric,
 )
-from meqlab.errors import ContractError
 
 X_H, P_H = position(0), momentum(0)
 X_C, P_C = position(1), momentum(1)
@@ -197,22 +195,6 @@ def test_pair_action_hermiticity_preservation():
         # the adjoint conjugates every coefficient, so this bounds each
         # imaginary part by 1e-12
         assert out.distance(out.adjoint()) <= 2e-12
-
-
-def test_pair_action_rejects_quadratic_channel():
-    # channel tables are assembled from linear jump operators only: a
-    # channel is its operator's coefficient vector, and anything but a
-    # finite 4-vector (a quadratic form, a wrong length, a non-finite
-    # entry) is refused where the channel is made
-    from meqlab.model import JumpChannel
-
-    for bad in (quadratic_basis_op(0, 0).quad, X_H.linear[:3],
-                X_H.linear + np.array([0.0, np.nan, 0.0, 0.0]),
-                X_H.linear + np.array([0.0, 0.0, np.inf, 0.0])):
-        with pytest.raises(ContractError):
-            JumpChannel("h", 1.0, bad)
-    channel = JumpChannel("h", 1.0, X_H.linear)
-    assert not channel.coeffs.flags.writeable
 
 
 def test_pack_unpack_roundtrip():

@@ -364,6 +364,23 @@ def test_expm_rejects_bad_input():
             expm(bad)
 
 
+def test_complex_input_is_refused_not_cast(raises_quietly):
+    # a float cast would keep only the real part, with a ComplexWarning
+    raises_quietly(ValidationError, expm, np.eye(2) + 1j * np.eye(2))
+    raises_quietly(ValidationError, expm, np.eye(2, dtype=complex))
+    first, second = np.zeros(4), pack_symmetric(np.eye(4))
+    raises_quietly(ValidationError, MomentState, first + 1j, second)
+    raises_quietly(ValidationError, MomentState, first, second.astype(complex))
+    raises_quietly(ValidationError, MomentState, first, second, 1.0 + 0.5j)
+
+
+def test_expm_refuses_an_empty_matrix_and_keeps_empty_stacks(raises_quietly):
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        raises_quietly(ValidationError, expm, empty)
+    for stack in (np.zeros((0, 3, 3)), np.zeros((2, 0, 3, 3))):
+        assert expm(stack).shape == stack.shape
+
+
 def test_propagate_exponentiates_each_block_once(monkeypatch):
     # 400 samples run in 20 chunks of 20: one call per block over the
     # distinct positive steps of the fine grid and of the 19 coarse steps

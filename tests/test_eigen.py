@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meqlab.bath import BathSpec
@@ -196,6 +196,26 @@ def test_eig_rejects_bad_input():
         eig(np.zeros((3, 4)))
 
 
+def test_eig_and_profile_refuse_complex_input(raises_quietly):
+    # a float cast would keep only the real part, with a ComplexWarning
+    m = np.eye(3) + 1j * np.eye(3)
+    raises_quietly(NumericalError, eig, m)
+    raises_quietly(NumericalError, phase_rigidity_profile, lambda k: k * m, [1.0, 2.0])
+    raises_quietly(NumericalError, phase_rigidity_profile,
+                   lambda k: np.eye(2) * (1.0 if k < 1.5 else 1j), [1.0, 2.0])
+
+
+def test_empty_matrix_is_refused_and_empty_stack_kept(raises_quietly):
+    empty = np.zeros((0, 0))
+    raises_quietly(NumericalError, eig, empty)
+    raises_quietly(NumericalError, phase_rigidity_profile, lambda k: empty, [1.0, 2.0])
+    raises_quietly(NumericalError, condition_number, empty)
+    raises_quietly(NumericalError, condition_number_of, empty)
+    # a stack of no matrices still gives no condition numbers
+    assert condition_number(np.zeros((0, 3, 3))).shape == (0,)
+    assert condition_number_of(np.zeros((0, 3, 3))).shape == (0,)
+
+
 def test_rigidity_profile_lme_dip_at_ep():
     ks = np.linspace(0.2 * K_STAR, 1.8 * K_STAR, 81)
     profile = phase_rigidity_profile(lme_block1, ks)
@@ -312,6 +332,9 @@ def greedy_profile(mats):
     seed=st.integers(0, 2**32 - 1),
     points=st.integers(1, 40),
 )
+# distances within one ulp of each other: numpy's complex abs and Python's
+# abs round them differently
+@example(n=6, kind="similar", seed=19, points=5)
 def test_profile_is_the_greedy_oracle_on_real_families(n, kind, seed, points):
     # a + s b: random a and b; b = a, a spectrum that only scales; integer
     # diagonals, whose repeated eigenvalues cross exactly; and a repeated

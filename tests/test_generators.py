@@ -19,7 +19,7 @@ from meqlab.algebra import (
     second_moment_flow,
     unpack_symmetric,
 )
-from meqlab.bath import BathSpec, decay_rate, delta_coeff
+from meqlab.bath import BathSpec, decay_rate, delta_coeff, sigma_coeff
 from meqlab.dynamics import steady_state
 from meqlab.errors import DomainError, ValidationError
 from meqlab.generators import (
@@ -34,7 +34,6 @@ from meqlab.generators import (
     REDFIELD_ZEROTH,
     MomentGenerator,
     _dissipator_terms,
-    _zeroth_channels,
     build,
     closed_form_blocks,
     closed_form_drift,
@@ -48,10 +47,11 @@ from meqlab.generators import (
     zeroth_order,
 )
 from meqlab.model import (
+    NormalModes,
     SystemSpec,
-    global_jump_ops,
     hamiltonian,
-    local_jump_ops,
+    is_resonant,
+    lowering_ops,
     normal_modes,
 )
 from meqlab.thermo import clausius_check, current_scale, heat_current
@@ -323,6 +323,14 @@ def test_generator_stores_frame_and_gaussian_pair():
         MomentGenerator(LME, LOCAL_FRAME, local.block1, local.block2, local.const2)
     with pytest.raises(ValidationError, match="unknown frame"):
         MomentGenerator(LME, "bogus", local.block1, local.const2)
+    # complex blocks are refused, not cast to their real part with a warning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for block1, const2 in ((local.block1 * (1 + 1j), local.const2),
+                               (local.block1, local.const2.astype(complex))):
+            with pytest.raises(ValidationError, match="must be real"):
+                MomentGenerator(LME, LOCAL_FRAME, block1, const2)
+    assert not seen
     with pytest.raises(ValidationError, match="unknown frame"):
         build(LME, FIG_SYS, HOT, COLD, frame="bogus")
     with pytest.raises(ValidationError, match="unknown frame"):
@@ -359,32 +367,133 @@ def gaussian_gksl_oracle(sys, b):
     return drift, diffusion
 
 
-def oracle_table(label, sys, hot, cold):
-    """B = sum rate * conj(x) y^T straight from the channel lists: the
-    diagonal pairs for the secular labels, every same-bath pair of equal
-    frequency sign for the Redfield labels."""
+def label_modes(label, sys):
+    """The mode set whose jump operators a label's dissipator keeps: the
+    bare oscillators for the LME, the normal modes for GME and Redfield,
+    and for the zeroth-order labels the normal modes at k = 0 (the
+    resonant rotation at the bare frequency, off resonance the bare
+    oscillators)."""
+    zeroth = label in (GME_ZEROTH, REDFIELD_ZEROTH)
+    if label == LME or (zeroth and not is_resonant(sys)):
+        return NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
     modes = normal_modes(sys)
-    if label == LME:
-        channels = local_jump_ops(sys)
-    elif label in (GME, REDFIELD):
-        channels = global_jump_ops(modes)
-    else:
-        channels = _zeroth_channels(sys, modes)
-    baths = {"h": hot, "c": cold}
+    if zeroth:
+        return dataclasses.replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
+    return modes
+
+
+def oracle_table(label, sys, hot, cold):
+    """B = sum rate * conj(x) y^T straight from the channel list: every
+    lowering operator and its conjugate at -w, the diagonal pairs for the
+    secular labels, every same-bath pair of equal frequency sign for the
+    Redfield labels."""
+    modes = label_modes(label, sys)
+    freqs = (modes.omega1, modes.omega2)
+    channels = [
+        (bath, sign * omega, low if sign > 0 else np.conj(low))
+        for bath, row in enumerate(lowering_ops(modes))
+        for omega, low in zip(freqs, row)
+        for sign in (1, -1)
+    ]
     b = np.zeros((4, 4), dtype=complex)
-    for x in channels:
-        for y in channels:
-            if x.bath != y.bath:
+    for i, (bath, omega, x) in enumerate(channels):
+        for j, (bath_y, omega_y, y) in enumerate(channels):
+            if bath_y != bath:
                 continue
             if label in (REDFIELD, REDFIELD_ZEROTH):
-                if x.frequency * y.frequency <= 0.0:
+                if omega * omega_y <= 0.0:
                     continue
-            elif y is not x:
+            elif j != i:
                 continue
-            rate = decay_rate(baths[x.bath], x.frequency)
-            x_op, y_op = QuadOp(linear=x.coeffs), QuadOp(linear=y.coeffs)
+            rate = decay_rate((hot, cold)[bath], omega)
+            x_op, y_op = QuadOp(linear=x), QuadOp(linear=y)
             b += rate * np.outer(np.conj(x_op.linear), y_op.linear)
     return b
+
+
+#: coefficient vectors of x_h, x_c and of p_h, p_c
+_X, _P = np.eye(4, dtype=complex)[[0, 2]], np.eye(4, dtype=complex)[[1, 3]]
+
+
+def _lowering(x, p, omega):
+    """Normalized lowering combination x/2 + i p/(2w)."""
+    return 0.5 * x + (0.5j / omega) * p
+
+
+def list_channels(label, sys):
+    """Every channel as a (bath, signed frequency, coefficient vector)
+    triple, built one vector at a time as the local and global jump
+    operator lists were: each oscillator's own pair for the LME and the
+    detuned zeroth-order labels, else one pair per bath and normal mode,
+    weighted by P, at frequencies collapsed to omega_h for the resonant
+    zeroth-order labels."""
+    if label == LME or (label in (GME_ZEROTH, REDFIELD_ZEROTH) and not is_resonant(sys)):
+        channels = []
+        for idx, (name, omega) in enumerate((("h", sys.omega_h), ("c", sys.omega_c))):
+            low = _lowering(_X[idx], _P[idx], omega)
+            channels += [(name, omega, low), (name, -omega, np.conj(low))]
+        return channels
+    modes = normal_modes(sys)
+    if label in (GME_ZEROTH, REDFIELD_ZEROTH):
+        modes = dataclasses.replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
+    p = modes.matrix
+    eta = [p[0, j] * _X[0] + p[1, j] * _X[1] for j in range(2)]
+    pi = [p[0, j] * _P[0] + p[1, j] * _P[1] for j in range(2)]
+    freqs = (modes.omega1, modes.omega2)
+    channels = []
+    for row, name in ((0, "h"), (1, "c")):
+        for j in range(2):
+            low = p[row, j] * _lowering(eta[j], pi[j], freqs[j])
+            channels += [(name, freqs[j], low), (name, -freqs[j], np.conj(low))]
+    return channels
+
+
+def list_tables(label, sys, hot, cold):
+    """The channel tables summed over the lowering channels of
+    :func:`list_channels`, one outer product at a time: the bit-exact
+    oracle of _dissipator_terms."""
+    baths = {"h": hot, "c": cold}
+    secular = label in (LME, GME, GME_ZEROTH)
+    tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
+    lowering = [ch for ch in list_channels(label, sys) if ch[1] > 0.0]
+    for name, omega, x in lowering:
+        ys = [x] if secular else [y for bath, _, y in lowering if bath == name]
+        m = np.outer(np.conj(x), sum(ys))
+        m.real *= 2.0 * omega * sigma_coeff(baths[name], omega)
+        m.imag *= -2.0 * omega * delta_coeff(baths[name], omega)
+        tables[name] += m
+    return tables
+
+
+def test_channel_tables_are_the_jump_list_tables_bit_for_bit():
+    # resonant, detuned and one ulp detuned, with k = 0 on every fourth
+    # draw and |k| up to 1 - 1e-12 of the stability edge elsewhere
+    rng = np.random.default_rng(24)
+    for i in range(600):
+        wh = 10 ** rng.uniform(-2.0, 2.0)
+        wc = (wh, np.nextafter(wh, np.inf), wh * rng.uniform(0.3, 3.0))[i % 3]
+        edge = 1.0 - 10 ** rng.uniform(-12.0, 0.0)
+        k = 0.0 if i % 4 == 0 else rng.uniform(-1.0, 1.0) * edge * wh * wc
+        sys = SystemSpec(wh, float(wc), k)
+        hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
+                              10 ** rng.uniform(0, 4)) for _ in range(2))
+        for label in GENERATOR_LABELS:
+            got = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
+            want = list_tables(label, sys, hot, cold)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
+
+
+def test_zero_weight_operators_are_not_rated():
+    # the hot bath's noise coefficient overflows at the cold frequency; at
+    # k = 0 off resonance only operators of zero weight would need it
+    hot = BathSpec(100.0, 1e300, 1e3)
+    sys = SystemSpec(1.0, 1e-6, 0.0)
+    assert sigma_coeff(hot, 1.0) < np.inf == sigma_coeff(hot, 1e-6)
+    for label in GENERATOR_LABELS:
+        gen = build(label, sys, hot, COLD)
+        assert np.isfinite(gen.block1).all() and np.isfinite(gen.const2).all()
 
 
 def test_gksl_oracle_matches_engine_lme():

@@ -1,4 +1,4 @@
-"""System spec, normal modes, Hamiltonian, jump operators."""
+"""System spec, normal modes, Hamiltonian, lowering jump operators."""
 
 import math
 
@@ -8,21 +8,39 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meqlab.algebra import QuadOp, commutator, position
-from meqlab.errors import StabilityError, ValidationError
+from meqlab.errors import ContractError, StabilityError, ValidationError
 from meqlab.model import (
+    NormalModes,
     SystemSpec,
-    global_jump_ops,
     hamiltonian,
-    local_jump_ops,
+    lowering_ops,
     normal_modes,
 )
 
-HOTCOLD = {"h": 0, "c": 1}
+
+def op(x):
+    """A jump operator's coefficient vector in the quadrature algebra."""
+    return QuadOp(linear=x)
 
 
-def op(ch):
-    """A channel's jump operator in the quadrature algebra."""
-    return QuadOp(linear=ch.coeffs)
+def bare_modes(sys):
+    """The uncoupled oscillators as a mode set: P = I, bare frequencies."""
+    return NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
+
+
+def assert_eigenoperators(h, modes, tol, sum_tol):
+    """[H, L] = -w L and [H, L†] = +w L† for every bath and mode to ``tol``,
+    and the sum rule sum_j (L + L†) = x_a per bath to ``sum_tol``."""
+    ops = lowering_ops(modes)
+    assert ops.shape == (2, 2, 4) and ops.dtype == complex
+    for a in range(2):
+        total = QuadOp()
+        for j, omega in enumerate((modes.omega1, modes.omega2)):
+            low, high = op(ops[a, j]), op(np.conj(ops[a, j]))
+            assert (commutator(h, low) - (-omega) * low).max_abs() < tol
+            assert (commutator(h, high) - omega * high).max_abs() < tol
+            total = total + low + high
+        assert total.distance(position(a)) < sum_tol
 
 
 def test_systemspec_validation():
@@ -165,67 +183,55 @@ def test_hamiltonian_quadratic_form():
 
 def test_local_jump_ops():
     sys = SystemSpec(1.0, 2.0, 0.3)
-    channels = local_jump_ops(sys)
-    assert len(channels) == 4
-    h_loc = hamiltonian(SystemSpec(sys.omega_h, sys.omega_c, 0.0))
-    for ch in channels:
-        # eigenoperator identity [H_loc, L] = -freq L
-        residual = commutator(h_loc, op(ch)) - (-ch.frequency) * op(ch)
-        assert residual.max_abs() < 1e-12
-    # unit frequency: L = (x + i p)/2
-    l_h = next(c for c in channels if c.bath == "h" and c.frequency > 0)
-    assert op(l_h).distance(QuadOp(linear=[0.5, 0.5j, 0.0, 0.0])) < 1e-15
-    # decomposition sum rule per bath
-    for bath, osc in HOTCOLD.items():
-        total = QuadOp()
-        for ch in channels:
-            if ch.bath == bath:
-                total = total + op(ch)
-        assert total.distance(position(osc)) < 1e-14
+    # the eigenoperators of each oscillator's own Hamiltonian
+    assert_eigenoperators(hamiltonian(SystemSpec(1.0, 2.0, 0.0)), bare_modes(sys),
+                          1e-14, 1e-14)
+    ops = lowering_ops(bare_modes(sys))
+    # unit frequency: L = (x + i p)/2; the cross entries carry zero weight
+    assert op(ops[0, 0]).distance(QuadOp(linear=[0.5, 0.5j, 0.0, 0.0])) < 1e-15
+    assert op(ops[1, 1]).distance(QuadOp(linear=[0.0, 0.0, 0.5, 0.25j])) < 1e-15
+    assert not ops[0, 1].any() and not ops[1, 0].any()
 
 
 def test_global_jump_ops_eigenoperators():
     for sys in (SystemSpec(1.0, 1.0, 0.3), SystemSpec(1.0, 1.4, 0.3),
                 SystemSpec(0.8, 0.6, -0.2)):
-        h = hamiltonian(sys)
-        channels = global_jump_ops(normal_modes(sys))
-        assert len(channels) == 8
-        for ch in channels:
-            residual = commutator(h, op(ch)) - (-ch.frequency) * op(ch)
-            assert residual.max_abs() < 1e-12, (sys, ch.frequency)
-        for bath, osc in HOTCOLD.items():
-            total = QuadOp()
-            for ch in channels:
-                if ch.bath == bath:
-                    total = total + op(ch)
-            assert total.distance(position(osc)) < 1e-13
+        assert_eigenoperators(hamiltonian(sys), normal_modes(sys), 1e-12, 1e-13)
 
 
 def test_global_jump_ops_resonant_weights():
-    channels = global_jump_ops(normal_modes(SystemSpec(1.0, 1.0, 0.1)))
-    # symmetric mode carries equal weight on both oscillators
-    a1h = next(c for c in channels if c.bath == "h" and c.frequency > 0
-               and abs(c.frequency - math.sqrt(1.1)) < 1e-12)
-    assert abs(op(a1h).linear[0]) == pytest.approx(abs(op(a1h).linear[2]), rel=1e-12)
+    modes = normal_modes(SystemSpec(1.0, 1.0, 0.1))
+    assert modes.omega1 == pytest.approx(math.sqrt(1.1), rel=1e-15)
+    # the symmetric mode carries equal weight on both oscillators, for either bath
+    for low in lowering_ops(modes)[:, 0]:
+        assert abs(low[0]) == pytest.approx(abs(low[2]), rel=1e-12)
 
 
 def test_global_jump_ops_decoupled_reduce_to_local():
     sys = SystemSpec(1.0, 2.0, 0.0)
-    global_channels = global_jump_ops(normal_modes(sys))
-    local_channels = local_jump_ops(sys)
-    # the high-frequency channel equals the local one; the cross-mode
-    # channel weight vanishes
-    for bath, omega in (("h", 1.0), ("c", 2.0)):
-        matches = [c for c in global_channels
-                   if c.bath == bath and abs(c.frequency - omega) < 1e-12]
-        local = next(c for c in local_channels
-                     if c.bath == bath and c.frequency > 0)
-        assert len(matches) == 1
-        assert op(matches[0]).distance(op(local)) < 1e-13
-        zeros = [c for c in global_channels
-                 if c.bath == bath and c.frequency > 0
-                 and abs(c.frequency - omega) > 1e-12]
-        assert all(op(c).max_abs() < 1e-15 for c in zeros)
+    modes = normal_modes(sys)
+    global_ops, local_ops = lowering_ops(modes), lowering_ops(bare_modes(sys))
+    freqs = np.array([modes.omega1, modes.omega2])
+    # each bath's mode at its own frequency is the local operator; the
+    # other mode's weight vanishes
+    for a, omega in enumerate((1.0, 2.0)):
+        own = np.abs(freqs - omega) < 1e-12
+        assert own.sum() == 1
+        assert op(global_ops[a, own][0]).distance(op(local_ops[a, a])) < 1e-13
+        assert np.abs(global_ops[a, ~own]).max() < 1e-15
+
+
+def test_lowering_ops_refuse_non_finite_modes():
+    # a quadratic or wrong-length operator cannot arise: every operator is
+    # one row of the (2, 2, 4) array built from P and the two frequencies
+    rotation = normal_modes(SystemSpec(1.0, 1.0, 0.1)).matrix
+    for modes in (NormalModes(rotation, 1.0, 0.0),
+                  NormalModes(rotation, math.nan, 1.0),
+                  NormalModes(rotation, 1.0, 5e-324),
+                  NormalModes(rotation + [[0.0, math.inf], [0.0, 0.0]], 1.0, 1.0),
+                  NormalModes(rotation + [[0.0, 0.0], [math.nan, 0.0]], 1.0, 1.0)):
+        with pytest.raises(ContractError):
+            lowering_ops(modes)
 
 
 def test_instability_rejected():
