@@ -128,4 +128,7 @@ def sigma_coeff(bath: BathSpec, omega: float) -> float:
     """Noise coefficient (rate(-w) + rate(w)) / (2w) = (J(w)/w) coth(w/2T) > 0."""
     if omega <= 0.0:
         raise DomainError(f"sigma_coeff requires omega > 0, got {omega!r}")
-    return (decay_rate(bath, -omega) + decay_rate(bath, omega)) / (2.0 * omega)
+    sigma = (decay_rate(bath, -omega) + decay_rate(bath, omega)) / (2.0 * omega)
+    if not math.isfinite(sigma):
+        raise ValidationError(f"noise coefficient of {bath!r} at omega = {omega!r} is not finite")
+    return sigma

@@ -1,12 +1,13 @@
 """Heat currents and thermodynamic diagnostics.
 
 The instantaneous current from bath alpha is the expectation of that
-bath's adjoint dissipator applied to the Hamiltonian. Closed forms in
-terms of second moments are evaluated for speed and cross-checked, on
-every call, against the fully symbolic route (apply each bath's
-dissipator, from the channel table the generator construction uses, to
-H through the quadrature algebra and take the expectation);
-disagreement raises; it is never silently patched.
+bath's adjoint dissipator applied to the Hamiltonian. One closed form in
+the second moments of the label's modes, those its channel table is
+built from, is evaluated for speed and cross-checked, on every call,
+against the fully symbolic route (apply each bath's dissipator, from
+that channel table, to H through the quadrature algebra and take the
+expectation); disagreement, or a closed form that is not finite,
+raises; it is never silently patched.
 
 Both routes take a MomentState of any leading shape and give a
 HeatCurrentSample of that shape, so a trajectory is evaluated and
@@ -39,7 +40,7 @@ from .generators import (
     _dissipator_terms,
     quadrature_rotation,
 )
-from .model import SystemSpec, hamiltonian, normal_modes
+from .model import NormalModes, SystemSpec, hamiltonian, normal_modes
 
 __all__ = [
     "HeatCurrentSample",
@@ -96,45 +97,38 @@ def _closed_form_currents(
     second moments stacked over leading axes, (..., 10) -> (...); with
     ``magnitude``, the sum of the absolute values of their terms.
 
-    Local picture:   (Delta/2)(<p^2> + w^2 <x^2> + k <x_h x_c>) + w Sigma/2
-    Global picture:  sum_j (P_aj^2/2) [Delta_j (<Pi_j^2> + W_j^2 <eta_j^2>)
-                                       + W_j Sigma_j]
-    Redfield extra:  (P_a1 P_a2 / 2)(Delta_1 + Delta_2)
-                                       (W_1 W_2 <eta_1 eta_2> + <Pi_1 Pi_2>)
-    """
-    # every factor but the positive w, W and Sigma may carry a sign
-    size = np.abs if magnitude else (lambda x: x)
-    out: dict[str, np.ndarray] = {}
-    if label == LME:
-        s = size(unpack_symmetric(second))
-        for name, bath, idx, omega in (
-            ("h", hot, 0, sys.omega_h),
-            ("c", cold, 1, sys.omega_c),
-        ):
-            x2 = s[..., 2 * idx, 2 * idx]
-            p2 = s[..., 2 * idx + 1, 2 * idx + 1]
-            xx = s[..., 0, 2]
-            delta = size(delta_coeff(bath, omega))
-            sigma = sigma_coeff(bath, omega)
-            out[name] = (
-                0.5 * delta * (p2 + omega**2 * x2 + size(sys.k) * xx)
-                + 0.5 * omega * sigma
-            )
-        return out
+    One formula over the label's modes (x_h, x_c)^T = P (eta_1, eta_2)^T,
+    the bare oscillators (P = I) for the LME and the normal modes for GME
+    and Redfield, skipping a mode of zero weight as the channel tables do:
 
-    modes = normal_modes(sys)
+        sum_j (P_aj^2/2) [Delta_j (<Pi_j^2> + W_j^2 <eta_j^2> + c) + W_j Sigma_j]
+
+    c = k <x_h x_c> for the LME, the coupling its bare modes leave in H,
+    else 0; Redfield adds (P_a1 P_a2 / 2)(Delta_1 + Delta_2)
+                          (W_1 W_2 <eta_1 eta_2> + <Pi_1 Pi_2>).
+    """
+    # every factor but the positive W and Sigma may carry a sign
+    size = np.abs if magnitude else (lambda x: x)
+    modes = NormalModes(np.eye(2), sys.omega_h, sys.omega_c) if label == LME else normal_modes(sys)
     p, freqs = size(modes.matrix), (modes.omega1, modes.omega2)
-    t = quadrature_rotation(modes)
-    s = size(t @ unpack_symmetric(second) @ t.T)
+    s = unpack_symmetric(second)
+    if label != LME:  # the bare modes' quadratures are the local ones
+        t = quadrature_rotation(modes)
+        s = t @ s @ t.T
+    s = size(s)
+    coupling = size(sys.k) * s[..., 0, 2] if label == LME else 0.0
+    out: dict[str, np.ndarray] = {}
     for row, (name, bath) in enumerate((("h", hot), ("c", cold))):
         deltas = [size(delta_coeff(bath, freq)) for freq in freqs]
         total = 0.0
         for j in range(2):
+            if p[row, j] == 0.0:
+                continue
             eta2 = s[..., 2 * j, 2 * j]
             pi2 = s[..., 2 * j + 1, 2 * j + 1]
             sigma = sigma_coeff(bath, freqs[j])
             total += 0.5 * p[row, j] ** 2 * (
-                deltas[j] * (pi2 + freqs[j] ** 2 * eta2) + freqs[j] * sigma
+                deltas[j] * (pi2 + freqs[j] ** 2 * eta2 + coupling) + freqs[j] * sigma
             )
         if label == REDFIELD:
             eta12 = s[..., 0, 2]
@@ -180,11 +174,13 @@ def _verified_currents(
     for name, value in closed.items():
         check = expectation(dissipator_action(tables[name], h_op), first, second)
         off = np.abs(value - check)
-        # |value| is at most the terms' magnitude: an instant within that
-        # tighter tolerance passes without evaluating the magnitude
-        if np.any(off > CROSSCHECK_TOL * np.maximum(np.abs(value), scale)):
+        # NaN compares false and an infinite value is refused, not given an
+        # infinite tolerance. |value| is at most the terms' magnitude: an
+        # instant within that tighter tolerance skips the magnitude
+        finite = np.isfinite(value)
+        if not np.all(finite & (off <= CROSSCHECK_TOL * np.maximum(np.abs(value), scale))):
             sizes = _closed_form_currents(label, sys, hot, cold, second, True)[name]
-            bad = np.flatnonzero(off > CROSSCHECK_TOL * np.maximum(sizes, scale))
+            bad = np.flatnonzero(~(finite & (off <= CROSSCHECK_TOL * np.maximum(sizes, scale))))
             if bad.size:
                 failures.append((bad[0], name, float(value[bad[0]]), float(check[bad[0]])))
     if failures:

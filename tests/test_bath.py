@@ -151,6 +151,15 @@ def test_sigma_value_and_bounds():
     )
 
 
+def test_sigma_overflow_names_the_bath_and_frequency(raises_quietly):
+    # lambda_sq T / w past the float range: a typed error, no inf and no warning
+    hot = BathSpec(100.0, 1e300, 1e3)
+    assert math.isfinite(sigma_coeff(hot, 1.0))
+    raises_quietly(ValidationError, sigma_coeff, hot, 1e-6)
+    with pytest.raises(ValidationError, match=r"BathSpec\(lambda_sq=100\.0, .* omega = 1e-06 "):
+        sigma_coeff(hot, 1e-6)
+
+
 def test_domain_errors_nonpositive_frequency():
     for func in (delta_coeff, sigma_coeff):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 import meqlab
 from meqlab import cli
 from meqlab.cli import _fmt_row, main
-from meqlab.generators import lme_drift
+from meqlab.generators import FRAME_NAMES, GENERATOR_LABELS, lme_drift
 
 
 SMALL_SCAN = [
@@ -179,6 +180,19 @@ def test_steady_k_zero_lme_currents_vanish(tmp_path):
     line = (tmp_path / "steady.csv").read_text().splitlines()[1]
     values = [float(v) for v in line.split(",")]
     assert abs(values[1]) < 1e-20 and abs(values[2]) < 1e-20
+
+
+def test_detuned_decoupled_steady_writes_no_nan(tmp_path):
+    # the hot bath's noise coefficient overflows at omega_c, which only
+    # modes of zero weight would rate at k = 0: every current is finite
+    assert run(["steady", "--out", str(tmp_path),
+                "--set", "system.omega_c=1e-6", "--set", "system.k=0",
+                "--set", 'steady.spacing="linear"', "--set", "steady.k_min=0",
+                "--set", "steady.k_max=0", "--set", "steady.points=1",
+                "--set", "baths.hot.lambda_sq=100",
+                "--set", "baths.hot.temperature=1e300"]) == 0
+    line = (tmp_path / "steady.csv").read_text().splitlines()[1]
+    assert np.isfinite([float(v) for v in line.split(",")]).all(), line
 
 
 def test_rigidity_output(tmp_path):
@@ -400,6 +414,24 @@ def test_hot_bath_at_high_temperature(tmp_path):
     # cross-check's tolerance follows those terms, so the sweep completes
     assert run(["steady", "--out", str(tmp_path),
                 "--set", "baths.hot.temperature=1e5"]) == 0
+
+
+def test_cli_battery_covers_every_command_label_and_frame():
+    # the byte-identity battery runs every subcommand and dumps every
+    # generator label in both frames, so a new one cannot miss it
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_battery.py"
+    spec = importlib.util.spec_from_file_location("cli_battery", path)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    runs = battery._runs().values()
+    assert set(cli.COMMANDS) <= {args[0] for args in runs}
+    dumped = set()
+    for args in runs:
+        settings = dict(value.split("=", 1) for flag, value in zip(args, args[1:])
+                        if flag == "--set")
+        if args[0] == "matrices" and {"matrices.label", "matrices.frame"} <= settings.keys():
+            dumped.add((settings["matrices.label"], settings["matrices.frame"]))
+    assert dumped == {(label, frame) for label in GENERATOR_LABELS for frame in FRAME_NAMES}
 
 
 def test_cli_import_leaves_scipy_linalg_out(tmp_path):

@@ -490,7 +490,9 @@ def test_zero_weight_operators_are_not_rated():
     # k = 0 off resonance only operators of zero weight would need it
     hot = BathSpec(100.0, 1e300, 1e3)
     sys = SystemSpec(1.0, 1e-6, 0.0)
-    assert sigma_coeff(hot, 1.0) < np.inf == sigma_coeff(hot, 1e-6)
+    assert sigma_coeff(hot, 1.0) < np.inf
+    with pytest.raises(ValidationError):
+        sigma_coeff(hot, 1e-6)
     for label in GENERATOR_LABELS:
         gen = build(label, sys, hot, COLD)
         assert np.isfinite(gen.block1).all() and np.isfinite(gen.const2).all()

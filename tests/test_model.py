@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meqlab.algebra import QuadOp, commutator, position
+from meqlab.bath import BathSpec
 from meqlab.errors import ContractError, StabilityError, ValidationError
+from meqlab.generators import LME, build
 from meqlab.model import (
     NormalModes,
     SystemSpec,
@@ -169,6 +171,16 @@ def test_normal_modes_scale_exactly_by_powers_of_two(omega_h, ratio, k_frac, shi
     assert scaled.omega1 == math.ldexp(base.omega1, shift)
     assert scaled.omega2 == math.ldexp(base.omega2, shift)
     assert scaled.matrix.tobytes() == base.matrix.tobytes()
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, StabilityError),
+                   reason="omega2^2 = (omega_h^2 + omega_c^2 - s)/2 cancels for a large "
+                   "frequency ratio, to no digit at all once omega_c/omega_h is below 1e-8")
+def test_normal_modes_keep_a_small_decoupled_frequency():
+    for wc in (1e-5, 1e-6, 1e-7):
+        assert normal_modes(SystemSpec(1.0, wc, 0.0)).omega2 == pytest.approx(wc, rel=1e-14)
+    bath = BathSpec(1e-4, 5.0, 1e3)
+    build(LME, SystemSpec(1.0, 1e-10, 0.0), bath, bath)
 
 
 def test_hamiltonian_quadratic_form():

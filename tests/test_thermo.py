@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from meqlab.bath import BathSpec
+from meqlab.algebra import pack_symmetric, unpack_symmetric
+from meqlab.bath import BathSpec, delta_coeff, sigma_coeff
 from meqlab.dynamics import (
     MomentState,
     propagate,
@@ -12,8 +13,8 @@ from meqlab.dynamics import (
     thermal_product_state,
 )
 from meqlab.errors import ConsistencyError, ValidationError
-from meqlab.generators import GME, LME, NORMAL_FRAME, REDFIELD, build
-from meqlab.model import SystemSpec
+from meqlab.generators import GME, LME, NORMAL_FRAME, REDFIELD, build, quadrature_rotation
+from meqlab.model import SystemSpec, normal_modes
 from meqlab.thermo import (
     clausius_check,
     current_scale,
@@ -35,9 +36,86 @@ def random_state(rng):
     cov = c @ c.T + np.eye(4)
     mu = rng.normal(size=4)
     second = cov + np.outer(mu, mu)
-    from meqlab.algebra import pack_symmetric
-
     return MomentState(mu, pack_symmetric(second))
+
+
+def two_branch_currents(label, sys, hot, cold, second, magnitude=False):
+    """The closed forms as two branches, a local formula for the LME next
+    to a loop over every normal mode, zero-weight ones included; the
+    bit-exact reference for the one-formula closed form."""
+    size = np.abs if magnitude else (lambda x: x)
+    out = {}
+    if label == LME:
+        s = size(unpack_symmetric(second))
+        for name, bath, idx, omega in (
+            ("h", hot, 0, sys.omega_h),
+            ("c", cold, 1, sys.omega_c),
+        ):
+            x2 = s[..., 2 * idx, 2 * idx]
+            p2 = s[..., 2 * idx + 1, 2 * idx + 1]
+            xx = s[..., 0, 2]
+            delta = size(delta_coeff(bath, omega))
+            sigma = sigma_coeff(bath, omega)
+            out[name] = (
+                0.5 * delta * (p2 + omega**2 * x2 + size(sys.k) * xx)
+                + 0.5 * omega * sigma
+            )
+        return out
+
+    modes = normal_modes(sys)
+    p, freqs = size(modes.matrix), (modes.omega1, modes.omega2)
+    t = quadrature_rotation(modes)
+    s = size(t @ unpack_symmetric(second) @ t.T)
+    for row, (name, bath) in enumerate((("h", hot), ("c", cold))):
+        deltas = [size(delta_coeff(bath, freq)) for freq in freqs]
+        total = 0.0
+        for j in range(2):
+            eta2 = s[..., 2 * j, 2 * j]
+            pi2 = s[..., 2 * j + 1, 2 * j + 1]
+            sigma = sigma_coeff(bath, freqs[j])
+            total += 0.5 * p[row, j] ** 2 * (
+                deltas[j] * (pi2 + freqs[j] ** 2 * eta2) + freqs[j] * sigma
+            )
+        if label == REDFIELD:
+            eta12 = s[..., 0, 2]
+            pi12 = s[..., 1, 3]
+            dsum = deltas[0] + deltas[1]
+            total += (
+                0.5
+                * p[row, 0]
+                * p[row, 1]
+                * dsum
+                * (freqs[0] * freqs[1] * eta12 + pi12)
+            )
+        out[name] = total
+    return out
+
+
+def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
+    # value and magnitude of every label on resonant, detuned, one-ulp
+    # detuned and k = 0 systems with k of either sign, on stacks of 1, 3
+    # and 17 instants, every fourth without correlations
+    import meqlab.thermo as tmod
+
+    rng = np.random.default_rng(25)
+    for i in range(600):
+        wh = 10 ** rng.uniform(-1.0, 1.0)
+        wc = (wh, np.nextafter(wh, np.inf), wh * rng.uniform(0.3, 3.0))[i % 3]
+        k = 0.0 if i % 5 == 0 else rng.uniform(-0.99, 0.99) * wh * wc
+        sys = SystemSpec(wh, float(wc), k)
+        hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
+                              10 ** rng.uniform(0, 4)) for _ in range(2))
+        second = np.stack([random_state(rng).second for _ in range((1, 3, 17)[i // 3 % 3])])
+        if i % 4 == 0:
+            second = pack_symmetric(unpack_symmetric(second) * np.eye(4))
+        for label in LABELS:
+            for magnitude in (False, True):
+                got = tmod._closed_form_currents(label, sys, hot, cold, second, magnitude)
+                want = two_branch_currents(label, sys, hot, cold, second, magnitude)
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert got[name].shape == want[name].shape == second.shape[:1]
+                    assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
 
 
 def test_closed_forms_match_symbolic_on_random_states():
@@ -126,6 +204,35 @@ def test_transient_check_catches_small_relative_corruption(monkeypatch):
                 transient_currents(label, FIG_SYS, HOT, COLD, state0, times, gen=gen)
 
 
+def test_non_finite_closed_form_fails_the_check(monkeypatch):
+    # NaN is never greater than a tolerance and inf brings an infinite
+    # one: either must fail the check, at the instant it appears
+    import meqlab.thermo as tmod
+
+    original = tmod._closed_form_currents
+    ss = steady_state(build(GME, FIG_SYS, HOT, COLD), FIG_SYS)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    gen = build(GME, FIG_SYS, HOT, COLD)
+    times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
+    for bad in (np.nan, np.inf, -np.inf):
+        def hot_bad(*args):
+            return {**original(*args), "h": np.array([bad])}
+
+        def cold_bad_at_7(*args):
+            out = original(*args)
+            out["c"][7] = bad
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tmod, "_closed_form_currents", hot_bad)
+            with pytest.raises(ConsistencyError, match=rf"\(h\) closed form {bad!r} .* t = inf$"):
+                heat_current(GME, FIG_SYS, HOT, COLD, ss)
+            patch.setattr(tmod, "_closed_form_currents", cold_bad_at_7)
+            with pytest.raises(ConsistencyError,
+                               match=rf"\(c\) closed form {bad!r} .* t = {times[7]}$"):
+                transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+
+
 def test_consistency_errors_print_plain_floats(monkeypatch):
     import meqlab.thermo as tmod
     from meqlab.algebra import QuadOp
@@ -201,6 +308,17 @@ def test_moment_state_shapes():
             arr[0] = 1.0
     assert [s.time for s in stack] == [0.0, 1.0, 2.0]
     assert stack[-1].time == 2.0 and len(stack[::2]) == 2
+
+
+def test_detuned_decoupled_currents_skip_zero_weight_modes():
+    # the hot bath's noise coefficient overflows at omega_c; at k = 0 off
+    # resonance only modes of zero weight would need it, so every
+    # stationary current is finite
+    hot = BathSpec(100.0, 1e300, 1e3)
+    sys = SystemSpec(1.0, 1e-6, 0.0)
+    for label in LABELS:
+        sample = heat_current(label, sys, hot, COLD, steady_state(build(label, sys, hot, COLD), sys))
+        assert np.isfinite([sample.q_hot, sample.q_cold]).all(), label
 
 
 def test_lme_decoupled_thermal_zero_current():

@@ -16,8 +16,9 @@ when their manifests are equal:
 
 The runs cover every command at its defaults, every generator label in
 both frames at and off resonance (k = 0 and the smallest detuning
-included), both table formats, and the configs near the stability edge
-and past it that exit with an error code.
+included), a detuned sweep from k = 0 (the one path where currents meet
+modes of zero weight), both table formats, and the configs near the
+stability edge and past it that exit with an error code.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "all-labels-rigidity": ("rigidity", "--set", "rigidity.points=21", *ALL_LABELS),
         "detuned-transient": ("transient", "--set", "system.omega_c=1.05"),
         "detuned-steady": ("steady", "--set", "system.omega_c=1.05"),
+        "detuned-decoupled-steady": ("steady", "--set", "system.omega_c=1.05",
+                                     "--set", "steady.spacing=linear", "--set", "steady.k_min=0",
+                                     "--set", "steady.k_max=1e-4", "--set", "steady.points=3"),
         "nextafter-steady": ("steady", "--set", f"system.omega_c={NEXT_AFTER_ONE}"),
         "detuned-rigidity": ("rigidity", "--set", "system.omega_c=1.05"),
         "detuned-ep-line": ("ep-line", "--set", "system.omega_c=1.05"),
