@@ -19,12 +19,10 @@ all commutators:
     [quad_A, lin_b]  = 2i A.w.b                     (linear)
     [quad_A, quad_B] = 2i (A.w.B - B.w.A)           (quadratic)
 
-with w = SYMPLECTIC. Dissipator contributions never leave the quadratic
-sector: X†OY - X†YO = X†[O, Y] with linear X, Y keeps degree <= 2.
+with w = SYMPLECTIC.
 
-The heat-current check applies the adjoint dissipators to H through this
-algebra; the generators themselves are built from the Gaussian
-drift/diffusion pair, whose 10x10 second-moment flow
+Generators and heat currents are not computed through this algebra but
+from the Gaussian drift/diffusion pair, whose 10x10 second-moment flow
 (:func:`second_moment_flow`) and moment packing also live here.
 """
 
@@ -42,7 +40,6 @@ __all__ = [
     "SYMPLECTIC",
     "QuadOp",
     "commutator",
-    "dissipator_action",
     "position",
     "momentum",
     "moment_labels",
@@ -125,13 +122,6 @@ class QuadOp:
     def __neg__(self) -> "QuadOp":
         return self * (-1.0)
 
-    def adjoint(self) -> "QuadOp":
-        """Hermitian conjugate: quadratures are Hermitian, so conjugate
-        the coefficients."""
-        return QuadOp(
-            np.conj(self.scalar), np.conj(self.linear), np.conj(self.quad)
-        )
-
     # -- queries ---------------------------------------------------------
 
     def max_abs(self) -> float:
@@ -164,36 +154,6 @@ def commutator(a: QuadOp, b: QuadOp) -> QuadOp:
     linear = 2j * (a.quad @ w @ b.linear - b.quad @ w @ a.linear)
     quad = 2j * (a.quad @ w @ b.quad - b.quad @ w @ a.quad)
     return QuadOp(scalar, linear, quad)
-
-
-def dissipator_action(b: np.ndarray, o: QuadOp) -> QuadOp:
-    """Adjoint dissipator of one bath on observable o:
-
-        (1/2) sum rate * X†[o, Y]  +  h.c.
-
-    summed over that bath's channel pairs (X, Y) of linear jump
-    operators, entered through the channel table
-    b = sum rate * conj(x) y^T of their coefficient vectors. The action
-    is bilinear in (conj(x), y), so the table carries everything; in
-    closed matrix form the half-term is
-
-        scalar = -(1/2) sum_ij (w Q w)_ij b_ij,
-        linear = (i/2) b w^T l,
-        quad   = (1/2)(m + m^T),  m = i b w^T Q,
-
-    for o = scalar + l.q + (1/2) q^T Q q. A diagonal pair (Y = X) gives
-    the standard GKSL form rate*(X†oX - (1/2){X†X, o}); cross pairs carry
-    the retained opposite-sign-frequency terms. Unital by construction:
-    o = identity maps to zero.
-    """
-    w = SYMPLECTIC
-    m = 1j * (b @ w.T @ o.quad)
-    half = QuadOp(
-        -0.5 * np.sum((w @ o.quad @ w) * b),
-        0.5j * (b @ w.T @ o.linear),
-        0.5 * (m + m.T),
-    )
-    return half + half.adjoint()
 
 
 # -- second-moment packing and flow ---------------------------------------

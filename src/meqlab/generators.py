@@ -16,14 +16,16 @@ labels are derived from them, so no stored pair can disagree. The
 labels differ only in the mode set whose jump operators
 (``model.lowering_ops``) they keep and in how they pair them; each
 bath's kept pairs are summed into one channel table
-(:func:`_dissipator_terms`), the single home of that choice, which the
-heat-current check reuses. ``build()`` assembles (A, D) in the local frame
-(:func:`_gaussian_blocks`) and reaches the normal frame only through
-:func:`frame_rotate`. Where a closed form exists, the result is
-cross-checked against it before being returned, each closed form in the
-frame it is written in (the generator is rotated there), the coherent
-and the dissipative entries each relative to their own largest entry; a
-mismatch is an internal error, never silently ignored. The closed
+(:func:`_dissipator_terms`), the single home of that choice. One map
+takes (G, B) to (A, D) (:func:`_gaussian_pair`): ``build()`` applies it to
+the local-frame tables summed over the baths and reaches the normal frame
+only through :func:`frame_rotate`, and the heat-current check applies it
+to each bath's table in the label's own mode frame. Where a closed form
+exists, the result is cross-checked against it before being returned,
+each closed form in the frame it is written in (the generator is rotated
+there), the coherent and the dissipative entries each relative to their
+own largest entry; a mismatch is an internal error, never silently
+ignored. The closed
 forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
@@ -136,11 +138,14 @@ class MomentGenerator:
 
 
 def _dissipator_terms(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
+    own_frame: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
     from the coefficient vectors x, y of the jump operators
-    (``model.lowering_ops``).
+    (``model.lowering_ops``), over the local quadratures or, with
+    ``own_frame``, over those of the label's modes (the identity as
+    ``lowering_ops``' coordinates), where their structural zeros are exact.
 
     A label picks only the modes and the pairing. The modes are the bare
     oscillators for the LME, ``modes`` (the normal modes) for GME and
@@ -157,9 +162,9 @@ def _dissipator_terms(
     zero. An operator of zero weight (the other oscillator's mode of the
     bare set, a decoupled detuned normal mode) is skipped: it adds
     nothing, and its rate, at a frequency foreign to the bath, may
-    overflow where the kept ones do not. Feeds :func:`_gaussian_blocks`
-    and, through ``algebra.dissipator_action``, the heat-current check in
-    ``thermo``.
+    overflow where the kept ones do not. Feeds :func:`_gaussian_pair`,
+    in ``build()`` and, in the modes' own frame, in the heat-current check
+    of ``thermo``.
     """
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
@@ -171,7 +176,8 @@ def _dissipator_terms(
     secular = label in (LME, GME, GME_ZEROTH)
     freqs = (modes.omega1, modes.omega2)
     tables = {}
-    for name, bath, row in zip("hc", (hot, cold), lowering_ops(modes)):
+    ops = lowering_ops(modes, np.eye(2) if own_frame else None)
+    for name, bath, row in zip("hc", (hot, cold), ops):
         tables[name] = np.zeros((4, 4), dtype=complex)
         for x, omega in zip(row, freqs):
             if not x.any():
@@ -183,20 +189,14 @@ def _dissipator_terms(
     return tables
 
 
-def _gaussian_blocks(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local-frame (block1, const2) from the Gaussian drift/diffusion pair.
-
-    With H = (1/2) q^T G q and the channel table B summed over the baths,
-    d<q>/dt = A <q> and dS/dt = A S + S A^T + D with
+def _gaussian_pair(g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian drift/diffusion pair (A, packed D) of H = (1/2) q^T G q
+    and a channel table B: d<q>/dt = A <q> and dS/dt = A S + S A^T + D with
 
         A = Omega (G - (Im B)^T),   D = Omega (Re B) Omega^T,
 
-    of which the symmetric part of D enters the second moments.
-    """
-    g = 2.0 * hamiltonian(sys).quad.real
-    b = sum(_dissipator_terms(label, sys, hot, cold, modes).values())
+    of which the symmetric part of D, packed, enters the second moments.
+    G = 0 gives the dissipator's part alone."""
     d = SYMPLECTIC @ b.real @ SYMPLECTIC.T
     return SYMPLECTIC @ (g - b.imag.T), pack_symmetric(0.5 * (d + d.T))
 
@@ -468,7 +468,8 @@ def build(
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
     modes = normal_modes(sys)
-    block1, const2 = _gaussian_blocks(label, sys, hot, cold, modes)
+    b = sum(_dissipator_terms(label, sys, hot, cold, modes).values())
+    block1, const2 = _gaussian_pair(hamiltonian(sys), b)
     gen = frame_rotate(MomentGenerator(label, LOCAL_FRAME, block1, const2), frame, modes)
     _crosscheck(gen, closed_form_blocks(label, sys, hot, cold, modes), modes)
     return gen

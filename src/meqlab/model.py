@@ -1,8 +1,9 @@
 """System description: two linearly coupled resonators, their normal
-modes, the Hamiltonian, and the lowering jump operators of a mode set,
-each linear, L = x . q, and kept as its coefficient vector x in one
-array (:func:`lowering_ops`): the bare oscillators' give the local
-picture, the normal modes' the global one.
+modes, the Hamiltonian as the matrix G of H = (1/2) q^T G q, and the
+lowering jump operators of a mode set, each linear, L = x . q, and kept
+as its coefficient vector x in one array (:func:`lowering_ops`): the
+bare oscillators' give the local picture, the normal modes' the global
+one.
 
 Resonance is exact equality of the bare frequencies, omega_h == omega_c:
 only there are the normal modes the fixed 45 degree pair. Distinct
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadOp
 from .errors import ContractError, StabilityError, ValidationError
 
 __all__ = [
@@ -131,18 +131,15 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
     return NormalModes(p, omega1, omega2)
 
 
-def hamiltonian(sys: SystemSpec) -> QuadOp:
-    """Total Hamiltonian as a real quadratic form over (x_h, p_h, x_c, p_c)."""
-    q = np.zeros((4, 4))
-    q[0, 0] = 0.5 * sys.omega_h**2
-    q[1, 1] = 0.5
-    q[2, 2] = 0.5 * sys.omega_c**2
-    q[3, 3] = 0.5
-    q[0, 2] = q[2, 0] = 0.5 * sys.k
-    return QuadOp(quad=q)
+def hamiltonian(sys: SystemSpec) -> np.ndarray:
+    """The real symmetric 4x4 G of the total Hamiltonian H = (1/2) q^T G q
+    over q = (x_h, p_h, x_c, p_c)."""
+    g = np.diag([sys.omega_h**2, 1.0, sys.omega_c**2, 1.0])
+    g[0, 2] = g[2, 0] = sys.k
+    return g
 
 
-def lowering_ops(modes: NormalModes) -> np.ndarray:
+def lowering_ops(modes: NormalModes, coords: np.ndarray | None = None) -> np.ndarray:
     """Lowering jump operators of each bath and mode, as the complex
     coefficient vectors over (x_h, p_h, x_c, p_c), shape (2 baths, 2
     modes, 4).
@@ -150,16 +147,21 @@ def lowering_ops(modes: NormalModes) -> np.ndarray:
     Bath a's operator for mode j is P_aj (eta_j/2 + i Pi_j/(2 w_j)), with
     (eta_j, Pi_j) the mode's quadratures and w_j its frequency, fixed by
     [H, L] = -w_j L and sum_j (L + L†) = x_a. The raising operators are
-    the conjugates at -w_j. Non-finite output raises ContractError.
+    the conjugates at -w_j. ``coords`` C, default P, writes them over the
+    quadratures of (y_1, y_2)^T = C (eta_1, eta_2)^T instead: the identity
+    gives the modes' own (eta_1, Pi_1, eta_2, Pi_2), where every entry off
+    a mode's own quadratures is an exact zero. Non-finite output raises
+    ContractError.
     """
     p = modes.matrix
+    c = p if coords is None else coords
     with np.errstate(all="ignore"):
         half_inv = 0.5 / np.array([modes.omega1, modes.omega2], dtype=float)
         ops = np.zeros((2, 2, 4), dtype=complex)
-        # [a, j, i] = P_aj * (0.5 * P_ij) on x_i and P_aj * ((0.5 / w_j) * P_ij)
-        # on p_i, rounded innermost first
-        ops.real[..., 0::2] = p[:, :, None] * (0.5 * p.T)
-        ops.imag[..., 1::2] = p[:, :, None] * (half_inv[:, None] * p.T)
+        # [a, j, i] = P_aj * (0.5 * C_ij) on y_i and P_aj * ((0.5 / w_j) * C_ij)
+        # on its momentum, rounded innermost first
+        ops.real[..., 0::2] = p[:, :, None] * (0.5 * c.T)
+        ops.imag[..., 1::2] = p[:, :, None] * (half_inv[:, None] * c.T)
     if not np.isfinite(ops).all():
         raise ContractError(f"lowering operators of {modes!r} are not finite")
     return ops

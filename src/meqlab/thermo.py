@@ -1,20 +1,23 @@
 """Heat currents and thermodynamic diagnostics.
 
-The instantaneous current from bath alpha is the expectation of that
-bath's adjoint dissipator applied to the Hamiltonian. One closed form in
-the second moments of the label's modes, those its channel table is
-built from, is evaluated for speed and cross-checked, on every call,
-against the fully symbolic route (apply each bath's dissipator, from
-that channel table, to H through the quadrature algebra and take the
-expectation); disagreement, or a closed form that is not finite,
-raises; it is never silently patched.
+The current from bath alpha is the rate at which its dissipator moves
+<H>: with H = (1/2) q^T G q, second moments S and (A_alpha, D_alpha) the
+drift/diffusion pair of the bath's channel table alone, the energy
+balance Q_alpha = tr(G A_alpha S) + (1/2) tr(G D_alpha). Each current is
+computed two ways in the label's own mode frame (the bare oscillators
+for the LME, the normal modes for GME and Redfield), where the tables'
+structural zeros are exact: a closed form in the modes' second moments,
+and that balance, an affine functional c0 + c . m of the packed moments.
+Disagreement, or a closed form that is not finite, raises; it is never
+silently patched. A stationary state (time = inf) must also conserve
+energy, or :func:`heat_current` raises NumericalError.
 
-Both routes take a MomentState of any leading shape and give a
-HeatCurrentSample of that shape, so a trajectory is evaluated and
-checked in one pass with each bath coefficient computed once; a failing
-check names the time of the first failing sample. The tolerance is
-relative to the sum of the magnitudes of the closed form's terms, which
-can cancel far below their size.
+Both routes share one rotation of a MomentState of any leading shape into
+the mode frame and give a HeatCurrentSample of that shape, so a
+trajectory is checked in one pass; a failing check names the time of the
+first failing sample. The tolerance is relative to the sum of the
+magnitudes of the closed form's terms, which can cancel far below their
+size.
 
 Sign convention: positive current = energy flowing from the bath into
 the system.
@@ -27,10 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import QuadOp, dissipator_action, pack_symmetric, unpack_symmetric
+from .algebra import pack_symmetric, second_moment_flow, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, _Stack, _require_local, propagate
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, NumericalError, ValidationError
 from .generators import (
     CROSSCHECK_TOL,
     GME,
@@ -38,6 +41,7 @@ from .generators import (
     REDFIELD,
     MomentGenerator,
     _dissipator_terms,
+    _gaussian_pair,
     quadrature_rotation,
 )
 from .model import NormalModes, SystemSpec, hamiltonian, normal_modes
@@ -47,7 +51,6 @@ __all__ = [
     "clausius_check",
     "current_scale",
     "energy_flow_rate",
-    "expectation",
     "heat_current",
     "transient_currents",
 ]
@@ -56,6 +59,10 @@ __all__ = [
 #: channels are not eigenoperators of the full Hamiltonian, so no such
 #: form exists for them)
 CURRENT_LABELS = (LME, GME, REDFIELD)
+
+#: stationary currents must conserve energy, |Q_h + Q_c| <= STATIONARY_TOL
+#: * max(|Q_h|, current_scale)
+STATIONARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,33 +76,35 @@ class HeatCurrentSample(_Stack):
     label: str
 
 
-#: weight of each packed second moment in sum_ij Q_ij S_ij: off-diagonal
-#: pairs appear once in the packed vector but twice in the quadratic form
-_PAIR_WEIGHTS = pack_symmetric(2.0 - np.eye(4))
+def _energy_coeffs(g: np.ndarray) -> np.ndarray:
+    """h with <H> = h . m on packed second moments m, for H = (1/2) q^T G q:
+    an off-diagonal pair is packed once but counted twice in the form."""
+    return pack_symmetric((1.0 - 0.5 * np.eye(4)) * g)
 
 
-def expectation(op: QuadOp, first, second) -> np.ndarray:
-    """Expectation of a Hermitian quadratic operator on moments stacked
-    over leading axes: first (..., 4), second (..., 10) -> (...)."""
-    coeffs = np.concatenate([op.linear, _PAIR_WEIGHTS * pack_symmetric(op.quad)])
-    moments = np.concatenate([first, second], axis=-1)
-    real = op.scalar.real + moments @ coeffs.real
-    imag = op.scalar.imag + moments @ coeffs.imag
-    if np.any(np.abs(imag) > 1e-10 * np.maximum(1.0, np.abs(real))):
-        raise ConsistencyError(
-            "expectation of a non-Hermitian operator: imaginary part up to "
-            f"{float(np.abs(imag).max())!r}"
-        )
-    return real
+def _mode_frame(
+    label: str, sys: SystemSpec, second: np.ndarray
+) -> tuple[NormalModes, np.ndarray, np.ndarray]:
+    """The label's modes, G in their quadratures and the packed second
+    moments (..., 10) as (..., 4, 4) matrices there: the bare oscillators,
+    whose quadratures are the local ones, for the LME; the normal modes,
+    with G = diag(W_1^2, 1, W_2^2, 1) exactly, for GME and Redfield."""
+    s = unpack_symmetric(second)
+    if label == LME:
+        return NormalModes(np.eye(2), sys.omega_h, sys.omega_c), hamiltonian(sys), s
+    modes = normal_modes(sys)
+    t = quadrature_rotation(modes)
+    return modes, np.diag([modes.omega1**2, 1.0, modes.omega2**2, 1.0]), t @ s @ t.T
 
 
 def _closed_form_currents(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, second: np.ndarray,
-    magnitude: bool = False,
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
+    s: np.ndarray, magnitude: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Second-moment closed forms of the per-bath currents on packed
-    second moments stacked over leading axes, (..., 10) -> (...); with
-    ``magnitude``, the sum of the absolute values of their terms.
+    """Second-moment closed forms of the per-bath currents on second
+    moments ``s`` in the frame of :func:`_mode_frame`, stacked over leading
+    axes, (..., 4, 4) -> (...); with ``magnitude``, the sum of the absolute
+    values of their terms.
 
     One formula over the label's modes (x_h, x_c)^T = P (eta_1, eta_2)^T,
     the bare oscillators (P = I) for the LME and the normal modes for GME
@@ -109,12 +118,7 @@ def _closed_form_currents(
     """
     # every factor but the positive W and Sigma may carry a sign
     size = np.abs if magnitude else (lambda x: x)
-    modes = NormalModes(np.eye(2), sys.omega_h, sys.omega_c) if label == LME else normal_modes(sys)
     p, freqs = size(modes.matrix), (modes.omega1, modes.omega2)
-    s = unpack_symmetric(second)
-    if label != LME:  # the bare modes' quadratures are the local ones
-        t = quadrature_rotation(modes)
-        s = t @ s @ t.T
     s = size(s)
     coupling = size(sys.k) * s[..., 0, 2] if label == LME else 0.0
     out: dict[str, np.ndarray] = {}
@@ -154,32 +158,48 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
     )
 
 
+def _energy_balance(
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
+    g: np.ndarray,
+) -> dict[str, tuple[float, np.ndarray]]:
+    """Per bath, the coefficients (c0, c) of its energy balance c0 + c . m
+    over the packed second moments m in the frame of :func:`_mode_frame`,
+    from the channel table the generator construction uses, built in that
+    frame: with (A, D) the bath's pair alone and <H> = h . m, d<H>/dt is
+    h . (flow(A) m + D)."""
+    h = _energy_coeffs(g)
+    out = {}
+    for name, b in _dissipator_terms(label, sys, hot, cold, modes, own_frame=True).items():
+        a, d = _gaussian_pair(np.zeros((4, 4)), b)
+        out[name] = (h @ d, h @ second_moment_flow(a))
+    return out
+
+
 def _verified_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, states: MomentState
 ) -> HeatCurrentSample:
     """Closed-form currents of a state of any leading shape. Each instant
-    is checked against the symbolic route, each bath's dissipator (from
-    the channel table the generator construction uses) applied to H, to
-    CROSSCHECK_TOL relative to the magnitude of the closed form's terms,
-    floored at :func:`current_scale`; the first failing instant raises."""
+    is checked against the bath's energy balance, to CROSSCHECK_TOL
+    relative to the magnitude of the closed form's terms, floored at
+    :func:`current_scale`; the first failing instant raises."""
     if label not in CURRENT_LABELS:
         raise ValidationError(f"no heat-current form for label {label!r}")
-    h_op = hamiltonian(sys)
-    tables = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
     lead = states.first.shape[:-1]
-    first, second = states.first.reshape(-1, 4), states.second.reshape(-1, 10)
-    closed = _closed_form_currents(label, sys, hot, cold, second)
+    modes, g, s = _mode_frame(label, sys, states.second.reshape(-1, 10))
+    closed = _closed_form_currents(label, sys, hot, cold, modes, s)
+    moments = pack_symmetric(s)
     scale = current_scale(sys, hot, cold)
     failures = []
-    for name, value in closed.items():
-        check = expectation(dissipator_action(tables[name], h_op), first, second)
+    for name, (const, coeffs) in _energy_balance(label, sys, hot, cold, modes, g).items():
+        value = closed[name]
+        check = const + moments @ coeffs
         off = np.abs(value - check)
         # NaN compares false and an infinite value is refused, not given an
         # infinite tolerance. |value| is at most the terms' magnitude: an
         # instant within that tighter tolerance skips the magnitude
         finite = np.isfinite(value)
         if not np.all(finite & (off <= CROSSCHECK_TOL * np.maximum(np.abs(value), scale))):
-            sizes = _closed_form_currents(label, sys, hot, cold, second, True)[name]
+            sizes = _closed_form_currents(label, sys, hot, cold, modes, s, True)[name]
             bad = np.flatnonzero(~(finite & (off <= CROSSCHECK_TOL * np.maximum(sizes, scale))))
             if bad.size:
                 failures.append((bad[0], name, float(value[bad[0]]), float(check[bad[0]])))
@@ -187,7 +207,7 @@ def _verified_currents(
         i, name, value, check = min(failures)
         raise ConsistencyError(
             f"{label} heat current ({name}) closed form {value!r} disagrees "
-            f"with symbolic value {check!r} at t = {np.reshape(states.time, -1)[i]}"
+            f"with energy-balance value {check!r} at t = {np.reshape(states.time, -1)[i]}"
         )
     q = {name: value.reshape(lead)[()] for name, value in closed.items()}
     return HeatCurrentSample(states.time, q["h"], q["c"], label)
@@ -201,8 +221,22 @@ def heat_current(
     state: MomentState,
 ) -> HeatCurrentSample:
     """Per-bath energy influx in the given state, of any leading shape,
-    under the given label, closed-form evaluated and symbolically verified."""
-    return _verified_currents(label, sys, hot, cold, state)
+    under the given label, closed-form evaluated and checked against the
+    energy balance. A stationary instant (time = inf) whose currents do
+    not conserve energy to STATIONARY_TOL raises NumericalError."""
+    sample = _verified_currents(label, sys, hot, cold, state)
+    q_hot, q_cold = np.reshape(sample.q_hot, -1), np.reshape(sample.q_cold, -1)
+    scale = current_scale(sys, hot, cold)
+    balanced = np.abs(q_hot + q_cold) <= STATIONARY_TOL * np.maximum(np.abs(q_hot), scale)
+    broken = np.flatnonzero((np.reshape(state.time, -1) == np.inf) & ~balanced)
+    if broken.size:
+        i = broken[0]
+        raise NumericalError(
+            f"{label} stationary heat currents do not conserve energy: Q_h + Q_c = "
+            f"{float(q_hot[i] + q_cold[i])!r} for Q_h = {float(q_hot[i])!r} and "
+            f"current scale {scale!r}"
+        )
+    return sample
 
 
 def clausius_check(sample: HeatCurrentSample, t_hot: float, t_cold: float) -> float:
@@ -241,5 +275,5 @@ def energy_flow_rate(
     # it has alone, where a matrix product over the instants would not
     second = state.second.reshape(-1, 1, 10)
     rates = (gen.block2 @ second[..., None])[..., 0] + gen.const2
-    flow = expectation(hamiltonian(sys), np.zeros(rates.shape[:-1] + (4,)), rates)
+    flow = rates @ _energy_coeffs(hamiltonian(sys))
     return flow.reshape(lead) if lead else float(flow[0, 0])

@@ -145,9 +145,6 @@ def test_unstable_coupling_exits_3(tmp_path):
                 "--set", "system.k=2.0"]) == 3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="near the stability edge the symbolic heat-current route loses "
-                   "digits, so its check against the closed form exits 4")
 def test_near_edge_commands_exit_0(tmp_path):
     codes = [
         run(["steady", "--out", str(tmp_path), "--set", "steady.k_min=0.99",
@@ -155,6 +152,16 @@ def test_near_edge_commands_exit_0(tmp_path):
         run(["transient", "--out", str(tmp_path), "--set", "system.k=0.9999"]),
     ]
     assert codes == [0, 0]
+
+
+def test_non_conserving_steady_exits_4(tmp_path, capsys):
+    # closer to the edge the LME stationary currents break energy
+    # conservation, and steady refuses them rather than print them
+    assert run(["steady", "--out", str(tmp_path), "--set", "steady.spacing=linear",
+                "--set", "steady.k_min=0.99999999", "--set", "steady.k_max=0.99999999",
+                "--set", "steady.points=1"]) == 4
+    assert "LME stationary heat currents do not conserve energy" in capsys.readouterr().err
+    assert not (tmp_path / "steady.csv").exists()
 
 
 def test_steady_sweep(tmp_path):

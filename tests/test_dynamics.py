@@ -32,7 +32,8 @@ from meqlab.generators import (
     quadrature_rotation,
 )
 from meqlab.model import SystemSpec, hamiltonian, normal_modes
-from meqlab.thermo import expectation, transient_currents
+from meqlab.thermo import transient_currents
+from quadop_oracle import expectation, hamiltonian_op
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -222,7 +223,7 @@ def test_propagate_closed_dynamics_conserves_energy():
         [0.3, -0.1, 0.2, 0.0],
         [1.0, 1.1, 0.05, 0.9, 1.2, -0.02, 0.01, 0.0, 0.03, 0.02],
     )
-    h_op = hamiltonian(sys)
+    h_op = hamiltonian_op(hamiltonian(sys))
     energy0 = expectation(h_op, state0.first, state0.second)
     for state in propagate(gen, state0, np.linspace(0.1, 50.0, 23), sys):
         energy = expectation(h_op, state.first, state.second)

@@ -14,7 +14,6 @@ from meqlab.algebra import (
     SYMPLECTIC,
     QuadOp,
     commutator,
-    dissipator_action,
     pack_symmetric,
     second_moment_flow,
     unpack_symmetric,
@@ -55,6 +54,7 @@ from meqlab.model import (
     normal_modes,
 )
 from meqlab.thermo import clausius_check, current_scale, heat_current
+from quadop_oracle import dissipator_action, hamiltonian_op
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -360,7 +360,7 @@ def gaussian_gksl_oracle(sys, b):
     Hermitian (GKSL) table -(Im B)^T = Im B; Redfield's cross pairs make
     B non-Hermitian.
     """
-    g_mat = 2.0 * hamiltonian(sys).quad.real
+    g_mat = hamiltonian(sys)
     omega_s = SYMPLECTIC
     drift = omega_s @ (g_mat - b.imag.T)
     diffusion = omega_s @ b.real @ omega_s.T
@@ -532,8 +532,8 @@ def test_gaussian_pair_matches_operator_algebra():
         sys, hot, cold = random_setup(rng)
         if i % 2:
             sys = SystemSpec(sys.omega_h, sys.omega_h * rng.uniform(0.6, 1.4), sys.k)
-        h_op = hamiltonian(sys)
-        a_coherent = SYMPLECTIC @ (2.0 * h_op.quad.real)
+        a_coherent = SYMPLECTIC @ hamiltonian(sys)
+        h_op = hamiltonian_op(hamiltonian(sys))
         c = rng.normal(size=4)
         m = rng.normal(size=(4, 4))
         m = m + m.T

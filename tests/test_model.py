@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from meqlab.algebra import QuadOp, commutator, position
 from meqlab.bath import BathSpec
 from meqlab.errors import ContractError, StabilityError, ValidationError
-from meqlab.generators import LME, build
+from meqlab.generators import LME, build, quadrature_rotation
 from meqlab.model import (
     NormalModes,
     SystemSpec,
@@ -18,6 +18,7 @@ from meqlab.model import (
     lowering_ops,
     normal_modes,
 )
+from quadop_oracle import hamiltonian_op
 
 
 def op(x):
@@ -184,19 +185,23 @@ def test_normal_modes_keep_a_small_decoupled_frequency():
 
 
 def test_hamiltonian_quadratic_form():
+    # H = (1/2) q^T G q: G holds k in both off-diagonal slots
     sys = SystemSpec(1.0, 1.3, 0.25)
-    h = hamiltonian(sys)
+    g = hamiltonian(sys)
+    assert g.dtype == float and np.array_equal(g, g.T)
+    assert np.array_equal(np.diag(g), [1.0, 1.0, 1.3**2, 1.0])
+    assert g[0, 2] == 0.25 and np.count_nonzero(g) == 6
+    h = hamiltonian_op(g)
     assert h.quad[0, 2] == pytest.approx(0.125)  # symmetrized k/2 per slot
     assert h.quad[0, 0] == pytest.approx(0.5)
     assert commutator(h, h).max_abs() == 0.0
-    h0 = hamiltonian(SystemSpec(1.0, 1.3, 0.0))
-    assert h0.quad[0, 2] == 0.0
+    assert hamiltonian(SystemSpec(1.0, 1.3, 0.0))[0, 2] == 0.0
 
 
 def test_local_jump_ops():
     sys = SystemSpec(1.0, 2.0, 0.3)
     # the eigenoperators of each oscillator's own Hamiltonian
-    assert_eigenoperators(hamiltonian(SystemSpec(1.0, 2.0, 0.0)), bare_modes(sys),
+    assert_eigenoperators(hamiltonian_op(hamiltonian(SystemSpec(1.0, 2.0, 0.0))), bare_modes(sys),
                           1e-14, 1e-14)
     ops = lowering_ops(bare_modes(sys))
     # unit frequency: L = (x + i p)/2; the cross entries carry zero weight
@@ -208,7 +213,7 @@ def test_local_jump_ops():
 def test_global_jump_ops_eigenoperators():
     for sys in (SystemSpec(1.0, 1.0, 0.3), SystemSpec(1.0, 1.4, 0.3),
                 SystemSpec(0.8, 0.6, -0.2)):
-        assert_eigenoperators(hamiltonian(sys), normal_modes(sys), 1e-12, 1e-13)
+        assert_eigenoperators(hamiltonian_op(hamiltonian(sys)), normal_modes(sys), 1e-12, 1e-13)
 
 
 def test_global_jump_ops_resonant_weights():
@@ -231,6 +236,21 @@ def test_global_jump_ops_decoupled_reduce_to_local():
         assert own.sum() == 1
         assert op(global_ops[a, own][0]).distance(op(local_ops[a, a])) < 1e-13
         assert np.abs(global_ops[a, ~own]).max() < 1e-15
+
+
+def test_lowering_ops_in_the_modes_own_frame():
+    # over (eta_1, Pi_1, eta_2, Pi_2) each operator is the local one
+    # rotated, L = x . q = (T x) . (T q), and its entries off its own
+    # mode's quadratures are exact zeros
+    for sys in (SystemSpec(1.0, 1.0, 0.3), SystemSpec(1.0, 1.4, -0.3),
+                SystemSpec(1.0, 1e-3, 1e-7)):
+        modes = normal_modes(sys)
+        own, local = lowering_ops(modes, np.eye(2)), lowering_ops(modes)
+        assert np.array_equal(lowering_ops(modes, modes.matrix), local)
+        t = quadrature_rotation(modes)
+        assert np.abs(own - local @ t.T).max() <= 1e-15 * np.abs(local).max()
+        for j in range(2):
+            assert not np.delete(own[:, j], [2 * j, 2 * j + 1], axis=-1).any()
 
 
 def test_lowering_ops_refuse_non_finite_modes():

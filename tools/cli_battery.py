@@ -17,8 +17,10 @@ when their manifests are equal:
 The runs cover every command at its defaults, every generator label in
 both frames at and off resonance (k = 0 and the smallest detuning
 included), a detuned sweep from k = 0 (the one path where currents meet
-modes of zero weight), both table formats, and the configs near the
-stability edge and past it that exit with an error code.
+modes of zero weight), both table formats, the configs near the
+stability edge, and those closer to it or past it that exit with an error
+code (a stationary state that does not conserve energy, an unstable
+coupling).
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "near-edge-steady": ("steady", "--set", "steady.k_min=0.99", "--set", "steady.k_max=0.9999",
                              "--set", "steady.points=2"),
         "near-edge-transient": ("transient", "--set", "system.k=0.9999"),
+        "non-conserving-steady": ("steady", "--set", "steady.spacing=linear",
+                                  "--set", "steady.k_min=0.99999999",
+                                  "--set", "steady.k_max=0.99999999", "--set", "steady.points=1"),
         "unstable-matrices": ("matrices", "--set", "system.k=1.0"),
     })
     return runs
