@@ -16,8 +16,9 @@ labels are derived from them, so no stored pair can disagree. The
 labels differ only in the mode set whose jump operators
 (``model.lowering_ops``) they keep and in how they pair them; each
 bath's kept pairs are summed into one channel table
-(:func:`_dissipator_terms`), the single home of that choice. One map
-takes (G, B) to (A, D) (:func:`_gaussian_pair`): ``build()`` applies it to
+(:func:`_dissipator_terms`); :func:`_channel_modes` is the single home
+of the choice of modes. One map takes (G, B) to (A, D)
+(:func:`_gaussian_pair`): ``build()`` applies it to
 the local-frame tables summed over the baths and reaches the normal frame
 only through :func:`frame_rotate`, and the heat-current check applies it
 to each bath's table in the label's own mode frame. Where a closed form
@@ -137,46 +138,48 @@ class MomentGenerator:
 # -- dissipator channel assembly ------------------------------------------
 
 
-def _dissipator_terms(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
-    own_frame: bool = False,
-) -> dict[str, np.ndarray]:
-    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
-    from the coefficient vectors x, y of the jump operators
-    (``model.lowering_ops``), over the local quadratures or, with
-    ``own_frame``, over those of the label's modes (the identity as
-    ``lowering_ops``' coordinates), where their structural zeros are exact.
-
-    A label picks only the modes and the pairing. The modes are the bare
-    oscillators for the LME, ``modes`` (the normal modes) for GME and
-    Redfield, and for the zeroth-order labels the normal modes with the
-    coupling removed from every dissipative ingredient: at resonance the
-    rotation is k-independent and only the frequencies collapse to
-    omega_h, off resonance the k = 0 modes are the bare oscillators. The
-    pairing is Y = X for the secular labels and the sum of the bath's
-    lowering operators for the Redfield labels, with the rate of X, and
-    each pair's adjoint (X^+, Y^+). For a lowering X of frequency w the
-    two add rate(w) M + rate(-w) conj(M) = 2w (Sigma Re M - i Delta Im M),
-    M = conj(x) y^T, so no table subtracts two rates and no raising
-    operator is built. Each bath's table sums its modes in order, from
-    zero. An operator of zero weight (the other oscillator's mode of the
-    bare set, a decoupled detuned normal mode) is skipped: it adds
-    nothing, and its rate, at a frequency foreign to the bath, may
-    overflow where the kept ones do not. Feeds :func:`_gaussian_pair`,
-    in ``build()`` and, in the modes' own frame, in the heat-current check
-    of ``thermo``.
-    """
+def _channel_modes(label: str, sys: SystemSpec, modes: NormalModes) -> NormalModes:
+    """The mode set a label's channel tables keep, given the normal modes
+    ``modes``: the bare oscillators for the LME, the normal modes for GME
+    and Redfield, and for the zeroth-order labels the normal modes at
+    k = 0: at resonance the same rotation with both frequencies omega_h,
+    off resonance the bare oscillators."""
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
     zeroth = label in (GME_ZEROTH, REDFIELD_ZEROTH)
     if zeroth and is_resonant(sys):
-        modes = replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
-    elif zeroth or label == LME:
-        modes = NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
+        return replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
+    if zeroth or label == LME:
+        return NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
+    return modes
+
+
+def _dissipator_terms(
+    label: str, hot: BathSpec, cold: BathSpec, modes: NormalModes, own_frame: bool = False
+) -> dict[str, np.ndarray]:
+    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
+    from the coefficient vectors x, y of the jump operators of the label's
+    mode set ``modes`` (:func:`_channel_modes`, ``model.lowering_ops``),
+    over the local quadratures or, with ``own_frame``, over the modes' own,
+    where their structural zeros are exact.
+
+    A label picks only the modes and the pairing. The pairing is Y = X
+    for the secular labels and the sum of the bath's lowering operators
+    for the Redfield labels, with the rate of X, and each pair's adjoint
+    (X^+, Y^+). For a lowering X of frequency w the two add rate(w) M +
+    rate(-w) conj(M) = 2w (Sigma Re M - i Delta Im M), M = conj(x) y^T, so
+    no table subtracts two rates and no raising operator is built. Each
+    bath's table sums its modes in order, from zero. An operator of zero
+    weight (the other oscillator's mode of the bare set, a decoupled
+    detuned normal mode) is skipped: it adds nothing, and its rate, at a
+    frequency foreign to the bath, may overflow where the kept ones do
+    not. Feeds :func:`_gaussian_pair`, in ``build()`` and, in the modes'
+    own frame, in the heat-current check of ``thermo``.
+    """
     secular = label in (LME, GME, GME_ZEROTH)
     freqs = (modes.omega1, modes.omega2)
     tables = {}
-    ops = lowering_ops(modes, np.eye(2) if own_frame else None)
+    ops = lowering_ops(modes, own_frame)
     for name, bath, row in zip("hc", (hot, cold), ops):
         tables[name] = np.zeros((4, 4), dtype=complex)
         for x, omega in zip(row, freqs):
@@ -465,10 +468,8 @@ def build(
     The zeroth-order labels are built here too; :func:`zeroth_order`
     delegates to this function.
     """
-    if label not in GENERATOR_LABELS:
-        raise ValidationError(f"unknown generator label {label!r}")
     modes = normal_modes(sys)
-    b = sum(_dissipator_terms(label, sys, hot, cold, modes).values())
+    b = sum(_dissipator_terms(label, hot, cold, _channel_modes(label, sys, modes)).values())
     block1, const2 = _gaussian_pair(hamiltonian(sys), b)
     gen = frame_rotate(MomentGenerator(label, LOCAL_FRAME, block1, const2), frame, modes)
     _crosscheck(gen, closed_form_blocks(label, sys, hot, cold, modes), modes)

@@ -94,9 +94,9 @@ class NormalModes:
 def normal_modes(sys: SystemSpec) -> NormalModes:
     """Diagonalize the potential-energy form of the coupled pair."""
     # work with the squares and k scaled by 2^-2e, e the binary exponent of
-    # the larger frequency: ldexp is exact, so a result that is finite
-    # unscaled keeps its bits, while sums such as omega_h^2 + omega_c^2 can
-    # no longer overflow
+    # the larger frequency: ldexp is exact, so a result whose steps stay in
+    # the normal range scaled and unscaled keeps its unscaled bits, while
+    # sums such as omega_h^2 + omega_c^2 can no longer overflow
     e = math.frexp(max(sys.omega_h, sys.omega_c))[1]
     wh_sq = math.ldexp(sys.omega_h**2, -2 * e)
     wc_sq = math.ldexp(sys.omega_c**2, -2 * e)
@@ -113,7 +113,9 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
         delta = wh_sq - wc_sq
         s = math.hypot(2.0 * k, delta)
         o1_sq = 0.5 * (wh_sq + wc_sq + s)
-        o2_sq = 0.5 * (wh_sq + wc_sq - s)
+        # o1_sq o2_sq = omega_h^2 omega_c^2 - k^2; (wh_sq + wc_sq - s)/2
+        # would cancel to no digit for a large frequency ratio
+        o2_sq = (wh_sq * wc_sq - k * k) / o1_sq
         if o2_sq <= 0.0:
             raise StabilityError("normal-mode frequency squared is not positive")
         # for the mixing angle z, cos(z)^2 = (s - delta)/(2s) and
@@ -139,7 +141,7 @@ def hamiltonian(sys: SystemSpec) -> np.ndarray:
     return g
 
 
-def lowering_ops(modes: NormalModes, coords: np.ndarray | None = None) -> np.ndarray:
+def lowering_ops(modes: NormalModes, own_frame: bool = False) -> np.ndarray:
     """Lowering jump operators of each bath and mode, as the complex
     coefficient vectors over (x_h, p_h, x_c, p_c), shape (2 baths, 2
     modes, 4).
@@ -147,19 +149,19 @@ def lowering_ops(modes: NormalModes, coords: np.ndarray | None = None) -> np.nda
     Bath a's operator for mode j is P_aj (eta_j/2 + i Pi_j/(2 w_j)), with
     (eta_j, Pi_j) the mode's quadratures and w_j its frequency, fixed by
     [H, L] = -w_j L and sum_j (L + L†) = x_a. The raising operators are
-    the conjugates at -w_j. ``coords`` C, default P, writes them over the
-    quadratures of (y_1, y_2)^T = C (eta_1, eta_2)^T instead: the identity
-    gives the modes' own (eta_1, Pi_1, eta_2, Pi_2), where every entry off
-    a mode's own quadratures is an exact zero. Non-finite output raises
-    ContractError.
+    the conjugates at -w_j. With ``own_frame`` they are written over the
+    modes' own quadratures (eta_1, Pi_1, eta_2, Pi_2) instead, where every
+    entry off a mode's own quadratures is an exact zero. Non-finite output
+    raises ContractError.
     """
     p = modes.matrix
-    c = p if coords is None else coords
+    # C_ij: position i's coefficient in eta_j, over (x_h, x_c) or the modes'
+    c = np.eye(2) if own_frame else p
     with np.errstate(all="ignore"):
         half_inv = 0.5 / np.array([modes.omega1, modes.omega2], dtype=float)
         ops = np.zeros((2, 2, 4), dtype=complex)
-        # [a, j, i] = P_aj * (0.5 * C_ij) on y_i and P_aj * ((0.5 / w_j) * C_ij)
-        # on its momentum, rounded innermost first
+        # [a, j, i] = P_aj * (0.5 * C_ij) on the i-th position and
+        # P_aj * ((0.5 / w_j) * C_ij) on its momentum, rounded innermost first
         ops.real[..., 0::2] = p[:, :, None] * (0.5 * c.T)
         ops.imag[..., 1::2] = p[:, :, None] * (half_inv[:, None] * c.T)
     if not np.isfinite(ops).all():

@@ -8,9 +8,11 @@ computed two ways in the label's own mode frame (the bare oscillators
 for the LME, the normal modes for GME and Redfield), where the tables'
 structural zeros are exact: a closed form in the modes' second moments,
 and that balance, an affine functional c0 + c . m of the packed moments.
-Disagreement, or a closed form that is not finite, raises; it is never
-silently patched. A stationary state (time = inf) must also conserve
-energy, or :func:`heat_current` raises NumericalError.
+Both read the normal modes, so those must first diagonalize the
+Hamiltonian's potential block. Disagreement, or a closed form that is
+not finite, raises; it is never silently patched. A stationary state
+(time = inf) must also conserve energy, or :func:`heat_current` raises
+NumericalError.
 
 Both routes share one rotation of a MomentState of any leading shape into
 the mode frame and give a HeatCurrentSample of that shape, so a
@@ -40,6 +42,7 @@ from .generators import (
     LME,
     REDFIELD,
     MomentGenerator,
+    _channel_modes,
     _dissipator_terms,
     _gaussian_pair,
     quadrature_rotation,
@@ -85,16 +88,31 @@ def _energy_coeffs(g: np.ndarray) -> np.ndarray:
 def _mode_frame(
     label: str, sys: SystemSpec, second: np.ndarray
 ) -> tuple[NormalModes, np.ndarray, np.ndarray]:
-    """The label's modes, G in their quadratures and the packed second
-    moments (..., 10) as (..., 4, 4) matrices there: the bare oscillators,
-    whose quadratures are the local ones, for the LME; the normal modes,
-    with G = diag(W_1^2, 1, W_2^2, 1) exactly, for GME and Redfield."""
-    s = unpack_symmetric(second)
-    if label == LME:
-        return NormalModes(np.eye(2), sys.omega_h, sys.omega_c), hamiltonian(sys), s
-    modes = normal_modes(sys)
+    """The label's modes (``generators._channel_modes``), G in their
+    quadratures and the packed second moments (..., 10) as (..., 4, 4)
+    matrices there: the bare oscillators, whose quadratures are the local
+    ones, for the LME; the normal modes, with G = diag(W_1^2, 1, W_2^2, 1)
+    exactly, for GME and Redfield. Both current routes read the normal
+    modes, so they must diagonalize the potential block V of
+    ``hamiltonian(sys)`` orthogonally, V P = P diag(W^2) and P^T P = I,
+    each entry to CROSSCHECK_TOL of its terms, or ConsistencyError. An
+    entry of P below the underflow threshold may be lost, as for a
+    subnormal k, so V P is also allowed a few subnormals of its scale."""
+    g, normal = hamiltonian(sys), normal_modes(sys)
+    modes, s = _channel_modes(label, sys, normal), unpack_symmetric(second)
+    if modes is not normal:
+        # the bare oscillators leave the coupling in G
+        return modes, g, s
+    p, w, v = modes.matrix, np.array([modes.omega1, modes.omega2]) ** 2, g[::2, ::2]
+    with np.errstate(all="ignore"):
+        off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
+    orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL
+    floor = 8.0 * np.finfo(float).smallest_subnormal * size.max()
+    if not (np.all(off <= CROSSCHECK_TOL * size + floor) and orthogonal.all()):
+        raise ConsistencyError(f"{label} normal modes (W^2 = {w.tolist()!r}, P = "
+                               f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
     t = quadrature_rotation(modes)
-    return modes, np.diag([modes.omega1**2, 1.0, modes.omega2**2, 1.0]), t @ s @ t.T
+    return modes, np.diag([w[0], 1.0, w[1], 1.0]), t @ s @ t.T
 
 
 def _closed_form_currents(
@@ -159,8 +177,7 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
 
 
 def _energy_balance(
-    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
-    g: np.ndarray,
+    label: str, hot: BathSpec, cold: BathSpec, modes: NormalModes, g: np.ndarray
 ) -> dict[str, tuple[float, np.ndarray]]:
     """Per bath, the coefficients (c0, c) of its energy balance c0 + c . m
     over the packed second moments m in the frame of :func:`_mode_frame`,
@@ -169,7 +186,7 @@ def _energy_balance(
     h . (flow(A) m + D)."""
     h = _energy_coeffs(g)
     out = {}
-    for name, b in _dissipator_terms(label, sys, hot, cold, modes, own_frame=True).items():
+    for name, b in _dissipator_terms(label, hot, cold, modes, own_frame=True).items():
         a, d = _gaussian_pair(np.zeros((4, 4)), b)
         out[name] = (h @ d, h @ second_moment_flow(a))
     return out
@@ -190,7 +207,7 @@ def _verified_currents(
     moments = pack_symmetric(s)
     scale = current_scale(sys, hot, cold)
     failures = []
-    for name, (const, coeffs) in _energy_balance(label, sys, hot, cold, modes, g).items():
+    for name, (const, coeffs) in _energy_balance(label, hot, cold, modes, g).items():
         value = closed[name]
         check = const + moments @ coeffs
         off = np.abs(value - check)

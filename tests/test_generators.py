@@ -32,6 +32,7 @@ from meqlab.generators import (
     REDFIELD,
     REDFIELD_ZEROTH,
     MomentGenerator,
+    _channel_modes,
     _dissipator_terms,
     build,
     closed_form_blocks,
@@ -478,7 +479,8 @@ def test_channel_tables_are_the_jump_list_tables_bit_for_bit():
         hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
                               10 ** rng.uniform(0, 4)) for _ in range(2))
         for label in GENERATOR_LABELS:
-            got = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
+            modes = _channel_modes(label, sys, normal_modes(sys))
+            got = _dissipator_terms(label, hot, cold, modes)
             want = list_tables(label, sys, hot, cold)
             assert got.keys() == want.keys()
             for name in want:
@@ -541,7 +543,8 @@ def test_gaussian_pair_matches_operator_algebra():
             gen = build(label, sys, hot, cold)
             a_diss = gen.block1 - a_coherent
             d = unpack_symmetric(gen.const2)
-            tables = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
+            modes = _channel_modes(label, sys, normal_modes(sys))
+            tables = _dissipator_terms(label, hot, cold, modes)
             for o, coherent, dissipative in (
                 (
                     QuadOp(linear=c),

@@ -1,5 +1,7 @@
 """Heat currents, conservation, and second-law diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,13 @@ from meqlab.dynamics import (
     steady_state,
     thermal_product_state,
 )
-from meqlab.errors import ConsistencyError, NumericalError, StabilityError, ValidationError
+from meqlab.errors import ConsistencyError, NumericalError, ValidationError
 from meqlab.generators import (
     GME,
     LME,
     NORMAL_FRAME,
     REDFIELD,
+    _channel_modes,
     _dissipator_terms,
     build,
     quadrature_rotation,
@@ -32,7 +35,7 @@ from meqlab.thermo import (
     heat_current,
     transient_currents,
 )
-from quadop_oracle import dissipator_action, expectation, hamiltonian_op
+from quadop_oracle import PAIR_WEIGHTS, dissipator_action, expectation, hamiltonian_op
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
 COLD = BathSpec(1e-4, 5.0, 1e3)
@@ -175,8 +178,8 @@ def test_energy_balance_is_the_operator_expectation():
         for label in LABELS:
             modes, g, s = tmod._mode_frame(label, sys, second)
             moments = pack_symmetric(s)
-            tables = _dissipator_terms(label, sys, hot, cold, normal_modes(sys))
-            balance = tmod._energy_balance(label, sys, hot, cold, modes, g)
+            tables = _dissipator_terms(label, hot, cold, modes)
+            balance = tmod._energy_balance(label, hot, cold, modes, g)
             for name, (const, coeffs) in balance.items():
                 got = const + moments @ coeffs
                 want = expectation(dissipator_action(tables[name], h_op), first, second)
@@ -191,9 +194,7 @@ def test_detuned_stationary_currents_pass_the_check(log_wh, log_ratio, log_gap, 
     # omega_c/omega_h in [1e-7, 1e-4] and 1 - |k|/(omega_h omega_c) in
     # [1e-3, 1]: rounding noise of the local frame failed the check here;
     # in the normal-mode frame it passes, and only the stationary guard
-    # may refuse. Where omega_2^2 falls below eps omega_h^2, normal_modes
-    # cancels to a non-positive square (the strict xfail
-    # test_model::test_normal_modes_keep_a_small_decoupled_frequency)
+    # may refuse
     wh = 10**log_wh
     wc = wh * 10**log_ratio
     k = (1.0 - 10**log_gap) * wh * wc
@@ -202,8 +203,77 @@ def test_detuned_stationary_currents_pass_the_check(log_wh, log_ratio, log_gap, 
         heat_current(label, sys, HOT, COLD, steady_state(build(label, sys, HOT, COLD), sys))
     except NumericalError as exc:
         assert "do not conserve energy" in str(exc)
-    except StabilityError as exc:
-        assert "normal-mode frequency squared is not positive" in str(exc)
+
+
+def test_subnormal_coupling_passes_the_mode_check():
+    # the mixing angle of k = 1e-323 underflows to zero: V P misses the
+    # normal modes by k itself, far below any relative tolerance of its
+    # terms but at the underflow threshold, and the currents answer
+    sys = SystemSpec(1.0, 2.0, 1e-323)
+    assert 0.0 in np.abs(normal_modes(sys).matrix)
+    state = random_state(np.random.default_rng(8))
+    for label in (GME, REDFIELD):
+        sample = heat_current(label, sys, HOT, COLD, state)
+        assert np.isfinite([sample.q_hot, sample.q_cold]).all()
+
+
+def oracle_currents(label, sys, hot, cold, state):
+    """Per bath, the expectation of the bath's adjoint dissipator applied
+    to H through the operator algebra, on the local tables and moments,
+    and the magnitude of its terms."""
+    tables = _dissipator_terms(label, hot, cold, _channel_modes(label, sys, normal_modes(sys)))
+    h_op = hamiltonian_op(hamiltonian(sys))
+    moments = np.abs(np.concatenate([state.first, state.second], axis=-1))
+    out = {}
+    for name, table in tables.items():
+        op = dissipator_action(table, h_op)
+        coeffs = np.concatenate([op.linear, PAIR_WEIGHTS * pack_symmetric(op.quad)])
+        out[name] = (expectation(op, state.first, state.second),
+                     abs(op.scalar) + moments @ np.abs(coeffs))
+    return out
+
+
+def test_detuned_stationary_currents_are_the_oracle_currents():
+    # one draw of the detuned region above where the check answers: the
+    # stationary currents are finite, conserve energy and are the operator
+    # route's on the local tables
+    sys = SystemSpec(1.0, 1e-5, 0.5e-5)
+    for label in (GME, REDFIELD):
+        state = steady_state(build(label, sys, HOT, COLD), sys)
+        sample = heat_current(label, sys, HOT, COLD, state)
+        q = {"h": sample.q_hot, "c": sample.q_cold}
+        assert np.isfinite(list(q.values())).all() and q["h"] > 0.0
+        assert abs(q["h"] + q["c"]) <= 1e-10 * current_scale(sys, HOT, COLD)
+        for name, (want, terms) in oracle_currents(label, sys, HOT, COLD, state).items():
+            assert abs(q[name] - want) <= 1e-12 * terms, (label, name)
+
+
+def test_currents_read_the_hamiltonian_through_the_modes(monkeypatch):
+    # a decoupled mode at 1e-7 of the other: the currents along a
+    # trajectory are the operator route's on the true Hamiltonian. Normal
+    # modes that no longer diagonalize it, here omega_2 off by 4e-4 (the
+    # error of the difference formula for omega_2^2 at this ratio), are
+    # refused, where both routes would otherwise read the same wrong modes
+    import meqlab.thermo as tmod
+
+    sys = SystemSpec(1.0, 1e-7, 0.0)
+    state0 = random_state(np.random.default_rng(7))
+    for label in (GME, REDFIELD):
+        gen = build(label, sys, HOT, COLD)
+        states = propagate(gen, state0, [0.0, 1.0, 2.0], sys)
+        sample = transient_currents(label, sys, HOT, COLD, state0, [0.0, 1.0, 2.0], gen)
+        q = {"h": sample.q_hot, "c": sample.q_cold}
+        for name, (want, terms) in oracle_currents(label, sys, HOT, COLD, states).items():
+            assert np.all(np.abs(q[name] - want) <= 1e-12 * terms), (label, name)
+    modes = normal_modes(sys)
+    monkeypatch.setattr(tmod, "normal_modes",
+                        lambda sys: replace(modes, omega2=modes.omega2 * (1.0 + 4e-4)))
+    for label in (GME, REDFIELD):
+        gen = build(label, sys, HOT, COLD)
+        with pytest.raises(ConsistencyError, match="do not diagonalize"):
+            transient_currents(label, sys, HOT, COLD, state0, [0.0, 1.0, 2.0], gen)
+    # the LME reads G itself and keeps its bare modes
+    transient_currents(LME, sys, HOT, COLD, state0, [0.0, 1.0], build(LME, sys, HOT, COLD))
 
 
 def test_stationary_guard_refuses_non_conserving_currents():
