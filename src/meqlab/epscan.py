@@ -5,9 +5,9 @@ of the eigenvector matrix, which diverges exactly where eigenvectors
 coalesce. Scans evaluate ``generators.closed_form_drift``, the drifts
 build() is cross-checked against, on the whole (omega, k) grid at
 once, derive each second-moment block as the flow of its 4x4 drift,
-and run batched eigen/singular-value decompositions, chunked across a
-thread pool. Points whose eigensolve fails are NaN and counted in the
-scan metadata.
+and run batched eigen/singular-value decompositions on tiles of at most
+SCAN_TILE_POINTS grid points, all queued on one thread pool. Points
+whose eigensolve fails are NaN and counted in the scan metadata.
 
 ``refine_ep`` takes the kappa peak of a stacked pre-scan as the seed of
 Newton's method on the Jordan-chain conditions of the 4x4 drift, run in
@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
-from .generators import LOCAL_FRAME, NORMAL_FORMS, NORMAL_FRAME, closed_form_drift
+from .generators import GENERATOR_LABELS, LOCAL_FRAME, NORMAL_FORMS, NORMAL_FRAME, closed_form_drift
 from .model import SystemSpec
 from .eigen import condition_number_of
 
@@ -47,6 +47,10 @@ BLOCKS = ("first", "second")
 
 #: kappa above this is treated as a diverging EP signature
 EP_KAPPA_THRESHOLD = 1e6
+
+#: grid points per scan task: each worker's eigensolver temporaries are
+#: bounded by one tile, whatever the grid size
+SCAN_TILE_POINTS = 512
 
 
 def exceptional_line(
@@ -153,12 +157,35 @@ def _kappa_batch(mats: np.ndarray) -> np.ndarray:
         return out
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int, or ValidationError unless it is an integer >= 1
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: {value!r} is not an integer")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    return int(value)
+
+
 def _worker_count(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    return threads
+    """``threads``, or by default the CPUs this process may run on."""
+    if threads is not None:
+        return _count(threads, "threads")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tiles(n_omega: int, n_k: int):
+    """(rows, cols) slices of rectangles of at most SCAN_TILE_POINTS points
+    covering an (n_omega, n_k) grid: whole rows, or pieces of one row
+    when a row alone is longer. Rectangles keep the omega-only bath
+    coefficients evaluated once per row."""
+    rows = max(1, SCAN_TILE_POINTS // n_k)
+    cols = min(n_k, SCAN_TILE_POINTS)
+    for row in range(0, n_omega, rows):
+        for col in range(0, n_k, cols):
+            yield slice(row, row + rows), slice(col, col + cols)
 
 
 def scan(
@@ -174,15 +201,15 @@ def scan(
     """Condition-number map over a rectangular grid of resonant
     frequency and coupling.
 
-    Grid points are independent; rows are chunked over `threads` workers
-    (default: the core count) and merged by index, so the output is
+    Grid points are independent. Every (label, block) grid is cut into
+    tiles of at most SCAN_TILE_POINTS points, and all tiles run on one
+    pool of `threads` workers (default: the CPUs this process may run
+    on), each writing its slice of the map, so the output is
     deterministic. ``metadata`` holds the kappa ``norm``, the worker
     count ``threads`` and ``nan_points``, the number of points per
     "label/block" whose eigensolve failed (their kappa is NaN).
     """
-    n_omega, n_k = resolution
-    if n_omega < 1 or n_k < 1:
-        raise ValidationError("resolution entries must be >= 1")
+    n_omega, n_k = (_count(n, "resolution entries") for n in resolution)
     for lo, hi, name in (
         (*omega_range, "omega_range"),
         (*k_range, "k_range"),
@@ -200,24 +227,29 @@ def scan(
         raise ValidationError("k_range leaves the stability region |k| < omega^2")
 
     workers = _worker_count(threads)
-    kappas: dict[tuple[str, str], np.ndarray] = {}
-    row_chunks = np.array_split(np.arange(n_omega), min(workers * 4, n_omega))
+    # checked here, not in the tasks: the pool's exit waits for every
+    # queued tile before an error could surface
+    for label in labels:
+        if label not in GENERATOR_LABELS:
+            raise ValidationError(f"unknown generator label {label!r}")
+    for block in blocks:
+        if block not in BLOCKS:
+            raise ValidationError(f"block must be one of {BLOCKS}")
 
-    def run_chunk(label: str, block: str, rows: np.ndarray) -> np.ndarray:
-        mats = grid_block_matrices(
-            label, block, omegas[rows][:, None], grid_k, hot, cold
-        )
-        return _kappa_batch(mats)
+    kappas = {(label, block): np.empty((n_omega, n_k)) for label in labels for block in blocks}
+
+    def run_tile(label: str, block: str, rows: slice, cols: slice) -> None:
+        mats = grid_block_matrices(label, block, grid_w[rows], grid_k[:, cols], hot, cold)
+        kappas[(label, block)][rows, cols] = _kappa_batch(mats)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for label in labels:
-            for block in blocks:
-                futures = [
-                    pool.submit(run_chunk, label, block, rows)
-                    for rows in row_chunks
-                    if len(rows)
-                ]
-                kappas[(label, block)] = np.vstack([f.result() for f in futures])
+        futures = [
+            pool.submit(run_tile, label, block, rows, cols)
+            for label, block in kappas
+            for rows, cols in _tiles(n_omega, n_k)
+        ]
+        for future in futures:
+            future.result()
 
     nan_points = {"/".join(key): int(np.isnan(m).sum()) for key, m in kappas.items()}
     metadata = {

@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -152,6 +154,114 @@ def test_scan_validation():
         scan([LME], ["first"], (-1.0, 1.5), (0.0, 1e-4), (5, 5), HOT, COLD)
     with pytest.raises(ValidationError):
         scan([LME], ["bogus-block"], (0.5, 1.5), (0.0, 1e-4), (5, 5), HOT, COLD)
+
+
+@pytest.mark.parametrize("resolution, threads", [
+    ((2.0, 3), 1), ((True, 3), 1), ((3, np.bool_(True)), 1), ((3, -1), 1),
+    ((3, 3), 2.5), ((3, 3), True), ((3, 3), 0),
+])
+def test_scan_refuses_malformed_sizes(resolution, threads):
+    # every resolution entry and the worker count must be an integer >= 1;
+    # a float or bool used to reach np.linspace or the pool as it was
+    with pytest.raises(ValidationError, match="is not an integer|must be >= 1"):
+        scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), resolution, HOT, COLD, threads=threads)
+
+
+def test_scan_takes_numpy_integer_sizes():
+    result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (np.int64(2), np.int32(3)),
+                  HOT, COLD, threads=np.int64(1))
+    assert result.kappas[(LME, "first")].shape == (2, 3)
+    assert type(result.metadata["threads"]) is int
+
+
+@pytest.mark.parametrize("labels, blocks, message", [
+    ([LME, GME, "bogus"], ["first"], "unknown generator label 'bogus'"),
+    ([LME, GME], ["first", "bogus-block"], "block must be one of"),
+])
+def test_scan_checks_labels_and_blocks_before_any_eig(monkeypatch, labels, blocks, message):
+    # all tiles share one queue, so a bad name late in the list is refused
+    # before the first tile runs, not after every earlier one
+    def no_eig(*args):
+        raise AssertionError("eig ran before the labels and blocks were checked")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    with pytest.raises(ValidationError, match=message):
+        scan(labels, blocks, (0.5, 1.5), (0.0, 1e-4), (3, 4), HOT, COLD, threads=2)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_scan_tiles_keep_the_whole_grid_bits(monkeypatch, threads):
+    # with 5 points per tile a 13-point row is cut into pieces of 5, 5
+    # and 3 columns; each map is bit for bit one stacked evaluation of
+    # the whole grid, also with more workers than cores writing their
+    # slices under frequent thread switches
+    import meqlab.epscan as emod
+
+    monkeypatch.setattr(emod, "SCAN_TILE_POINTS", 5)
+    real_blocks = emod.grid_block_matrices
+    shapes = set()
+
+    def record_shape(label, block, omega, k, hot, cold):
+        shapes.add(np.broadcast_shapes(np.shape(omega), np.shape(k)))
+        return real_blocks(label, block, omega, k, hot, cold)
+
+    monkeypatch.setattr(emod, "grid_block_matrices", record_shape)
+    k_hi = 1.5 * exceptional_line(1.5, HOT, COLD)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = scan(GENERATOR_LABELS, ["first", "second"], (0.5, 1.5), (0.0, k_hi), (7, 13),
+                      HOT, COLD, threads=threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert shapes == {(1, 5), (1, 3)}
+    omegas, ks = result.omegas, result.ks
+    for label in GENERATOR_LABELS:
+        for block in ("first", "second"):
+            whole = condition_number_of(
+                real_blocks(label, block, omegas[:, None], ks[None, :], HOT, COLD)
+            )
+            assert result.kappas[(label, block)].tobytes() == whole.tobytes()
+
+
+def test_tiles_cover_the_grid_once():
+    import meqlab.epscan as emod
+
+    for n_omega, n_k in ((1, 1), (7, 13), (256, 128), (3, 512), (3, 1100), (5, 513)):
+        covered = np.zeros((n_omega, n_k), dtype=int)
+        for rows, cols in emod._tiles(n_omega, n_k):
+            assert covered[rows, cols].size <= emod.SCAN_TILE_POINTS
+            covered[rows, cols] += 1
+        assert (covered == 1).all()
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # a worker holds one tile's eigensolver temporaries, not a share of
+    # the grid: this scan peaked at 4.6 MB (36.9 MB with row chunks of a
+    # quarter of the grid per worker), of which the six maps are 1.6 MB
+    k_hi = 1.5 * exceptional_line(1.5, HOT, COLD)
+    tracemalloc.start()
+    try:
+        scan([LME, GME, REDFIELD], ["first", "second"], (0.5, 1.5), (0.0, k_hi), (256, 128),
+             HOT, COLD, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_scan_default_workers_are_the_cpus_it_may_run_on(monkeypatch):
+    # a process pinned to one CPU of a larger host starts one worker
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (2, 3), HOT, COLD)
+        assert result.metadata["threads"] == 1
+    # where the affinity set is unknown, the core count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (2, 3), HOT, COLD)
+    assert result.metadata["threads"] == 3
 
 
 def test_scan_matrices_match_build():
@@ -340,12 +450,15 @@ def test_scan_counts_nan_points(monkeypatch):
 
 
 def test_scan_metadata_keys(monkeypatch):
-    # the worker count defaults to the core count; no environment
-    # variable sets it
+    # the worker count defaults to the CPUs this process may run on; no
+    # environment variable sets it
     monkeypatch.setenv("MEQLAB_THREADS", "zero")
     result = scan([LME], ["first"], (0.5, 1.5), (0.0, 1e-4), (2, 3), HOT, COLD)
     assert sorted(result.metadata) == ["nan_points", "norm", "threads"]
-    assert result.metadata["threads"] == (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        assert result.metadata["threads"] == len(os.sched_getaffinity(0))
+    else:
+        assert result.metadata["threads"] == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("failing", ["pre-scan", "seed"])

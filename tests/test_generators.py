@@ -291,7 +291,7 @@ def test_second_moment_flow_matches_classical_flow(a):
 
 
 def test_second_moment_flow_bits_independent_of_batch_shape():
-    # the scan chunks rows and perfbench resamples single points as 1x1
+    # the scan cuts grids into tiles and perfbench resamples single points as 1x1
     # grids: both rely on an entry's bits not depending on the stack
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(3, 5, 4, 4)) * 10.0 ** rng.integers(-8, 3, size=(3, 5, 1, 1))

@@ -17,10 +17,10 @@ when their manifests are equal:
 The runs cover every command at its defaults, every generator label in
 both frames at and off resonance (k = 0 and the smallest detuning
 included), a detuned sweep from k = 0 (the one path where currents meet
-modes of zero weight), both table formats, the configs near the
-stability edge, and those closer to it or past it that exit with an error
-code (a stationary state that does not conserve energy, an unstable
-coupling).
+modes of zero weight), a scan whose rows are longer than one scan tile,
+both table formats, the configs near the stability edge, and those
+closer to it or past it that exit with an error code (a stationary state
+that does not conserve energy, an unstable coupling).
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "json-steady": ("steady", "--set", "steady.points=5", "--format", "json"),
         "json-rigidity": ("rigidity", "--set", "rigidity.points=11", "--format", "json"),
         "all-labels-scan-ep": ("scan-ep", *SMALL_SCAN, *ALL_LABELS),
+        # rows longer than a scan tile, cut into column pieces
+        "long-row-scan-ep": ("scan-ep", "--set", "scan.resolution=[3, 1100]",
+                             "--set", 'scan.blocks=["first","second"]'),
         "all-labels-rigidity": ("rigidity", "--set", "rigidity.points=21", *ALL_LABELS),
         "detuned-transient": ("transient", "--set", "system.omega_c=1.05"),
         "detuned-steady": ("steady", "--set", "system.omega_c=1.05"),
