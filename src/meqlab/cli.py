@@ -2,11 +2,12 @@
 
 Subcommands: scan-ep, transient, steady, rigidity, ep-line, matrices.
 One JSON config document drives everything (--config), with individual
---set key=value overrides using dotted paths. load_config checks the
-whole document against one table of rules, whichever command reads
-it; each command then reads plain values. Numeric output is
-formatted with 17 significant digits and '\\n' line endings, so
-identical configs produce byte-identical files.
+--set key=value overrides using dotted paths. SETTINGS holds each
+setting's default and rule; load_config checks the whole document
+against it, whichever command reads it, and each command then reads
+plain values. Numeric output is formatted with 17 significant digits
+and '\\n' line endings, so identical configs produce byte-identical
+files.
 
 Exit codes: 0 success, 2 validation error, 3 physics error (instability
 or no steady state), 4 numerical/internal failure.
@@ -52,28 +53,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
-
-DEFAULT_CONFIG = {
-    "system": {"omega_h": 1.0, "omega_c": 1.0, "k": 4.999495000505e-05},
-    "baths": {
-        "hot": {"lambda_sq": 1e-08, "temperature": 10.0},
-        "cold": {"lambda_sq": 1e-04, "temperature": 5.0},
-    },
-    "cutoff": 1000.0,
-    "generators": [LME, GME, REDFIELD],
-    "scan": {
-        "omega": [0.5, 1.5],
-        "k": None,  # None: [0, 1.5 * k*(omega_max)]
-        "resolution": [200, 200],
-        "blocks": ["first"],
-    },
-    "transient": {"t_max_factor": 10.0, "points": 400},
-    "steady": {"k_min": 1e-07, "k_max": 9e-05, "points": 25, "spacing": "log"},
-    "rigidity": {"k_min": 1e-06, "k_max": 1e-04, "points": 101},
-    "matrices": {"label": LME, "frame": LOCAL_FRAME},
-    "output": {"dir": ".", "format": "csv"},
-}
-
 
 def _fmt_row(values) -> list[str]:
     """Each number with 17 significant digits; '%.17g' already spells
@@ -159,40 +138,56 @@ def _string(node, path: str) -> None:
         raise ValidationError(f"config {path!r} must be a string, got {node!r}")
 
 
-#: the rule for every setting of DEFAULT_CONFIG, by dotted path
-_RULES = {
-    "system.omega_h": _positive,
-    "system.omega_c": _positive,
-    "system.k": _number,
-    "baths.hot.lambda_sq": _positive,
-    "baths.hot.temperature": _positive,
-    "baths.cold.lambda_sq": _positive,
-    "baths.cold.temperature": _positive,
-    "cutoff": _positive,
-    "generators": _one_of(GENERATOR_LABELS, many=True),
-    "scan.omega": _range,
-    "scan.k": lambda node, path: node is None or _range(node, path),  # null: auto-ranged
-    "scan.resolution": _integer(1, pair=True),
-    "scan.blocks": _one_of(BLOCKS, many=True),
-    "transient.t_max_factor": _positive,
-    "transient.points": _integer(1),
-    "steady.k_min": _number,
-    "steady.k_max": _number,
-    "steady.points": _integer(1),
-    "steady.spacing": _one_of(("log", "linear")),
-    "rigidity.k_min": _number,
-    "rigidity.k_max": _number,
-    "rigidity.points": _integer(2),
-    "matrices.label": _one_of(GENERATOR_LABELS),
-    "matrices.frame": _one_of(tuple(FRAME_NAMES)),
-    "output.dir": _string,
-    "output.format": _one_of(("csv", "json")),
+#: every setting by dotted path: its default (the paper's operating point)
+#: and its rule, in the order the rules run; DEFAULT_CONFIG nests the defaults
+SETTINGS = {
+    "system.omega_h": (1.0, _positive),
+    "system.omega_c": (1.0, _positive),
+    "system.k": (4.999495000505e-05, _number),
+    "baths.hot.lambda_sq": (1e-08, _positive),
+    "baths.hot.temperature": (10.0, _positive),
+    "baths.cold.lambda_sq": (1e-04, _positive),
+    "baths.cold.temperature": (5.0, _positive),
+    "cutoff": (1000.0, _positive),
+    "generators": ([LME, GME, REDFIELD], _one_of(GENERATOR_LABELS, many=True)),
+    "scan.omega": ([0.5, 1.5], _range),
+    "scan.k": (None, lambda node, path: node is None or _range(node, path)),  # null: auto-ranged
+    "scan.resolution": ([200, 200], _integer(1, pair=True)),
+    "scan.blocks": (["first"], _one_of(BLOCKS, many=True)),
+    "transient.t_max_factor": (10.0, _positive),
+    "transient.points": (400, _integer(1)),
+    "steady.k_min": (1e-07, _number),
+    "steady.k_max": (9e-05, _number),
+    "steady.points": (25, _integer(1)),
+    "steady.spacing": ("log", _one_of(("log", "linear"))),
+    "rigidity.k_min": (1e-06, _number),
+    "rigidity.k_max": (1e-04, _number),
+    "rigidity.points": (101, _integer(2)),
+    "matrices.label": (LME, _one_of(GENERATOR_LABELS)),
+    "matrices.frame": (LOCAL_FRAME, _one_of(tuple(FRAME_NAMES))),
+    "output.dir": (".", _string),
+    "output.format": ("csv", _one_of(("csv", "json"))),
 }
+
+
+def _nest(flat: dict) -> dict:
+    """The nested document whose leaves are the dotted paths of ``flat``."""
+    document: dict = {}
+    for path, value in flat.items():
+        *parents, leaf = path.split(".")
+        node = document
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    return document
+
+
+DEFAULT_CONFIG = _nest({path: default for path, (default, _) in SETTINGS.items()})
 
 
 def _check_config(cfg: dict) -> None:
     """Raise ValidationError unless every setting of ``cfg`` obeys its rule."""
-    for path, rule in _RULES.items():
+    for path, (_, rule) in SETTINGS.items():
         node = cfg
         for part in path.split("."):
             node = node[part]
@@ -316,12 +311,8 @@ def cmd_scan(cfg: dict, args) -> int:
         target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows,
                               fmt, "%s,%s,%.17g,%s")
         outputs.append(target.name)
-    _write_sidecar(
-        out / "scan.meta.json", "scan-ep", cfg, outputs,
-        extras={"ep_kappa_threshold": EP_KAPPA_THRESHOLD,
-                "nan_points": result.metadata["nan_points"],
-                "norm": result.metadata["norm"]},
-    )
+    _write_sidecar(out / "scan.meta.json", "scan-ep", cfg, outputs,
+                   extras={"ep_kappa_threshold": EP_KAPPA_THRESHOLD, **result.metadata})
     print(f"wrote {len(outputs)} scan file(s) to {out}")
     return EXIT_OK
 
@@ -344,7 +335,7 @@ def cmd_transient(cfg: dict, args) -> int:
         steady = heat_current(label, system, hot, cold, steady_state(gens[label], system))
         steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
-    header = ["t", "Q_hot_L", "Q_hot_G", "Q_hot_R", "Q_cold_L", "Q_cold_G", "Q_cold_R"]
+    header = ["t"] + [f"Q_{side}_{tag}" for side in ("hot", "cold") for _, tag in _TRANSIENT_LABELS]
     table = np.column_stack([columns[name] for name in header])
     out, fmt = _output(cfg, args)
     target = _write_table(out / "transient", header, table.tolist(), fmt)
@@ -371,12 +362,10 @@ def cmd_steady(cfg: dict, args) -> int:
         row = [float(k)]
         for label, _tag in _TRANSIENT_LABELS:
             gen = build(label, sys_k, hot, cold)
-            sample = heat_current(
-                label, sys_k, hot, cold, steady_state(gen, sys_k)
-            )
+            sample = heat_current(label, sys_k, hot, cold, steady_state(gen, sys_k))
             row.extend([sample.q_hot, sample.q_cold])
         rows.append(tuple(row))
-    header = ["k", "Qh_L", "Qc_L", "Qh_G", "Qc_G", "Qh_R", "Qc_R"]
+    header = ["k"] + [f"Q{side}_{tag}" for _, tag in _TRANSIENT_LABELS for side in "hc"]
     out, fmt = _output(cfg, args)
     target = _write_table(out / "steady", header, rows, fmt)
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])

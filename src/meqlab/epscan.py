@@ -207,7 +207,8 @@ def scan(
     on), each writing its slice of the map, so the output is
     deterministic. ``metadata`` holds the kappa ``norm``, the worker
     count ``threads`` and ``nan_points``, the number of points per
-    "label/block" whose eigensolve failed (their kappa is NaN).
+    "label/block" whose eigensolve failed or whose matrices overflowed
+    (their kappa is NaN, with no warning printed).
     """
     n_omega, n_k = (_count(n, "resolution entries") for n in resolution)
     for lo, hi, name in (
@@ -223,8 +224,9 @@ def scan(
     ks = np.linspace(k_range[0], k_range[1], n_k)
     grid_w = omegas[:, None]
     grid_k = ks[None, :]
-    if np.any(np.abs(grid_k) >= grid_w**2):
-        raise ValidationError("k_range leaves the stability region |k| < omega^2")
+    with np.errstate(over="ignore", invalid="ignore"):  # omega^2 = inf bounds no k
+        if np.any(np.abs(grid_k) >= grid_w**2):
+            raise ValidationError("k_range leaves the stability region |k| < omega^2")
 
     workers = _worker_count(threads)
     # checked here, not in the tasks: the pool's exit waits for every
@@ -239,8 +241,11 @@ def scan(
     kappas = {(label, block): np.empty((n_omega, n_k)) for label in labels for block in blocks}
 
     def run_tile(label: str, block: str, rows: slice, cols: slice) -> None:
-        mats = grid_block_matrices(label, block, grid_w[rows], grid_k[:, cols], hot, cold)
-        kappas[(label, block)][rows, cols] = _kappa_batch(mats)
+        # a point that overflows comes out NaN and is counted in nan_points;
+        # entered here, since a worker thread has its own numpy error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = grid_block_matrices(label, block, grid_w[rows], grid_k[:, cols], hot, cold)
+            kappas[(label, block)][rows, cols] = _kappa_batch(mats)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -44,6 +44,9 @@ def test_scan_outputs_and_determinism(tmp_path):
     meta = json.loads((out1 / "scan.meta.json").read_text())
     assert meta["command"] == "scan-ep"
     assert "config" in meta and "version" in meta
+    # the scan's whole metadata, its worker count included
+    assert sorted(meta["extras"]) == ["ep_kappa_threshold", "nan_points", "norm", "threads"]
+    assert meta["extras"]["threads"] == 2
 
 
 def test_fmt_row_spells_special_values():
@@ -324,11 +327,18 @@ def test_every_command_checks_the_whole_config(tmp_path, capsys, setting):
 
 
 def test_every_setting_has_one_rule():
+    # every leaf of DEFAULT_CONFIG comes from exactly one SETTINGS path and
+    # equals its default, which obeys its own rule
     def leaves(node, prefix=""):
         for key, value in node.items():
             path = prefix + key
-            yield from leaves(value, path + ".") if isinstance(value, dict) else [path]
-    assert sorted(cli._RULES) == sorted(leaves(cli.DEFAULT_CONFIG))
+            yield from leaves(value, path + ".") if isinstance(value, dict) else [(path, value)]
+    found = list(leaves(cli.DEFAULT_CONFIG))
+    assert sorted(path for path, _ in found) == sorted(cli.SETTINGS)
+    for path, value in found:
+        default, rule = cli.SETTINGS[path]
+        assert value == default and type(value) is type(default), path
+        rule(default, path)
 
 
 def test_parse_physics_reads_ints_as_floats():
@@ -359,6 +369,13 @@ def test_readme_flag_table_matches_the_parser():
         for name, parser in subparsers.choices.items()
     }
     assert documented == actual
+
+
+def test_readme_config_reference_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config reference\n")[1]
+    block = section.split("```json\n")[1].split("```")[0]
+    assert json.loads(block) == cli.DEFAULT_CONFIG
 
 
 def test_readme_library_example_runs(capsys):

@@ -449,6 +449,21 @@ def test_scan_counts_nan_points(monkeypatch):
     assert result.metadata["nan_points"] == {"LME/first": 1}
 
 
+@pytest.mark.parametrize("omega, nan_first", [(1e200, 2), (1.3394e154, 0)])
+def test_scan_counts_overflow_as_nan_without_warnings(omega, nan_first):
+    # at 1e200 omega^2 overflows and every point is NaN; at 1.3394e154 it
+    # is finite and only the second-block flow overflows. Either way the
+    # points are counted, and no warning is printed, from any worker
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = scan([LME, GME, REDFIELD], ["first", "second"], (omega, omega), (0.0, 1.0),
+                      (1, 2), HOT, COLD, threads=2)
+    assert result.metadata["nan_points"] == {
+        f"{label}/{block}": nan_first if block == "first" else 2
+        for label in (LME, GME, REDFIELD) for block in ("first", "second")
+    }
+
+
 def test_scan_metadata_keys(monkeypatch):
     # the worker count defaults to the CPUs this process may run on; no
     # environment variable sets it

@@ -18,9 +18,11 @@ The runs cover every command at its defaults, every generator label in
 both frames at and off resonance (k = 0 and the smallest detuning
 included), a detuned sweep from k = 0 (the one path where currents meet
 modes of zero weight), a scan whose rows are longer than one scan tile,
-both table formats, the configs near the stability edge, and those
-closer to it or past it that exit with an error code (a stationary state
-that does not conserve energy, an unstable coupling).
+both table formats, a partial --config file and a whole section set by
+--set (the config merge), a scan whose every point overflows, the
+configs near the stability edge, and those closer to it or past it that
+exit with an error code (a stationary state that does not conserve
+energy, an unstable coupling).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SMALL_SCAN = ("--set", "scan.resolution=[6,8]", "--set", "scan.k=[0.0, 8e-5]")
 ALL_LABELS = ("--set", "generators=" + json.dumps(LABELS))
 #: the smallest detuning above omega_h = 1
 NEXT_AFTER_ONE = repr(float.fromhex("0x1.0000000000001p+0"))
+#: the config.json a run finds in its directory, by run name
+CONFIG_FILES = {"config-file-steady": {"system": {"k": 1e-5}, "steady": {"points": 3}}}
 
 
 def _runs() -> dict[str, tuple[str, ...]]:
@@ -86,6 +90,13 @@ def _runs() -> dict[str, tuple[str, ...]]:
                                   "--set", "steady.k_min=0.99999999",
                                   "--set", "steady.k_max=0.99999999", "--set", "steady.points=1"),
         "unstable-matrices": ("matrices", "--set", "system.k=1.0"),
+        "config-file-steady": ("steady", "--config", "config.json"),
+        "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
+                                                  '"k_min":0,"k_max":1e-4}'),
+        # every point's square overflows: NaN kappa, counted in nan_points
+        "overflow-scan-ep": ("scan-ep", "--set", "scan.omega=[1e200,1e200]",
+                             "--set", "scan.k=[0,1]", "--set", "scan.resolution=[1,2]",
+                             "--set", 'scan.blocks=["first","second"]'),
     })
     return runs
 
@@ -110,6 +121,8 @@ def main(argv: list[str]) -> int:
     for name, args in _runs().items():
         run_dir = outdir / name
         run_dir.mkdir(parents=True)
+        if name in CONFIG_FILES:
+            (run_dir / "config.json").write_text(json.dumps(CONFIG_FILES[name]) + "\n")
         done = subprocess.run([sys.executable, "-m", "meqlab.cli", *args], cwd=run_dir,
                               env=env, capture_output=True)
         (run_dir / "stdout.txt").write_bytes(done.stdout)
