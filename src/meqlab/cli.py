@@ -232,15 +232,14 @@ def parse_physics(cfg: dict) -> tuple[SystemSpec, BathSpec, BathSpec]:
     return SystemSpec(**cfg["system"]), hot, cold
 
 
-def _output(cfg: dict, args) -> tuple[Path, str]:
-    """The output directory, created, and the table format: each from its
-    flag where the command has it and it is given, else from the config."""
-    directory = args.out if args.out is not None else cfg["output"]["dir"]
+def _output(cfg: dict) -> tuple[Path, str]:
+    """The config's output directory, created, and its table format."""
+    directory = cfg["output"]["dir"]
     try:
         Path(directory).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {directory!r}: {exc}") from exc
-    return Path(directory), getattr(args, "format", None) or cfg["output"]["format"]
+    return Path(directory), cfg["output"]["format"]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -296,7 +295,7 @@ def cmd_scan(cfg: dict, args) -> int:
         k_range = tuple(map(float, settings["k"]))
     result = scan(cfg["generators"], blocks, omega_range, k_range,
                   tuple(settings["resolution"]), hot, cold, threads=args.threads)
-    out, fmt = _output(cfg, args)
+    out, fmt = _output(cfg)
     # each grid value repeats on many rows: format it once
     omegas = _fmt_row(result.omegas.tolist())
     ks = _fmt_row(result.ks.tolist())
@@ -337,14 +336,14 @@ def cmd_transient(cfg: dict, args) -> int:
 
     header = ["t"] + [f"Q_{side}_{tag}" for side in ("hot", "cold") for _, tag in _TRANSIENT_LABELS]
     table = np.column_stack([columns[name] for name in header])
-    out, fmt = _output(cfg, args)
+    out, fmt = _output(cfg)
     target = _write_table(out / "transient", header, table.tolist(), fmt)
     _write_sidecar(
         out / "transient.meta.json", "transient", cfg, [target.name],
         extras={"steady_currents": steady_values,
                 "time_unit": time_unit,
-                "time_unit_definition": "1/|max Re eigenvalue| of the Redfield "
-                                        "second-moment block"},
+                "time_unit_definition": "0.5/|max Re eigenvalue| of the Redfield "
+                                        "drift block1"},
     )
     print(f"wrote {target}")
     return EXIT_OK
@@ -366,7 +365,7 @@ def cmd_steady(cfg: dict, args) -> int:
             row.extend([sample.q_hot, sample.q_cold])
         rows.append(tuple(row))
     header = ["k"] + [f"Q{side}_{tag}" for _, tag in _TRANSIENT_LABELS for side in "hc"]
-    out, fmt = _output(cfg, args)
+    out, fmt = _output(cfg)
     target = _write_table(out / "steady", header, rows, fmt)
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
@@ -392,7 +391,7 @@ def cmd_rigidity(cfg: dict, args) -> int:
         profiles[label] = phase_rigidity_profile(drifts.__getitem__, ks)
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
     table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
-    out, fmt = _output(cfg, args)
+    out, fmt = _output(cfg)
     rows = map(np.ndarray.tolist, table)
     target = _write_table(out / "rigidity", header, rows, fmt)
     flagged = {
@@ -436,7 +435,7 @@ def cmd_matrices(cfg: dict, args) -> int:
         "cutoff": cfg["cutoff"],
         "version": __version__,
     }
-    out, _ = _output(cfg, args)
+    out, _ = _output(cfg)
     target = out / f"matrices_{label}.json"
     _write_json(target, payload)
     print(f"wrote {target}")
@@ -470,7 +469,7 @@ def make_parser() -> argparse.ArgumentParser:
         )
         # each command takes only the flags it reads
         if name != "ep-line":
-            p.add_argument("--out", help="output directory (default: config output.dir)")
+            p.add_argument("--out", dest="dir", help="output directory (default: output.dir)")
         if name not in ("ep-line", "matrices"):
             p.add_argument("--format", choices=["csv", "json"], help="table format")
         if name == "scan-ep":
@@ -482,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
+        # a given --out or --format wins over the checked config and is what its sidecar records
+        for key in ("dir", "format"):
+            if getattr(args, key, None) is not None:
+                cfg["output"][key] = getattr(args, key)
         return COMMANDS[args.command](cfg, args)
     except (ValidationError, DomainError, ContractError, BracketError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

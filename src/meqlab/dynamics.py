@@ -8,8 +8,9 @@ trajectory costs one call per block. The T samples advance in about
 sqrt(T) chunks side by side, one batched matrix-vector product per
 position in a chunk, rather than one sample at a time. Steady states
 come from a dense pivoted solve of block2 x = -const2 after a Hurwitz
-check of the drift block1: the eigenvalues of block2 are the pair sums
-of block1's, so block2 is Hurwitz exactly when block1 is.
+check of the drift block1, which also gives the transient time unit:
+block2's eigenvalues are the pair sums of block1's, so block2 is Hurwitz
+exactly when block1 is, and its slowest rate is twice block1's.
 
 A MomentState holds one instant or a stack of them over leading axes,
 so a trajectory is one state of (T, 4) and (T, 10) arrays whose
@@ -184,12 +185,12 @@ def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
 
 
 def slowest_timescale(gen: MomentGenerator) -> float:
-    """1/|max Re eigenvalue| of the second-moment block: the unit used
-    for transient time grids."""
-    margin = _hurwitz_margin(gen.block2)
+    """0.5/|max Re eigenvalue| of the drift block1, that of block2 in
+    exact arithmetic: the unit used for transient time grids."""
+    margin = _hurwitz_margin(gen.block1)
     if margin >= 0.0:
         raise StabilityError("generator has no decaying timescale")
-    return 1.0 / abs(margin)
+    return 0.5 / abs(margin)
 
 
 #: Pade degrees m and theta_m: the [m/m] approximant of exp(A) has

@@ -7,12 +7,12 @@ balance Q_alpha = tr(G A_alpha S) + (1/2) tr(G D_alpha). Each current is
 computed two ways in the label's own mode frame (the bare oscillators
 for the LME, the normal modes for GME and Redfield), where the tables'
 structural zeros are exact: a closed form in the modes' second moments,
-and that balance, an affine functional c0 + c . m of the packed moments.
-Both read the normal modes, so those must first diagonalize the
-Hamiltonian's potential block. Disagreement, or a closed form that is
-not finite, raises; it is never silently patched. A stationary state
-(time = inf) must also conserve energy, or :func:`heat_current` raises
-NumericalError.
+and that balance, an affine functional c0 + c . m of the packed moments
+(:func:`_energy_rate`; :func:`energy_flow_rate` applies the same d<H>/dt
+to a whole generator's pair). Both read the normal modes, so those must
+first diagonalize the Hamiltonian's potential block. Disagreement, or a
+closed form that is not finite, raises; it is never silently patched. A
+stationary state (time = inf) must also conserve energy, or NumericalError.
 
 Both routes share one rotation of a MomentState of any leading shape into
 the mode frame and give a HeatCurrentSample of that shape, so a
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import pack_symmetric, second_moment_flow, unpack_symmetric
+from .algebra import pack_symmetric, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, _Stack, _require_local, propagate
 from .errors import ConsistencyError, NumericalError, ValidationError
@@ -79,10 +79,14 @@ class HeatCurrentSample(_Stack):
     label: str
 
 
-def _energy_coeffs(g: np.ndarray) -> np.ndarray:
-    """h with <H> = h . m on packed second moments m, for H = (1/2) q^T G q:
-    an off-diagonal pair is packed once but counted twice in the form."""
-    return pack_symmetric((1.0 - 0.5 * np.eye(4)) * g)
+def _energy_rate(g: np.ndarray, a: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c0, c) with d<H>/dt = c0 + c . m on packed second moments m, for
+    H = (1/2) q^T G q under the Gaussian pair dS/dt = A S + S A^T + D (D
+    packed): c0 = (1/2) tr(G D), and c packs tr(G A S), (GA)_ii on the
+    diagonal and (GA)_ij + (GA)_ji off it."""
+    ga = g @ a
+    c = pack_symmetric((ga + ga.T) * (1.0 - 0.5 * np.eye(4)))
+    return 0.5 * np.sum(g * unpack_symmetric(d)), c
 
 
 def _mode_frame(
@@ -179,17 +183,11 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
 def _energy_balance(
     label: str, hot: BathSpec, cold: BathSpec, modes: NormalModes, g: np.ndarray
 ) -> dict[str, tuple[float, np.ndarray]]:
-    """Per bath, the coefficients (c0, c) of its energy balance c0 + c . m
-    over the packed second moments m in the frame of :func:`_mode_frame`,
-    from the channel table the generator construction uses, built in that
-    frame: with (A, D) the bath's pair alone and <H> = h . m, d<H>/dt is
-    h . (flow(A) m + D)."""
-    h = _energy_coeffs(g)
-    out = {}
-    for name, b in _dissipator_terms(label, hot, cold, modes, own_frame=True).items():
-        a, d = _gaussian_pair(np.zeros((4, 4)), b)
-        out[name] = (h @ d, h @ second_moment_flow(a))
-    return out
+    """Per bath, the (c0, c) of :func:`_energy_rate` for its pair alone, from
+    the channel table the generator construction uses, built in the frame of
+    :func:`_mode_frame`: its energy balance is c0 + c . m there."""
+    return {name: _energy_rate(g, *_gaussian_pair(np.zeros((4, 4)), b))
+            for name, b in _dissipator_terms(label, hot, cold, modes, own_frame=True).items()}
 
 
 def _verified_currents(
@@ -198,7 +196,9 @@ def _verified_currents(
     """Closed-form currents of a state of any leading shape. Each instant
     is checked against the bath's energy balance, to CROSSCHECK_TOL
     relative to the magnitude of the closed form's terms, floored at
-    :func:`current_scale`; the first failing instant raises."""
+    :func:`current_scale`; the first failing instant raises
+    ConsistencyError. A stationary instant (time = inf) whose currents do
+    not conserve energy to STATIONARY_TOL raises NumericalError."""
     if label not in CURRENT_LABELS:
         raise ValidationError(f"no heat-current form for label {label!r}")
     lead = states.first.shape[:-1]
@@ -226,8 +226,17 @@ def _verified_currents(
             f"{label} heat current ({name}) closed form {value!r} disagrees "
             f"with energy-balance value {check!r} at t = {np.reshape(states.time, -1)[i]}"
         )
-    q = {name: value.reshape(lead)[()] for name, value in closed.items()}
-    return HeatCurrentSample(states.time, q["h"], q["c"], label)
+    q_hot, q_cold = closed["h"], closed["c"]
+    balanced = np.abs(q_hot + q_cold) <= STATIONARY_TOL * np.maximum(np.abs(q_hot), scale)
+    broken = np.flatnonzero((np.reshape(states.time, -1) == np.inf) & ~balanced)
+    if broken.size:
+        i = broken[0]
+        raise NumericalError(
+            f"{label} stationary heat currents do not conserve energy: Q_h + Q_c = "
+            f"{float(q_hot[i] + q_cold[i])!r} for Q_h = {float(q_hot[i])!r} and "
+            f"current scale {scale!r}"
+        )
+    return HeatCurrentSample(states.time, q_hot.reshape(lead)[()], q_cold.reshape(lead)[()], label)
 
 
 def heat_current(
@@ -239,21 +248,8 @@ def heat_current(
 ) -> HeatCurrentSample:
     """Per-bath energy influx in the given state, of any leading shape,
     under the given label, closed-form evaluated and checked against the
-    energy balance. A stationary instant (time = inf) whose currents do
-    not conserve energy to STATIONARY_TOL raises NumericalError."""
-    sample = _verified_currents(label, sys, hot, cold, state)
-    q_hot, q_cold = np.reshape(sample.q_hot, -1), np.reshape(sample.q_cold, -1)
-    scale = current_scale(sys, hot, cold)
-    balanced = np.abs(q_hot + q_cold) <= STATIONARY_TOL * np.maximum(np.abs(q_hot), scale)
-    broken = np.flatnonzero((np.reshape(state.time, -1) == np.inf) & ~balanced)
-    if broken.size:
-        i = broken[0]
-        raise NumericalError(
-            f"{label} stationary heat currents do not conserve energy: Q_h + Q_c = "
-            f"{float(q_hot[i] + q_cold[i])!r} for Q_h = {float(q_hot[i])!r} and "
-            f"current scale {scale!r}"
-        )
-    return sample
+    energy balance; a stationary state must conserve energy as well."""
+    return _verified_currents(label, sys, hot, cold, state)
 
 
 def clausius_check(sample: HeatCurrentSample, t_hot: float, t_cold: float) -> float:
@@ -282,15 +278,14 @@ def transient_currents(
 def energy_flow_rate(
     gen: MomentGenerator, sys: SystemSpec, state: MomentState
 ) -> float | np.ndarray:
-    """d<H>/dt straight from the moment flow, independent of the current
-    closed forms: <H> on the rates block2 theta + const2, per instant of
-    a state of any leading shape (a float for one instant). A
+    """d<H>/dt straight from the generator's pair, independent of the
+    current closed forms: :func:`_energy_rate` of (block1, const2), per
+    instant of a state of any leading shape (a float for one instant). A
     normal-frame generator is rotated to the local frame of the state."""
     gen = _require_local(gen, sys)
     lead = state.second.shape[:-1]
-    # stacks of one-column and one-row products: each instant has the bits
-    # it has alone, where a matrix product over the instants would not
-    second = state.second.reshape(-1, 1, 10)
-    rates = (gen.block2 @ second[..., None])[..., 0] + gen.const2
-    flow = rates @ _energy_coeffs(hamiltonian(sys))
+    const, coeffs = _energy_rate(hamiltonian(sys), gen.block1, gen.const2)
+    # a stack of one-row products: each instant has the bits it has alone,
+    # where a matrix product over the instants would not
+    flow = const + state.second.reshape(-1, 1, 10) @ coeffs
     return flow.reshape(lead) if lead else float(flow[0, 0])

@@ -248,6 +248,17 @@ def test_json_format(tmp_path):
     assert len(payload["rows"]) == 2
 
 
+def test_sidecar_records_the_flags(tmp_path, monkeypatch):
+    # a given --out and --format win over the config, and the sidecar's
+    # config records them; --out 123 stays a string
+    monkeypatch.chdir(tmp_path)
+    assert run(["steady", "--set", "steady.points=2", "--set", 'output.format="csv"',
+                "--out", "123", "--format", "json"]) == 0
+    meta = json.loads((tmp_path / "123" / "steady.meta.json").read_text())
+    assert meta["config"]["output"] == {"dir": "123", "format": "json"}
+    assert meta["outputs"] == ["steady.json"]
+
+
 def test_json_rows_are_the_csv_cells(tmp_path):
     # one row template spells both formats: each JSON row is its CSV line
     # split at the commas
@@ -440,14 +451,24 @@ def test_hot_bath_at_high_temperature(tmp_path):
                 "--set", "baths.hot.temperature=1e5"]) == 0
 
 
+def _tool(name: str):
+    """The module tools/<name>.py, which pytest does not collect."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _battery_runs() -> list[tuple[str, ...]]:
+    """The argument tuples of tools/cli_battery.py's runs."""
+    return list(_tool("cli_battery")._runs().values())
+
+
 def test_cli_battery_covers_every_command_label_and_frame():
     # the byte-identity battery runs every subcommand and dumps every
     # generator label in both frames, so a new one cannot miss it
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_battery.py"
-    spec = importlib.util.spec_from_file_location("cli_battery", path)
-    battery = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(battery)
-    runs = battery._runs().values()
+    runs = _battery_runs()
     assert set(cli.COMMANDS) <= {args[0] for args in runs}
     dumped = set()
     for args in runs:
@@ -456,6 +477,31 @@ def test_cli_battery_covers_every_command_label_and_frame():
         if args[0] == "matrices" and {"matrices.label", "matrices.frame"} <= settings.keys():
             dumped.add((settings["matrices.label"], settings["matrices.frame"]))
     assert dumped == {(label, frame) for label in GENERATOR_LABELS for frame in FRAME_NAMES}
+
+
+def test_cli_battery_pins_the_scan_workers():
+    # scan.meta.json records the worker count, which must not be the host's
+    scans = [args for args in _battery_runs() if args[0] == "scan-ep"]
+    assert len(scans) == 5
+    assert all(args[1:3] == ("--threads", "2") for args in scans)
+
+
+def test_region_census_counts_every_draw(capsys):
+    # a small seeded census: each region and label row counts its draws
+    # once, over the five outcomes, and the same seed prints the same table
+    census = _tool("region_census")
+    tables = []
+    for _ in range(2):
+        assert census.main(["--draws", "12", "--seed", "3"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    rows = [line.strip("|").split(" | ") for line in tables[0].splitlines()[2:]]
+    assert len(rows) == (len(census.REGIONS) + 1) * 3
+    for region, label, draws, *outcomes in (map(str.strip, row) for row in rows):
+        assert int(draws) == sum(map(int, outcomes)), (region, label)
+        if region == "all":
+            assert int(draws) == 12
+    assert sum(int(row[2]) for row in rows[:-3]) == 3 * 12
 
 
 def test_cli_import_leaves_scipy_linalg_out(tmp_path):

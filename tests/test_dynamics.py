@@ -181,7 +181,7 @@ def test_propagate_logs_a_non_hurwitz_drift_once(caplog):
 
 def test_stability_is_decided_on_the_drift(monkeypatch):
     # block2's eigenvalues are the pair sums of block1's, so only the 4x4
-    # drift is eigensolved, by steady_state and propagate alike
+    # drift is eigensolved, by steady_state, propagate and the time unit alike
     shapes = []
     margin = dynamics._hurwitz_margin
 
@@ -195,7 +195,30 @@ def test_stability_is_decided_on_the_drift(monkeypatch):
         gen = build(label, FIG_SYS, HOT, COLD)
         steady_state(gen, FIG_SYS)
         propagate(gen, state0, [0.0, 1.0], FIG_SYS)
-    assert shapes == [(4, 4)] * 6
+        slowest_timescale(gen)
+    assert shapes == [(4, 4)] * 9
+
+
+def _mp_time_unit(block1: np.ndarray) -> float:
+    """0.5/|max Re eigenvalue| of a float drift, eigensolved at 60 digits."""
+    with mpmath.workdps(60):
+        eigenvalues, _ = mpmath.eig(mpmath.matrix(block1.tolist()))
+        return float(0.5 / abs(max(mpmath.re(value) for value in eigenvalues)))
+
+
+@pytest.mark.parametrize(("omega_c", "bounds"), [
+    # at the resonant EP, the LME and Redfield drifts are nearly defective
+    (1.0, {LME: 1e-6, GME: 1e-10, REDFIELD: 1e-6}),
+    (1.05, {LME: 1e-9, GME: 1e-9, REDFIELD: 1e-9}),
+])
+def test_time_unit_is_the_drift_margin(omega_c, bounds):
+    # block2's slowest rate is twice block1's in exact arithmetic, but its
+    # eigenvalues at a first-block EP carry a Jordan chain of length 3
+    sys = SystemSpec(1.0, omega_c, FIG_SYS.k)
+    for label, bound in bounds.items():
+        gen = build(label, sys, HOT, COLD)
+        reference = _mp_time_unit(gen.block1)
+        assert abs(slowest_timescale(gen) / reference - 1.0) <= bound, label
 
 
 def test_propagate_identity_at_t0():

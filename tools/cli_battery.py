@@ -36,6 +36,9 @@ from pathlib import Path
 
 LABELS = ("LME", "GME", "Redfield", "GME-zeroth", "Redfield-zeroth")
 FRAMES = ("local-quadratures", "normal-mode-quadratures")
+#: scan-ep on a fixed worker count, which scan.meta.json records: the
+#: manifest then does not depend on the host's CPUs
+SCAN_EP = ("scan-ep", "--threads", "2")
 SMALL_SCAN = ("--set", "scan.resolution=[6,8]", "--set", "scan.k=[0.0, 8e-5]")
 ALL_LABELS = ("--set", "generators=" + json.dumps(LABELS))
 #: the smallest detuning above omega_h = 1
@@ -46,7 +49,7 @@ CONFIG_FILES = {"config-file-steady": {"system": {"k": 1e-5}, "steady": {"points
 
 def _runs() -> dict[str, tuple[str, ...]]:
     runs = {
-        f"default-{command}": (command,)
+        f"default-{command}": SCAN_EP if command == "scan-ep" else (command,)
         for command in ("scan-ep", "transient", "steady", "rigidity", "ep-line", "matrices")
     }
     systems = {
@@ -64,13 +67,13 @@ def _runs() -> dict[str, tuple[str, ...]]:
                     "--set", f"matrices.frame={frame}", *settings,
                 )
     runs.update({
-        "json-scan-ep": ("scan-ep", *SMALL_SCAN, "--format", "json"),
+        "json-scan-ep": (*SCAN_EP, *SMALL_SCAN, "--format", "json"),
         "json-transient": ("transient", "--set", "transient.points=40", "--format", "json"),
         "json-steady": ("steady", "--set", "steady.points=5", "--format", "json"),
         "json-rigidity": ("rigidity", "--set", "rigidity.points=11", "--format", "json"),
-        "all-labels-scan-ep": ("scan-ep", *SMALL_SCAN, *ALL_LABELS),
+        "all-labels-scan-ep": (*SCAN_EP, *SMALL_SCAN, *ALL_LABELS),
         # rows longer than a scan tile, cut into column pieces
-        "long-row-scan-ep": ("scan-ep", "--set", "scan.resolution=[3, 1100]",
+        "long-row-scan-ep": (*SCAN_EP, "--set", "scan.resolution=[3, 1100]",
                              "--set", 'scan.blocks=["first","second"]'),
         "all-labels-rigidity": ("rigidity", "--set", "rigidity.points=21", *ALL_LABELS),
         "detuned-transient": ("transient", "--set", "system.omega_c=1.05"),
@@ -94,7 +97,7 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
                                                   '"k_min":0,"k_max":1e-4}'),
         # every point's square overflows: NaN kappa, counted in nan_points
-        "overflow-scan-ep": ("scan-ep", "--set", "scan.omega=[1e200,1e200]",
+        "overflow-scan-ep": (*SCAN_EP, "--set", "scan.omega=[1e200,1e200]",
                              "--set", "scan.k=[0,1]", "--set", "scan.resolution=[1,2]",
                              "--set", 'scan.blocks=["first","second"]'),
     })
