@@ -486,14 +486,11 @@ def test_cli_battery_pins_the_scan_workers():
     assert all(args[1:3] == ("--threads", "2") for args in scans)
 
 
-def test_region_census_counts_every_draw(capsys):
+def test_region_census_counts_every_draw():
     # a small seeded census: each region and label row counts its draws
     # once, over the five outcomes, and the same seed prints the same table
     census = _tool("region_census")
-    tables = []
-    for _ in range(2):
-        assert census.main(["--draws", "12", "--seed", "3"]) == 0
-        tables.append(capsys.readouterr().out)
+    tables = [census.table(census.census(12, 0)) for _ in range(2)]
     assert tables[0] == tables[1]
     rows = [line.strip("|").split(" | ") for line in tables[0].splitlines()[2:]]
     assert len(rows) == (len(census.REGIONS) + 1) * 3

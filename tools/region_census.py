@@ -1,9 +1,10 @@
 """Count how the stationary pipeline answers across the stability region.
 
-    PYTHONPATH=src python3 tools/region_census.py [--draws N] [--seed S]
+    PYTHONPATH=src python3 tools/region_census.py
 
 Each draw is one system at the default baths (hot T = 10, lambda^2 =
-1e-8; cold T = 5, lambda^2 = 1e-4; cutoff 1e3), taken from a fixed seed:
+1e-8; cold T = 5, lambda^2 = 1e-4; cutoff 1e3), 1,500 of them taken
+from seed 0:
 
 - omega_h log-uniform in [0.1, 10];
 - omega_c/omega_h exactly 1, 10^U(-0.3, 0.3) or 10^U(-8, 8), one third
@@ -16,13 +17,11 @@ heat_current and records the outcome: ok, StabilityError,
 ConsistencyError, NumericalError (a stationary state that does not
 conserve energy among them), or any other error. It prints one markdown
 table of the outcome counts per region and label, then the totals per
-label. The same arguments print the same table.
+label. Every run prints the same table.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections import Counter
 
 import numpy as np
@@ -91,16 +90,10 @@ def table(counts: dict[tuple[str, str], Counter]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--draws", type=int, default=1500, help="systems drawn (default 1500)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    args = parser.parse_args(argv)
-    if args.draws < 1:
-        parser.error("--draws must be at least 1")
-    print(table(census(args.draws, args.seed)))
+def main() -> int:
+    print(table(census(1500, 0)))
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
