@@ -119,9 +119,6 @@ class QuadOp:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "QuadOp":
-        return self * (-1.0)
-
     # -- queries ---------------------------------------------------------
 
     def max_abs(self) -> float:

@@ -9,16 +9,17 @@ and run batched eigen/singular-value decompositions on tiles of at most
 SCAN_TILE_POINTS grid points, all queued on one thread pool. Points
 whose eigensolve fails are NaN and counted in the scan metadata.
 
-``refine_ep`` takes the kappa peak of a stacked pre-scan as the seed of
-Newton's method on the Jordan-chain conditions of the 4x4 drift, run in
-complex coupling: the EP is a regular root there, resolved to rounding
-rather than to the flat top of kappa.
+``refine_ep`` takes the kappa peak of a stacked pre-scan of the 4x4
+drift, for either block, as the seed of Newton's method on the drift's
+Jordan-chain conditions, run in complex coupling: the EP is a regular
+root there, resolved to rounding rather than to the flat top of kappa.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -167,6 +168,20 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _two(value, name: str, real: bool = True) -> tuple:
+    """The two entries of ``value``, or ValidationError naming ``name``
+    unless it has exactly two and, with ``real``, each is a real number
+    (a bool is not)."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must have two entries, got {value!r}") from None
+    if real and not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for v in (first, second)):
+        raise ValidationError(f"{name} must be two real numbers, got {value!r}")
+    return first, second
+
+
 def _worker_count(threads: int | None) -> int:
     """``threads``, or by default the CPUs this process may run on."""
     if threads is not None:
@@ -210,7 +225,9 @@ def scan(
     "label/block" whose eigensolve failed or whose matrices overflowed
     (their kappa is NaN, with no warning printed).
     """
+    resolution = _two(resolution, "resolution", real=False)
     n_omega, n_k = (_count(n, "resolution entries") for n in resolution)
+    omega_range, k_range = _two(omega_range, "omega_range"), _two(k_range, "k_range")
     for lo, hi, name in (
         (*omega_range, "omega_range"),
         (*k_range, "k_range"),
@@ -368,11 +385,14 @@ def refine_ep(
     cold: BathSpec,
 ) -> float:
     """Exceptional coupling of ``label`` at resonant frequency omega inside
-    the bracket: a stacked pre-scan of log kappa on ``block`` locates the
-    peak, and Newton's method on the Jordan-chain conditions of the
-    label's local 4x4 drift (:func:`_jordan_chain_root`) refines it. Both
-    blocks give the same root, since the second block's eigenvalues are
-    pair sums of the first's.
+    the bracket: a stacked pre-scan of log kappa on the label's local 4x4
+    drift locates the peak, and Newton's method on the drift's Jordan-chain
+    conditions (:func:`_jordan_chain_root`) refines it. ``block`` must be
+    one of BLOCKS, and both give this root, since the second block's
+    eigenvalues are pair sums of the first's. The pre-scan reads the
+    drift for either: above k* the resonant LME's 10x10 block has exactly
+    double eigenvalues, whose arbitrary eigenvector basis makes its kappa
+    spike at random.
 
     The root k* is found in complex coupling and ``float(Re k*)`` is
     returned. On the LME line k* is real (to rounding); Redfield's cross
@@ -382,21 +402,25 @@ def refine_ep(
     the EP. The iteration ends once a Newton step moves k by at most
     NEWTON_REL_TOL |k|.
 
-    Raises BracketError when the bracket has no interior maximum (kappa
-    monotone across it) or Re k* leaves the two pre-scan points around
-    the peak; DomainError when omega or its square is not finite, or
+    Raises ValidationError unless ``k_bracket`` is two real numbers;
+    BracketError when the bracket is empty or has no interior maximum
+    (kappa monotone across it) or Re k* leaves the two pre-scan points
+    around the peak; DomainError when omega or its square is not finite, or
     when omega is negative (the closed forms refuse it for every label);
-    ValidationError when the bracket leaves the stability region;
+    ValidationError when the bracket leaves the stability region or
+    ``block`` is not in BLOCKS;
     NumericalError when the eigensolve of the pre-scan or of the Newton
     seed fails, or when the Newton iteration fails.
     """
-    lo, hi = k_bracket
+    lo, hi = _two(k_bracket, "k_bracket")
     if not hi > lo:
         raise BracketError(f"empty bracket {k_bracket!r}")
     if not math.isfinite(float(omega) * float(omega)):
         raise DomainError(f"omega and its square must be finite, got {omega!r}")
     if max(abs(lo), abs(hi)) >= omega**2:
         raise ValidationError("k_bracket leaves the stability region |k| < omega^2")
+    if block not in BLOCKS:
+        raise ValidationError(f"block must be one of {BLOCKS}")
 
     def log_kappa(kappa: float) -> float:
         return math.log(kappa) if kappa > 0 else -math.inf
@@ -405,7 +429,7 @@ def refine_ep(
     # on the boundary
     coarse = np.linspace(lo, hi, 33)
     try:
-        kappas = condition_number_of(grid_block_matrices(label, block, omega, coarse, hot, cold))
+        kappas = condition_number_of(grid_block_matrices(label, "first", omega, coarse, hot, cold))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"kappa pre-scan of the bracket failed: {exc}") from exc
     values = [log_kappa(kappa) for kappa in kappas.tolist()]

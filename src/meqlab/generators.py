@@ -20,8 +20,10 @@ bath's kept pairs are summed into one channel table
 of the choice of modes. One map takes (G, B) to (A, D)
 (:func:`_gaussian_pair`): ``build()`` applies it to
 the local-frame tables summed over the baths and reaches the normal frame
-only through :func:`frame_rotate`, and the heat-current check applies it
-to each bath's table in the label's own mode frame. Where a closed form
+only through :func:`frame_rotate`, and :func:`mode_frame`, the one home
+of a label's own mode frame (the bare oscillators for the LME, the
+normal modes for GME and Redfield), applies it to each bath's table
+there, for the heat-current check of ``thermo``. Where a closed form
 exists, the result is cross-checked against it before being returned,
 each closed form in the frame it is written in (the generator is rotated
 there), the coherent and the dissipative entries each relative to their
@@ -69,6 +71,7 @@ __all__ = [
     "NORMAL_FRAME",
     "build",
     "frame_rotate",
+    "mode_frame",
     "quadrature_rotation",
     "zeroth_order",
 ]
@@ -174,7 +177,7 @@ def _dissipator_terms(
     detuned normal mode) is skipped: it adds nothing, and its rate, at a
     frequency foreign to the bath, may overflow where the kept ones do
     not. Feeds :func:`_gaussian_pair`, in ``build()`` and, in the modes'
-    own frame, in the heat-current check of ``thermo``.
+    own frame, in :func:`mode_frame`.
     """
     secular = label in (LME, GME, GME_ZEROTH)
     freqs = (modes.omega1, modes.omega2)
@@ -294,9 +297,12 @@ def closed_form_drift(
     also unless every |k| < wh^2 (the mode frequencies sqrt(wh^2 -+ k)
     are real), naming the first bad entry, and ValidationError unless
     ``wh == wc`` exactly in every entry, the rule of
-    ``model.is_resonant``. The result is complex when an input is
-    (complex k continues the drift off the real axis), else float.
+    ``model.is_resonant``. Any other frame raises ValidationError first.
+    The result is complex when an input is (complex k continues the drift
+    off the real axis), else float.
     """
+    if not isinstance(frame, str) or frame not in FRAME_NAMES:
+        raise ValidationError(f"unknown frame {frame!r}")
     local = frame == LOCAL_FRAME
     wh, wc, k = np.asarray(wh), np.asarray(wc), np.asarray(k)
     dtype = np.result_type(wh, wc, k, float)
@@ -401,6 +407,42 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
         t = t.T
     const2 = pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
     return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
+
+
+def mode_frame(
+    label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec
+) -> tuple[NormalModes, np.ndarray | None, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The label's own mode frame, (modes, T, G, pairs): its modes
+    (:func:`_channel_modes`), the rotation T = :func:`quadrature_rotation`
+    into their quadratures, G of H = (1/2) q^T G q there, and per bath the
+    dissipator's pair (A_alpha, packed D_alpha) (:func:`_gaussian_pair` at
+    G = 0) of its channel table over those quadratures, where the table's
+    structural zeros are exact. For the bare oscillators (the LME) T is
+    None, their quadratures being the local ones, and G is
+    ``hamiltonian(sys)``, which keeps the coupling; for the normal modes
+    (GME, Redfield) G is diag(W_1^2, 1, W_2^2, 1) exactly, so the modes
+    must diagonalize the potential block V of ``hamiltonian(sys)``
+    orthogonally, V P = P diag(W^2) and P^T P = I, each entry to
+    CROSSCHECK_TOL of its terms, or ConsistencyError. An entry of P below
+    the underflow threshold may be lost, as for a subnormal k, so V P is
+    also allowed a few subnormals of its scale. The zeroth-order labels,
+    whose modes at resonance are neither set, raise ValidationError."""
+    if label in (GME_ZEROTH, REDFIELD_ZEROTH):
+        raise ValidationError(f"{label} has no own mode frame")
+    g, normal = hamiltonian(sys), normal_modes(sys)
+    modes, t = _channel_modes(label, sys, normal), None
+    if modes is normal:
+        p, w, v = modes.matrix, np.array([modes.omega1, modes.omega2]) ** 2, g[::2, ::2]
+        with np.errstate(all="ignore"):
+            off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
+        orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL
+        floor = 8.0 * np.finfo(float).smallest_subnormal * size.max()
+        if not (np.all(off <= CROSSCHECK_TOL * size + floor) and orthogonal.all()):
+            raise ConsistencyError(f"{label} normal modes (W^2 = {w.tolist()!r}, P = "
+                                   f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
+        t, g = quadrature_rotation(modes), np.diag([w[0], 1.0, w[1], 1.0])
+    tables = _dissipator_terms(label, hot, cold, modes, own_frame=True)
+    return modes, t, g, {name: _gaussian_pair(np.zeros((4, 4)), b) for name, b in tables.items()}
 
 
 # -- public construction ---------------------------------------------------

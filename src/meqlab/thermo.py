@@ -9,8 +9,10 @@ for the LME, the normal modes for GME and Redfield), where the tables'
 structural zeros are exact: a closed form in the modes' second moments,
 and that balance, an affine functional c0 + c . m of the packed moments
 (:func:`_energy_rate`; :func:`energy_flow_rate` applies the same d<H>/dt
-to a whole generator's pair). Both read the normal modes, so those must
-first diagonalize the Hamiltonian's potential block. Disagreement, or a
+to a whole generator's pair). ``generators.mode_frame`` gives the frame:
+the modes, the rotation into them, G and each bath's pair there. Both
+routes read the normal modes, so ``mode_frame`` first checks that they
+diagonalize the Hamiltonian's potential block. Disagreement, or a
 closed form that is not finite, raises; it is never silently patched. A
 stationary state (time = inf) must also conserve energy, or NumericalError.
 
@@ -36,18 +38,8 @@ from .algebra import pack_symmetric, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, _Stack, _require_local, propagate
 from .errors import ConsistencyError, NumericalError, ValidationError
-from .generators import (
-    CROSSCHECK_TOL,
-    GME,
-    LME,
-    REDFIELD,
-    MomentGenerator,
-    _channel_modes,
-    _dissipator_terms,
-    _gaussian_pair,
-    quadrature_rotation,
-)
-from .model import NormalModes, SystemSpec, hamiltonian, normal_modes
+from .generators import CROSSCHECK_TOL, GME, LME, REDFIELD, MomentGenerator, mode_frame
+from .model import NormalModes, SystemSpec, hamiltonian
 
 __all__ = [
     "HeatCurrentSample",
@@ -89,42 +81,12 @@ def _energy_rate(g: np.ndarray, a: np.ndarray, d: np.ndarray) -> tuple[float, np
     return 0.5 * np.sum(g * unpack_symmetric(d)), c
 
 
-def _mode_frame(
-    label: str, sys: SystemSpec, second: np.ndarray
-) -> tuple[NormalModes, np.ndarray, np.ndarray]:
-    """The label's modes (``generators._channel_modes``), G in their
-    quadratures and the packed second moments (..., 10) as (..., 4, 4)
-    matrices there: the bare oscillators, whose quadratures are the local
-    ones, for the LME; the normal modes, with G = diag(W_1^2, 1, W_2^2, 1)
-    exactly, for GME and Redfield. Both current routes read the normal
-    modes, so they must diagonalize the potential block V of
-    ``hamiltonian(sys)`` orthogonally, V P = P diag(W^2) and P^T P = I,
-    each entry to CROSSCHECK_TOL of its terms, or ConsistencyError. An
-    entry of P below the underflow threshold may be lost, as for a
-    subnormal k, so V P is also allowed a few subnormals of its scale."""
-    g, normal = hamiltonian(sys), normal_modes(sys)
-    modes, s = _channel_modes(label, sys, normal), unpack_symmetric(second)
-    if modes is not normal:
-        # the bare oscillators leave the coupling in G
-        return modes, g, s
-    p, w, v = modes.matrix, np.array([modes.omega1, modes.omega2]) ** 2, g[::2, ::2]
-    with np.errstate(all="ignore"):
-        off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
-    orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL
-    floor = 8.0 * np.finfo(float).smallest_subnormal * size.max()
-    if not (np.all(off <= CROSSCHECK_TOL * size + floor) and orthogonal.all()):
-        raise ConsistencyError(f"{label} normal modes (W^2 = {w.tolist()!r}, P = "
-                               f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
-    t = quadrature_rotation(modes)
-    return modes, np.diag([w[0], 1.0, w[1], 1.0]), t @ s @ t.T
-
-
 def _closed_form_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
     s: np.ndarray, magnitude: bool = False,
 ) -> dict[str, np.ndarray]:
     """Second-moment closed forms of the per-bath currents on second
-    moments ``s`` in the frame of :func:`_mode_frame`, stacked over leading
+    moments ``s`` in the frame of ``generators.mode_frame``, stacked over leading
     axes, (..., 4, 4) -> (...); with ``magnitude``, the sum of the absolute
     values of their terms.
 
@@ -180,16 +142,6 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
     )
 
 
-def _energy_balance(
-    label: str, hot: BathSpec, cold: BathSpec, modes: NormalModes, g: np.ndarray
-) -> dict[str, tuple[float, np.ndarray]]:
-    """Per bath, the (c0, c) of :func:`_energy_rate` for its pair alone, from
-    the channel table the generator construction uses, built in the frame of
-    :func:`_mode_frame`: its energy balance is c0 + c . m there."""
-    return {name: _energy_rate(g, *_gaussian_pair(np.zeros((4, 4)), b))
-            for name, b in _dissipator_terms(label, hot, cold, modes, own_frame=True).items()}
-
-
 def _verified_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, states: MomentState
 ) -> HeatCurrentSample:
@@ -202,12 +154,16 @@ def _verified_currents(
     if label not in CURRENT_LABELS:
         raise ValidationError(f"no heat-current form for label {label!r}")
     lead = states.first.shape[:-1]
-    modes, g, s = _mode_frame(label, sys, states.second.reshape(-1, 10))
+    modes, t, g, pairs = mode_frame(label, sys, hot, cold)
+    s = unpack_symmetric(states.second.reshape(-1, 10))
+    if t is not None:
+        s = t @ s @ t.T
     closed = _closed_form_currents(label, sys, hot, cold, modes, s)
     moments = pack_symmetric(s)
     scale = current_scale(sys, hot, cold)
     failures = []
-    for name, (const, coeffs) in _energy_balance(label, hot, cold, modes, g).items():
+    for name, pair in pairs.items():
+        const, coeffs = _energy_rate(g, *pair)
         value = closed[name]
         check = const + moments @ coeffs
         off = np.abs(value - check)

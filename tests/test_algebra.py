@@ -2,6 +2,7 @@
 second-moment packing."""
 
 import numpy as np
+import pytest
 
 from meqlab.algebra import (
     SECOND_MOMENT_PAIRS,
@@ -11,8 +12,10 @@ from meqlab.algebra import (
     momentum,
     pack_symmetric,
     position,
+    second_moment_flow,
     unpack_symmetric,
 )
+from meqlab.errors import ContractError
 from quadop_oracle import adjoint, dissipator_action
 
 X_H, P_H = position(0), momentum(0)
@@ -218,3 +221,13 @@ def test_pack_unpack_broadcast_over_leading_axes():
         for n, (i, j) in enumerate(SECOND_MOMENT_PAIRS):
             assert packed[idx][n] == mats[idx][i, j]
             assert unpacked[idx][i, j] == unpacked[idx][j, i] == vecs[idx][n]
+
+
+def test_operands_violating_their_contract_are_refused():
+    # a quadratic part is symmetric beyond rounding, and a flow is built
+    # only from drifts ending in (4, 4)
+    with pytest.raises(ContractError, match="must be symmetric"):
+        QuadOp(quad=np.triu(np.ones((4, 4))))
+    for shape in ((4,), (3, 4), (2, 4, 3)):
+        with pytest.raises(ContractError, match=r"must end in shape \(4, 4\)"):
+            second_moment_flow(np.zeros(shape))

@@ -58,6 +58,8 @@ def test_bose_occupation_overflow_guard():
 def test_bose_occupation_pole():
     with pytest.raises(DomainError):
         bose_occupation(5.0, 0.0)
+    with pytest.raises(DomainError, match="temperature must be >= 0"):
+        bose_occupation(-1.0, 1.0)
 
 
 def test_decay_rate_values():
@@ -166,6 +168,9 @@ def test_domain_errors_nonpositive_frequency():
             func(BATH, 0.0)
         with pytest.raises(DomainError):
             func(BATH, -1.0)
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="omega must be finite"):
+            spectral_density(BATH, omega)
 
 
 def test_kms_relative_accuracy_over_range():

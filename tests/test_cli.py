@@ -17,6 +17,8 @@ import pytest
 import meqlab
 from meqlab import cli
 from meqlab.cli import _fmt_row, main
+from meqlab.epscan import exceptional_line
+from meqlab.errors import MeqlabError
 from meqlab.generators import FRAME_NAMES, GENERATOR_LABELS, lme_drift
 
 
@@ -557,3 +559,57 @@ def test_module_exports_resolve(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+def test_scan_defaults_k_to_the_exceptional_line(tmp_path):
+    # with scan.k null, k runs from 0 to 1.5 k* at the top of the omega range
+    assert run(["scan-ep", "--out", str(tmp_path), "--threads", "1",
+                "--set", "scan.resolution=[2,3]", "--set", 'generators=["LME"]']) == 0
+    _, hot, cold = cli.parse_physics(cli.load_config(None, []))
+    k_hi = 1.5 * exceptional_line(1.5, hot, cold)
+    rows = (tmp_path / "scan_LME.csv").read_text().splitlines()[1:]
+    assert sorted({float(row.split(",")[1]) for row in rows}) == [0.0, 0.5 * k_hi, k_hi]
+    meta = json.loads((tmp_path / "scan.meta.json").read_text())
+    assert meta["config"]["scan"]["k"] is None
+
+
+def test_config_refusals_name_their_cause(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for argv, message in (
+        (["ep-line", "--set", "system.k"], "--set expects key=value, got 'system.k'"),
+        (["ep-line", "--set", "system.omega_h=0"], "'system.omega_h' must be positive, got 0.0"),
+        (["ep-line", "--set", "cutoff=-1"], "'cutoff' must be positive, got -1.0"),
+        (["ep-line", "--config", str(tmp_path / "missing.json")], "cannot read config"),
+        (["ep-line", "--config", str(listed)], "config root must be a JSON object"),
+    ):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_a_bare_package_error_exits_4(monkeypatch, capsys):
+    # an error of the base class alone, which no narrower handler takes,
+    # still exits with a code and its message, never a traceback
+    def boom(cfg, args):
+        raise MeqlabError("synthetic package error")
+
+    monkeypatch.setitem(cli.COMMANDS, "ep-line", boom)
+    assert run(["ep-line"]) == 4
+    assert capsys.readouterr().err == "error: synthetic package error\n"
+
+
+def test_line_coverage_lists_the_lines_a_run_missed():
+    # one test file under the tracer: its module runs whole, a module it
+    # never imports is listed, and the exit status says lines were missed
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "line_coverage.py"), "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_bath.py")],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"\d+ line\(s\) of src/meqlab never ran", lines[-1])
+    assert any(line.startswith("src/meqlab/cli.py: ") for line in lines)
+    assert not any(line.startswith("src/meqlab/bath.py") for line in lines)

@@ -26,6 +26,7 @@ from meqlab.errors import NumericalError, StabilityError, ValidationError
 from meqlab.generators import (
     GME,
     LME,
+    LOCAL_FRAME,
     REDFIELD,
     MomentGenerator,
     build,
@@ -275,6 +276,9 @@ def test_propagate_rejects_bad_grid():
     for grid in ([np.nan], [1.0, np.nan], [np.inf]):
         with pytest.raises(ValidationError):
             propagate(gen, state0, grid, FIG_SYS)
+    later = MomentState(state0.first, state0.second, time=1.0)
+    with pytest.raises(ValidationError, match="grid starts before"):
+        propagate(gen, later, [0.5, 2.0], FIG_SYS)
 
 
 def test_propagate_overflow_is_a_numerical_error():
@@ -592,3 +596,31 @@ def test_propagate_matches_mpmath_across_chunk_boundaries():
             errors.append(np.abs(trajectory.second[n] - s_inf - reference).max())
             deviations.append(np.abs(reference).max())
     assert max(errors) <= 5e-12 * max(deviations)
+
+
+def test_gibbs_state_at_zero_temperature_is_the_ground_state():
+    # each normal mode holds its zero-point moments 1/(2W) and W/2: a pure
+    # state on the uncertainty boundary, the limit of low temperatures
+    sys = SystemSpec(1.0, 1.3, 0.2)
+    gibbs = gibbs_state_moments(sys, 0.0)
+    modes = normal_modes(sys)
+    t = quadrature_rotation(modes)
+    s = t @ unpack_symmetric(gibbs.second) @ t.T
+    for j, omega in enumerate((modes.omega1, modes.omega2)):
+        assert s[2 * j, 2 * j] == pytest.approx(0.5 / omega, rel=1e-14)
+        assert s[2 * j + 1, 2 * j + 1] == pytest.approx(0.5 * omega, rel=1e-14)
+    assert abs(physicality_min_eig(gibbs)) < 1e-14
+    np.testing.assert_allclose(gibbs_state_moments(sys, 1e-3).second, gibbs.second,
+                               rtol=1e-14, atol=1e-16)
+
+
+def test_a_drift_without_decay_is_refused():
+    # a drift with no decaying rate has no transient time unit, and with a
+    # non-zero constant its flow block2 is singular: no affine fixed point
+    # to propagate around
+    gen = MomentGenerator(LME, LOCAL_FRAME, np.zeros((4, 4)), np.ones(10))
+    with pytest.raises(StabilityError, match="no decaying timescale"):
+        slowest_timescale(gen)
+    state0 = thermal_product_state(FIG_SYS, HOT, COLD)
+    with pytest.raises(StabilityError, match="block2 is singular"):
+        propagate(gen, state0, [0.0, 1.0], FIG_SYS)

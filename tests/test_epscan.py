@@ -154,6 +154,17 @@ def test_scan_validation():
         scan([LME], ["first"], (-1.0, 1.5), (0.0, 1e-4), (5, 5), HOT, COLD)
     with pytest.raises(ValidationError):
         scan([LME], ["bogus-block"], (0.5, 1.5), (0.0, 1e-4), (5, 5), HOT, COLD)
+    # a range is finite and ordered, and k stays below omega^2 over the
+    # whole grid (0.3 > 0.5^2)
+    for omega_range, k_range, message in (
+        ((1.5, 0.5), (0.0, 1e-4), r"invalid omega_range: \(1.5, 0.5\)"),
+        ((0.5, math.inf), (0.0, 1e-4), "invalid omega_range"),
+        ((0.5, 1.5), (1e-4, 0.0), "invalid k_range"),
+        ((0.5, 1.5), (0.0, math.nan), "invalid k_range"),
+        ((0.5, 1.5), (0.0, 0.3), "leaves the stability region"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            scan([LME], ["first"], omega_range, k_range, (3, 4), HOT, COLD, threads=1)
 
 
 @pytest.mark.parametrize("resolution, threads", [
@@ -496,7 +507,8 @@ def test_refine_ep_eigensolve_failure_is_numerical(monkeypatch, failing):
 
 def test_non_finite_omega_is_a_domain_error(monkeypatch):
     # an infinite or NaN omega, or one whose square overflows, is rejected
-    # before any drift or kappa is evaluated, with no numpy warning
+    # before any drift or kappa is evaluated, with no numpy warning;
+    # exceptional_line also refuses a non-positive omega
     import meqlab.epscan as emod
 
     def no_kappa(*args):
@@ -509,7 +521,7 @@ def test_non_finite_omega_is_a_domain_error(monkeypatch):
         for omega in (np.inf, -np.inf, np.nan, 1e200, np.float64(1e200)):
             with pytest.raises(DomainError, match="omega"):
                 refine_ep(LME, "first", omega, (1e-5, 2e-5), HOT, COLD)
-        for omega in (np.inf, np.nan):
+        for omega in (np.inf, np.nan, 0.0, -1.0):
             with pytest.raises(DomainError, match="omega"):
                 exceptional_line(omega, HOT, COLD)
 
@@ -581,16 +593,15 @@ def test_refine_newton_locus_is_the_lme_line(omega, log_lambda_sq, lo, hi):
 def test_refine_second_block_rejects_a_spurious_kappa_spike():
     # above k* the LME's 10x10 block has exactly double eigenvalues (pair
     # sums coincide), whose eigenvector basis is arbitrary: kappa spikes
-    # there at random. When such a spike beats the grid points next to
-    # k*, the EP is not at the bracket's kappa peak, and the bracket is
-    # rejected rather than the spike returned (it was 1.44 k* here)
+    # there at random, here at 1.44 k*, above the grid points next to k*.
+    # Both blocks pre-scan the 4x4 drift, so the second block finds k* too
+    # instead of refusing the bracket
     cold = BathSpec(1e-2, 5.0, 1e3)
     hot = BathSpec(1e-6, 10.0, 1e3)
     kstar = exceptional_line(0.3, hot, cold)
     bracket = (0.3 * kstar, 1.6915998318932912 * kstar)
     assert refine_ep(LME, "first", 0.3, bracket, hot, cold) == pytest.approx(kstar, rel=1e-13)
-    with pytest.raises(BracketError, match="outside the kappa peak"):
-        refine_ep(LME, "second", 0.3, bracket, hot, cold)
+    assert refine_ep(LME, "second", 0.3, bracket, hot, cold) == pytest.approx(kstar, rel=1e-13)
 
 
 @pytest.mark.parametrize("cutoff, leading", [(1.0, -1.563e-6), (10.0, -3.064e-6)])
@@ -616,3 +627,53 @@ def test_redfield_ep_reaches_the_lme_line_quadratically(cutoff, leading):
         assert larger / smaller == pytest.approx(100.0, rel=0.02)
     for larger, smaller in zip(imag, imag[1:]):
         assert larger / smaller == pytest.approx(10.0, rel=0.02)
+
+
+@pytest.mark.parametrize("function, name, value", [
+    ("scan", "resolution", (2, 2, 2)),
+    ("scan", "resolution", (2,)),
+    ("scan", "resolution", 5),
+    ("scan", "omega_range", (0.5, 1.0, 1.5)),
+    ("scan", "omega_range", ("a", 1.5)),
+    ("scan", "k_range", (0,)),
+    ("refine_ep", "k_bracket", (1e-5,)),
+    ("refine_ep", "k_bracket", (1e-6, 2e-5, 1e-4)),
+    ("refine_ep", "k_bracket", 5e-5),
+    ("refine_ep", "k_bracket", ("a", 1e-4)),
+])
+def test_malformed_tuples_are_validation_errors(function, name, value):
+    # a tuple of the wrong length, or a range entry that is not a real
+    # number, is refused naming the argument, not left to a bare
+    # ValueError or TypeError of Python's unpacking or comparison
+    args = {"omega_range": (0.5, 1.5), "k_range": (0.0, 1e-4), "resolution": (2, 3)}
+    with pytest.raises(ValidationError, match=f"^{name} must "):
+        if function == "scan":
+            scan([LME], ["first"], hot=HOT, cold=COLD, threads=1, **{**args, name: value})
+        else:
+            refine_ep(LME, "first", 1.0, value, HOT, COLD)
+
+
+def test_empty_brackets_and_unknown_blocks_are_refused():
+    kstar = exceptional_line(1.0, HOT, COLD)
+    for bracket in ((2e-5, 1e-5), (1e-5, 1e-5), (math.nan, 1e-5)):
+        with pytest.raises(BracketError, match="empty bracket"):
+            refine_ep(LME, "first", 1.0, bracket, HOT, COLD)
+    with pytest.raises(ValidationError, match="block must be one of"):
+        refine_ep(LME, "third", 1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD)
+    with pytest.raises(ValidationError, match="block must be one of"):
+        grid_block_matrices(LME, "third", 1.0, 1e-5, HOT, COLD)
+
+
+def test_newton_refuses_a_singular_or_non_finite_step(monkeypatch):
+    kstar = exceptional_line(1.0, HOT, COLD)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def non_finite(a, b):
+        return np.full(b.shape, np.nan, dtype=complex)
+
+    for solve, message in ((singular, "step is singular"), (non_finite, "step is not finite")):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(NumericalError, match=message):
+            refine_ep(LME, "first", 1.0, (0.5 * kstar, 1.5 * kstar), HOT, COLD)

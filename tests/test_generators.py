@@ -40,6 +40,7 @@ from meqlab.generators import (
     frame_rotate,
     gme_drift_local,
     lme_drift,
+    mode_frame,
     normal_const2,
     normal_drift,
     quadrature_rotation,
@@ -864,3 +865,59 @@ def test_closed_form_drift_refuses_real_k_past_omega_squared(label, frame, ratio
             closed_form_drift(label, omega, omega, k, HOT, COLD, frame)
     assert f"k = {first!r} at omega_h = {omega!r}" in str(exc.value)
     assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("frame", ["bogus", "normal", None])
+@pytest.mark.parametrize("label", [LME, GME])
+def test_closed_form_drift_refuses_an_unknown_frame(label, frame):
+    # a frame other than the two is refused before any work, for a label of
+    # the LME family and one of NORMAL_FORMS alike: it used to give the
+    # normal-frame drift, or for the LME an error naming the normal frame
+    assert (label in NORMAL_FORMS) == (label == GME)
+    for omega in (1.0, -1.0):
+        with pytest.raises(ValidationError, match=f"^unknown frame {frame!r}$"):
+            closed_form_drift(label, omega, omega, 1e-5, HOT, COLD, frame=frame)
+
+
+def test_malformed_blocks_and_unknown_labels_are_refused():
+    # a block of the wrong shape or with a non-finite entry is refused
+    # where a generator is made, and an unknown label by every entry point
+    good = build(LME, FIG_SYS, HOT, COLD)
+    bad = good.block1.copy()
+    bad[1, 2] = np.nan
+    for block1, const2, message in (
+        (np.zeros((3, 3)), good.const2, r"block1 must have shape \(4, 4\)"),
+        (good.block1, np.zeros(9), r"const2 must have shape \(10,\)"),
+        (bad, good.const2, "block1 contains non-finite"),
+        (good.block1, np.full(10, np.inf), "const2 contains non-finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            MomentGenerator(LME, LOCAL_FRAME, block1, const2)
+    with pytest.raises(ValidationError, match="unknown generator label 'bogus'"):
+        build("bogus", FIG_SYS, HOT, COLD)
+    with pytest.raises(ValidationError, match="unknown generator label 'bogus'"):
+        closed_form_drift("bogus", 1.0, 1.0, 1e-5, HOT, COLD)
+    for label in (LME, "bogus"):
+        with pytest.raises(ValidationError, match="zeroth_order is defined for"):
+            zeroth_order(label, FIG_SYS, HOT, COLD)
+
+
+def test_mode_frame_is_the_bare_or_the_normal_frame():
+    # the LME keeps the local quadratures and G itself; GME and Redfield
+    # rotate into the normal modes, where G is diagonal exactly; the
+    # zeroth-order labels have neither frame at resonance
+    modes = normal_modes(FIG_SYS)
+    w_sq = np.array([modes.omega1, modes.omega2]) ** 2
+    bare, t, g, pairs = mode_frame(LME, FIG_SYS, HOT, COLD)
+    assert t is None and g.tobytes() == hamiltonian(FIG_SYS).tobytes()
+    assert (bare.omega1, bare.omega2) == (FIG_SYS.omega_h, FIG_SYS.omega_c)
+    assert not (bare.matrix - np.eye(2)).any()
+    for label in (GME, REDFIELD):
+        got, t, g, pairs = mode_frame(label, FIG_SYS, HOT, COLD)
+        assert (got.omega1, got.omega2) == (modes.omega1, modes.omega2)
+        assert t.tobytes() == quadrature_rotation(modes).tobytes()
+        assert g.tobytes() == np.diag([w_sq[0], 1.0, w_sq[1], 1.0]).tobytes()
+        assert sorted(pairs) == ["c", "h"]
+    for label in (GME_ZEROTH, REDFIELD_ZEROTH):
+        with pytest.raises(ValidationError, match="has no own mode frame"):
+            mode_frame(label, FIG_SYS, HOT, COLD)

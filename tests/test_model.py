@@ -269,3 +269,15 @@ def test_lowering_ops_refuse_non_finite_modes():
 def test_instability_rejected():
     with pytest.raises(StabilityError):
         SystemSpec(1.0, 1.0, 1.0 + 1e-6)
+    # off resonance omega_h^2 omega_c^2 - k^2 can round to zero one ulp
+    # below the edge that SystemSpec checks; at resonance omega^2 -+ k is
+    # exact, so only an omega**2 rounded below omega*omega (libm pow) can
+    # reach that guard, shown here on specs past the edge
+    with pytest.raises(StabilityError, match="not positive"):
+        normal_modes(SystemSpec(0.675012318871769, 17.227137870926857, 11.628530281778007))
+    for k in (1.0, -1.0):
+        spec = object.__new__(SystemSpec)  # a spec that skipped its own check
+        for name, value in (("omega_h", 1.0), ("omega_c", 1.0), ("k", k)):
+            object.__setattr__(spec, name, value)
+        with pytest.raises(StabilityError, match="not positive"):
+            normal_modes(spec)

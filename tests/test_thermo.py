@@ -25,6 +25,7 @@ from meqlab.generators import (
     _channel_modes,
     _dissipator_terms,
     build,
+    mode_frame,
     quadrature_rotation,
 )
 from meqlab.model import SystemSpec, hamiltonian, normal_modes
@@ -104,6 +105,13 @@ def two_branch_currents(label, sys, hot, cold, second, magnitude=False):
     return out
 
 
+def own_frame_moments(t, second):
+    """Packed second moments (..., 10) as (..., 4, 4) matrices in the
+    frame of ``generators.mode_frame`` whose rotation is ``t``."""
+    s = unpack_symmetric(second)
+    return s if t is None else t @ s @ t.T
+
+
 def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
     # value and magnitude of every label on resonant, detuned, one-ulp
     # detuned and k = 0 systems with k of either sign, on stacks of 1, 3
@@ -123,7 +131,8 @@ def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
             second = pack_symmetric(unpack_symmetric(second) * np.eye(4))
         for label in LABELS:
             for magnitude in (False, True):
-                modes, _, s = tmod._mode_frame(label, sys, second)
+                modes, t, _, _ = mode_frame(label, sys, hot, cold)
+                s = own_frame_moments(t, second)
                 got = tmod._closed_form_currents(label, sys, hot, cold, modes, s, magnitude)
                 want = two_branch_currents(label, sys, hot, cold, second, magnitude)
                 assert got.keys() == want.keys()
@@ -176,11 +185,11 @@ def test_energy_balance_is_the_operator_expectation():
         second = np.stack([state.second for state in states])
         h_op = hamiltonian_op(hamiltonian(sys))
         for label in LABELS:
-            modes, g, s = tmod._mode_frame(label, sys, second)
-            moments = pack_symmetric(s)
+            modes, t, g, pairs = mode_frame(label, sys, hot, cold)
+            moments = pack_symmetric(own_frame_moments(t, second))
             tables = _dissipator_terms(label, hot, cold, modes)
-            balance = tmod._energy_balance(label, hot, cold, modes, g)
-            for name, (const, coeffs) in balance.items():
+            for name, pair in pairs.items():
+                const, coeffs = tmod._energy_rate(g, *pair)
                 got = const + moments @ coeffs
                 want = expectation(dissipator_action(tables[name], h_op), first, second)
                 terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
@@ -254,7 +263,7 @@ def test_currents_read_the_hamiltonian_through_the_modes(monkeypatch):
     # modes that no longer diagonalize it, here omega_2 off by 4e-4 (the
     # error of the difference formula for omega_2^2 at this ratio), are
     # refused, where both routes would otherwise read the same wrong modes
-    import meqlab.thermo as tmod
+    import meqlab.generators as gmod
 
     sys = SystemSpec(1.0, 1e-7, 0.0)
     state0 = random_state(np.random.default_rng(7))
@@ -266,10 +275,10 @@ def test_currents_read_the_hamiltonian_through_the_modes(monkeypatch):
         for name, (want, terms) in oracle_currents(label, sys, HOT, COLD, states).items():
             assert np.all(np.abs(q[name] - want) <= 1e-12 * terms), (label, name)
     modes = normal_modes(sys)
-    monkeypatch.setattr(tmod, "normal_modes",
+    gens = {label: build(label, sys, HOT, COLD) for label in (GME, REDFIELD)}
+    monkeypatch.setattr(gmod, "normal_modes",
                         lambda sys: replace(modes, omega2=modes.omega2 * (1.0 + 4e-4)))
-    for label in (GME, REDFIELD):
-        gen = build(label, sys, HOT, COLD)
+    for label, gen in gens.items():
         with pytest.raises(ConsistencyError, match="do not diagonalize"):
             transient_currents(label, sys, HOT, COLD, state0, [0.0, 1.0, 2.0], gen)
     # the LME reads G itself and keeps its bare modes
