@@ -58,7 +58,8 @@ def spectral_density(bath: BathSpec, omega: float) -> float:
     """Ohmic spectral density with algebraic cutoff, odd in omega."""
     if not math.isfinite(omega):
         raise DomainError(f"omega must be finite, got {omega!r}")
-    return bath.lambda_sq * omega * bath.cutoff**2 / (omega**2 + bath.cutoff**2)
+    cutoff_sq = bath.cutoff * bath.cutoff
+    return bath.lambda_sq * omega * cutoff_sq / (omega * omega + cutoff_sq)
 
 
 def bose_occupation(temperature: float, omega: float) -> float:
@@ -110,8 +111,9 @@ def decay_rate(bath: BathSpec, omega: float) -> float:
 def delta_coeff(bath: BathSpec, omega):
     """Drift coefficient (rate(-w) - rate(w)) / (2w) for w > 0, on floats
     and arrays: written as -J(w)/w, temperature independent, negative and
-    free of the rates' cancellation. w*w, not w**2 (libm pow for floats),
-    so a float gives the bits of the same entry of an array.
+    free of the rates' cancellation. Squares are products, the package's
+    rule (see ``model``), so a float gives the bits of the same entry of
+    an array.
 
     Complex w (the EP locus is a root in complex coupling) continues
     -J(w)/w analytically and requires Re w > 0; the result has the dtype
@@ -121,7 +123,8 @@ def delta_coeff(bath: BathSpec, omega):
     if not ((real > 0.0).all() if getattr(real, "ndim", 0) else float(real) > 0.0):
         first = np.ravel(omega)[np.argmin(np.ravel(real) > 0.0)].item()
         raise DomainError(f"delta_coeff requires Re omega > 0, got {first!r}")
-    return -bath.lambda_sq * bath.cutoff**2 / (omega * omega + bath.cutoff**2)
+    cutoff_sq = bath.cutoff * bath.cutoff
+    return -bath.lambda_sq * cutoff_sq / (omega * omega + cutoff_sq)
 
 
 def sigma_coeff(bath: BathSpec, omega: float) -> float:

@@ -379,8 +379,6 @@ def cmd_rigidity(cfg: dict, args) -> int:
     sweep = cfg["rigidity"]
     ks = np.linspace(float(sweep["k_min"]), float(sweep["k_max"]), sweep["points"])
     omega = system.omega_h
-    if np.any(np.abs(ks) >= omega**2):
-        raise ValidationError("rigidity k range leaves the stability region |k| < omega^2")
 
     header = ["k"]
     profiles = {}

@@ -210,7 +210,7 @@ _PADE_COEFFS = {
 #: log2 |c_{2m+1}| - log2 u: the leading coefficient of the approximant's
 #: error series over the unit roundoff u = 2^-53, for the correction ell
 _ELL_OFFSET = {
-    m: 53.0 + math.log2(math.factorial(m) ** 2)
+    m: 53.0 + math.log2(math.factorial(m) * math.factorial(m))
     - math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1))
     for m in _PADE_THETA
 }

@@ -31,7 +31,7 @@ from .algebra import second_moment_flow
 from .bath import BathSpec, delta_coeff
 from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .generators import GENERATOR_LABELS, LOCAL_FRAME, NORMAL_FORMS, NORMAL_FRAME, closed_form_drift
-from .model import SystemSpec
+from .model import SystemSpec, stable_coupling
 from .eigen import condition_number_of
 
 __all__ = [
@@ -104,7 +104,7 @@ def nonresonant_ep_roots(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> EpRo
     dc = delta_coeff(cold, sys.omega_c)
     diff = dh - dc
     detune = sys.omega_h - sys.omega_c
-    radicand = diff**2 - 4.0 * detune * (detune - 1j * diff)
+    radicand = diff * diff - 4.0 * detune * (detune - 1j * diff)
     root = 0.5 * math.sqrt(sys.omega_h * sys.omega_c) * cmath.sqrt(radicand)
     k_plus, k_minus = root, -root
     magnitude = abs(k_plus)
@@ -241,8 +241,8 @@ def scan(
     ks = np.linspace(k_range[0], k_range[1], n_k)
     grid_w = omegas[:, None]
     grid_k = ks[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # omega^2 = inf bounds no k
-        if np.any(np.abs(grid_k) >= grid_w**2):
+    with np.errstate(over="ignore"):  # omega*omega = inf bounds no k
+        if not stable_coupling(grid_w, grid_w, grid_k).all():
             raise ValidationError("k_range leaves the stability region |k| < omega^2")
 
     workers = _worker_count(threads)
@@ -417,7 +417,7 @@ def refine_ep(
         raise BracketError(f"empty bracket {k_bracket!r}")
     if not math.isfinite(float(omega) * float(omega)):
         raise DomainError(f"omega and its square must be finite, got {omega!r}")
-    if max(abs(lo), abs(hi)) >= omega**2:
+    if not stable_coupling(omega, omega, max(abs(lo), abs(hi))):
         raise ValidationError("k_bracket leaves the stability region |k| < omega^2")
     if block not in BLOCKS:
         raise ValidationError(f"block must be one of {BLOCKS}")

@@ -34,7 +34,9 @@ coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
 label's drifts from them, for this cross-check and the EP scans alike.
 Only the LME forms hold off resonance; the others refuse detuned
-input, by the one rule of ``model.is_resonant`` (omega_h == omega_c).
+input, by the one rule of ``model.is_resonant`` (omega_h == omega_c),
+and every form refuses a real coupling outside the one stability rule,
+``model.stable_coupling``.
 Tables and closed forms read the same Delta and Sigma of ``bath``, so
 the two routes differ only in their algebra.
 """
@@ -56,7 +58,15 @@ from .algebra import (
 )
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .errors import ConsistencyError, DomainError, ValidationError
-from .model import NormalModes, SystemSpec, hamiltonian, is_resonant, lowering_ops, normal_modes
+from .model import (
+    NormalModes,
+    SystemSpec,
+    hamiltonian,
+    is_resonant,
+    lowering_ops,
+    normal_modes,
+    stable_coupling,
+)
 
 __all__ = [
     "GENERATOR_LABELS",
@@ -226,9 +236,9 @@ def lme_drift(wh, wc, k, dh, dc) -> np.ndarray:
     """LME drift, local frame; at resonance defective at k = (w/2)|dh - dc|."""
     return _stack([
         dh / 2, 1, 0, 0,
-        -wh**2, dh / 2, -k, 0,
+        -wh * wh, dh / 2, -k, 0,
         0, 0, dc / 2, 1,
-        -k, 0, -wc**2, dc / 2,
+        -k, 0, -wc * wc, dc / 2,
     ], (4, 4))
 
 
@@ -237,9 +247,9 @@ def gme_drift_local(w, k, dm1, dm2) -> np.ndarray:
     mean, split = (dm1 + dm2) / 4, (dm1 - dm2) / 4
     return _stack([
         mean, 1, split, 0,
-        -w**2, mean, -k, split,
+        -w * w, mean, -k, split,
         split, 0, mean, 1,
-        -k, split, -w**2, mean,
+        -k, split, -w * w, mean,
     ], (4, 4))
 
 
@@ -251,9 +261,9 @@ def redfield_drift_local(w, k, c1, c2, D1h, D2h, D1c, D2c) -> np.ndarray:
     cold_diff, cold_sum = D1c / c2 - D2c / c1, D1c / c2 + D2c / c1
     return _stack([
         minus * cold_diff + plus * hot_sum, 1, minus * cold_sum + plus * hot_diff, 0,
-        -w**2, (D1h + D2h) / 4, -k, (D1h - D2h) / 4,
+        -w * w, (D1h + D2h) / 4, -k, (D1h - D2h) / 4,
         plus * cold_diff + minus * hot_sum, 0, plus * cold_sum + minus * hot_diff, 1,
-        -k, (D1c - D2c) / 4, -w**2, (D1c + D2c) / 4,
+        -k, (D1c - D2c) / 4, -w * w, (D1c + D2c) / 4,
     ], (4, 4))
 
 
@@ -263,9 +273,9 @@ def normal_drift(W1, W2, c1, c2, dm1, dm2, ds1, ds2) -> np.ndarray:
     coefficients; ds = 0 gives the GME."""
     return _stack([
         dm1 / 2, 1, (c2 / (2 * c1)) * ds2, 0,
-        -W1**2, dm1 / 2, 0, ds2 / 2,
+        -W1 * W1, dm1 / 2, 0, ds2 / 2,
         (c1 / (2 * c2)) * ds1, 0, dm2 / 2, 1,
-        0, ds1 / 2, -W2**2, dm2 / 2,
+        0, ds1 / 2, -W2 * W2, dm2 / 2,
     ], (4, 4))
 
 
@@ -293,46 +303,52 @@ def closed_form_drift(
     input has passed the local frame's checks. The NORMAL_FORMS (GME,
     GME-zeroth and Redfield) hold only at resonance and refuse other
     input: they raise DomainError unless every Re ``wh`` > 0 (their mode
-    frequencies read only wh^2, which hides the sign), for real input
-    also unless every |k| < wh^2 (the mode frequencies sqrt(wh^2 -+ k)
-    are real), naming the first bad entry, and ValidationError unless
-    ``wh == wc`` exactly in every entry, the rule of
-    ``model.is_resonant``. Any other frame raises ValidationError first.
-    The result is complex when an input is (complex k continues the drift
-    off the real axis), else float.
+    frequencies read only wh^2, which hides the sign), and then
+    ValidationError unless ``wh == wc`` exactly in every entry, the rule
+    of ``model.is_resonant``. Every label, on real input, then raises
+    DomainError outside the stability region of
+    ``model.stable_coupling``, naming the first bad entry (for the
+    NORMAL_FORMS, the mode frequencies sqrt(wh^2 -+ k) are real inside
+    it). Any other frame or label raises ValidationError first. The
+    result is complex when an input is (complex k continues the drift off
+    the real axis), else float.
     """
     if not isinstance(frame, str) or frame not in FRAME_NAMES:
         raise ValidationError(f"unknown frame {frame!r}")
+    if label not in GENERATOR_LABELS:
+        raise ValidationError(f"unknown generator label {label!r}")
     local = frame == LOCAL_FRAME
     wh, wc, k = np.asarray(wh), np.asarray(wc), np.asarray(k)
     dtype = np.result_type(wh, wc, k, float)
     wh, wc, k = (v.astype(dtype, copy=False) for v in (wh, wc, k))
-    if label in (LME, REDFIELD_ZEROTH):
+    lme_form = label in (LME, REDFIELD_ZEROTH)
+    if lme_form:
         dh, dc = delta_coeff(hot, wh), delta_coeff(cold, wc)
+    elif not (wh.real > 0.0).all():
+        raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
+    elif not (wh == wc).all():
+        raise ValidationError(f"{label} closed form is resonant: omega_c must equal omega_h")
+    if dtype.kind != "c":
+        stable = stable_coupling(wh, wc, k)
+        if not stable.all():
+            first, bad = np.argmin(stable), np.broadcast_arrays(k, wh, wc)
+            kb, whb, wcb = (v.flat[first].item() for v in bad)
+            raise DomainError(
+                f"{label} closed form requires |k| < omega_h*omega_c, got k = "
+                f"{kb!r} at omega_h = {whb!r}, omega_c = {wcb!r}"
+            )
+    if lme_form:
         if not local:
             raise ValidationError(f"{label} has no closed form in the {NORMAL_FRAME} frame")
         return lme_drift(wh, wc, k, dh, dc)
-    if label not in NORMAL_FORMS:
-        raise ValidationError(f"unknown generator label {label!r}")
-    if not (wh.real > 0.0).all():
-        raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
-    if dtype.kind != "c":
-        stable = np.abs(k) < wh**2
-        if not stable.all():
-            first, (kb, whb) = np.argmin(stable), np.broadcast_arrays(k, wh)
-            raise DomainError(
-                f"{label} closed form requires |k| < omega_h^2, got k = "
-                f"{kb.flat[first].item()!r} at omega_h = {whb.flat[first].item()!r}"
-            )
-    o1, o2 = np.sqrt(wh**2 + k), np.sqrt(wh**2 - k)
+    w_sq = wh * wh
+    o1, o2 = np.sqrt(w_sq + k), np.sqrt(w_sq - k)
     if label == GME_ZEROTH:
         dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))
     else:
         d1h, d2h = delta_coeff(hot, o1), delta_coeff(hot, o2)
         d1c, d2c = delta_coeff(cold, o1), delta_coeff(cold, o2)
         dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
-    if not (wh == wc).all():
-        raise ValidationError(f"{label} closed form is resonant: omega_c must equal omega_h")
     if local and label == REDFIELD:
         return redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c)
     if local:
@@ -432,7 +448,8 @@ def mode_frame(
     g, normal = hamiltonian(sys), normal_modes(sys)
     modes, t = _channel_modes(label, sys, normal), None
     if modes is normal:
-        p, w, v = modes.matrix, np.array([modes.omega1, modes.omega2]) ** 2, g[::2, ::2]
+        freqs = np.array([modes.omega1, modes.omega2])
+        p, w, v = modes.matrix, freqs * freqs, g[::2, ::2]
         with np.errstate(all="ignore"):
             off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
         orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL

@@ -9,6 +9,15 @@ Resonance is exact equality of the bare frequencies, omega_h == omega_c:
 only there are the normal modes the fixed 45 degree pair. Distinct
 positive doubles have distinct squares, so the general branch always
 sees a non-zero omega_h^2 - omega_c^2.
+
+Stability is :func:`stable_coupling`, |k| < omega_h*omega_c, the one
+rule that ``SystemSpec``, the closed forms of ``generators`` and the
+ranges of ``epscan`` all call. Every square in the package is written
+as a product, w*w, never w**2: IEEE 754 rounds a product correctly,
+while libm ``pow``, which ``**`` calls on floats and numpy scalars, may
+land an ulp off (at w = 0.8683284008647664, w**2 < w*w), so a square
+read as a product has the same bits wherever it is read, and a coupling
+the rule accepts keeps positive mode frequencies.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ __all__ = [
     "is_resonant",
     "lowering_ops",
     "normal_modes",
+    "stable_coupling",
 ]
 
 
@@ -34,8 +44,8 @@ __all__ = [
 class SystemSpec:
     """Bare frequencies of the hot and cold resonators and their coupling.
 
-    Stability requires |k| < omega_h * omega_c (both normal-mode
-    frequencies real); the boundary itself is rejected.
+    Stability is :func:`stable_coupling`: |k| < omega_h*omega_c (both
+    normal-mode frequencies real); the boundary itself is rejected.
     """
 
     omega_h: float
@@ -54,13 +64,21 @@ class SystemSpec:
         k = float(self.k)
         if not math.isfinite(k):
             raise ValidationError("SystemSpec.k must be finite")
-        if abs(k) >= self.omega_h * self.omega_c:
+        if not stable_coupling(self.omega_h, self.omega_c, k):
             raise StabilityError(
                 f"|k| = {abs(k)!r} must stay below omega_h*omega_c = "
                 f"{self.omega_h * self.omega_c!r}; both normal-mode "
                 "frequencies must be real"
             )
         object.__setattr__(self, "k", k)
+
+
+def stable_coupling(omega_h, omega_c, k):
+    """The one stability rule, |k| < omega_h*omega_c (both normal-mode
+    frequencies real), on real floats or broadcast over numpy arrays. The
+    boundary and NaN are outside; a product that overflows to inf bounds
+    no finite k."""
+    return abs(k) < omega_h * omega_c
 
 
 def is_resonant(sys: SystemSpec) -> bool:
@@ -98,8 +116,8 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
     # the normal range scaled and unscaled keeps its unscaled bits, while
     # sums such as omega_h^2 + omega_c^2 can no longer overflow
     e = math.frexp(max(sys.omega_h, sys.omega_c))[1]
-    wh_sq = math.ldexp(sys.omega_h**2, -2 * e)
-    wc_sq = math.ldexp(sys.omega_c**2, -2 * e)
+    wh_sq = math.ldexp(sys.omega_h * sys.omega_h, -2 * e)
+    wc_sq = math.ldexp(sys.omega_c * sys.omega_c, -2 * e)
     k = math.ldexp(sys.k, -2 * e)
     if is_resonant(sys):
         # the general angle formula is 0/0 here; the rotation is exactly
@@ -136,7 +154,7 @@ def normal_modes(sys: SystemSpec) -> NormalModes:
 def hamiltonian(sys: SystemSpec) -> np.ndarray:
     """The real symmetric 4x4 G of the total Hamiltonian H = (1/2) q^T G q
     over q = (x_h, p_h, x_c, p_c)."""
-    g = np.diag([sys.omega_h**2, 1.0, sys.omega_c**2, 1.0])
+    g = np.diag([sys.omega_h * sys.omega_h, 1.0, sys.omega_c * sys.omega_c, 1.0])
     g[0, 2] = g[2, 0] = sys.k
     return g
 

@@ -115,8 +115,8 @@ def _closed_form_currents(
             eta2 = s[..., 2 * j, 2 * j]
             pi2 = s[..., 2 * j + 1, 2 * j + 1]
             sigma = sigma_coeff(bath, freqs[j])
-            total += 0.5 * p[row, j] ** 2 * (
-                deltas[j] * (pi2 + freqs[j] ** 2 * eta2 + coupling) + freqs[j] * sigma
+            total += 0.5 * (p[row, j] * p[row, j]) * (
+                deltas[j] * (pi2 + freqs[j] * freqs[j] * eta2 + coupling) + freqs[j] * sigma
             )
         if label == REDFIELD:
             eta12 = s[..., 0, 2]

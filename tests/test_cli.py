@@ -453,6 +453,110 @@ def test_hot_bath_at_high_temperature(tmp_path):
                 "--set", "baths.hot.temperature=1e5"]) == 0
 
 
+#: a frequency whose libm square is an ulp below its product: omega**2 <
+#: omega*omega
+MISROUNDED = 0.8683284008647664
+
+
+def _region_sites(omega, k, monkeypatch):
+    """What the library's region checks say of the coupling k at resonant
+    omega, as {site: None (accepted) or the refusal's type}: SystemSpec,
+    normal_modes, every label's closed form in each frame it has, the scan
+    grid and the refine_ep bracket reaching k. The scan and refine_ep stop
+    at their first kernel call, which only an accepted range reaches."""
+    import meqlab.epscan as emod
+    from meqlab.bath import BathSpec
+    from meqlab.generators import LME, LOCAL_FRAME, NORMAL_FORMS, NORMAL_FRAME, closed_form_drift
+    from meqlab.model import SystemSpec, normal_modes
+
+    hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    def answer(site):
+        try:
+            site()
+        except Reached:
+            pass
+        except MeqlabError as exc:
+            return type(exc).__name__
+        return None
+
+    answers = {"SystemSpec": answer(lambda: SystemSpec(omega, omega, k))}
+    if answers["SystemSpec"] is None:
+        answers["normal_modes"] = answer(lambda: normal_modes(SystemSpec(omega, omega, k)))
+    for label in GENERATOR_LABELS:
+        for frame in (LOCAL_FRAME, NORMAL_FRAME) if label in NORMAL_FORMS else (LOCAL_FRAME,):
+            answers[f"{label}/{frame}"] = answer(
+                lambda: closed_form_drift(label, omega, omega, k, hot, cold, frame))
+    with monkeypatch.context() as patch:
+        patch.setattr(emod, "grid_block_matrices", reached)
+        answers["scan"] = answer(lambda: emod.scan(
+            [LME], ["first"], (omega, omega), (0.5 * k, k), (1, 2), hot, cold, threads=1))
+        answers["refine_ep"] = answer(
+            lambda: emod.refine_ep(LME, "first", omega, (0.5 * k, k), hot, cold))
+    return answers
+
+
+def _assert_one_rule(omega, monkeypatch):
+    """Every region check accepts the coupling one ulp inside omega*omega
+    and refuses omega*omega itself, each with its own error type."""
+    edge = omega * omega
+    accepted = _region_sites(omega, float(np.nextafter(edge, 0.0)), monkeypatch)
+    assert set(accepted.values()) == {None}, (omega, accepted)
+    refused = _region_sites(omega, edge, monkeypatch)
+    assert refused.pop("SystemSpec") == "StabilityError", omega
+    assert refused.pop("scan") == refused.pop("refine_ep") == "ValidationError", omega
+    assert set(refused.values()) == {"DomainError"}, (omega, refused)
+
+
+def test_every_site_reads_one_stability_rule(tmp_path, monkeypatch):
+    # at a frequency whose pow square is an ulp below its product, the
+    # coupling one ulp inside |k| < omega*omega is accepted everywhere and
+    # the edge itself refused everywhere: SystemSpec with StabilityError
+    # (exit 3), the closed forms with DomainError, the scan and refine_ep
+    # ranges with ValidationError, and rigidity's range exits 2
+    from meqlab.bath import BathSpec
+    from meqlab.generators import build
+    from meqlab.model import SystemSpec
+
+    omega = MISROUNDED
+    edge = omega * omega
+    inside = float(np.nextafter(edge, 0.0))
+    assert omega**2 == inside  # pow misrounds here
+    _assert_one_rule(omega, monkeypatch)
+
+    hot, cold = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-4, 5.0, 1e3)
+    for label in GENERATOR_LABELS:
+        build(label, SystemSpec(omega, omega, inside), hot, cold)
+    resonant = ["--set", f"system.omega_h={omega!r}", "--set", f"system.omega_c={omega!r}"]
+    for k, matrices_code, rigidity_code in ((inside, 0, 0), (edge, 3, 2)):
+        for label in GENERATOR_LABELS:
+            assert run(["matrices", "--out", str(tmp_path), *resonant,
+                        "--set", f"system.k={k!r}", "--set", f"matrices.label={label}"]
+                       ) == matrices_code
+        assert run(["rigidity", "--out", str(tmp_path), *resonant,
+                    "--set", f"rigidity.k_max={k!r}", "--set", "rigidity.points=5"]
+                   ) == rigidity_code
+
+
+def test_misrounded_squares_keep_one_stability_rule(monkeypatch):
+    # about 50 seeded frequencies across the float range whose pow square
+    # differs from their product: the same agreement as at MISROUNDED
+    rng = np.random.default_rng(32)
+    omegas = []
+    while len(omegas) < 50:
+        omega = float(10.0 ** rng.uniform(-150.0, 150.0))
+        if omega**2 != omega * omega:
+            omegas.append(omega)
+    for omega in omegas:
+        _assert_one_rule(omega, monkeypatch)
+
+
 def _tool(name: str):
     """The module tools/<name>.py, which pytest does not collect."""
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
@@ -544,6 +648,20 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def test_no_module_squares_with_pow():
+    # ** calls libm pow on floats and numpy scalars, which may round a
+    # square an ulp away from the correctly rounded product; every square
+    # in the package is written as a product, so the stability rule and
+    # the formulas read the same bits
+    found = []
+    for path in sorted(Path(meqlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 @pytest.mark.parametrize("module", sorted(

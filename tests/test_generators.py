@@ -848,22 +848,23 @@ def test_closed_form_drift_refuses_non_positive_omega(label, omega):
 
 
 @pytest.mark.parametrize("frame", [LOCAL_FRAME, NORMAL_FRAME])
-@pytest.mark.parametrize("label", NORMAL_FORMS)
+@pytest.mark.parametrize("label", GENERATOR_LABELS)
 @pytest.mark.parametrize(
     "ratios", [1.5, np.linspace(0.0, 1.5, 301)[::-1]], ids=["scalar", "array"]
 )
 def test_closed_form_drift_refuses_real_k_past_omega_squared(label, frame, ratios):
-    # the resonant forms take the mode frequencies sqrt(omega^2 -+ k): a real
-    # |k| >= omega^2 is refused in a short message naming the first bad
-    # entry, silently, not answered with NaN
+    # every form refuses a real coupling outside model.stable_coupling (the
+    # resonant forms take the mode frequencies sqrt(omega^2 -+ k)) in a
+    # short message naming the first bad entry, silently, not answered
+    # with NaN; the LME forms before refusing the normal frame
     omega = 1.1
-    k = ratios * omega**2
+    k = ratios * (omega * omega)
     first = np.ravel(k)[0].item()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"\|k\| < omega_h\^2") as exc:
+        with pytest.raises(DomainError, match=r"\|k\| < omega_h\*omega_c") as exc:
             closed_form_drift(label, omega, omega, k, HOT, COLD, frame)
-    assert f"k = {first!r} at omega_h = {omega!r}" in str(exc.value)
+    assert f"k = {first!r} at omega_h = {omega!r}, omega_c = {omega!r}" in str(exc.value)
     assert len(str(exc.value)) < 200
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meqlab.algebra import QuadOp, commutator, position
@@ -121,12 +121,13 @@ def test_normal_modes_near_overflow():
 
 
 def unscaled_normal_modes(wh, wc, k):
-    """The normal-mode formulas on the unscaled squares, kept as the
-    reference: (omega1, omega2, P)."""
+    """The normal-mode formulas on the unscaled squares, each a product,
+    kept as the reference: (omega1, omega2, P)."""
+    wh_sq, wc_sq = wh * wh, wc * wc
     if wh == wc:
         p = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        return math.sqrt(wh**2 + k), math.sqrt(wh**2 - k), p
-    delta = wh**2 - wc**2
+        return math.sqrt(wh_sq + k), math.sqrt(wh_sq - k), p
+    delta = wh_sq - wc_sq
     s = math.hypot(2.0 * k, delta)
     large = math.sqrt((s + abs(delta)) / (2.0 * s))
     small = abs(k) * math.sqrt(2.0 / ((s + abs(delta)) * s))
@@ -134,8 +135,8 @@ def unscaled_normal_modes(wh, wc, k):
     if k < 0.0:
         sin_z = -sin_z
     p = np.array([[sin_z, cos_z], [cos_z, -sin_z]])
-    o1_sq = 0.5 * (wh**2 + wc**2 + s)
-    return math.sqrt(o1_sq), math.sqrt((wh**2 * wc**2 - k * k) / o1_sq), p
+    o1_sq = 0.5 * (wh_sq + wc_sq + s)
+    return math.sqrt(o1_sq), math.sqrt((wh_sq * wc_sq - k * k) / o1_sq), p
 
 
 OMEGA_H = st.floats(0.3, 2.5)
@@ -161,13 +162,11 @@ def test_normal_modes_keep_the_unscaled_bits(omega_h, ratio, k_frac, shift):
 def test_normal_modes_scale_exactly_by_powers_of_two(omega_h, ratio, k_frac, shift):
     # frequencies times 2^j and k times 4^j: the frequencies scale by 2^j
     # and the rotation stays, bit for bit, from the bottom of the float
-    # range to the top
+    # range to the top, for every draw: the squares are correctly rounded
+    # products, which commute with the exact scaling
     omega_c = omega_h * ratio
     k = k_frac * omega_h * omega_c
     wh, wc = math.ldexp(omega_h, shift), math.ldexp(omega_c, shift)
-    # the squares come from pow, which is not always correctly rounded
-    assume(wh**2 == math.ldexp(omega_h**2, 2 * shift))
-    assume(wc**2 == math.ldexp(omega_c**2, 2 * shift))
     base = normal_modes(SystemSpec(omega_h, omega_c, k))
     scaled = normal_modes(SystemSpec(wh, wc, math.ldexp(k, 2 * shift)))
     assert scaled.omega1 == math.ldexp(base.omega1, shift)
@@ -270,9 +269,9 @@ def test_instability_rejected():
     with pytest.raises(StabilityError):
         SystemSpec(1.0, 1.0, 1.0 + 1e-6)
     # off resonance omega_h^2 omega_c^2 - k^2 can round to zero one ulp
-    # below the edge that SystemSpec checks; at resonance omega^2 -+ k is
-    # exact, so only an omega**2 rounded below omega*omega (libm pow) can
-    # reach that guard, shown here on specs past the edge
+    # below the edge that SystemSpec checks; at resonance omega*omega -+ k
+    # is exact, the square being the product the rule reads, so only a
+    # spec past the edge, one that skipped its own check, reaches that guard
     with pytest.raises(StabilityError, match="not positive"):
         normal_modes(SystemSpec(0.675012318871769, 17.227137870926857, 11.628530281778007))
     for k in (1.0, -1.0):

@@ -56,7 +56,8 @@ def random_state(rng):
 def two_branch_currents(label, sys, hot, cold, second, magnitude=False):
     """The closed forms as two branches, a local formula for the LME next
     to a loop over every normal mode, zero-weight ones included; the
-    bit-exact reference for the one-formula closed form."""
+    bit-exact reference for the one-formula closed form, squaring by
+    products as the package does."""
     size = np.abs if magnitude else (lambda x: x)
     out = {}
     if label == LME:
@@ -71,7 +72,7 @@ def two_branch_currents(label, sys, hot, cold, second, magnitude=False):
             delta = size(delta_coeff(bath, omega))
             sigma = sigma_coeff(bath, omega)
             out[name] = (
-                0.5 * delta * (p2 + omega**2 * x2 + size(sys.k) * xx)
+                0.5 * delta * (p2 + omega * omega * x2 + size(sys.k) * xx)
                 + 0.5 * omega * sigma
             )
         return out
@@ -87,8 +88,8 @@ def two_branch_currents(label, sys, hot, cold, second, magnitude=False):
             eta2 = s[..., 2 * j, 2 * j]
             pi2 = s[..., 2 * j + 1, 2 * j + 1]
             sigma = sigma_coeff(bath, freqs[j])
-            total += 0.5 * p[row, j] ** 2 * (
-                deltas[j] * (pi2 + freqs[j] ** 2 * eta2) + freqs[j] * sigma
+            total += 0.5 * (p[row, j] * p[row, j]) * (
+                deltas[j] * (pi2 + freqs[j] * freqs[j] * eta2) + freqs[j] * sigma
             )
         if label == REDFIELD:
             eta12 = s[..., 0, 2]

@@ -20,15 +20,17 @@ included), a detuned sweep from k = 0 (the one path where currents meet
 modes of zero weight), a scan whose rows are longer than one scan tile,
 both table formats, a partial --config file and a whole section set by
 --set (the config merge), a scan whose every point overflows, the
-configs near the stability edge, and those closer to it or past it that
-exit with an error code (a stationary state that does not conserve
-energy, an unstable coupling).
+configs near the stability edge, one ulp inside it at a frequency whose
+libm square (omega**2) is an ulp below its product omega*omega, and
+those closer to it or past it that exit with an error code (a stationary
+state that does not conserve energy, an unstable coupling).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +45,11 @@ SMALL_SCAN = ("--set", "scan.resolution=[6,8]", "--set", "scan.k=[0.0, 8e-5]")
 ALL_LABELS = ("--set", "generators=" + json.dumps(LABELS))
 #: the smallest detuning above omega_h = 1
 NEXT_AFTER_ONE = repr(float.fromhex("0x1.0000000000001p+0"))
+#: a resonant frequency whose libm square is an ulp below its product, and
+#: the coupling one ulp inside the stability edge |k| < omega*omega there
+MISROUNDED = ("--set", "system.omega_h=0.8683284008647664",
+              "--set", "system.omega_c=0.8683284008647664")
+INSIDE_EDGE = repr(math.nextafter(0.8683284008647664 * 0.8683284008647664, 0.0))
 #: the config.json a run finds in its directory, by run name
 CONFIG_FILES = {"config-file-steady": {"system": {"k": 1e-5}, "steady": {"points": 3}}}
 
@@ -93,6 +100,12 @@ def _runs() -> dict[str, tuple[str, ...]]:
                                   "--set", "steady.k_min=0.99999999",
                                   "--set", "steady.k_max=0.99999999", "--set", "steady.points=1"),
         "unstable-matrices": ("matrices", "--set", "system.k=1.0"),
+        "misrounded-edge-matrices-LME": ("matrices", *MISROUNDED, "--set",
+                                         f"system.k={INSIDE_EDGE}", "--set", "matrices.label=LME"),
+        "misrounded-edge-matrices-GME": ("matrices", *MISROUNDED, "--set",
+                                         f"system.k={INSIDE_EDGE}", "--set", "matrices.label=GME"),
+        "misrounded-edge-rigidity": ("rigidity", *MISROUNDED, "--set",
+                                     f"rigidity.k_max={INSIDE_EDGE}"),
         "config-file-steady": ("steady", "--config", "config.json"),
         "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
                                                   '"k_min":0,"k_max":1e-4}'),
