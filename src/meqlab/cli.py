@@ -16,6 +16,7 @@ or no steady state), 4 numerical/internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from pathlib import Path
@@ -450,7 +451,10 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and each parse copies the --set default before appending."""
     parser = argparse.ArgumentParser(
         prog="meqlab",
         description="Moment-dynamics generators, exceptional-point scans, and "

@@ -13,10 +13,10 @@ block2's eigenvalues are the pair sums of block1's, so block2 is Hurwitz
 exactly when block1 is, and its slowest rate is twice block1's.
 
 A MomentState holds one instant or a stack of them over leading axes,
-so a trajectory is one state of (T, 4) and (T, 10) arrays whose
-uncertainty check is one batched Cholesky factorization; only a
-trajectory that fails it is searched for its first violation by
-eigenvalues.
+so a trajectory is one state of (T, 4) and (T, 10) arrays. Its
+uncertainty check is one Cholesky factorization written over the
+packed moments, column by column on (T,) vectors; only a trajectory
+that fails it is searched for its first violation by eigenvalues.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import SYMPLECTIC, pack_symmetric, unpack_symmetric
+from .algebra import SYMPLECTIC, _UNPACK_INDEX, pack_symmetric, unpack_symmetric
 from .bath import BathSpec
 from .errors import NumericalError, StabilityError, ValidationError
 from .generators import (
@@ -115,6 +115,34 @@ def physicality_min_eig(state: MomentState) -> float | np.ndarray:
     tolerance) iff the moments satisfy the uncertainty relation."""
     herm = state.covariance() + 0.5j * SYMPLECTIC
     return np.linalg.eigvalsh(herm)[..., 0][()]
+
+
+def _passes_uncertainty_screen(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether Sigma + (i/2) SYMPLECTIC - PHYSICALITY_TOL * I has a Cholesky
+    factor at every instant of the moments (N, 4) and (N, 10).
+
+    The Hermitian factorization runs column by column on (N,) vectors,
+    each entry formed from the packed moments as `covariance()` forms it;
+    a pivot that is not > 0, NaN included, fails the screen. Overflow on
+    the way raises no numpy warning.
+    """
+    factor = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(4):
+            pivot = (second[:, _UNPACK_INDEX[j, j]] - first[:, j] * first[:, j]) - PHYSICALITY_TOL
+            for k in range(j):
+                done = factor[j, k]
+                pivot = pivot - (done.real * done.real + done.imag * done.imag)
+            if not (pivot > 0.0).all():
+                return False
+            root = np.sqrt(pivot)
+            for i in range(j + 1, 4):
+                entry = ((second[:, _UNPACK_INDEX[i, j]] - first[:, i] * first[:, j])
+                         + 0.5j * SYMPLECTIC[i, j])
+                for k in range(j):
+                    entry = entry - factor[i, k] * factor[j, k].conj()
+                factor[i, j] = entry / root
+    return True
 
 
 def _thermal_diag(omega: float, temperature: float) -> tuple[float, float]:
@@ -384,10 +412,13 @@ def propagate(
     products. Each block is exponentiated in one batched `expm` call over
     the distinct positive steps of both grids; as the coarse steps sum to
     the same times as the fine ones, the rounding keeps its order.
-    Uncertainty violations along the trajectory are logged once with the
-    first offending time; they are expected only for generators without
-    GKSL structure. Moments that overflow raise NumericalError naming the
-    first non-finite time.
+    The first-moment flow is homogeneous, so zero means are not
+    propagated: they stay exact +0.0, and only block2 is exponentiated.
+    Uncertainty violations along the trajectory are screened by one
+    Cholesky factorization over the packed moments and, if it fails,
+    logged once with the first offending time; they are expected only
+    for generators without GKSL structure. Moments that overflow raise
+    NumericalError naming the first non-finite time.
     """
     gen = _require_local(gen, sys)
     if np.ndim(state0.time) != 0:
@@ -431,13 +462,15 @@ def propagate(
     which_coarse = which[1 + fine.size:]
     # an overflow is reported once, below, as the first non-finite time
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = [block * distinct[1:, None, None] for block in (gen.block1, gen.block2)]
-        if not all(np.isfinite(m).all() for m in scaled):
+        scaled1, scaled2 = (block * distinct[1:, None, None] for block in (gen.block1, gen.block2))
+        if not (np.isfinite(scaled1).all() and np.isfinite(scaled2).all()):
             raise NumericalError(f"{gen.label} drift times a time step overflows")
-        first, second = (
-            _advance(expm(m), which_coarse, which_fine, start)[:count]
-            for m, start in zip(scaled, (state0.first, state0.second - shift2))
-        )
+        if state0.first.any():
+            first = _advance(expm(scaled1), which_coarse, which_fine, state0.first)[:count]
+        else:
+            # the first-moment flow is homogeneous: zero means stay exactly zero
+            first = np.zeros((count, 4))
+        second = _advance(expm(scaled2), which_coarse, which_fine, state0.second - shift2)[:count]
         second += shift2
     finite = np.isfinite(first).all(axis=-1) & np.isfinite(second).all(axis=-1)
     if not finite.all():
@@ -445,11 +478,9 @@ def propagate(
             f"{gen.label} moments overflow from t = {t_grid[np.argmin(finite)]} on"
         )
     states = MomentState(first, second, time=t_grid)
-    # one Cholesky of Sigma + (i/2) J - PHYSICALITY_TOL screens the whole
-    # trajectory; only a failed one asks the eigenvalues for the first time
-    try:
-        np.linalg.cholesky(states.covariance() + (0.5j * SYMPLECTIC - PHYSICALITY_TOL * np.eye(4)))
-    except np.linalg.LinAlgError:
+    # the Cholesky screen passes the whole trajectory at once; only a
+    # failed one asks the eigenvalues for the first time
+    if not _passes_uncertainty_screen(first, second):
         violations = np.flatnonzero(physicality_min_eig(states) < PHYSICALITY_TOL)
         if violations.size:
             log.warning(

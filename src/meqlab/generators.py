@@ -57,7 +57,7 @@ from .algebra import (
     unpack_symmetric,
 )
 from .bath import BathSpec, delta_coeff, sigma_coeff
-from .errors import ConsistencyError, DomainError, ValidationError
+from .errors import ConsistencyError, DomainError, NumericalError, ValidationError
 from .model import (
     NormalModes,
     SystemSpec,
@@ -187,21 +187,27 @@ def _dissipator_terms(
     detuned normal mode) is skipped: it adds nothing, and its rate, at a
     frequency foreign to the bath, may overflow where the kept ones do
     not. Feeds :func:`_gaussian_pair`, in ``build()`` and, in the modes'
-    own frame, in :func:`mode_frame`.
+    own frame, in :func:`mode_frame`. A term beyond the float range (the
+    coefficients of a mode of tiny frequency are large) raises
+    NumericalError naming its bath and mode frequency, without a warning.
     """
     secular = label in (LME, GME, GME_ZEROTH)
     freqs = (modes.omega1, modes.omega2)
     tables = {}
     ops = lowering_ops(modes, own_frame)
-    for name, bath, row in zip("hc", (hot, cold), ops):
-        tables[name] = np.zeros((4, 4), dtype=complex)
-        for x, omega in zip(row, freqs):
-            if not x.any():
-                continue
-            m = np.outer(np.conj(x), x if secular else sum(row))
-            m.real *= 2.0 * omega * sigma_coeff(bath, omega)
-            m.imag *= -2.0 * omega * delta_coeff(bath, omega)
-            tables[name] += m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, side, bath, row in zip("hc", ("hot", "cold"), (hot, cold), ops):
+            tables[name] = np.zeros((4, 4), dtype=complex)
+            for x, omega in zip(row, freqs):
+                if not x.any():
+                    continue
+                m = np.outer(np.conj(x), x if secular else sum(row))
+                m.real *= 2.0 * omega * sigma_coeff(bath, omega)
+                m.imag *= -2.0 * omega * delta_coeff(bath, omega)
+                if not np.isfinite(m).all():
+                    raise NumericalError(f"{label} {side} bath's channel table overflows at "
+                                         f"mode frequency {omega!r}")
+                tables[name] += m
     return tables
 
 

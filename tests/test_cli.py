@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,24 @@ def test_detuned_decoupled_steady_writes_no_nan(tmp_path):
     assert np.isfinite([float(v) for v in line.split(",")]).all(), line
 
 
+@pytest.mark.parametrize("label", ["GME", "Redfield"])
+def test_overflowing_channel_table_is_a_numerical_error(tmp_path, capsys, label):
+    # one ulp inside the edge at omega = 1e-150 the soft mode's frequency
+    # is about 1e-158, and its jump-operator coefficients square past the
+    # float range: one typed line, exit 4, no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["matrices", "--out", str(tmp_path),
+                    "--set", "system.omega_h=1e-150", "--set", "system.omega_c=1e-150",
+                    "--set", "system.k=9.999999999999999e-301",
+                    "--set", f"matrices.label={label}"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == [f"numerical error: {label} hot bath's channel table "
+                                f"overflows at mode frequency 1.2875594012283935e-158"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_rigidity_output(tmp_path):
     assert run(["rigidity", "--out", str(tmp_path),
                 "--set", "rigidity.points=21",
@@ -259,6 +278,19 @@ def test_sidecar_records_the_flags(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "123" / "steady.meta.json").read_text())
     assert meta["config"]["output"] == {"dir": "123", "format": "json"}
     assert meta["outputs"] == ["steady.json"]
+
+
+def test_the_parser_is_built_once_and_keeps_no_settings(monkeypatch):
+    # main parses with one cached parser; a --set list of one call does
+    # not reach the next, which reads the default config
+    assert cli.make_parser() is cli.make_parser()
+    configs = []
+    monkeypatch.setitem(cli.COMMANDS, "matrices", lambda cfg, args: configs.append(cfg) or 0)
+    assert run(["matrices", "--set", "system.k=1e-5"]) == 0
+    assert run(["matrices"]) == 0
+    assert configs[0]["system"]["k"] == 1e-5
+    assert configs[1] == cli.DEFAULT_CONFIG
+    assert cli.make_parser().parse_args(["matrices"]).set == []
 
 
 def test_json_rows_are_the_csv_cells(tmp_path):

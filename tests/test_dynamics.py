@@ -7,9 +7,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meqlab import dynamics
-from meqlab.algebra import pack_symmetric, unpack_symmetric
+from meqlab.algebra import SECOND_MOMENT_PAIRS, SYMPLECTIC, pack_symmetric, unpack_symmetric
 from meqlab.bath import BathSpec
 from meqlab.dynamics import (
     MomentState,
@@ -412,7 +414,8 @@ def test_expm_refuses_an_empty_matrix_and_keeps_empty_stacks(raises_quietly):
 def test_propagate_exponentiates_each_block_once(monkeypatch):
     # 400 samples run in 20 chunks of 20: one call per block over the
     # distinct positive steps of the fine grid and of the 19 coarse steps
-    # to the chunks' last samples
+    # to the chunks' last samples. Zero means are not propagated, so a
+    # thermal start exponentiates block2 alone
     shapes = []
 
     def counting(matrices):
@@ -422,11 +425,29 @@ def test_propagate_exponentiates_each_block_once(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", counting)
     gen = build(GME, FIG_SYS, HOT, COLD)
     times = np.linspace(0.0, 10.0 * slowest_timescale(gen), 400)
-    propagate(gen, thermal_product_state(FIG_SYS, HOT, COLD), times, FIG_SYS)
     coarse = np.diff(times[19::20][:-1], prepend=0.0)
     steps = len(np.unique(np.concatenate([np.diff(times), coarse])))
     assert len(np.unique(np.diff(times))) > 1  # a linspace grid has several distinct float steps
+    propagate(gen, thermal_product_state(FIG_SYS, HOT, COLD), times, FIG_SYS)
+    assert shapes == [(steps, 10, 10)]
+    shapes.clear()
+    propagate(gen, _displaced_thermal_state(), times, FIG_SYS)
     assert shapes == [(steps, 4, 4), (steps, 10, 10)]
+
+
+def test_zero_means_leave_the_second_moments_alone():
+    # the two blocks advance apart: the same raw second moments give the
+    # same bits with or without means, and zero means stay exactly +0.0
+    unit = slowest_timescale(build(REDFIELD, FIG_SYS, HOT, COLD))
+    displaced = _displaced_thermal_state()
+    centred = MomentState(np.zeros(4), displaced.second)
+    for label in (LME, GME, REDFIELD):
+        gen = build(label, FIG_SYS, HOT, COLD)
+        for times in (np.linspace(0.0, 10.0 * unit, 400), np.geomspace(1e-3, 10.0, 60) * unit):
+            moved, still = (propagate(gen, s, times, FIG_SYS) for s in (displaced, centred))
+            assert moved.second.tobytes() == still.second.tobytes()
+            assert still.first.tobytes() == np.zeros((len(times), 4)).tobytes()
+            assert np.abs(moved.first).max() > 0.0
 
 
 def _displaced_thermal_state(time=0.0) -> MomentState:
@@ -510,6 +531,65 @@ def test_gksl_trajectory_passes_the_cholesky_screen(monkeypatch):
         times = np.linspace(0.0, 10.0 * slowest_timescale(gen), 400)
         propagate(gen, state0, times, FIG_SYS)
     assert calls == []
+
+
+def _near_boundary_state(entries, offset, mean) -> MomentState:
+    """A state with a random covariance shifted along the identity, so
+    that the smallest eigenvalue of Sigma + (i/2) J - PHYSICALITY_TOL I is
+    `offset` up to rounding, and with means `mean`."""
+    a = np.reshape(entries, (4, 4))
+    sigma = a @ a.T
+    lowest = np.linalg.eigvalsh(sigma + 0.5j * SYMPLECTIC)[0]
+    sigma = sigma + (dynamics.PHYSICALITY_TOL + offset - lowest) * np.eye(4)
+    return MomentState(mean, pack_symmetric(sigma + np.outer(mean, mean)))
+
+
+#: verdicts closer to the boundary than this many eps ||M|| are rounding's
+#: call: over 400,000 seeded single states built the same way (entries
+#: and means up to 1e4), the packed screen and LAPACK disagreed on 4,826,
+#: all within 2.06 eps ||M|| of it
+SCREEN_MARGIN = 8.0
+
+_UNIT_BOX = st.floats(-1.0, 1.0)
+_NEAR_BOUNDARY = st.builds(
+    lambda entries, log_a, offset, log_offset, mean, log_mean: _near_boundary_state(
+        np.multiply(entries, 10.0**log_a), offset * 10.0**log_offset,
+        np.multiply(mean, 10.0**log_mean)),
+    st.lists(_UNIT_BOX, min_size=16, max_size=16), st.floats(-2.0, 2.0),
+    _UNIT_BOX, st.floats(-17.0, -7.0),
+    st.lists(_UNIT_BOX, min_size=4, max_size=4), st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NEAR_BOUNDARY, min_size=1, max_size=5))
+def test_packed_screen_agrees_with_lapack_cholesky(states):
+    stack = MomentState(np.array([s.first for s in states]),
+                        np.array([s.second for s in states]), time=np.arange(len(states)))
+    herm = stack.covariance() + (0.5j * SYMPLECTIC - dynamics.PHYSICALITY_TOL * np.eye(4))
+    eigenvalues = np.linalg.eigvalsh(herm)
+    scaled = eigenvalues[:, 0] / (np.finfo(float).eps * np.abs(eigenvalues).max(axis=-1))
+    assume(abs(scaled.min()) > SCREEN_MARGIN)
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        factors = False
+    else:
+        factors = True
+    assert dynamics._passes_uncertainty_screen(stack.first, stack.second) == factors
+
+
+def test_a_nan_pivot_fails_the_screen():
+    # overflowed moments fail the screen, with no warning on the way: a
+    # NaN makes its pivot NaN, an infinite correlation a later one -inf
+    first = np.zeros((2, 4))
+    for pair, bad in (((3, 3), np.nan), ((0, 3), np.inf)):
+        second = np.tile(pack_symmetric(np.eye(4)), (2, 1))
+        second[1, SECOND_MOMENT_PAIRS.index(pair)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not dynamics._passes_uncertainty_screen(first, second)
+    assert dynamics._passes_uncertainty_screen(first, np.tile(pack_symmetric(np.eye(4)), (2, 1)))
 
 
 @pytest.mark.parametrize("entry", ["propagate", "transient_currents"])

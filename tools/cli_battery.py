@@ -23,7 +23,8 @@ both table formats, a partial --config file and a whole section set by
 configs near the stability edge, one ulp inside it at a frequency whose
 libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
-state that does not conserve energy, an unstable coupling).
+state that does not conserve energy, an unstable coupling, a channel
+table beyond the float range).
 """
 
 from __future__ import annotations
@@ -106,6 +107,12 @@ def _runs() -> dict[str, tuple[str, ...]]:
                                          f"system.k={INSIDE_EDGE}", "--set", "matrices.label=GME"),
         "misrounded-edge-rigidity": ("rigidity", *MISROUNDED, "--set",
                                      f"rigidity.k_max={INSIDE_EDGE}"),
+        # one ulp inside the edge at omega = 1e-150: the soft mode's channel
+        # table overflows, a numerical error
+        "overflow-table-matrices-GME": ("matrices", "--set", "system.omega_h=1e-150",
+                                        "--set", "system.omega_c=1e-150",
+                                        "--set", "system.k=9.999999999999999e-301",
+                                        "--set", "matrices.label=GME"),
         "config-file-steady": ("steady", "--config", "config.json"),
         "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
                                                   '"k_min":0,"k_max":1e-4}'),
