@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 
 __all__ = [
     "BathSpec",
@@ -66,7 +66,9 @@ def bose_occupation(temperature: float, omega: float) -> float:
     """Occupation 1/(exp(w/T) - 1); T = 0 returns the limits 0 (w>0), -1 (w<0).
 
     Large |w/T| is guarded: the occupation underflows to exactly 0 or -1
-    instead of overflowing exp().
+    instead of overflowing exp(). Where |w/T| is so small (zero, once it
+    underflows) that the occupation, about T/w, is past the float range,
+    NumericalError.
     """
     if omega == 0.0:
         raise DomainError("bose_occupation has a pole at omega = 0")
@@ -79,7 +81,11 @@ def bose_occupation(temperature: float, omega: float) -> float:
         return 0.0
     if x < -_EXP_ARG_MAX:
         return -1.0
-    return 1.0 / math.expm1(x)
+    occupation = 1.0 / math.expm1(x) if x else math.inf
+    if not math.isfinite(occupation):
+        raise NumericalError(f"Bose occupation at omega = {omega!r}, T = {temperature!r} "
+                             "is past the float range")
+    return occupation
 
 
 def _thermal_weight(x: float) -> float:
@@ -87,12 +93,15 @@ def _thermal_weight(x: float) -> float:
 
     Computing 1 + n directly loses all precision for x << 0 (n -> -1);
     the ratio form keeps relative accuracy at machine level on both
-    sides, with saturation to the exact limits past the exp() range.
+    sides, with saturation to the exact limits past the exp() range. At
+    x = 0, an underflowed non-zero w/T, it is the limit 1/x, signed inf.
     """
     if x > _EXP_ARG_MAX:
         return 1.0
     if x < -_EXP_ARG_MAX:
         return 0.0
+    if x == 0.0:
+        return math.copysign(math.inf, x)
     return math.exp(x) / math.expm1(x)
 
 
@@ -100,11 +109,17 @@ def decay_rate(bath: BathSpec, omega: float) -> float:
     """Golden-rule rate 2 J(w) (1 + n(w)) at signed frequency w.
 
     A single analytic formula covers both signs: 1 + n(-w) = -n(w) makes
-    the w < 0 branch come out as 2 J(|w|) n(|w|) exactly.
+    the w < 0 branch come out as 2 J(|w|) n(|w|) exactly. Where |w|/T is
+    so small that the weight 1 + n, about T/w, is past the float range
+    (w/T underflows to zero on the way), the rate is its limit
+    2 T J(w)/w = -2 T Delta(|w|), the same at both signs, which overflows
+    only with lambda_sq * T.
     """
     if omega == 0.0:
         raise DomainError("decay_rate is undefined at omega = 0")
     weight = _thermal_weight(omega / bath.temperature)
+    if math.isinf(weight):
+        return -2.0 * bath.temperature * delta_coeff(bath, abs(omega))
     return 2.0 * spectral_density(bath, omega) * weight
 
 

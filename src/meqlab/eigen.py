@@ -8,9 +8,10 @@ eigenvalue condition number, Golub and Van Loan, *Matrix Computations*,
 sec. 7.2.2) and the condition number of the eigenvector matrix are the
 two witnesses of eigenvector coalescence used throughout.
 
-A stack of matrices is analysed by one batched eigensolve and inverse;
-only the callers that report the condition number add one batched SVD.
-The branch tracking of a sweep matches all its steps at once, as array
+A stack of matrices is analysed by one batched eigensolve and inverse
+(a rigidity profile, per chunk of at most PROFILE_CHUNK matrices); only
+the callers that report the condition number add one batched SVD. The
+branch tracking of a sweep matches all its steps at once, as array
 operations, and gives the orders of point-by-point greedy matching. Each
 row of a stack has the bits the matrix alone gives.
 """
@@ -36,6 +37,10 @@ __all__ = [
 #: difference of two eigenvalue distances below which a branch-tracking
 #: step is a tie (flagged in RigidityProfile.flagged)
 PAIRING_ATOL = 1e-12
+
+#: the most matrices a rigidity profile eigendecomposes at once: its eigenvector
+#: stacks are one chunk's, whatever the sweep's length
+PROFILE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,22 @@ def _checked_stack(mats: Sequence) -> np.ndarray:
     return stack
 
 
+def _inverse(v: np.ndarray) -> np.ndarray:
+    """V^-1 of one matrix or, for an exactly singular V (an exact Jordan
+    block), its pseudo-inverse over the nonzero singular values."""
+    try:
+        return np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(v, rcond=0.0)
+
+
 def _eig_stack(mats: np.ndarray):
     """(eigenvalues, right, left, rigidities) of each matrix of a checked
     stack. The rows y_i of V^-1 are the left vectors, paired with
-    the unit right vectors v_i by y_i . v_i = 1: rigidity_i = |y_i . v_i| / ||y_i||."""
+    the unit right vectors v_i by y_i . v_i = 1: rigidity_i = |y_i . v_i| / ||y_i||.
+    One batched inverse serves the stack; when a V in it is exactly
+    singular, each matrix takes its own :func:`_inverse`, so every row
+    keeps the bits it has alone."""
     try:
         evals, right = _unit_eig(mats)
     except np.linalg.LinAlgError as exc:
@@ -96,9 +113,7 @@ def _eig_stack(mats: np.ndarray):
     try:
         left = np.linalg.inv(right)
     except np.linalg.LinAlgError:
-        # an exactly singular V (an exact Jordan block): pseudo-inverses over
-        # the nonzero singular values; the one exception to the bits rule
-        left = np.linalg.pinv(right, rcond=0.0)
+        left = np.stack([_inverse(v) for v in right])
     # at an exact Jordan block V^-1 holds entries near 1e292, whose plain
     # norm overflows: scale each row by its largest entry first
     left = left / np.abs(left).max(axis=-1, keepdims=True)
@@ -192,8 +207,10 @@ def phase_rigidity_profile(
     rigidity of each branch.
 
     ``matrix_fn`` is called once per parameter and the matrices are
-    analysed as one stack, by one eig and one inverse (no SVD: a profile
-    reports no condition number). Branches are matched between consecutive
+    analysed in chunks of at most PROFILE_CHUNK, by one eig and one
+    inverse each (no SVD: a profile reports no condition number), of
+    which only the eigenvalues and rigidities are kept; a row's bits do
+    not depend on the chunks. Branches are matched between consecutive
     points by nearest eigenvalue, greedily: the branches go in order of
     their nearest distance, and each takes the first free eigenvalue (in
     LAPACK's order) at its minimum distance. Exact ties in nearest
@@ -216,7 +233,12 @@ def phase_rigidity_profile(
         empty = np.array([])
         return RigidityProfile(params, empty, empty, ())
     stack = _checked_stack([matrix_fn(v) for v in params.tolist()])
-    evals, _, _, rigidities = _eig_stack(stack)
+    evals, rigidities = [], []
+    for start in range(0, len(stack), PROFILE_CHUNK):
+        chunk_evals, _, _, chunk_rigidities = _eig_stack(stack[start:start + PROFILE_CHUNK])
+        evals.append(chunk_evals)
+        rigidities.append(chunk_rigidities)
+    evals, rigidities = np.concatenate(evals), np.concatenate(rigidities)
     with np.errstate(over="ignore"):
         step = evals[:-1, :, None] - evals[1:, None, :]
         # libm's hypot, as Python's abs of a complex; numpy's complex abs

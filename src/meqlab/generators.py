@@ -15,20 +15,21 @@ S -> A S + S A^T of A (``algebra.second_moment_flow``), and the basis
 labels are derived from them, so no stored pair can disagree. The
 labels differ only in the mode set whose jump operators
 (``model.lowering_ops``) they keep and in how they pair them; each
-bath's kept pairs are summed into one channel table
-(:func:`_dissipator_terms`); :func:`_channel_modes` is the single home
-of the choice of modes. One map takes (G, B) to (A, D)
+bath's kept pairs are summed into one channel table, both baths' in one
+(bath, 4, 4) array (:func:`_dissipator_terms`); :func:`_channel_modes`
+is the single home of the choice of modes. One map takes (G, B) to (A, D)
 (:func:`_gaussian_pair`): ``build()`` applies it to
 the local-frame tables summed over the baths and reaches the normal frame
 only through :func:`frame_rotate`, and :func:`mode_frame`, the one home
 of a label's own mode frame (the bare oscillators for the LME, the
 normal modes for GME and Redfield), applies it to each bath's table
-there, for the heat-current check of ``thermo``. Where a closed form
+there, both baths' in one stacked call, for the heat-current check of
+``thermo``. Where a closed form
 exists, the result is cross-checked against it before being returned,
-each closed form in the frame it is written in (the generator is rotated
-there), the coherent and the dissipative entries each relative to their
-own largest entry; a mismatch is an internal error, never silently
-ignored. The closed
+each closed form in the frame it is written in (the generator's blocks
+are rotated there), the coherent and the dissipative entries each
+relative to their own largest entry; a mismatch is an internal error,
+never silently ignored. The closed
 forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
@@ -57,7 +58,13 @@ from .algebra import (
     unpack_symmetric,
 )
 from .bath import BathSpec, delta_coeff, sigma_coeff
-from .errors import ConsistencyError, DomainError, NumericalError, ValidationError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    MeqlabError,
+    NumericalError,
+    ValidationError,
+)
 from .model import (
     NormalModes,
     SystemSpec,
@@ -105,6 +112,8 @@ FRAME_NAMES = {
     LOCAL_FRAME: QUADRATURE_LABELS,
     NORMAL_FRAME: ("eta_1", "Pi_1", "eta_2", "Pi_2"),
 }
+#: the 14 moment labels of each frame
+_BASIS_LABELS = {frame: moment_labels(names) for frame, names in FRAME_NAMES.items()}
 
 
 def real_array(value, name: str) -> np.ndarray:
@@ -139,13 +148,17 @@ class MomentGenerator:
                 raise ValidationError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "block2", second_moment_flow(self.block1))
+        _require_finite(self.block1, self.block2, self.const2)
         for name in ("block1", "block2", "const2"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-        names = moment_labels(FRAME_NAMES[self.frame])
-        object.__setattr__(self, "basis_labels", names)
+            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "basis_labels", _BASIS_LABELS[self.frame])
+
+
+def _require_finite(block1: np.ndarray, block2: np.ndarray, const2: np.ndarray) -> None:
+    """ValidationError naming the first of the blocks with a non-finite entry."""
+    for name, arr in (("block1", block1), ("block2", block2), ("const2", const2)):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contains non-finite entries")
 
 
 # -- dissipator channel assembly ------------------------------------------
@@ -169,46 +182,66 @@ def _channel_modes(label: str, sys: SystemSpec, modes: NormalModes) -> NormalMod
 
 def _dissipator_terms(
     label: str, hot: BathSpec, cold: BathSpec, modes: NormalModes, own_frame: bool = False
-) -> dict[str, np.ndarray]:
-    """Per-bath channel tables B_alpha = sum rate * conj(x) y^T, per label,
-    from the coefficient vectors x, y of the jump operators of the label's
-    mode set ``modes`` (:func:`_channel_modes`, ``model.lowering_ops``),
-    over the local quadratures or, with ``own_frame``, over the modes' own,
-    where their structural zeros are exact.
+) -> np.ndarray:
+    """The channel tables B_alpha = sum rate * conj(x) y^T of both baths,
+    complex, shape (2 baths, 4, 4) in the order (hot, cold), from the
+    coefficient vectors x, y of the jump operators of the label's mode set
+    ``modes`` (:func:`_channel_modes`, ``model.lowering_ops``), over the
+    local quadratures or, with ``own_frame``, over the modes' own, where
+    their structural zeros are exact.
 
     A label picks only the modes and the pairing. The pairing is Y = X
     for the secular labels and the sum of the bath's lowering operators
     for the Redfield labels, with the rate of X, and each pair's adjoint
     (X^+, Y^+). For a lowering X of frequency w the two add rate(w) M +
     rate(-w) conj(M) = 2w (Sigma Re M - i Delta Im M), M = conj(x) y^T, so
-    no table subtracts two rates and no raising operator is built. Each
-    bath's table sums its modes in order, from zero. An operator of zero
-    weight (the other oscillator's mode of the bare set, a decoupled
-    detuned normal mode) is skipped: it adds nothing, and its rate, at a
-    frequency foreign to the bath, may overflow where the kept ones do
-    not. Feeds :func:`_gaussian_pair`, in ``build()`` and, in the modes'
-    own frame, in :func:`mode_frame`. A term beyond the float range (the
+    no table subtracts two rates and no raising operator is built. The
+    terms of every (bath, mode) are one array pass: one outer product of
+    the (bath, mode) axes, weighted there, and each bath's table is the
+    sum 0 + M_1 + M_2 of its modes in order. An operator of zero weight
+    (the other oscillator's mode of the bare set, a decoupled detuned
+    normal mode) is not rated: its term is an exact zero, which leaves
+    the sum's bits alone, and its rate, at a frequency foreign to the
+    bath, may overflow where the kept ones do not. Feeds
+    :func:`_gaussian_pair`, in ``build()`` and, in the modes' own frame,
+    in :func:`mode_frame`. A term beyond the float range (the
     coefficients of a mode of tiny frequency are large) raises
     NumericalError naming its bath and mode frequency, without a warning.
+    The first failing (bath, mode), hot before cold and mode 1 before
+    mode 2, decides between that error and one its rating raises.
     """
-    secular = label in (LME, GME, GME_ZEROTH)
     freqs = (modes.omega1, modes.omega2)
-    tables = {}
     ops = lowering_ops(modes, own_frame)
+    kept = ops.any(axis=-1).tolist()
+    # the weights of Re M and Im M per (bath, mode); a mode not rated keeps 0
+    weights = np.zeros((2, 2, 2))
+    rated, failure = 4, None
+    for n in range(4):
+        side, j = divmod(n, 2)
+        if not kept[side][j]:
+            continue
+        bath, omega = (hot, cold)[side], freqs[j]
+        try:
+            weights[side, j] = (2.0 * omega * sigma_coeff(bath, omega),
+                                -2.0 * omega * delta_coeff(bath, omega))
+        except MeqlabError as exc:
+            rated, failure = n, exc
+            break
+    # Y: X itself, or the bath's lowering operators summed from zero
+    partners = ops if label in (LME, GME, GME_ZEROTH) else (0 + ops[:, 0] + ops[:, 1])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, side, bath, row in zip("hc", ("hot", "cold"), (hot, cold), ops):
-            tables[name] = np.zeros((4, 4), dtype=complex)
-            for x, omega in zip(row, freqs):
-                if not x.any():
-                    continue
-                m = np.outer(np.conj(x), x if secular else sum(row))
-                m.real *= 2.0 * omega * sigma_coeff(bath, omega)
-                m.imag *= -2.0 * omega * delta_coeff(bath, omega)
-                if not np.isfinite(m).all():
-                    raise NumericalError(f"{label} {side} bath's channel table overflows at "
-                                         f"mode frequency {omega!r}")
-                tables[name] += m
-    return tables
+        m = np.conj(ops)[..., :, None] * partners[..., None, :]
+        m.real *= weights[..., 0, None, None]
+        m.imag *= weights[..., 1, None, None]
+    if not np.isfinite(m).all():
+        # the first (bath, mode) that overflows, if it was rated
+        n = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))[0]
+        if n < rated:
+            raise NumericalError(f"{label} {('hot', 'cold')[n // 2]} bath's channel table "
+                                 f"overflows at mode frequency {freqs[n % 2]!r}")
+    if failure is not None:
+        raise failure
+    return 0 + m[:, 0] + m[:, 1]
 
 
 def _gaussian_pair(g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,9 +251,11 @@ def _gaussian_pair(g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         A = Omega (G - (Im B)^T),   D = Omega (Re B) Omega^T,
 
     of which the symmetric part of D, packed, enters the second moments.
-    G = 0 gives the dissipator's part alone."""
+    G = 0 gives the dissipator's part alone. A stack of tables (leading
+    axes) gives a stack of pairs, each with the bits it has alone."""
     d = SYMPLECTIC @ b.real @ SYMPLECTIC.T
-    return SYMPLECTIC @ (g - b.imag.T), pack_symmetric(0.5 * (d + d.T))
+    a = SYMPLECTIC @ (g - b.imag.swapaxes(-1, -2))
+    return a, pack_symmetric(0.5 * (d + d.swapaxes(-1, -2)))
 
 
 # -- closed forms: broadcast over arrays, the matrix axes last -------------
@@ -417,6 +452,15 @@ def quadrature_rotation(modes: NormalModes) -> np.ndarray:
     return t
 
 
+def _rotated(gen: MomentGenerator, to: str, modes: NormalModes) -> tuple[np.ndarray, np.ndarray]:
+    """(block1, const2) of ``gen`` in the other quadrature frame ``to``:
+    block1 rotated orthogonally and const2 by congruence."""
+    t = quadrature_rotation(modes)
+    if to == LOCAL_FRAME:
+        t = t.T
+    return t @ gen.block1 @ t.T, pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
+
+
 def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGenerator:
     """The same generator in quadrature frame ``to``: block1 rotated
     orthogonally and const2 by congruence, so block2 is the flow of the
@@ -424,11 +468,7 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
     is the identity. ``to == gen.frame`` returns ``gen``."""
     if to == gen.frame:
         return gen
-    t = quadrature_rotation(modes)
-    if to == LOCAL_FRAME:
-        t = t.T
-    const2 = pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
-    return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
+    return MomentGenerator(gen.label, to, *_rotated(gen, to, modes))
 
 
 def mode_frame(
@@ -436,11 +476,13 @@ def mode_frame(
 ) -> tuple[NormalModes, np.ndarray | None, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """The label's own mode frame, (modes, T, G, pairs): its modes
     (:func:`_channel_modes`), the rotation T = :func:`quadrature_rotation`
-    into their quadratures, G of H = (1/2) q^T G q there, and per bath the
-    dissipator's pair (A_alpha, packed D_alpha) (:func:`_gaussian_pair` at
-    G = 0) of its channel table over those quadratures, where the table's
-    structural zeros are exact. For the bare oscillators (the LME) T is
-    None, their quadratures being the local ones, and G is
+    into their quadratures, G of H = (1/2) q^T G q there, and per bath,
+    keyed "h" and "c", the dissipator's pair (A_alpha, packed D_alpha) of
+    its channel table over those quadratures, where the table's
+    structural zeros are exact: one :func:`_gaussian_pair` at G = 0 over
+    both baths' tables of :func:`_dissipator_terms`. For the bare
+    oscillators (the LME) T is None, their quadratures being the local
+    ones, and G is
     ``hamiltonian(sys)``, which keeps the coupling; for the normal modes
     (GME, Redfield) G is diag(W_1^2, 1, W_2^2, 1) exactly, so the modes
     must diagonalize the potential block V of ``hamiltonian(sys)``
@@ -465,7 +507,8 @@ def mode_frame(
                                    f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
         t, g = quadrature_rotation(modes), np.diag([w[0], 1.0, w[1], 1.0])
     tables = _dissipator_terms(label, hot, cold, modes, own_frame=True)
-    return modes, t, g, {name: _gaussian_pair(np.zeros((4, 4)), b) for name, b in tables.items()}
+    drifts, diffusions = _gaussian_pair(np.zeros((4, 4)), tables)
+    return modes, t, g, dict(zip("hc", zip(drifts, diffusions)))
 
 
 # -- public construction ---------------------------------------------------
@@ -501,18 +544,24 @@ def _crosscheck(
     gen: MomentGenerator, closed: dict[str, np.ndarray], modes: NormalModes
 ) -> None:
     """Compare a built generator with every closed form in the frame the
-    form is written in: the generator is rotated once into each frame
-    that ``closed`` has keys for, with :func:`frame_rotate`. The
-    coherent and the dissipative entries must each agree to
-    CROSSCHECK_TOL of the largest closed-form entry of their part;
-    const2 is all dissipative."""
+    form is written in: the generator's blocks are rotated once into each
+    other frame that ``closed`` has keys for, as :func:`frame_rotate`
+    rotates them, and a rotated block with a non-finite entry raises its
+    ValidationError. The coherent and the dissipative entries must each
+    agree to CROSSCHECK_TOL of the largest closed-form entry of their
+    part; const2 is all dissipative."""
     views = {}
     for key, reference in closed.items():
         name, suffix = key.split("_")
         if suffix not in views:
             frame = LOCAL_FRAME if suffix == "local" else NORMAL_FRAME
-            views[suffix] = frame_rotate(gen, frame, modes)
-        mismatch = _mismatch(name, getattr(views[suffix], name), reference)
+            blocks = (gen.block1, gen.block2, gen.const2)
+            if frame != gen.frame:
+                block1, const2 = _rotated(gen, frame, modes)
+                blocks = (block1, second_moment_flow(block1), const2)
+                _require_finite(*blocks)
+            views[suffix] = dict(zip(("block1", "block2", "const2"), blocks))
+        mismatch = _mismatch(name, views[suffix][name], reference)
         if mismatch:
             raise ConsistencyError(
                 f"{gen.label} {name} disagrees with its closed form ({mismatch})"
@@ -534,7 +583,8 @@ def build(
     delegates to this function.
     """
     modes = normal_modes(sys)
-    b = sum(_dissipator_terms(label, hot, cold, _channel_modes(label, sys, modes)).values())
+    # the baths summed from zero, 0 + B_h + B_c, as the tables sum their modes
+    b = sum(_dissipator_terms(label, hot, cold, _channel_modes(label, sys, modes)))
     block1, const2 = _gaussian_pair(hamiltonian(sys), b)
     gen = frame_rotate(MomentGenerator(label, LOCAL_FRAME, block1, const2), frame, modes)
     _crosscheck(gen, closed_form_blocks(label, sys, hot, cold, modes), modes)

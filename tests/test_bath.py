@@ -13,7 +13,7 @@ from meqlab.bath import (
     sigma_coeff,
     spectral_density,
 )
-from meqlab.errors import DomainError, ValidationError
+from meqlab.errors import DomainError, NumericalError, ValidationError
 
 BATH = BathSpec(lambda_sq=1e-4, temperature=5.0, cutoff=1e3)
 
@@ -160,6 +160,29 @@ def test_sigma_overflow_names_the_bath_and_frequency(raises_quietly):
     raises_quietly(ValidationError, sigma_coeff, hot, 1e-6)
     with pytest.raises(ValidationError, match=r"BathSpec\(lambda_sq=100\.0, .* omega = 1e-06 "):
         sigma_coeff(hot, 1e-6)
+
+
+def test_underflowed_frequency_ratio_takes_the_limit(raises_quietly):
+    # omega/T underflows to zero: the occupation, about T/omega, is past
+    # the float range and refused; the rates at +-omega are their limit
+    # 2 T J(w)/w, finite, and the noise coefficient they give overflows
+    hot = BathSpec(1e-4, 1e300, 1e3)
+    assert 1e-30 / hot.temperature == 0.0
+    for omega in (1e-30, -1e-30):
+        raises_quietly(NumericalError, bose_occupation, hot.temperature, omega)
+        assert decay_rate(hot, omega) == -2.0 * hot.temperature * delta_coeff(hot, 1e-30)
+    assert decay_rate(hot, 1e-30) == pytest.approx(2e296, rel=1e-15)
+    raises_quietly(ValidationError, sigma_coeff, hot, 1e-30)
+    with pytest.raises(ValidationError, match=r"at omega = 1e-30 is not finite"):
+        sigma_coeff(hot, 1e-30)
+    # a subnormal omega/T, whose weight 1/x overflows, takes the same
+    # limit, which the formula meets where its weight is finite
+    unit = BathSpec(1e-4, 1.0, 1e3)
+    assert 1e-320 / unit.temperature > 0.0
+    for omega in (1e-320, -1e-320):
+        raises_quietly(NumericalError, bose_occupation, unit.temperature, omega)
+        assert decay_rate(unit, omega) == pytest.approx(decay_rate(unit, 1e-300), rel=1e-14)
+    assert bose_occupation(unit.temperature, 1e-300) == pytest.approx(1e300, rel=1e-14)
 
 
 def test_domain_errors_nonpositive_frequency():

@@ -226,6 +226,37 @@ def test_overflowing_channel_table_is_a_numerical_error(tmp_path, capsys, label)
     assert not any(tmp_path.iterdir())
 
 
+def test_first_failing_channel_decides_the_error(tmp_path, capsys):
+    # the hot bath's soft mode overflows its table before the cold bath,
+    # whose noise coefficient is past the float range at T = 1e300, is
+    # rated: the hot bath's numerical error, not the cold bath's refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["matrices", "--out", str(tmp_path),
+                    "--set", "system.omega_h=1e-150", "--set", "system.omega_c=1e-150",
+                    "--set", "system.k=9.999999999999999e-301",
+                    "--set", "matrices.label=GME", "--set", "baths.cold.temperature=1e300"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical error: GME hot bath's channel table overflows at mode frequency "
+        "1.2875594012283935e-158"]
+
+
+def test_underflowed_frequency_ratio_is_a_validation_error(tmp_path, capsys):
+    # omega/T underflows to zero in the cold bath: its rates take their
+    # limit and the noise coefficient they give overflows, a typed refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["matrices", "--out", str(tmp_path),
+                    "--set", "system.omega_h=1e-30", "--set", "system.omega_c=1e-30",
+                    "--set", "system.k=0", "--set", "baths.cold.temperature=1e300"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise coefficient of BathSpec(lambda_sq=0.0001, temperature=1e+300, "
+        "cutoff=1000.0) at omega = 1e-30 is not finite"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_rigidity_output(tmp_path):
     assert run(["rigidity", "--out", str(tmp_path),
                 "--set", "rigidity.points=21",

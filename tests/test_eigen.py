@@ -271,6 +271,37 @@ def test_stack_rows_are_one_matrix_eig_mixed_real_and_complex():
         assert_rows_are_one_matrix_eig(list(mats))
 
 
+def test_singular_eigenvectors_take_their_own_pseudo_inverse(monkeypatch):
+    # an exact 3x3 Jordan block, whose V is singular, after 130 regular
+    # matrices, across a chunk boundary: every row of the stack and of the
+    # profile is eig() of its matrix alone, whatever the chunks
+    import meqlab.eigen as eigen_mod
+
+    def cyclic(k):
+        return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [k, 0.0, 0.0]])
+
+    ks = np.concatenate([np.linspace(1.0, 0.01, 130), [0.0], np.linspace(-0.01, -1.0, 20)])
+    mats = [cyclic(k) for k in ks.tolist()]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(_eig_stack(_checked_stack(mats[130:131]))[1])
+    assert_rows_are_one_matrix_eig(mats)
+    assert eigen_mod.PROFILE_CHUNK < 130
+    profiles = []
+    for chunk in (eigen_mod.PROFILE_CHUNK, 1, 7, 131, len(ks)):
+        monkeypatch.setattr(eigen_mod, "PROFILE_CHUNK", chunk)
+        profiles.append(phase_rigidity_profile(cyclic, ks))
+    for profile in profiles[1:]:
+        assert same_bits(profile.eigenvalues, profiles[0].eigenvalues)
+        assert same_bits(profile.rigidities, profiles[0].rigidities)
+        assert profile.flagged == profiles[0].flagged
+    for m, evals, rigidities in zip(mats, profiles[0].eigenvalues, profiles[0].rigidities):
+        one = eig(m)
+        got = sorted(zip(evals.real.tolist(), evals.imag.tolist(), rigidities.tolist()))
+        want = sorted(zip(one.eigenvalues.real.tolist(), np.imag(one.eigenvalues).tolist(),
+                          one.rigidities.tolist()))
+        assert got == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     label=st.sampled_from([LME, GME, REDFIELD]),

@@ -2,6 +2,7 @@
 identities, frame rotation, and independent oracles."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from meqlab.algebra import (
 )
 from meqlab.bath import BathSpec, decay_rate, delta_coeff, sigma_coeff
 from meqlab.dynamics import steady_state
-from meqlab.errors import DomainError, ValidationError
+from meqlab.errors import DomainError, NumericalError, ValidationError
 from meqlab.generators import (
     GENERATOR_LABELS,
     GME,
@@ -34,6 +35,7 @@ from meqlab.generators import (
     MomentGenerator,
     _channel_modes,
     _dissipator_terms,
+    _gaussian_pair,
     build,
     closed_form_blocks,
     closed_form_drift,
@@ -422,13 +424,16 @@ def _lowering(x, p, omega):
     return 0.5 * x + (0.5j / omega) * p
 
 
-def list_channels(label, sys):
+def list_channels(label, sys, own_frame=False):
     """Every channel as a (bath, signed frequency, coefficient vector)
     triple, built one vector at a time as the local and global jump
     operator lists were: each oscillator's own pair for the LME and the
     detuned zeroth-order labels, else one pair per bath and normal mode,
     weighted by P, at frequencies collapsed to omega_h for the resonant
-    zeroth-order labels."""
+    zeroth-order labels. With ``own_frame`` the vectors are over the
+    modes' own quadratures (eta_1, Pi_1, eta_2, Pi_2): the mode
+    quadratures are those of the positions and momenta by C = I in place
+    of P (the bare oscillators' own quadratures are the local ones)."""
     if label == LME or (label in (GME_ZEROTH, REDFIELD_ZEROTH) and not is_resonant(sys)):
         channels = []
         for idx, (name, omega) in enumerate((("h", sys.omega_h), ("c", sys.omega_c))):
@@ -439,8 +444,9 @@ def list_channels(label, sys):
     if label in (GME_ZEROTH, REDFIELD_ZEROTH):
         modes = dataclasses.replace(modes, omega1=sys.omega_h, omega2=sys.omega_h)
     p = modes.matrix
-    eta = [p[0, j] * _X[0] + p[1, j] * _X[1] for j in range(2)]
-    pi = [p[0, j] * _P[0] + p[1, j] * _P[1] for j in range(2)]
+    c = np.eye(2) if own_frame else p
+    eta = [c[0, j] * _X[0] + c[1, j] * _X[1] for j in range(2)]
+    pi = [c[0, j] * _P[0] + c[1, j] * _P[1] for j in range(2)]
     freqs = (modes.omega1, modes.omega2)
     channels = []
     for row, name in ((0, "h"), (1, "c")):
@@ -450,14 +456,14 @@ def list_channels(label, sys):
     return channels
 
 
-def list_tables(label, sys, hot, cold):
+def list_tables(label, sys, hot, cold, own_frame=False):
     """The channel tables summed over the lowering channels of
     :func:`list_channels`, one outer product at a time: the bit-exact
     oracle of _dissipator_terms."""
     baths = {"h": hot, "c": cold}
     secular = label in (LME, GME, GME_ZEROTH)
     tables = {name: np.zeros((4, 4), dtype=complex) for name in baths}
-    lowering = [ch for ch in list_channels(label, sys) if ch[1] > 0.0]
+    lowering = [ch for ch in list_channels(label, sys, own_frame) if ch[1] > 0.0]
     for name, omega, x in lowering:
         ys = [x] if secular else [y for bath, _, y in lowering if bath == name]
         m = np.outer(np.conj(x), sum(ys))
@@ -469,7 +475,8 @@ def list_tables(label, sys, hot, cold):
 
 def test_channel_tables_are_the_jump_list_tables_bit_for_bit():
     # resonant, detuned and one ulp detuned, with k = 0 on every fourth
-    # draw and |k| up to 1 - 1e-12 of the stability edge elsewhere
+    # draw and |k| up to 1 - 1e-12 of the stability edge elsewhere; the
+    # tables over the local quadratures and over the modes' own
     rng = np.random.default_rng(24)
     for i in range(600):
         wh = 10 ** rng.uniform(-2.0, 2.0)
@@ -479,13 +486,14 @@ def test_channel_tables_are_the_jump_list_tables_bit_for_bit():
         sys = SystemSpec(wh, float(wc), k)
         hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
                               10 ** rng.uniform(0, 4)) for _ in range(2))
-        for label in GENERATOR_LABELS:
+        for label, own_frame in itertools.product(GENERATOR_LABELS, (False, True)):
             modes = _channel_modes(label, sys, normal_modes(sys))
-            got = _dissipator_terms(label, hot, cold, modes)
-            want = list_tables(label, sys, hot, cold)
-            assert got.keys() == want.keys()
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
+            got = _dissipator_terms(label, hot, cold, modes, own_frame)
+            want = list_tables(label, sys, hot, cold, own_frame)
+            # one table per bath, hot first
+            assert got.shape == (len(want), 4, 4) and got.dtype == complex
+            for table, name in zip(got, ("h", "c"), strict=True):
+                assert table.tobytes() == want[name].tobytes(), (label, own_frame, sys, name)
 
 
 def test_zero_weight_operators_are_not_rated():
@@ -499,6 +507,43 @@ def test_zero_weight_operators_are_not_rated():
     for label in GENERATOR_LABELS:
         gen = build(label, sys, hot, COLD)
         assert np.isfinite(gen.block1).all() and np.isfinite(gen.const2).all()
+
+
+@pytest.mark.parametrize("label", [GME, REDFIELD])
+def test_first_failing_channel_decides(raises_quietly, label):
+    # at omega = 1e-150 one ulp inside the edge the soft mode's table term
+    # overflows, and a bath at T = 1e300 cannot rate the hard mode: the
+    # first failing (bath, mode), hot before cold and mode 1 before mode 2,
+    # decides, whatever fails after it
+    sys = SystemSpec(1e-150, 1e-150, 9.999999999999999e-301)
+    modes = _channel_modes(label, sys, normal_modes(sys))
+    hot, far = BathSpec(1e-8, 10.0, 1e3), BathSpec(1e-8, 1e300, 1e3)
+    assert modes.omega2 == 1.2875594012283935e-158
+    for first, cold, error, message in (
+        (hot, far, NumericalError, "hot bath's channel table overflows at mode frequency "
+                                   "1.2875594012283935e-158"),
+        (far, hot, ValidationError, r"temperature=1e\+300.* at omega = 1.414213562373095e-150 "),
+    ):
+        raises_quietly(error, _dissipator_terms, label, first, cold, modes)
+        with pytest.raises(error, match=message):
+            _dissipator_terms(label, first, cold, modes)
+
+
+def test_rotated_blocks_past_the_float_range_are_refused():
+    # the local GME generator is finite, but its normal-frame block2 holds
+    # twice W_1^2 = omega^2 + k: the cross-check's rotation into that frame
+    # refuses it as a rotated generator would, naming the block
+    w = np.sqrt(0.8e308)
+    sys = SystemSpec(w, w, 0.7e308)
+    modes = _channel_modes(GME, sys, normal_modes(sys))
+    b = sum(_dissipator_terms(GME, HOT, COLD, modes))
+    local = MomentGenerator(GME, LOCAL_FRAME, *_gaussian_pair(hamiltonian(sys), b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
+            frame_rotate(local, NORMAL_FRAME, modes)
+        with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
+            build(GME, sys, HOT, COLD)
 
 
 def test_gksl_oracle_matches_engine_lme():
@@ -561,7 +606,7 @@ def test_gaussian_pair_matches_operator_algebra():
                 got = 1j * commutator(h_op, o)
                 assert got.distance(coherent) <= 1e-12 * coherent.max_abs()
                 got = QuadOp()
-                for b in tables.values():
+                for b in tables:
                     got = got + dissipator_action(b, o)
                 assert got.distance(dissipative) <= 1e-12 * dissipative.max_abs()
 

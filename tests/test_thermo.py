@@ -188,7 +188,7 @@ def test_energy_balance_is_the_operator_expectation():
         for label in LABELS:
             modes, t, g, pairs = mode_frame(label, sys, hot, cold)
             moments = pack_symmetric(own_frame_moments(t, second))
-            tables = _dissipator_terms(label, hot, cold, modes)
+            tables = dict(zip("hc", _dissipator_terms(label, hot, cold, modes), strict=True))
             for name, pair in pairs.items():
                 const, coeffs = tmod._energy_rate(g, *pair)
                 got = const + moments @ coeffs
@@ -231,7 +231,8 @@ def oracle_currents(label, sys, hot, cold, state):
     """Per bath, the expectation of the bath's adjoint dissipator applied
     to H through the operator algebra, on the local tables and moments,
     and the magnitude of its terms."""
-    tables = _dissipator_terms(label, hot, cold, _channel_modes(label, sys, normal_modes(sys)))
+    modes = _channel_modes(label, sys, normal_modes(sys))
+    tables = dict(zip("hc", _dissipator_terms(label, hot, cold, modes), strict=True))
     h_op = hamiltonian_op(hamiltonian(sys))
     moments = np.abs(np.concatenate([state.first, state.second], axis=-1))
     out = {}

@@ -24,7 +24,8 @@ configs near the stability edge, one ulp inside it at a frequency whose
 libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
-table beyond the float range).
+table beyond the float range, also with a second bath that fails later
+in the channel order), and a bath whose omega/T underflows to zero.
 """
 
 from __future__ import annotations
@@ -113,6 +114,16 @@ def _runs() -> dict[str, tuple[str, ...]]:
                                         "--set", "system.omega_c=1e-150",
                                         "--set", "system.k=9.999999999999999e-301",
                                         "--set", "matrices.label=GME"),
+        # the same with a cold bath at T = 1e300, whose noise coefficient
+        # overflows too: the hot bath's table, rated first, decides
+        "overflow-table-hot-first-matrices-GME": (
+            "matrices", "--set", "system.omega_h=1e-150", "--set", "system.omega_c=1e-150",
+            "--set", "system.k=9.999999999999999e-301", "--set", "matrices.label=GME",
+            "--set", "baths.cold.temperature=1e300"),
+        # omega/T underflows to zero in the cold bath: a validation error
+        "underflow-ratio-matrices": ("matrices", "--set", "system.omega_h=1e-30",
+                                     "--set", "system.omega_c=1e-30", "--set", "system.k=0",
+                                     "--set", "baths.cold.temperature=1e300"),
         "config-file-steady": ("steady", "--config", "config.json"),
         "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
                                                   '"k_min":0,"k_max":1e-4}'),
