@@ -230,7 +230,7 @@ def moment_labels(names: Sequence[str]) -> tuple[str, ...]:
         if i == j:
             out.append(f"{names[i]}^2")
         elif (i, j) in ((0, 1), (2, 3)):
-            out.append("{%s,%s}/2" % (names[i], names[j]))
+            out.append(f"{{{names[i]},{names[j]}}}/2")
         else:
             out.append(f"{names[i]} {names[j]}")
     return tuple(out)

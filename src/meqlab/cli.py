@@ -5,9 +5,11 @@ One JSON config document drives everything (--config), with individual
 --set key=value overrides using dotted paths. SETTINGS holds each
 setting's default and rule; load_config checks the whole document
 against it, whichever command reads it, and each command then reads
-plain values. Numeric output is formatted with 17 significant digits
-and '\\n' line endings, so identical configs produce byte-identical
-files.
+plain values. Numeric output has 17 significant digits, byte for byte
+as '%.17g' % x, and '\\n' line endings, so identical configs produce
+byte-identical files. Tables are spelled column-wise by meqlab.spell;
+only non-finite values, nonzero magnitudes outside [1e-290, 1e290) and
+possible rounding ties fall back to '%.17g' one value at a time.
 
 Exit codes: 0 success, 2 validation error, 3 physics error (instability
 or no steady state), 4 numerical/internal failure.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spell
 from .bath import BathSpec
 from .dynamics import slowest_timescale, steady_state, thermal_product_state
 from .epscan import BLOCKS, EP_KAPPA_THRESHOLD, exceptional_line, grid_block_matrices, scan
@@ -56,9 +58,9 @@ EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
 
 def _fmt_row(values) -> list[str]:
-    """Each number with 17 significant digits; '%.17g' already spells
-    nan (of either sign), inf and -inf."""
-    return ["%.17g" % value for value in values]
+    """Each number of a 1-D sequence spelled as the tables spell it."""
+    values = np.asarray(values, dtype=np.float64)
+    return b"".join(spell.table_lines([values], values.shape)).decode().splitlines()
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -249,22 +251,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(path: Path, header: list[str], rows, fmt: str, line: str = "") -> Path:
-    """Write one table deterministically, each row spelled by the
-    comma-separated '%' template ``line`` (default '%.17g' in every
-    column): a CSV row is the template with a '\\n' ending, a JSON row
-    the list of its cells."""
-    line = line or ",".join(["%.17g"] * len(header))
+def _write_table(path: Path, header: list[str], columns, fmt: str,
+                 shape: tuple[int, ...] | None = None) -> Path:
+    """Write one table deterministically. Its rows run over ``shape``
+    (default: the first column's length) in C order; each column is a
+    float array, spelled by :func:`meqlab.spell.table_lines`, or an array
+    of spelled cells (see there). A CSV row is its cells joined by ','
+    with a '\\n' ending, a JSON row the list of the same cells."""
+    lines = spell.table_lines(columns, shape or (len(columns[0]),))
     if fmt == "csv":
         target = path.with_suffix(".csv")
-        template = line + "\n"
-        with open(target, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(template % tuple(row) for row in rows)
+        with open(target, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            fh.writelines(lines)
     else:
         target = path.with_suffix(".json")
-        cells = line.split(",")
-        rows = [[cell % value for cell, value in zip(cells, row)] for row in rows]
+        rows = [line.split(",") for line in b"".join(lines).decode().splitlines()]
         _write_json(target, {"header": header, "rows": rows})
     return target
 
@@ -297,19 +299,16 @@ def cmd_scan(cfg: dict, args) -> int:
     result = scan(cfg["generators"], blocks, omega_range, k_range,
                   tuple(settings["resolution"]), hot, cold, threads=args.threads)
     out, fmt = _output(cfg)
-    # each grid value repeats on many rows: format it once
-    omegas = _fmt_row(result.omegas.tolist())
-    ks = _fmt_row(result.ks.tolist())
+    # rows run over (block, omega, k); each grid value repeats on many
+    # rows: spell it once
+    shape = (len(blocks), result.omegas.size, result.ks.size)
+    spelled = [spell.cells(result.omegas)[None, :, None], spell.cells(result.ks)[None, None, :]]
+    block_cells = spell.text_cells(blocks)[:, None, None]
     outputs = []
     for label in cfg["generators"]:
-        rows = (
-            (w, k, kappa, block)
-            for block in blocks
-            for w, kap_row in zip(omegas, result.kappas[(label, block)])
-            for k, kappa in zip(ks, kap_row.tolist())
-        )
-        target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"], rows,
-                              fmt, "%s,%s,%.17g,%s")
+        kappas = np.stack([result.kappas[(label, block)] for block in blocks])
+        target = _write_table(out / f"scan_{label}", ["omega", "k", "kappa", "block"],
+                              [*spelled, kappas, block_cells], fmt, shape)
         outputs.append(target.name)
     _write_sidecar(out / "scan.meta.json", "scan-ep", cfg, outputs,
                    extras={"ep_kappa_threshold": EP_KAPPA_THRESHOLD, **result.metadata})
@@ -336,9 +335,8 @@ def cmd_transient(cfg: dict, args) -> int:
         steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
     header = ["t"] + [f"Q_{side}_{tag}" for side in ("hot", "cold") for _, tag in _TRANSIENT_LABELS]
-    table = np.column_stack([columns[name] for name in header])
     out, fmt = _output(cfg)
-    target = _write_table(out / "transient", header, table.tolist(), fmt)
+    target = _write_table(out / "transient", header, [columns[name] for name in header], fmt)
     _write_sidecar(
         out / "transient.meta.json", "transient", cfg, [target.name],
         extras={"steady_currents": steady_values,
@@ -364,10 +362,10 @@ def cmd_steady(cfg: dict, args) -> int:
             gen = build(label, sys_k, hot, cold)
             sample = heat_current(label, sys_k, hot, cold, steady_state(gen, sys_k))
             row.extend([sample.q_hot, sample.q_cold])
-        rows.append(tuple(row))
+        rows.append(row)
     header = ["k"] + [f"Q{side}_{tag}" for _, tag in _TRANSIENT_LABELS for side in "hc"]
     out, fmt = _output(cfg)
-    target = _write_table(out / "steady", header, rows, fmt)
+    target = _write_table(out / "steady", header, list(np.array(rows).T), fmt)
     _write_sidecar(out / "steady.meta.json", "steady", cfg, [target.name])
     print(f"wrote {target}")
     return EXIT_OK
@@ -389,10 +387,9 @@ def cmd_rigidity(cfg: dict, args) -> int:
         drifts = dict(zip(ks.tolist(), grid_block_matrices(label, "first", omega, ks, hot, cold)))
         profiles[label] = phase_rigidity_profile(drifts.__getitem__, ks)
         header.extend(f"phi_{label}_{i + 1}" for i in range(4))
-    table = np.column_stack([ks] + [profiles[label].rigidities for label in cfg["generators"]])
+    columns = [ks] + [column for label in cfg["generators"] for column in profiles[label].rigidities.T]
     out, fmt = _output(cfg)
-    rows = map(np.ndarray.tolist, table)
-    target = _write_table(out / "rigidity", header, rows, fmt)
+    target = _write_table(out / "rigidity", header, columns, fmt)
     flagged = {
         label: list(map(int, profiles[label].flagged)) for label in cfg["generators"]
     }
@@ -426,9 +423,9 @@ def cmd_matrices(cfg: dict, args) -> int:
         "label": gen.label,
         "frame": gen.frame,
         "basis": list(gen.basis_labels),
-        "block1": [_fmt_row(row) for row in gen.block1.tolist()],
-        "block2": [_fmt_row(row) for row in gen.block2.tolist()],
-        "const2": _fmt_row(gen.const2.tolist()),
+        "block1": [_fmt_row(row) for row in gen.block1],
+        "block2": [_fmt_row(row) for row in gen.block2],
+        "const2": _fmt_row(gen.const2),
         "system": cfg["system"],
         "baths": cfg["baths"],
         "cutoff": cfg["cutoff"],

@@ -189,6 +189,16 @@ def _hurwitz_margin(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvals(matrix).real.max())
 
 
+def _frobenius(matrix: np.ndarray) -> float:
+    """The Frobenius norm of ``matrix`` with no overflow in its squares: it
+    is scaled by the power of two of its largest entry, which is exact, so
+    the bits are those of ``np.linalg.norm`` wherever that is finite; a
+    norm past the float range is inf."""
+    _, exponent = math.frexp(float(np.abs(matrix).max()))
+    scale = math.ldexp(1.0, exponent - 1)
+    return float(np.linalg.norm(matrix / scale)) * scale
+
+
 def _fixed_point(gen: MomentGenerator) -> np.ndarray:
     """Second moments at which the affine flow block2 x + const2 stops."""
     try:
@@ -204,7 +214,7 @@ def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
     affine fixed point. Raises StabilityError for a non-Hurwitz drift."""
     gen = _require_local(gen, sys)
     margin = _hurwitz_margin(gen.block1)
-    if margin >= -HURWITZ_RTOL * np.linalg.norm(gen.block1):
+    if margin >= -HURWITZ_RTOL * _frobenius(gen.block1):
         raise StabilityError(
             f"{gen.label} block1 is not Hurwitz (max Re eigenvalue {margin:g}); "
             "no steady state"

@@ -147,11 +147,19 @@ class MomentGenerator:
             if arr.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "block2", second_moment_flow(self.block1))
+        object.__setattr__(self, "block2", _flow(self.block1))
         _require_finite(self.block1, self.block2, self.const2)
         for name in ("block1", "block2", "const2"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "basis_labels", _BASIS_LABELS[self.frame])
+
+
+def _flow(block1: np.ndarray) -> np.ndarray:
+    """``second_moment_flow`` of a drift whose pair sums may pass the float
+    range: such an entry is inf, with no warning, and the caller's
+    finiteness check or cross-check raises the typed error."""
+    with np.errstate(over="ignore"):
+        return second_moment_flow(block1)
 
 
 def _require_finite(block1: np.ndarray, block2: np.ndarray, const2: np.ndarray) -> None:
@@ -423,11 +431,11 @@ def closed_form_blocks(
     out = {"block1_local": closed_form_drift(label, wh, wc, sys.k, hot, cold)}
     if label == LME:
         sh, sc = sigma_coeff(hot, wh), sigma_coeff(cold, wc)
-        out["block2_local"] = second_moment_flow(out["block1_local"])
+        out["block2_local"] = _flow(out["block1_local"])
         out["const2_local"] = normal_const2(wh, wc, sh, sc, 0.0, 0.0)
         return out
     normal = closed_form_drift(label, wh, wc, sys.k, hot, cold, NORMAL_FRAME)
-    out["block1_normal"], out["block2_normal"] = normal, second_moment_flow(normal)
+    out["block1_normal"], out["block2_normal"] = normal, _flow(normal)
     c1, c2 = (wh, wh) if label == GME_ZEROTH else (modes.omega1, modes.omega2)
     sh = [sigma_coeff(hot, c) for c in (c1, c2)]
     sc = [sigma_coeff(cold, c) for c in (c1, c2)]
@@ -558,7 +566,7 @@ def _crosscheck(
             blocks = (gen.block1, gen.block2, gen.const2)
             if frame != gen.frame:
                 block1, const2 = _rotated(gen, frame, modes)
-                blocks = (block1, second_moment_flow(block1), const2)
+                blocks = (block1, _flow(block1), const2)
                 _require_finite(*blocks)
             views[suffix] = dict(zip(("block1", "block2", "const2"), blocks))
         mismatch = _mismatch(name, views[suffix][name], reference)

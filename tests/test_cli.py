@@ -651,7 +651,7 @@ def test_cli_battery_covers_every_command_label_and_frame():
 def test_cli_battery_pins_the_scan_workers():
     # scan.meta.json records the worker count, which must not be the host's
     scans = [args for args in _battery_runs() if args[0] == "scan-ep"]
-    assert len(scans) == 5
+    assert len(scans) == 8
     assert all(args[1:3] == ("--threads", "2") for args in scans)
 
 
@@ -725,6 +725,47 @@ def test_no_module_squares_with_pow():
                     and isinstance(node.right, ast.Constant) and node.right.value == 2):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_tables_are_spelled_by_one_module():
+    # every float of a table goes through meqlab.spell, which alone may
+    # hold '%.17g' or a '%' row template such as '%s,%s' in its code;
+    # docstrings, which format nothing, may name them
+    template = re.compile(r"%\.17g|%[^%,]*,%")
+    found = []
+    for path in sorted(Path(meqlab.__file__).parent.glob("*.py")):
+        if path.stem == "spell":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and (body := node.body) and isinstance(body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+                    and id(node) not in docstrings and template.search(str(node.value))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_flow_overflow_in_build_is_one_typed_error(tmp_path, capsys):
+    # the normal-frame block2 passes the float range: a validation error,
+    # with no numpy warning before it (warnings are errors under pytest)
+    code = run(["matrices", "--out", str(tmp_path),
+                "--set", "system.omega_h=8.94427190999916e+153",
+                "--set", "system.omega_c=8.94427190999916e+153",
+                "--set", "system.k=7e307", "--set", "matrices.label=GME"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: block2 contains non-finite entries"]
+
+
+def test_hurwitz_threshold_of_huge_drifts_warns_nothing(tmp_path, capsys):
+    # the drift's norm, about 1e300, squares past the float range unless
+    # scaled; the Hurwitz refusal itself is unchanged
+    code = run(["steady", "--out", str(tmp_path), "--set", "system.omega_h=1e150",
+                "--set", "system.omega_c=1e150", "--set", "steady.points=3"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "physics error: LME block1 is not Hurwitz (max Re eigenvalue -0); no steady state"]
 
 
 @pytest.mark.parametrize("module", sorted(

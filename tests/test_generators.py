@@ -532,18 +532,18 @@ def test_first_failing_channel_decides(raises_quietly, label):
 def test_rotated_blocks_past_the_float_range_are_refused():
     # the local GME generator is finite, but its normal-frame block2 holds
     # twice W_1^2 = omega^2 + k: the cross-check's rotation into that frame
-    # refuses it as a rotated generator would, naming the block
+    # refuses it as a rotated generator would, naming the block; the
+    # overflowing pair sums warn nothing on the way (a warning is an
+    # error under pytest)
     w = np.sqrt(0.8e308)
     sys = SystemSpec(w, w, 0.7e308)
     modes = _channel_modes(GME, sys, normal_modes(sys))
     b = sum(_dissipator_terms(GME, HOT, COLD, modes))
     local = MomentGenerator(GME, LOCAL_FRAME, *_gaussian_pair(hamiltonian(sys), b))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
-            frame_rotate(local, NORMAL_FRAME, modes)
-        with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
-            build(GME, sys, HOT, COLD)
+    with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
+        frame_rotate(local, NORMAL_FRAME, modes)
+    with pytest.raises(ValidationError, match="^block2 contains non-finite entries$"):
+        build(GME, sys, HOT, COLD)
 
 
 def test_gksl_oracle_matches_engine_lme():

@@ -25,7 +25,10 @@ libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
 table beyond the float range, also with a second bath that fails later
-in the channel order), and a bath whose omega/T underflows to zero.
+in the channel order), a bath whose omega/T underflows to zero, and
+tables that reach every branch of the column-wise float spelling (fixed
+notation at every exponent from -4 to 16, 2- and 3-digit exponents, 0,
+-0, and cells outside its range, in CSV and JSON).
 """
 
 from __future__ import annotations
@@ -131,6 +134,31 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "overflow-scan-ep": (*SCAN_EP, "--set", "scan.omega=[1e200,1e200]",
                              "--set", "scan.k=[0,1]", "--set", "scan.resolution=[1,2]",
                              "--set", 'scan.blocks=["first","second"]'),
+        # the branches of the table spelling: a k column from 1e-4 to 3e16
+        # in fixed notation, every decimal exponent from -4 to 16 ...
+        "fixed-notation-steady": ("steady", "--set", "system.omega_h=2e8",
+                                  "--set", "system.omega_c=2e8", "--set", "cutoff=1e12",
+                                  "--set", "baths.hot.lambda_sq=1e4",
+                                  "--set", "baths.cold.lambda_sq=1e4",
+                                  "--set", "steady.k_min=1e-4", "--set", "steady.k_max=3e16",
+                                  "--set", "steady.points=21"),
+        # ... 3-digit exponents and 0 ...
+        "three-digit-exponent-scan-ep": (*SCAN_EP, "--set", "scan.omega=[1e-120,1e-100]",
+                                         "--set", "scan.k=[0,1e-250]",
+                                         "--set", "scan.resolution=[3,3]"),
+        # ... -0 ...
+        "negative-zero-steady": ("steady", "--set", "steady.spacing=linear",
+                                 "--set", "steady.k_min=0", "--set", "steady.k_max=-0.0",
+                                 "--set", "steady.points=2"),
+        # ... and magnitudes past the kernel's power table, 1e300 and
+        # 5e-303, which '%.17g' spells itself
+        "fallback-scan-ep": (*SCAN_EP, "--set", "scan.omega=[1e300,1e300]",
+                             "--set", "scan.k=[0,1]", "--set", "scan.resolution=[1,2]"),
+        "json-fallback-scan-ep": (*SCAN_EP, "--set", "scan.omega=[1e300,1e300]",
+                                  "--set", "scan.k=[0,1]", "--set", "scan.resolution=[1,2]",
+                                  "--format", "json"),
+        "fallback-matrices-LME": ("matrices", "--set", "system.omega_h=1e150",
+                                  "--set", "system.omega_c=1e150", "--set", "matrices.label=LME"),
     })
     return runs
 
