@@ -146,11 +146,11 @@ def _passes_uncertainty_screen(first: np.ndarray, second: np.ndarray) -> bool:
 
 
 def _thermal_diag(omega: float, temperature: float) -> tuple[float, float]:
-    """(<x^2>, <p^2>) of a single thermal oscillator."""
-    if temperature == 0.0:
-        factor = 1.0
-    else:
-        factor = 1.0 / math.tanh(omega / (2.0 * temperature))
+    """(<x^2>, <p^2>) of a single thermal oscillator. Where omega/(2T)
+    underflows to zero, coth takes its limit, inf, so the moments are not
+    finite and the MomentState holding them refuses them."""
+    ratio = math.tanh(omega / (2.0 * temperature)) if temperature else 1.0
+    factor = 1.0 / ratio if ratio else math.inf
     return factor / (2.0 * omega), 0.5 * omega * factor
 
 

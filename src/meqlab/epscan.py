@@ -288,6 +288,12 @@ NEWTON_MAX_STEPS = 40
 #: refine_ep stops once a Newton step moves k by at most this times |k|
 NEWTON_REL_TOL = 1e-12
 
+#: a Newton stop by |dk| no longer shrinking is a root only where the chain
+#: residual is at most this times the drift's largest entry: at most 2.8e-16
+#: on 1440 resonant LME and Redfield roots and formula-seeded detuned LME
+#: ones, 8.7e-3 and more where a detuned drift stalls seeded at resonant k*
+NEWTON_RESIDUAL_TOL = 1e-14
+
 #: central-difference step of dA/dk, relative to omega_h omega_c, the scale on
 #: which the drift varies with k (cube root of eps balances truncation
 #: against rounding)
@@ -337,8 +343,9 @@ def _jordan_chain_root(
     a regular root at a generic EP2, with tau and c fixed by
     :func:`_seed_chain` (u is the chain vector scaled by tau). Each step is
     one 10x10 solve, with dA/dk by central difference. The iteration
-    stops when |dk| <= NEWTON_REL_TOL |k| or |dk| stops shrinking (rounding),
-    and raises NumericalError when it does neither within
+    stops when |dk| <= NEWTON_REL_TOL |k|, or when |dk| stops shrinking
+    with the chain residual at rounding (NEWTON_RESIDUAL_TOL); it raises
+    NumericalError when |dk| stops shrinking off a root, or after
     NEWTON_MAX_STEPS. Only the LME and Redfield-zeroth answer at wh != wc;
     the other labels raise ValidationError there (:func:`closed_form_drift`).
     """
@@ -370,7 +377,14 @@ def _jordan_chain_root(
             raise NumericalError("EP Newton step is not finite")
         v, u, lam, k = v + step[:4], u + step[4:8], lam + step[8], k + step[9]
         size = abs(step[9])
-        if size <= NEWTON_REL_TOL * abs(k) or size >= last:
+        if size <= NEWTON_REL_TOL * abs(k):
+            return k
+        if size >= last:
+            # rounding at a root, or a stall off one
+            chain = np.abs(residual[:8]).max() / np.abs(drift).max()
+            if chain > NEWTON_RESIDUAL_TOL:
+                raise NumericalError(f"EP Newton stalled at k = {complex(k)!r}, where the chain "
+                                     f"residual is {chain:g} of the drift's largest entry")
             return k
         last = size
     raise NumericalError(f"EP Newton did not converge in {NEWTON_MAX_STEPS} steps")

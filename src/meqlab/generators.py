@@ -25,11 +25,11 @@ of a label's own mode frame (the bare oscillators for the LME, the
 normal modes for GME and Redfield), applies it to each bath's table
 there, both baths' in one stacked call, for the heat-current check of
 ``thermo``. Where a closed form
-exists, the result is cross-checked against it before being returned,
-each closed form in the frame it is written in (the generator's blocks
-are rotated there), the coherent and the dissipative entries each
-relative to their own largest entry; a mismatch is an internal error,
-never silently ignored. The closed
+exists, the generators ``build()`` made are cross-checked against it
+before one is returned, the local one with the local-frame forms, the
+normal-frame one, made once by :func:`frame_rotate`, with the normal
+ones, the coherent and the dissipative entries each relative to their
+own largest entry; a mismatch is an internal error. The closed
 forms are five numpy functions of the frequencies and bath
 coefficients (:func:`lme_drift` to :func:`normal_const2`) that
 broadcast over arrays; :func:`closed_form_drift` alone picks each
@@ -148,9 +148,11 @@ class MomentGenerator:
                 raise ValidationError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "block2", _flow(self.block1))
-        _require_finite(self.block1, self.block2, self.const2)
         for name in ("block1", "block2", "const2"):
-            getattr(self, name).setflags(write=False)
+            arr = getattr(self, name)
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} contains non-finite entries")
+            arr.setflags(write=False)
         object.__setattr__(self, "basis_labels", _BASIS_LABELS[self.frame])
 
 
@@ -160,13 +162,6 @@ def _flow(block1: np.ndarray) -> np.ndarray:
     finiteness check or cross-check raises the typed error."""
     with np.errstate(over="ignore"):
         return second_moment_flow(block1)
-
-
-def _require_finite(block1: np.ndarray, block2: np.ndarray, const2: np.ndarray) -> None:
-    """ValidationError naming the first of the blocks with a non-finite entry."""
-    for name, arr in (("block1", block1), ("block2", block2), ("const2", const2)):
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{name} contains non-finite entries")
 
 
 # -- dissipator channel assembly ------------------------------------------
@@ -460,15 +455,6 @@ def quadrature_rotation(modes: NormalModes) -> np.ndarray:
     return t
 
 
-def _rotated(gen: MomentGenerator, to: str, modes: NormalModes) -> tuple[np.ndarray, np.ndarray]:
-    """(block1, const2) of ``gen`` in the other quadrature frame ``to``:
-    block1 rotated orthogonally and const2 by congruence."""
-    t = quadrature_rotation(modes)
-    if to == LOCAL_FRAME:
-        t = t.T
-    return t @ gen.block1 @ t.T, pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
-
-
 def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGenerator:
     """The same generator in quadrature frame ``to``: block1 rotated
     orthogonally and const2 by congruence, so block2 is the flow of the
@@ -476,7 +462,11 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
     is the identity. ``to == gen.frame`` returns ``gen``."""
     if to == gen.frame:
         return gen
-    return MomentGenerator(gen.label, to, *_rotated(gen, to, modes))
+    t = quadrature_rotation(modes)
+    if to == LOCAL_FRAME:
+        t = t.T
+    const2 = pack_symmetric(t @ unpack_symmetric(gen.const2) @ t.T)
+    return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
 
 
 def mode_frame(
@@ -498,7 +488,8 @@ def mode_frame(
     CROSSCHECK_TOL of its terms, or ConsistencyError. An entry of P below
     the underflow threshold may be lost, as for a subnormal k, so V P is
     also allowed a few subnormals of its scale. The zeroth-order labels,
-    whose modes at resonance are neither set, raise ValidationError."""
+    whose modes at resonance are neither set, and unknown ones raise
+    ValidationError: labels without a heat current are refused here."""
     if label in (GME_ZEROTH, REDFIELD_ZEROTH):
         raise ValidationError(f"{label} has no own mode frame")
     g, normal = hamiltonian(sys), normal_modes(sys)
@@ -548,32 +539,20 @@ def _mismatch(name: str, got: np.ndarray, reference: np.ndarray) -> str:
     return ""
 
 
-def _crosscheck(
-    gen: MomentGenerator, closed: dict[str, np.ndarray], modes: NormalModes
-) -> None:
-    """Compare a built generator with every closed form in the frame the
-    form is written in: the generator's blocks are rotated once into each
-    other frame that ``closed`` has keys for, as :func:`frame_rotate`
-    rotates them, and a rotated block with a non-finite entry raises its
-    ValidationError. The coherent and the dissipative entries must each
-    agree to CROSSCHECK_TOL of the largest closed-form entry of their
+def _crosscheck(gen: MomentGenerator, closed: dict[str, np.ndarray]) -> None:
+    """Compare the blocks of ``gen`` with the closed forms of ``closed``
+    written in its frame: the coherent and the dissipative entries must
+    each agree to CROSSCHECK_TOL of the largest closed-form entry of their
     part; const2 is all dissipative."""
-    views = {}
+    suffix = "_local" if gen.frame == LOCAL_FRAME else "_normal"
     for key, reference in closed.items():
-        name, suffix = key.split("_")
-        if suffix not in views:
-            frame = LOCAL_FRAME if suffix == "local" else NORMAL_FRAME
-            blocks = (gen.block1, gen.block2, gen.const2)
-            if frame != gen.frame:
-                block1, const2 = _rotated(gen, frame, modes)
-                blocks = (block1, _flow(block1), const2)
-                _require_finite(*blocks)
-            views[suffix] = dict(zip(("block1", "block2", "const2"), blocks))
-        mismatch = _mismatch(name, views[suffix][name], reference)
-        if mismatch:
-            raise ConsistencyError(
-                f"{gen.label} {name} disagrees with its closed form ({mismatch})"
-            )
+        if key.endswith(suffix):
+            name = key.removesuffix(suffix)
+            mismatch = _mismatch(name, getattr(gen, name), reference)
+            if mismatch:
+                raise ConsistencyError(
+                    f"{gen.label} {name} disagrees with its closed form ({mismatch})"
+                )
 
 
 def build(
@@ -583,19 +562,22 @@ def build(
     cold: BathSpec,
     frame: str = LOCAL_FRAME,
 ) -> MomentGenerator:
-    """Build a generator from its local-frame drift/diffusion pair, rotate
-    it into ``frame`` and cross-check it against every closed-form
-    coefficient matrix that exists, each in its own frame.
-
-    The zeroth-order labels are built here too; :func:`zeroth_order`
-    delegates to this function.
+    """Build a generator from its local-frame drift/diffusion pair and
+    return it in ``frame``, cross-checked against every closed form that
+    exists: the local generator against the local forms, then the
+    normal-frame one, which :func:`frame_rotate` makes once (first, for a
+    normal-frame build), against the normal forms. The zeroth-order
+    labels are built here too; :func:`zeroth_order` delegates to this.
     """
     modes = normal_modes(sys)
     # the baths summed from zero, 0 + B_h + B_c, as the tables sum their modes
     b = sum(_dissipator_terms(label, hot, cold, _channel_modes(label, sys, modes)))
-    block1, const2 = _gaussian_pair(hamiltonian(sys), b)
-    gen = frame_rotate(MomentGenerator(label, LOCAL_FRAME, block1, const2), frame, modes)
-    _crosscheck(gen, closed_form_blocks(label, sys, hot, cold, modes), modes)
+    local = MomentGenerator(label, LOCAL_FRAME, *_gaussian_pair(hamiltonian(sys), b))
+    gen = frame_rotate(local, frame, modes)
+    closed = closed_form_blocks(label, sys, hot, cold, modes)
+    _crosscheck(local, closed)
+    if "block1_normal" in closed:
+        _crosscheck(frame_rotate(local, NORMAL_FRAME, modes) if gen is local else gen, closed)
     return gen
 
 

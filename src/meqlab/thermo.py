@@ -10,7 +10,8 @@ structural zeros are exact: a closed form in the modes' second moments,
 and that balance, an affine functional c0 + c . m of the packed moments
 (:func:`_energy_rate`; :func:`energy_flow_rate` applies the same d<H>/dt
 to a whole generator's pair). ``generators.mode_frame`` gives the frame:
-the modes, the rotation into them, G and each bath's pair there. Both
+the modes, the rotation into them, G and each bath's pair there, and
+it alone refuses a label without a current (zeroth-order or unknown). Both
 routes read the normal modes, so ``mode_frame`` first checks that they
 diagonalize the Hamiltonian's potential block. Disagreement, or a
 closed form that is not finite, raises; it is never silently patched. A
@@ -38,7 +39,7 @@ from .algebra import pack_symmetric, unpack_symmetric
 from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, _Stack, _require_local, propagate
 from .errors import ConsistencyError, NumericalError, ValidationError
-from .generators import CROSSCHECK_TOL, GME, LME, REDFIELD, MomentGenerator, mode_frame
+from .generators import CROSSCHECK_TOL, LME, REDFIELD, MomentGenerator, mode_frame
 from .model import NormalModes, SystemSpec, hamiltonian
 
 __all__ = [
@@ -49,11 +50,6 @@ __all__ = [
     "heat_current",
     "transient_currents",
 ]
-
-#: the labels with a closed-form current (the zeroth-order generator
-#: channels are not eigenoperators of the full Hamiltonian, so no such
-#: form exists for them)
-CURRENT_LABELS = (LME, GME, REDFIELD)
 
 #: stationary currents must conserve energy, |Q_h + Q_c| <= STATIONARY_TOL
 #: * max(|Q_h|, current_scale)
@@ -151,8 +147,6 @@ def _verified_currents(
     :func:`current_scale`; the first failing instant raises
     ConsistencyError. A stationary instant (time = inf) whose currents do
     not conserve energy to STATIONARY_TOL raises NumericalError."""
-    if label not in CURRENT_LABELS:
-        raise ValidationError(f"no heat-current form for label {label!r}")
     lead = states.first.shape[:-1]
     modes, t, g, pairs = mode_frame(label, sys, hot, cold)
     s = unpack_symmetric(states.second.reshape(-1, 10))

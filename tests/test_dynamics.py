@@ -65,6 +65,16 @@ def test_thermal_product_vacuum_limit():
     assert state.second[4] == pytest.approx(0.25, rel=1e-9)
 
 
+def test_thermal_product_state_refuses_an_underflowing_ratio():
+    # omega/(2T) underflows to zero at omega = 5e-324, T = 10: coth there
+    # is its limit inf, and the state refuses the moments, inf and
+    # 0.5 omega inf = nan, with its typed error, not a ZeroDivisionError
+    sys = SystemSpec(5e-324, 1e154, 0.0)
+    assert not np.isfinite(dynamics._thermal_diag(sys.omega_h, HOT.temperature)).any()
+    with pytest.raises(ValidationError, match="^second contains non-finite entries$"):
+        thermal_product_state(sys, HOT, COLD)
+
+
 def test_thermal_product_state_packs_the_local_diagonal():
     # the packing order belongs to algebra; the vector keeps the bits of
     # the entries written at indices 0, 1, 3 and 4

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meqlab.bath import BathSpec, decay_rate
+from meqlab.algebra import SECOND_MOMENT_PAIRS
+from meqlab.bath import BathSpec, decay_rate, delta_coeff
 from meqlab.epscan import (
     exceptional_line,
     grid_block_matrices,
@@ -22,7 +23,9 @@ from meqlab.epscan import (
     condition_number_of,
 )
 from meqlab.errors import BracketError, DomainError, NumericalError, ValidationError
-from meqlab.generators import GENERATOR_LABELS, GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build
+from meqlab.generators import (
+    GENERATOR_LABELS, GME, GME_ZEROTH, LME, NORMAL_FRAME, REDFIELD, build, closed_form_drift,
+)
 from meqlab.model import SystemSpec
 
 HOT = BathSpec(1e-8, 10.0, 1e3)
@@ -103,21 +106,38 @@ def lme_eigenvalue_gap(omega_c, k):
         return min(float(abs(a - b)) for i, a in enumerate(values) for b in values[i + 1:])
 
 
-@pytest.mark.parametrize("detune", [0.0, 1e-6, 1e-5, 1e-4, 1e-3])
+@pytest.mark.parametrize("detune", [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 0.2])
 def test_newton_root_off_resonance_is_the_nonresonant_root(detune):
     # the Newton core on a detuned drift, seeded at the leading-order
     # formula, lands on it to about detune (detune + |k|) / 8 relative
+    # (4.1e-3 at detune 0.2)
     import meqlab.epscan as emod
 
     roots = nonresonant_ep_roots(SystemSpec(1.0, 1.0 + detune, 0.0), HOT, COLD)
     root = emod._jordan_chain_root(LME, 1.0, 1.0 + detune, roots.k_plus, HOT, COLD)
     bound = 1e-12 + detune * (detune + abs(root)) / 4
     assert abs(root - roots.k_plus) <= bound * abs(root)
-    if detune == 1e-3:
+    if detune >= 1e-3:
         # and it is the Newton root where the eigenvalues coalesce
         assert lme_eigenvalue_gap(1.0 + detune, root) < 1e-2 * lme_eigenvalue_gap(
             1.0 + detune, roots.k_plus
         )
+
+
+def test_newton_refuses_a_stall_off_a_root():
+    # seeded at the resonant k* on a drift detuned by 5 %, Newton stops
+    # moving k at about 0.1 - 0.08i, where the chain residual is 1.4e-2 of
+    # the drift's largest entry and the eigenvalues are 0.1 apart: no root
+    import meqlab.epscan as emod
+
+    kstar = exceptional_line(1.4, HOT, COLD)
+    with pytest.raises(NumericalError, match=r"stalled at k = \(0\.1002.*residual is 0\.0141"):
+        emod._jordan_chain_root(LME, 1.4, 1.47, kstar, HOT, COLD)
+    stalled = 0.10029991408749778 - 0.08264445008027924j
+    drift = closed_form_drift(LME, 1.4, 1.47, stalled, HOT, COLD)
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(drift.tolist()), left=False, right=False)
+        assert min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]) > 0.05
 
 
 def test_nonresonant_roots_degenerate_flag():
@@ -145,6 +165,75 @@ def test_scan_gme_flat():
                   (40, 60), HOT, COLD, threads=1)
     assert np.nanmax(result.kappas[(GME, "first")]) < 1e3
     assert np.nanmax(result.kappas[(GME, "second")]) < 1e3
+
+
+def test_lme_currents_sit_at_a_third_order_ep():
+    # at the defaults' k* = (omega/2)|dh - dc|, built in 50 digits from the
+    # parameters, the LME drift has a 2x2 Jordan block at
+    # mu = (dh + dc)/4 + i sqrt(omega^2 - ((dh - dc)/4)^2): ranks of
+    # (A - mu)^j are 3, 2, 2. Its second-moment flow M, written here entry
+    # by entry from S -> A S + S A^T, has a chain of length 3 at 2 mu and
+    # chains of lengths 3 and 1 at mu + conj(mu): the currents, linear in
+    # the second moments, sit at a third-order EP. Null singular values
+    # are below 1e-48, the others above 1e-9
+    def ranks(mat, nu, powers):
+        shifted, power, out = mat - nu * mpmath.eye(mat.rows), mpmath.eye(mat.rows), []
+        for _ in range(powers):
+            power = power * shifted
+            values = mpmath.svd_c(power, compute_uv=False)
+            out.append(sum(1 for v in values if v > mpmath.mpf(1e-30) * max(values)))
+        return out
+
+    def packed(i, j):
+        return SECOND_MOMENT_PAIRS.index((min(i, j), max(i, j)))
+
+    with mpmath.workdps(50):
+        w = mpmath.mpf(1.0)
+        dh, dc = (-mpmath.mpf(b.lambda_sq) * mpmath.mpf(b.cutoff) ** 2
+                  / (w * w + mpmath.mpf(b.cutoff) ** 2) for b in (HOT, COLD))
+        k = w * abs(dh - dc) / 2
+        a = mpmath.matrix([[dh / 2, 1, 0, 0], [-w * w, dh / 2, -k, 0],
+                           [0, 0, dc / 2, 1], [-k, 0, -w * w, dc / 2]])
+        mu = (dh + dc) / 4 + 1j * mpmath.sqrt(w * w - ((dh - dc) / 4) ** 2)
+        flow = mpmath.zeros(10, 10)
+        for row, (i, j) in enumerate(SECOND_MOMENT_PAIRS):
+            for m in range(4):
+                flow[row, packed(m, j)] += a[i, m]
+                flow[row, packed(i, m)] += a[j, m]
+        assert ranks(a, mu, 3) == [3, 2, 2]
+        assert ranks(flow, 2 * mu, 4) == [9, 8, 7, 7]
+        assert ranks(flow, mu + mpmath.conj(mu), 4) == [8, 7, 6, 6]
+    assert float(k) == pytest.approx(exceptional_line(1.0, HOT, COLD), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_omega=st.floats(-2.0, 2.0),
+    ratio=st.floats(-0.99, 0.99),
+    log_lambda_sq=st.tuples(st.floats(-8.0, -1.0), st.floats(-8.0, -1.0)),
+    log_cutoff=st.floats(0.0, 4.0),
+)
+def test_gme_normal_drift_has_no_ep(log_omega, ratio, log_lambda_sq, log_cutoff):
+    # the secular picture, over the resonant region |k| < 0.99 omega^2: its
+    # normal-frame drift is block-diagonal with exact zeros, and each 2x2
+    # block [[dm/2, 1], [-W^2, dm/2]] has the distinct eigenvalues
+    # dm/2 +- i W, W = sqrt(omega^2 -+ k) > 0: no EP anywhere
+    omega = 10.0**log_omega
+    k = ratio * omega * omega
+    hot, cold = (BathSpec(10.0**ll, t, 10.0**log_cutoff)
+                 for ll, t in zip(log_lambda_sq, (10.0, 5.0)))
+    drift = closed_form_drift(GME, omega, omega, k, hot, cold, NORMAL_FRAME)
+    assert not drift[:2, 2:].any() and not drift[2:, :2].any()
+    for j, mode_sq in enumerate((omega * omega + k, omega * omega - k)):
+        block = drift[2 * j:2 * j + 2, 2 * j:2 * j + 2]
+        w = math.sqrt(mode_sq)
+        dm = 0.5 * (delta_coeff(hot, w) + delta_coeff(cold, w))
+        assert block[0, 0] == block[1, 1] and block[0, 1] == 1.0
+        assert block[0, 0] == pytest.approx(dm / 2, rel=1e-14)
+        assert -block[1, 0] == pytest.approx(mode_sq, rel=1e-14)
+        values = np.sort_complex(np.linalg.eigvals(block))
+        expected = np.array([dm / 2 - 1j * w, dm / 2 + 1j * w])
+        assert np.abs(values - expected).max() <= 1e-12 * w
 
 
 def test_scan_validation():

@@ -531,8 +531,8 @@ def test_first_failing_channel_decides(raises_quietly, label):
 
 def test_rotated_blocks_past_the_float_range_are_refused():
     # the local GME generator is finite, but its normal-frame block2 holds
-    # twice W_1^2 = omega^2 + k: the cross-check's rotation into that frame
-    # refuses it as a rotated generator would, naming the block; the
+    # twice W_1^2 = omega^2 + k: the normal-frame generator a local build
+    # makes for its cross-check refuses it, naming the block; the
     # overflowing pair sums warn nothing on the way (a warning is an
     # error under pytest)
     w = np.sqrt(0.8e308)
@@ -823,6 +823,43 @@ def test_crosscheck_compares_every_closed_form_key(monkeypatch):
                 assert sorted(compared) == sorted(returned)
     assert keys == {f"{name}_{suffix}" for name in ("block1", "block2", "const2")
                     for suffix in ("local", "normal")}
+
+
+def test_build_makes_the_normal_frame_generator_once(monkeypatch):
+    # frame_rotate is build()'s one route into the normal frame: it makes
+    # that generator once, when it is asked for or a normal-frame form
+    # exists, and the cross-check compares exactly the generators build()
+    # made, the returned one among them
+    import meqlab.generators as gmod
+
+    original_rotate, original_check = gmod.frame_rotate, gmod._crosscheck
+    made, checked = [], []
+
+    def recording_rotate(gen, to, modes):
+        out = original_rotate(gen, to, modes)
+        if out is not gen:
+            made.append(out)
+        return out
+
+    def recording_check(gen, closed):
+        checked.append((gen, any(key.endswith("_normal") for key in closed)))
+        return original_check(gen, closed)
+
+    monkeypatch.setattr(gmod, "frame_rotate", recording_rotate)
+    monkeypatch.setattr(gmod, "_crosscheck", recording_check)
+    for sys in (FIG_SYS, SystemSpec(1.0, 1.3, 4.999495000505e-05)):
+        for label in GENERATOR_LABELS:
+            for frame in (LOCAL_FRAME, NORMAL_FRAME):
+                made.clear()
+                checked.clear()
+                gen = gmod.build(label, sys, HOT, COLD, frame=frame)
+                normal_forms = checked[0][1]
+                assert [m.frame for m in made] == [NORMAL_FRAME] * (
+                    frame == NORMAL_FRAME or normal_forms)
+                assert checked[0][0].frame == LOCAL_FRAME
+                assert [g for g, _ in checked[1:]] == (made if normal_forms else [])
+                assert gen.frame == frame
+                assert gen is (made[0] if frame == NORMAL_FRAME else checked[0][0])
 
 
 def test_closed_form_drift_at_complex_coupling():

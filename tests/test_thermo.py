@@ -605,9 +605,18 @@ def test_lme_gme_steady_crossover_band():
 
 
 def test_heat_current_rejects_zeroth_labels():
+    # generators.mode_frame is the one place that refuses a label without
+    # a current, for a single state and a trajectory alike
     state = thermal_product_state(FIG_SYS, HOT, COLD)
-    with pytest.raises(ValidationError):
-        heat_current("GME-zeroth", FIG_SYS, HOT, COLD, state)
+    for label, message in (("GME-zeroth", "^GME-zeroth has no own mode frame$"),
+                           ("Redfield-zeroth", "^Redfield-zeroth has no own mode frame$"),
+                           ("bogus", "^unknown generator label 'bogus'$")):
+        with pytest.raises(ValidationError, match=message):
+            heat_current(label, FIG_SYS, HOT, COLD, state)
+        if label != "bogus":
+            gen = build(label, FIG_SYS, HOT, COLD)
+            with pytest.raises(ValidationError, match=message):
+                transient_currents(label, FIG_SYS, HOT, COLD, state, [0.0, 1.0], gen=gen)
 
 
 def test_energy_flow_rate_broadcasts_over_a_trajectory():

@@ -25,7 +25,9 @@ libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
 table beyond the float range, also with a second bath that fails later
-in the channel order), a bath whose omega/T underflows to zero, and
+in the channel order), inputs that fail more than one of build()'s
+checks, whose exit codes pin the checks' order, a bath whose omega/T
+underflows to zero, and
 tables that reach every branch of the column-wise float spelling (fixed
 notation at every exponent from -4 to 16, 2- and 3-digit exponents, 0,
 -0, and cells outside its range, in CSV and JSON).
@@ -57,6 +59,27 @@ MISROUNDED = ("--set", "system.omega_h=0.8683284008647664",
 INSIDE_EDGE = repr(math.nextafter(0.8683284008647664 * 0.8683284008647664, 0.0))
 #: the config.json a run finds in its directory, by run name
 CONFIG_FILES = {"config-file-steady": {"system": {"k": 1e-5}, "steady": {"points": 3}}}
+
+
+def _build_order_runs() -> dict[str, tuple[str, ...]]:
+    """matrices runs, in both frames, whose exit codes pin the order of
+    build()'s checks: at omega = 8.9e153, k = 7e307 the normal-frame
+    block2 overflows (an error in both frames of GME), while Redfield's
+    local closed form already disagrees, a numerical error where the
+    local comparison comes first, in the local frame; at omega = 1e105
+    Redfield's local closed form loses the cross-check in both frames."""
+    huge = ("--set", "system.omega_h=8.94427190999916e+153",
+            "--set", "system.omega_c=8.94427190999916e+153", "--set", "system.k=7e307")
+    far = ("--set", "system.omega_h=1e105", "--set", "system.omega_c=1e105",
+           "--set", "system.k=5e209")
+    cases = {"huge-GME": ("GME", huge), "huge-Redfield": ("Redfield", huge),
+             "redfield-1e105": ("Redfield", far)}
+    return {
+        f"{case}-matrices-{frame.split('-')[0]}": (
+            "matrices", "--set", f"matrices.label={label}",
+            "--set", f"matrices.frame={frame}", *settings)
+        for case, (label, settings) in cases.items() for frame in FRAMES
+    }
 
 
 def _runs() -> dict[str, tuple[str, ...]]:
@@ -128,6 +151,7 @@ def _runs() -> dict[str, tuple[str, ...]]:
                                      "--set", "system.omega_c=1e-30", "--set", "system.k=0",
                                      "--set", "baths.cold.temperature=1e300"),
         "config-file-steady": ("steady", "--config", "config.json"),
+        **_build_order_runs(),
         "section-set-steady": ("steady", "--set", 'steady={"points":3,"spacing":"linear",'
                                                   '"k_min":0,"k_max":1e-4}'),
         # every point's square overflows: NaN kappa, counted in nan_points
