@@ -214,10 +214,11 @@ def steady_state(gen: MomentGenerator, sys: SystemSpec) -> MomentState:
     affine fixed point. Raises StabilityError for a non-Hurwitz drift."""
     gen = _require_local(gen, sys)
     margin = _hurwitz_margin(gen.block1)
-    if margin >= -HURWITZ_RTOL * _frobenius(gen.block1):
+    threshold = -HURWITZ_RTOL * _frobenius(gen.block1)
+    if margin >= threshold:
         raise StabilityError(
-            f"{gen.label} block1 is not Hurwitz (max Re eigenvalue {margin:g}); "
-            "no steady state"
+            f"{gen.label} block1 is not Hurwitz (max Re eigenvalue {margin:g} is not below "
+            f"-{HURWITZ_RTOL:g} * ||block1||_F = {threshold:g}); no steady state"
         )
     return MomentState(np.zeros(4), _fixed_point(gen), time=math.inf)
 

@@ -300,6 +300,11 @@ def gme_drift_local(w, k, dm1, dm2) -> np.ndarray:
 def redfield_drift_local(w, k, c1, c2, D1h, D2h, D1c, D2c) -> np.ndarray:
     """Resonant Redfield drift, local frame; c are the mode frequencies and
     D<mode><bath> the drift coefficients at them."""
+    # c enters only the position rows, which are of degree 0 in it: scaled
+    # by the power of two nearest 1/w it gives the same bits, and keeps
+    # D/c in the normal range where w far above the cutoff makes D ~ 1/w^2
+    unit = np.ldexp(1.0, -np.frexp(w.real)[1])
+    c1, c2 = c1 * unit, c2 * unit
     minus, plus = (c2 - c1) / 8, (c2 + c1) / 8
     hot_sum, hot_diff = D1h / c2 + D2h / c1, D1h / c2 - D2h / c1
     cold_diff, cold_sum = D1c / c2 - D2c / c1, D1c / c2 + D2c / c1

@@ -21,8 +21,8 @@ Both routes share one rotation of a MomentState of any leading shape into
 the mode frame and give a HeatCurrentSample of that shape, so a
 trajectory is checked in one pass; a failing check names the time of the
 first failing sample. The tolerance is relative to the sum of the
-magnitudes of the closed form's terms, which can cancel far below their
-size.
+magnitudes of the balance's terms, which equal the closed form's to
+rounding and can cancel far below their size.
 
 Sign convention: positive current = energy flowing from the bath into
 the system.
@@ -79,12 +79,11 @@ def _energy_rate(g: np.ndarray, a: np.ndarray, d: np.ndarray) -> tuple[float, np
 
 def _closed_form_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
-    s: np.ndarray, magnitude: bool = False,
+    s: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Second-moment closed forms of the per-bath currents on second
     moments ``s`` in the frame of ``generators.mode_frame``, stacked over leading
-    axes, (..., 4, 4) -> (...); with ``magnitude``, the sum of the absolute
-    values of their terms.
+    axes, (..., 4, 4) -> (...).
 
     One formula over the label's modes (x_h, x_c)^T = P (eta_1, eta_2)^T,
     the bare oscillators (P = I) for the LME and the normal modes for GME
@@ -96,14 +95,11 @@ def _closed_form_currents(
     else 0; Redfield adds (P_a1 P_a2 / 2)(Delta_1 + Delta_2)
                           (W_1 W_2 <eta_1 eta_2> + <Pi_1 Pi_2>).
     """
-    # every factor but the positive W and Sigma may carry a sign
-    size = np.abs if magnitude else (lambda x: x)
-    p, freqs = size(modes.matrix), (modes.omega1, modes.omega2)
-    s = size(s)
-    coupling = size(sys.k) * s[..., 0, 2] if label == LME else 0.0
+    p, freqs = modes.matrix, (modes.omega1, modes.omega2)
+    coupling = sys.k * s[..., 0, 2] if label == LME else 0.0
     out: dict[str, np.ndarray] = {}
     for row, (name, bath) in enumerate((("h", hot), ("c", cold))):
-        deltas = [size(delta_coeff(bath, freq)) for freq in freqs]
+        deltas = [delta_coeff(bath, freq) for freq in freqs]
         total = 0.0
         for j in range(2):
             if p[row, j] == 0.0:
@@ -143,10 +139,11 @@ def _verified_currents(
 ) -> HeatCurrentSample:
     """Closed-form currents of a state of any leading shape. Each instant
     is checked against the bath's energy balance, to CROSSCHECK_TOL
-    relative to the magnitude of the closed form's terms, floored at
-    :func:`current_scale`; the first failing instant raises
-    ConsistencyError. A stationary instant (time = inf) whose currents do
-    not conserve energy to STATIONARY_TOL raises NumericalError."""
+    relative to the magnitude of the balance's terms, which are the
+    closed form's to rounding, floored at :func:`current_scale`; the first
+    failing instant raises ConsistencyError, naming the hot bath first. A
+    stationary instant (time = inf) whose currents do not conserve energy
+    to STATIONARY_TOL raises NumericalError."""
     lead = states.first.shape[:-1]
     modes, t, g, pairs = mode_frame(label, sys, hot, cold)
     s = unpack_symmetric(states.second.reshape(-1, 10))
@@ -161,17 +158,18 @@ def _verified_currents(
         value = closed[name]
         check = const + moments @ coeffs
         off = np.abs(value - check)
-        # NaN compares false and an infinite value is refused, not given an
-        # infinite tolerance. |value| is at most the terms' magnitude: an
-        # instant within that tighter tolerance skips the magnitude
-        finite = np.isfinite(value)
+        # NaN compares false and an infinite value or balance is refused, not
+        # given an infinite tolerance. |value| is at most the terms' magnitude,
+        # to rounding: an instant within that tighter tolerance skips the terms
+        finite = np.isfinite(value) & np.isfinite(check)
         if not np.all(finite & (off <= CROSSCHECK_TOL * np.maximum(np.abs(value), scale))):
-            sizes = _closed_form_currents(label, sys, hot, cold, modes, s, True)[name]
-            bad = np.flatnonzero(~(finite & (off <= CROSSCHECK_TOL * np.maximum(sizes, scale))))
+            terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
+            bad = np.flatnonzero(~(finite & (off <= CROSSCHECK_TOL * np.maximum(terms, scale))))
             if bad.size:
                 failures.append((bad[0], name, float(value[bad[0]]), float(check[bad[0]])))
     if failures:
-        i, name, value, check = min(failures)
+        # the first failing instant; at a tie, the hot bath, checked first
+        i, name, value, check = min(failures, key=lambda failure: failure[0])
         raise ConsistencyError(
             f"{label} heat current ({name}) closed form {value!r} disagrees "
             f"with energy-balance value {check!r} at t = {np.reshape(states.time, -1)[i]}"

@@ -765,7 +765,8 @@ def test_hurwitz_threshold_of_huge_drifts_warns_nothing(tmp_path, capsys):
                 "--set", "system.omega_c=1e150", "--set", "steady.points=3"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "physics error: LME block1 is not Hurwitz (max Re eigenvalue -0); no steady state"]
+        "physics error: LME block1 is not Hurwitz (max Re eigenvalue -0 is not below "
+        "-1e-14 * ||block1||_F = -1.41421e+286); no steady state"]
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -36,6 +36,7 @@ from meqlab.generators import (
     _channel_modes,
     _dissipator_terms,
     _gaussian_pair,
+    _stack,
     build,
     closed_form_blocks,
     closed_form_drift,
@@ -149,6 +150,51 @@ def test_closed_form_grid_equals_scalar_calls():
             for j in range(5):
                 point = [np.broadcast_to(a, (7, 5))[i, j] for a in args]
                 assert stack[i, j].tobytes() == func(*point).tobytes()
+
+
+def unscaled_redfield_drift_local(w, k, c1, c2, D1h, D2h, D1c, D2c):
+    """The resonant Redfield local drift with the quotients D/c taken on
+    the unscaled mode frequencies: the reference for the scaled form."""
+    minus, plus = (c2 - c1) / 8, (c2 + c1) / 8
+    hot_sum, hot_diff = D1h / c2 + D2h / c1, D1h / c2 - D2h / c1
+    cold_diff, cold_sum = D1c / c2 - D2c / c1, D1c / c2 + D2c / c1
+    return _stack([
+        minus * cold_diff + plus * hot_sum, 1, minus * cold_sum + plus * hot_diff, 0,
+        -w * w, (D1h + D2h) / 4, -k, (D1h - D2h) / 4,
+        plus * cold_diff + minus * hot_sum, 0, plus * cold_sum + minus * hot_diff, 1,
+        -k, (D1c - D2c) / 4, -w * w, (D1c + D2c) / 4,
+    ], (4, 4))
+
+
+def test_redfield_local_drift_scaling_keeps_every_bit():
+    # the power of two that keeps D/c normal at huge omega changes no bit
+    # of the Redfield local drift on normal-range points, for real k and
+    # for the complex k of the EP Newton core
+    rng = np.random.default_rng(41)
+    for i in range(2000):
+        w = 10 ** rng.uniform(-3.0, 3.0, size=3)
+        k = rng.uniform(0.0, 0.99, size=3) * w * w
+        if i % 2:
+            k = k + 1j * rng.uniform(-1e-3, 1e-3, size=3) * w * w
+        hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
+                              10 ** rng.uniform(0, 4)) for _ in range(2))
+        w_c = w.astype(k.dtype)
+        c1, c2 = np.sqrt(w_c * w_c + k), np.sqrt(w_c * w_c - k)
+        d1h, d1c, d2h, d2c = (delta_coeff(bath, c) for c in (c1, c2) for bath in (hot, cold))
+        want = unscaled_redfield_drift_local(w_c, k, c1, c2, d1h, d2h, d1c, d2c)
+        got = closed_form_drift(REDFIELD, w, w, k, hot, cold)
+        assert got.tobytes() == want.tobytes(), (w, k, hot, cold)
+
+
+@pytest.mark.parametrize("exponent", range(105, 154, 5))
+def test_redfield_builds_at_huge_resonant_omega(exponent):
+    # D ~ 1/omega^2 far above the cutoff: the quotients D/c of the local
+    # closed form stay normal, so both frames pass the cross-check
+    omega = 10.0**exponent
+    sys = SystemSpec(omega, omega, 0.5 * omega * omega)
+    for frame in (LOCAL_FRAME, NORMAL_FRAME):
+        gen = build(REDFIELD, sys, HOT, COLD, frame=frame)
+        assert np.isfinite(gen.block1).all() and gen.frame == frame
 
 
 def test_zero_coupling_block_diagonal():

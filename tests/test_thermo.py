@@ -113,12 +113,10 @@ def own_frame_moments(t, second):
     return s if t is None else t @ s @ t.T
 
 
-def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
-    # value and magnitude of every label on resonant, detuned, one-ulp
-    # detuned and k = 0 systems with k of either sign, on stacks of 1, 3
-    # and 17 instants, every fourth without correlations
-    import meqlab.thermo as tmod
-
+def closed_form_draws():
+    """(sys, hot, cold, packed second moments) on resonant, detuned,
+    one-ulp detuned and k = 0 systems with k of either sign, on stacks of
+    1, 3 and 17 instants, every fourth without correlations."""
     rng = np.random.default_rng(25)
     for i in range(600):
         wh = 10 ** rng.uniform(-1.0, 1.0)
@@ -130,16 +128,58 @@ def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
         second = np.stack([random_state(rng).second for _ in range((1, 3, 17)[i // 3 % 3])])
         if i % 4 == 0:
             second = pack_symmetric(unpack_symmetric(second) * np.eye(4))
+        yield sys, hot, cold, second
+
+
+def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
+    # every label's one-formula closed form has the two-branch form's bits
+    import meqlab.thermo as tmod
+
+    for sys, hot, cold, second in closed_form_draws():
         for label in LABELS:
-            for magnitude in (False, True):
-                modes, t, _, _ = mode_frame(label, sys, hot, cold)
-                s = own_frame_moments(t, second)
-                got = tmod._closed_form_currents(label, sys, hot, cold, modes, s, magnitude)
-                want = two_branch_currents(label, sys, hot, cold, second, magnitude)
-                assert got.keys() == want.keys()
-                for name in want:
-                    assert got[name].shape == want[name].shape == second.shape[:1]
-                    assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
+            modes, t, _, _ = mode_frame(label, sys, hot, cold)
+            s = own_frame_moments(t, second)
+            got = tmod._closed_form_currents(label, sys, hot, cold, modes, s)
+            want = two_branch_currents(label, sys, hot, cold, second)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].shape == want[name].shape == second.shape[:1]
+                assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
+
+
+def test_balance_terms_are_the_closed_form_terms():
+    # the check's tolerance is relative to the sum of the magnitudes of
+    # the energy balance's terms: per bath it is the same sum as the closed
+    # form's, to rounding, on the draws above and along trajectories of
+    # every label, at and off resonance. Measured: at most 6.7e-16
+    # relative, over these draws, 720 seeded trajectories and the thermal
+    # and stationary states of tools/region_census.py's draws
+    import meqlab.thermo as tmod
+
+    def assert_terms(label, sys, hot, cold, second):
+        _, t, g, pairs = mode_frame(label, sys, hot, cold)
+        moments = pack_symmetric(own_frame_moments(t, second))
+        want = two_branch_currents(label, sys, hot, cold, second, magnitude=True)
+        for name, pair in pairs.items():
+            const, coeffs = tmod._energy_rate(g, *pair)
+            terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
+            assert np.all(np.abs(terms / want[name] - 1.0) <= 2e-15), (label, sys, name)
+
+    for sys, hot, cold, second in closed_form_draws():
+        for label in LABELS:
+            assert_terms(label, sys, hot, cold, second)
+    rng = np.random.default_rng(27)
+    for i in range(20):
+        wh = 10 ** rng.uniform(-1.0, 1.0)
+        wc = wh * 10 ** rng.uniform(-0.5, 0.5) if i % 2 else wh
+        sys = SystemSpec(wh, wc, rng.uniform(-0.99, 0.99) * wh * wc)
+        hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
+                              10 ** rng.uniform(0, 4)) for _ in range(2))
+        state0 = random_state(rng)
+        for label in LABELS:
+            gen = build(label, sys, hot, cold)
+            times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 20)
+            assert_terms(label, sys, hot, cold, propagate(gen, state0, times, sys).second)
 
 
 def test_closed_forms_match_symbolic_on_random_states():
@@ -326,26 +366,30 @@ def test_heat_current_check_is_relative(monkeypatch):
 
 def test_transient_check_names_first_failing_sample(monkeypatch):
     # both routes run at every sample: a corruption of the closed form at
-    # one sample of a trajectory is caught and reported with its time
+    # one sample of a trajectory is caught and reported with its time; when
+    # both baths fail at that sample, the hot bath is named, as the
+    # channel tables order them
     import meqlab.thermo as tmod
 
     state0 = thermal_product_state(FIG_SYS, HOT, COLD)
     gen = build(GME, FIG_SYS, HOT, COLD)
     times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
     original = tmod._closed_form_currents
+    for names, named in (("c", "c"), ("hc", "h")):
+        def corrupted(*args):
+            out = original(*args)
+            for name in names:
+                out[name][7] *= 1.0 + 1e-6
+            return out
 
-    def corrupted(*args):
-        out = original(*args)
-        out["c"][7] *= 1.0 + 1e-6
-        return out
-
-    monkeypatch.setattr(tmod, "_closed_form_currents", corrupted)
-    with pytest.raises(ConsistencyError, match=rf"\(c\).* at t = {times[7]}$"):
-        transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+        with monkeypatch.context() as patch:
+            patch.setattr(tmod, "_closed_form_currents", corrupted)
+            with pytest.raises(ConsistencyError, match=rf"\({named}\).* at t = {times[7]}$"):
+                transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
 
 
 def test_transient_check_catches_small_relative_corruption(monkeypatch):
-    # the tolerance follows the magnitude of the closed form's terms: at
+    # the tolerance follows the magnitude of the balance's terms: at
     # the default parameters a 1e-9 relative corruption of the cold
     # current along a trajectory is still caught, for every picture
     import meqlab.thermo as tmod
@@ -395,6 +439,24 @@ def test_non_finite_closed_form_fails_the_check(monkeypatch):
             with pytest.raises(ConsistencyError,
                                match=rf"\(c\) closed form {bad!r} .* t = {times[7]}$"):
                 transient_currents(GME, FIG_SYS, HOT, COLD, state0, times, gen=gen)
+
+
+def test_non_finite_balance_fails_the_check(monkeypatch):
+    # an overflowing energy balance sums to an infinite magnitude of its
+    # terms, which must not become an infinite tolerance
+    import meqlab.thermo as tmod
+
+    original = tmod._energy_rate
+    ss = steady_state(build(GME, FIG_SYS, HOT, COLD), FIG_SYS)
+    for bad in (np.nan, np.inf, -np.inf):
+        def rate_bad(*args):
+            return bad, original(*args)[1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tmod, "_energy_rate", rate_bad)
+            with pytest.raises(ConsistencyError,
+                               match=rf"\(h\) closed form .* energy-balance value {bad!r} at t = inf$"):
+                heat_current(GME, FIG_SYS, HOT, COLD, ss)
 
 
 def test_consistency_errors_print_plain_floats(monkeypatch):

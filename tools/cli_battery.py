@@ -25,10 +25,9 @@ libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
 table beyond the float range, also with a second bath that fails later
-in the channel order), inputs that fail more than one of build()'s
-checks, whose exit codes pin the checks' order, a bath whose omega/T
-underflows to zero, and
-tables that reach every branch of the column-wise float spelling (fixed
+in the channel order), both sides of the Hurwitz threshold, matrices at
+huge frequencies, a bath whose omega/T underflows to zero, and tables
+that reach every branch of the column-wise float spelling (fixed
 notation at every exponent from -4 to 16, 2- and 3-digit exponents, 0,
 -0, and cells outside its range, in CSV and JSON).
 """
@@ -62,12 +61,11 @@ CONFIG_FILES = {"config-file-steady": {"system": {"k": 1e-5}, "steady": {"points
 
 
 def _build_order_runs() -> dict[str, tuple[str, ...]]:
-    """matrices runs, in both frames, whose exit codes pin the order of
-    build()'s checks: at omega = 8.9e153, k = 7e307 the normal-frame
-    block2 overflows (an error in both frames of GME), while Redfield's
-    local closed form already disagrees, a numerical error where the
-    local comparison comes first, in the local frame; at omega = 1e105
-    Redfield's local closed form loses the cross-check in both frames."""
+    """matrices runs, in both frames, at build()'s extremes: at omega =
+    8.9e153, k = 7e307 the normal-frame block2 overflows, an error in both
+    frames of GME and Redfield, which the local-frame build meets after
+    its local cross-check passes; at omega = 1e105, where Redfield's drift
+    coefficients are below 1e-207, Redfield builds in both frames."""
     huge = ("--set", "system.omega_h=8.94427190999916e+153",
             "--set", "system.omega_c=8.94427190999916e+153", "--set", "system.k=7e307")
     far = ("--set", "system.omega_h=1e105", "--set", "system.omega_c=1e105",
@@ -124,6 +122,12 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "near-edge-steady": ("steady", "--set", "steady.k_min=0.99", "--set", "steady.k_max=0.9999",
                              "--set", "steady.points=2"),
         "near-edge-transient": ("transient", "--set", "system.k=0.9999"),
+        # the Hurwitz threshold, -HURWITZ_RTOL * ||block1||_F, grows with
+        # omega_c^2 past the slowest decay, about 5e-9: 700 passes, 710 and
+        # a transient at 1000 are refused
+        "hurwitz-700-steady": ("steady", "--set", "system.omega_c=700"),
+        "hurwitz-710-steady": ("steady", "--set", "system.omega_c=710"),
+        "hurwitz-1000-transient": ("transient", "--set", "system.omega_c=1000"),
         "non-conserving-steady": ("steady", "--set", "steady.spacing=linear",
                                   "--set", "steady.k_min=0.99999999",
                                   "--set", "steady.k_max=0.99999999", "--set", "steady.points=1"),
