@@ -327,12 +327,15 @@ def cmd_transient(cfg: dict, args) -> int:
                         cfg["transient"]["points"])
     state0 = thermal_product_state(system, hot, cold)
 
-    columns, steady_values = {"t": times}, {}
+    # every stationary state is decided before any trajectory is propagated
+    steady_values = {}
+    for label, _ in _TRANSIENT_LABELS:
+        steady = heat_current(label, system, hot, cold, steady_state(gens[label], system))
+        steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
+    columns = {"t": times}
     for label, tag in _TRANSIENT_LABELS:
         samples = transient_currents(label, system, hot, cold, state0, times, gen=gens[label])
         columns[f"Q_hot_{tag}"], columns[f"Q_cold_{tag}"] = samples.q_hot, samples.q_cold
-        steady = heat_current(label, system, hot, cold, steady_state(gens[label], system))
-        steady_values[label] = {"Q_hot": steady.q_hot, "Q_cold": steady.q_cold}
 
     header = ["t"] + [f"Q_{side}_{tag}" for side in ("hot", "cold") for _, tag in _TRANSIENT_LABELS]
     out, fmt = _output(cfg)

@@ -15,8 +15,8 @@ exactly when block1 is, and its slowest rate is twice block1's.
 A MomentState holds one instant or a stack of them over leading axes,
 so a trajectory is one state of (T, 4) and (T, 10) arrays. Its
 uncertainty check is one Cholesky factorization written over the
-packed moments, column by column on (T,) vectors; only a trajectory
-that fails it is searched for its first violation by eigenvalues.
+packed moments, column by column on (T,) vectors, which decides every
+instant at once and so names the first violation itself.
 """
 
 from __future__ import annotations
@@ -117,24 +117,24 @@ def physicality_min_eig(state: MomentState) -> float | np.ndarray:
     return np.linalg.eigvalsh(herm)[..., 0][()]
 
 
-def _passes_uncertainty_screen(first: np.ndarray, second: np.ndarray) -> bool:
-    """Whether Sigma + (i/2) SYMPLECTIC - PHYSICALITY_TOL * I has a Cholesky
-    factor at every instant of the moments (N, 4) and (N, 10).
+def _passes_uncertainty_screen(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Per instant of the moments (N, 4) and (N, 10), a (N,) mask: whether
+    Sigma + (i/2) SYMPLECTIC - PHYSICALITY_TOL * I has a Cholesky factor.
 
     The Hermitian factorization runs column by column on (N,) vectors,
     each entry formed from the packed moments as `covariance()` forms it;
-    a pivot that is not > 0, NaN included, fails the screen. Overflow on
-    the way raises no numpy warning.
+    a pivot that is not > 0, NaN included, fails its instant, whose later
+    entries may turn NaN or infinite and touch no other instant. Overflow,
+    and the root of or division by a failed pivot, raise no numpy warning.
     """
-    factor = {}
-    with np.errstate(over="ignore", invalid="ignore"):
+    factor, passes = {}, np.ones(len(second), dtype=bool)
+    with np.errstate(all="ignore"):
         for j in range(4):
             pivot = (second[:, _UNPACK_INDEX[j, j]] - first[:, j] * first[:, j]) - PHYSICALITY_TOL
             for k in range(j):
                 done = factor[j, k]
                 pivot = pivot - (done.real * done.real + done.imag * done.imag)
-            if not (pivot > 0.0).all():
-                return False
+            passes &= pivot > 0.0
             root = np.sqrt(pivot)
             for i in range(j + 1, 4):
                 entry = ((second[:, _UNPACK_INDEX[i, j]] - first[:, i] * first[:, j])
@@ -142,7 +142,7 @@ def _passes_uncertainty_screen(first: np.ndarray, second: np.ndarray) -> bool:
                 for k in range(j):
                     entry = entry - factor[i, k] * factor[j, k].conj()
                 factor[i, j] = entry / root
-    return True
+    return passes
 
 
 def _thermal_diag(omega: float, temperature: float) -> tuple[float, float]:
@@ -426,8 +426,8 @@ def propagate(
     The first-moment flow is homogeneous, so zero means are not
     propagated: they stay exact +0.0, and only block2 is exponentiated.
     Uncertainty violations along the trajectory are screened by one
-    Cholesky factorization over the packed moments and, if it fails,
-    logged once with the first offending time; they are expected only
+    Cholesky factorization over the packed moments, per instant, and
+    logged once with the first failing time; they are expected only
     for generators without GKSL structure. Moments that overflow raise
     NumericalError naming the first non-finite time.
     """
@@ -488,15 +488,11 @@ def propagate(
         raise NumericalError(
             f"{gen.label} moments overflow from t = {t_grid[np.argmin(finite)]} on"
         )
-    states = MomentState(first, second, time=t_grid)
-    # the Cholesky screen passes the whole trajectory at once; only a
-    # failed one asks the eigenvalues for the first time
-    if not _passes_uncertainty_screen(first, second):
-        violations = np.flatnonzero(physicality_min_eig(states) < PHYSICALITY_TOL)
-        if violations.size:
-            log.warning(
-                "%s trajectory violates the uncertainty relation from t = %g on",
-                gen.label,
-                t_grid[violations[0]],
-            )
-    return states
+    passes = _passes_uncertainty_screen(first, second)
+    if not passes.all():
+        log.warning(
+            "%s trajectory violates the uncertainty relation from t = %g on",
+            gen.label,
+            t_grid[np.argmin(passes)],
+        )
+    return MomentState(first, second, time=t_grid)

@@ -476,16 +476,16 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
 
 def mode_frame(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec
-) -> tuple[NormalModes, np.ndarray | None, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The label's own mode frame, (modes, T, G, pairs): its modes
+) -> tuple[NormalModes, np.ndarray | None, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The label's own mode frame, (modes, T, G, pair): its modes
     (:func:`_channel_modes`), the rotation T = :func:`quadrature_rotation`
-    into their quadratures, G of H = (1/2) q^T G q there, and per bath,
-    keyed "h" and "c", the dissipator's pair (A_alpha, packed D_alpha) of
-    its channel table over those quadratures, where the table's
-    structural zeros are exact: one :func:`_gaussian_pair` at G = 0 over
-    both baths' tables of :func:`_dissipator_terms`. For the bare
-    oscillators (the LME) T is None, their quadratures being the local
-    ones, and G is
+    into their quadratures, G of H = (1/2) q^T G q there, and the
+    dissipators' pairs stacked over the baths, hot then cold, (drifts
+    (2, 4, 4), packed diffusions (2, 10)), of the channel tables over
+    those quadratures, where the tables' structural zeros are exact: one
+    :func:`_gaussian_pair` at G = 0 over both baths' tables of
+    :func:`_dissipator_terms`. For the bare oscillators (the LME) T is
+    None, their quadratures being the local ones, and G is
     ``hamiltonian(sys)``, which keeps the coupling; for the normal modes
     (GME, Redfield) G is diag(W_1^2, 1, W_2^2, 1) exactly, so the modes
     must diagonalize the potential block V of ``hamiltonian(sys)``
@@ -511,8 +511,7 @@ def mode_frame(
                                    f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
         t, g = quadrature_rotation(modes), np.diag([w[0], 1.0, w[1], 1.0])
     tables = _dissipator_terms(label, hot, cold, modes, own_frame=True)
-    drifts, diffusions = _gaussian_pair(np.zeros((4, 4)), tables)
-    return modes, t, g, dict(zip("hc", zip(drifts, diffusions)))
+    return modes, t, g, _gaussian_pair(np.zeros((4, 4)), tables)
 
 
 # -- public construction ---------------------------------------------------

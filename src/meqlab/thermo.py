@@ -18,11 +18,12 @@ closed form that is not finite, raises; it is never silently patched. A
 stationary state (time = inf) must also conserve energy, or NumericalError.
 
 Both routes share one rotation of a MomentState of any leading shape into
-the mode frame and give a HeatCurrentSample of that shape, so a
-trajectory is checked in one pass; a failing check names the time of the
-first failing sample. The tolerance is relative to the sum of the
-magnitudes of the balance's terms, which equal the closed form's to
-rounding and can cancel far below their size.
+the mode frame and give a HeatCurrentSample of that shape. Both baths'
+pairs come stacked, so every (bath, instant) of a trajectory is checked
+in one pass against one tolerance, relative to the sum of the magnitudes
+of the balance's terms, which equal the closed form's to rounding and
+can cancel far below their size; a failing check names the time of the
+first failing sample, and the hot bath when both fail there.
 
 Sign convention: positive current = energy flowing from the bath into
 the system.
@@ -67,23 +68,24 @@ class HeatCurrentSample(_Stack):
     label: str
 
 
-def _energy_rate(g: np.ndarray, a: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+def _energy_rate(g: np.ndarray, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c0, c) with d<H>/dt = c0 + c . m on packed second moments m, for
     H = (1/2) q^T G q under the Gaussian pair dS/dt = A S + S A^T + D (D
     packed): c0 = (1/2) tr(G D), and c packs tr(G A S), (GA)_ii on the
-    diagonal and (GA)_ij + (GA)_ji off it."""
+    diagonal and (GA)_ij + (GA)_ji off it. A stack of pairs, A (..., 4, 4)
+    and D (..., 10), gives c0 (...) and c (..., 10)."""
     ga = g @ a
-    c = pack_symmetric((ga + ga.T) * (1.0 - 0.5 * np.eye(4)))
-    return 0.5 * np.sum(g * unpack_symmetric(d)), c
+    c = pack_symmetric((ga + ga.swapaxes(-1, -2)) * (1.0 - 0.5 * np.eye(4)))
+    return 0.5 * np.sum(g * unpack_symmetric(d), axis=(-2, -1)), c
 
 
 def _closed_form_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, modes: NormalModes,
     s: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Second-moment closed forms of the per-bath currents on second
-    moments ``s`` in the frame of ``generators.mode_frame``, stacked over leading
-    axes, (..., 4, 4) -> (...).
+) -> np.ndarray:
+    """Second-moment closed forms of the currents on second moments ``s``
+    in the frame of ``generators.mode_frame``, stacked over leading axes
+    and then over the baths, hot then cold, (..., 4, 4) -> (2, ...).
 
     One formula over the label's modes (x_h, x_c)^T = P (eta_1, eta_2)^T,
     the bare oscillators (P = I) for the LME and the normal modes for GME
@@ -97,8 +99,8 @@ def _closed_form_currents(
     """
     p, freqs = modes.matrix, (modes.omega1, modes.omega2)
     coupling = sys.k * s[..., 0, 2] if label == LME else 0.0
-    out: dict[str, np.ndarray] = {}
-    for row, (name, bath) in enumerate((("h", hot), ("c", cold))):
+    out = []
+    for row, bath in enumerate((hot, cold)):
         deltas = [delta_coeff(bath, freq) for freq in freqs]
         total = 0.0
         for j in range(2):
@@ -121,8 +123,8 @@ def _closed_form_currents(
                 * dsum
                 * (freqs[0] * freqs[1] * eta12 + pi12)
             )
-        out[name] = total
-    return out
+        out.append(total)
+    return np.stack(out)
 
 
 def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
@@ -137,44 +139,38 @@ def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
 def _verified_currents(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec, states: MomentState
 ) -> HeatCurrentSample:
-    """Closed-form currents of a state of any leading shape. Each instant
-    is checked against the bath's energy balance, to CROSSCHECK_TOL
-    relative to the magnitude of the balance's terms, which are the
-    closed form's to rounding, floored at :func:`current_scale`; the first
-    failing instant raises ConsistencyError, naming the hot bath first. A
+    """Closed-form currents of a state of any leading shape. Every
+    (instant, bath) is checked against the bath's energy balance in one
+    pass, to CROSSCHECK_TOL relative to the magnitude of the balance's
+    terms, which are the closed form's to rounding, floored at
+    :func:`current_scale`; the first failing instant raises
+    ConsistencyError, naming the hot bath when both fail there. A
     stationary instant (time = inf) whose currents do not conserve energy
     to STATIONARY_TOL raises NumericalError."""
     lead = states.first.shape[:-1]
-    modes, t, g, pairs = mode_frame(label, sys, hot, cold)
+    modes, t, g, pair = mode_frame(label, sys, hot, cold)
     s = unpack_symmetric(states.second.reshape(-1, 10))
     if t is not None:
         s = t @ s @ t.T
     closed = _closed_form_currents(label, sys, hot, cold, modes, s)
     moments = pack_symmetric(s)
     scale = current_scale(sys, hot, cold)
-    failures = []
-    for name, pair in pairs.items():
-        const, coeffs = _energy_rate(g, *pair)
-        value = closed[name]
-        check = const + moments @ coeffs
-        off = np.abs(value - check)
-        # NaN compares false and an infinite value or balance is refused, not
-        # given an infinite tolerance. |value| is at most the terms' magnitude,
-        # to rounding: an instant within that tighter tolerance skips the terms
-        finite = np.isfinite(value) & np.isfinite(check)
-        if not np.all(finite & (off <= CROSSCHECK_TOL * np.maximum(np.abs(value), scale))):
-            terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
-            bad = np.flatnonzero(~(finite & (off <= CROSSCHECK_TOL * np.maximum(terms, scale))))
-            if bad.size:
-                failures.append((bad[0], name, float(value[bad[0]]), float(check[bad[0]])))
-    if failures:
-        # the first failing instant; at a tie, the hot bath, checked first
-        i, name, value, check = min(failures, key=lambda failure: failure[0])
+    # (instant, bath) arrays: row-major order is time first, then hot, cold
+    const, coeffs = _energy_rate(g, *pair)
+    value, check = closed.T, const + moments @ coeffs.T
+    terms = np.abs(const) + np.abs(moments) @ np.abs(coeffs).T
+    # NaN compares false, and an infinite value or balance is refused, not
+    # given an infinite tolerance
+    ok = (np.isfinite(value) & np.isfinite(check)
+          & (np.abs(value - check) <= CROSSCHECK_TOL * np.maximum(terms, scale)))
+    if not ok.all():
+        i, bath = np.argwhere(~ok)[0]
         raise ConsistencyError(
-            f"{label} heat current ({name}) closed form {value!r} disagrees "
-            f"with energy-balance value {check!r} at t = {np.reshape(states.time, -1)[i]}"
+            f"{label} heat current ({'hc'[bath]}) closed form {float(value[i, bath])!r} "
+            f"disagrees with energy-balance value {float(check[i, bath])!r} "
+            f"at t = {np.reshape(states.time, -1)[i]}"
         )
-    q_hot, q_cold = closed["h"], closed["c"]
+    q_hot, q_cold = closed
     balanced = np.abs(q_hot + q_cold) <= STATIONARY_TOL * np.maximum(np.abs(q_hot), scale)
     broken = np.flatnonzero((np.reshape(states.time, -1) == np.inf) & ~balanced)
     if broken.size:

@@ -151,6 +151,19 @@ def test_unstable_coupling_exits_3(tmp_path):
                 "--set", "system.k=2.0"]) == 3
 
 
+def test_transient_decides_stationary_states_before_propagating(tmp_path, monkeypatch, capsys):
+    # at omega_c = 1000 the LME drift misses the Hurwitz threshold: that
+    # stationary state is refused before any trajectory is propagated
+    def no_call(*args, **kwargs):
+        raise AssertionError("transient propagated before deciding its stationary states")
+
+    monkeypatch.setattr(cli, "transient_currents", no_call)
+    assert run(["transient", "--out", str(tmp_path), "--set", "system.omega_c=1000"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "physics error: LME block1 is not Hurwitz (max Re eigenvalue -5e-09 is not below "
+        "-1e-14 * ||block1||_F = -1e-08); no steady state"]
+
+
 def test_near_edge_commands_exit_0(tmp_path):
     codes = [
         run(["steady", "--out", str(tmp_path), "--set", "steady.k_min=0.99",

@@ -719,6 +719,22 @@ def test_refine_newton_locus_is_the_lme_line(omega, log_lambda_sq, lo, hi):
             == refine_ep(LME, "first", omega, centred, hot, cold))
 
 
+def test_refine_refuses_a_kappa_flat_to_rounding():
+    # at omega = 3 and lambda_c^2 = 1e-6 the secular kappa is monotone
+    # with rounding noise of about 2e-10: its argmax fell inside this
+    # bracket and seeded a Newton run that stalled where no EP exists. A
+    # peak that does not stand PEAK_MARGIN above both ends is refused
+    cold = BathSpec(1e-6, 5.0, 1e3)
+    hot = BathSpec(1e-4 * cold.lambda_sq, 10.0, 1e3)
+    kstar = exceptional_line(3.0, hot, cold)
+    bracket = (0.891769015001725 * kstar, 1.1 * kstar)
+    for label in (GME, GME_ZEROTH):
+        for block in ("first", "second"):
+            with pytest.raises(BracketError, match="no interior maximum"):
+                refine_ep(label, block, 3.0, bracket, hot, cold)
+    assert abs(refine_ep(LME, "first", 3.0, bracket, hot, cold) - kstar) <= 1e-13 * kstar
+
+
 def test_refine_second_block_rejects_a_spurious_kappa_spike():
     # above k* the LME's 10x10 block has exactly double eigenvalues (pair
     # sums coincide), whose eigenvector basis is arbitrary: kappa spikes

@@ -1046,7 +1046,7 @@ def test_mode_frame_is_the_bare_or_the_normal_frame():
         assert (got.omega1, got.omega2) == (modes.omega1, modes.omega2)
         assert t.tobytes() == quadrature_rotation(modes).tobytes()
         assert g.tobytes() == np.diag([w_sq[0], 1.0, w_sq[1], 1.0]).tobytes()
-        assert sorted(pairs) == ["c", "h"]
+        assert [part.shape for part in pairs] == [(2, 4, 4), (2, 10)]
     for label in (GME_ZEROTH, REDFIELD_ZEROTH):
         with pytest.raises(ValidationError, match="has no own mode frame"):
             mode_frame(label, FIG_SYS, HOT, COLD)

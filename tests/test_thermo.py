@@ -141,10 +141,9 @@ def test_closed_forms_are_the_two_branch_forms_bit_for_bit():
             s = own_frame_moments(t, second)
             got = tmod._closed_form_currents(label, sys, hot, cold, modes, s)
             want = two_branch_currents(label, sys, hot, cold, second)
-            assert got.keys() == want.keys()
-            for name in want:
-                assert got[name].shape == want[name].shape == second.shape[:1]
-                assert got[name].tobytes() == want[name].tobytes(), (label, sys, name)
+            for name, q in zip(want, got, strict=True):
+                assert q.shape == want[name].shape == second.shape[:1]
+                assert q.tobytes() == want[name].tobytes(), (label, sys, name)
 
 
 def test_balance_terms_are_the_closed_form_terms():
@@ -160,8 +159,7 @@ def test_balance_terms_are_the_closed_form_terms():
         _, t, g, pairs = mode_frame(label, sys, hot, cold)
         moments = pack_symmetric(own_frame_moments(t, second))
         want = two_branch_currents(label, sys, hot, cold, second, magnitude=True)
-        for name, pair in pairs.items():
-            const, coeffs = tmod._energy_rate(g, *pair)
+        for name, const, coeffs in zip("hc", *tmod._energy_rate(g, *pairs)):
             terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
             assert np.all(np.abs(terms / want[name] - 1.0) <= 2e-15), (label, sys, name)
 
@@ -229,8 +227,7 @@ def test_energy_balance_is_the_operator_expectation():
             modes, t, g, pairs = mode_frame(label, sys, hot, cold)
             moments = pack_symmetric(own_frame_moments(t, second))
             tables = dict(zip("hc", _dissipator_terms(label, hot, cold, modes), strict=True))
-            for name, pair in pairs.items():
-                const, coeffs = tmod._energy_rate(g, *pair)
+            for name, const, coeffs in zip("hc", *tmod._energy_rate(g, *pairs)):
                 got = const + moments @ coeffs
                 want = expectation(dissipator_action(tables[name], h_op), first, second)
                 terms = abs(const) + np.abs(moments) @ np.abs(coeffs)
@@ -357,7 +354,7 @@ def test_heat_current_check_is_relative(monkeypatch):
     original = tmod._closed_form_currents
 
     def corrupted(*args):
-        return {name: q * (1.0 + 1e-6) for name, q in original(*args).items()}
+        return original(*args) * (1.0 + 1e-6)
 
     monkeypatch.setattr(tmod, "_closed_form_currents", corrupted)
     with pytest.raises(ConsistencyError):
@@ -368,18 +365,19 @@ def test_transient_check_names_first_failing_sample(monkeypatch):
     # both routes run at every sample: a corruption of the closed form at
     # one sample of a trajectory is caught and reported with its time; when
     # both baths fail at that sample, the hot bath is named, as the
-    # channel tables order them
+    # channel tables order them, and an earlier failing sample of the cold
+    # bath wins over a later one of the hot bath
     import meqlab.thermo as tmod
 
     state0 = thermal_product_state(FIG_SYS, HOT, COLD)
     gen = build(GME, FIG_SYS, HOT, COLD)
     times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
     original = tmod._closed_form_currents
-    for names, named in (("c", "c"), ("hc", "h")):
+    for samples, named in (({"c": 7}, "c"), ({"h": 7, "c": 7}, "h"), ({"h": 9, "c": 7}, "c")):
         def corrupted(*args):
             out = original(*args)
-            for name in names:
-                out[name][7] *= 1.0 + 1e-6
+            for name, i in samples.items():
+                out["hc".index(name), i] *= 1.0 + 1e-6
             return out
 
         with monkeypatch.context() as patch:
@@ -399,7 +397,7 @@ def test_transient_check_catches_small_relative_corruption(monkeypatch):
 
     def corrupted(*args):
         out = original(*args)
-        out["c"] = out["c"] * (1.0 + 1e-9)
+        out[1] = out[1] * (1.0 + 1e-9)
         return out
 
     for label in LABELS:
@@ -424,11 +422,13 @@ def test_non_finite_closed_form_fails_the_check(monkeypatch):
     times = np.linspace(0.0, 3.0 * slowest_timescale(gen), 25)
     for bad in (np.nan, np.inf, -np.inf):
         def hot_bad(*args):
-            return {**original(*args), "h": np.array([bad])}
+            out = original(*args)
+            out[0] = bad
+            return out
 
         def cold_bad_at_7(*args):
             out = original(*args)
-            out["c"][7] = bad
+            out[1, 7] = bad
             return out
 
         with monkeypatch.context() as patch:
@@ -469,7 +469,7 @@ def test_consistency_errors_print_plain_floats(monkeypatch):
     assert "np.float64" not in str(info.value) and "array(" not in str(info.value)
     original = tmod._closed_form_currents
     monkeypatch.setattr(tmod, "_closed_form_currents",
-                        lambda *args: {n: 2.0 * q for n, q in original(*args).items()})
+                        lambda *args: 2.0 * original(*args))
     ss = steady_state(build(GME, FIG_SYS, HOT, COLD), FIG_SYS)
     with pytest.raises(ConsistencyError, match=r"closed form -?\d\.\d+e-\d+ disagrees") as info:
         heat_current(GME, FIG_SYS, HOT, COLD, ss)

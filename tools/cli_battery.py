@@ -26,7 +26,8 @@ those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
 table beyond the float range, also with a second bath that fails later
 in the channel order), both sides of the Hurwitz threshold, matrices at
-huge frequencies, a bath whose omega/T underflows to zero, and tables
+huge frequencies, a bath whose omega/T underflows to zero, a Redfield
+transient whose logged uncertainty violation names its first time, and tables
 that reach every branch of the column-wise float spelling (fixed
 notation at every exponent from -4 to 16, 2- and 3-digit exponents, 0,
 -0, and cells outside its range, in CSV and JSON).
@@ -128,6 +129,12 @@ def _runs() -> dict[str, tuple[str, ...]]:
         "hurwitz-700-steady": ("steady", "--set", "system.omega_c=700"),
         "hurwitz-710-steady": ("steady", "--set", "system.omega_c=710"),
         "hurwitz-1000-transient": ("transient", "--set", "system.omega_c=1000"),
+        # squeezed by strong, unequal couplings near zero temperature, the
+        # Redfield trajectory leaves the physical cone: logged, not fatal
+        "redfield-uncertainty-transient": (
+            "transient", "--set", "system.k=0.9", "--set", "baths.hot.lambda_sq=0.002",
+            "--set", "baths.hot.temperature=0.015", "--set", "baths.cold.lambda_sq=0.1",
+            "--set", "baths.cold.temperature=0.005", "--set", "transient.points=200"),
         "non-conserving-steady": ("steady", "--set", "steady.spacing=linear",
                                   "--set", "steady.k_min=0.99999999",
                                   "--set", "steady.k_max=0.99999999", "--set", "steady.points=1"),
