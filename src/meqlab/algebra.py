@@ -214,9 +214,9 @@ def second_moment_flow(a: np.ndarray) -> np.ndarray:
     if a.shape[-2:] != (4, 4):
         raise ContractError(f"drift must end in shape (4, 4), got {a.shape}")
     lead = a.shape[:-2]
-    padded = np.concatenate(
-        [a.reshape(lead + (16,)), np.broadcast_to([0.0, -0.0], lead + (2,))], axis=-1
-    )
+    padded = np.empty(lead + (18,))
+    padded[..., :16] = a.reshape(lead + (16,))
+    padded[..., 16], padded[..., 17] = 0.0, -0.0
     flow = np.take(padded, _FLOW_INDICES[0], axis=-1)
     flow += np.take(padded, _FLOW_INDICES[1], axis=-1)
     return flow

@@ -10,16 +10,25 @@ the Bose occupation; the drift coefficient Delta and noise coefficient
 Sigma, with rate(+/-w) = w (Sigma -/+ Delta), are all the moment-dynamics
 matrices read of a bath. Delta = -J(w)/w is written directly: as a
 difference of two rates it would lose about eps*T/w to cancellation.
+
+:func:`sigma_coeff` is memoised, by (bath, omega), in a thread-safe
+``functools.lru_cache`` of ``model.CACHE_SIZE`` entries, and keyed by
+the type of omega too, whose result has its type: the labels of one
+point read the same few noise coefficients. A key never holds a zero:
+omega <= 0 raises, and an error is never cached; a BathSpec's fields
+are positive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
+from .model import CACHE_SIZE
 
 __all__ = [
     "BathSpec",
@@ -142,6 +151,7 @@ def delta_coeff(bath: BathSpec, omega):
     return -bath.lambda_sq * cutoff_sq / (omega * omega + cutoff_sq)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def sigma_coeff(bath: BathSpec, omega: float) -> float:
     """Noise coefficient (rate(-w) + rate(w)) / (2w) = (J(w)/w) coth(w/2T) > 0."""
     if omega <= 0.0:

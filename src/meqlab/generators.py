@@ -39,7 +39,14 @@ input, by the one rule of ``model.is_resonant`` (omega_h == omega_c),
 and every form refuses a real coupling outside the one stability rule,
 ``model.stable_coupling``.
 Tables and closed forms read the same Delta and Sigma of ``bath``, so
-the two routes differ only in their algebra.
+the two routes differ only in their algebra. The label-independent
+ingredients of a point are memoised where they are made (see ``model``):
+the normal modes, the lowering operators, the noise coefficients and,
+here, the checked normal-mode frame of :func:`mode_frame`
+(:func:`_normal_frame`), keyed by the spec, the sign of its k and the
+modes' bits, in bounded thread-safe caches; :func:`closed_form_blocks`
+takes both frames' drifts of a label from one evaluation of their
+coefficients.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from .model import (
     is_resonant,
     lowering_ops,
     normal_modes,
+    spec_cache,
     stable_coupling,
 )
 
@@ -360,23 +368,38 @@ def closed_form_drift(
     NORMAL_FORMS, the mode frequencies sqrt(wh^2 -+ k) are real inside
     it). Any other frame or label raises ValidationError first. The
     result is complex when an input is (complex k continues the drift off
-    the real axis), else float.
+    the real axis), else float; complex input is evaluated on arrays of
+    at least one element, as numpy's complex scalar product rounds
+    otherwise than its array loop, so a lone point has the bits of the
+    same entry of an array.
     """
     if not isinstance(frame, str) or frame not in FRAME_NAMES:
         raise ValidationError(f"unknown frame {frame!r}")
+    (drift,) = _closed_form_drifts(label, wh, wc, k, hot, cold, (frame,))
+    return drift
+
+
+def _closed_form_drifts(
+    label: str, wh, wc, k, hot: BathSpec, cold: BathSpec, frames: tuple[str, ...]
+) -> list[np.ndarray]:
+    """:func:`closed_form_drift` of one label in each of ``frames``, from
+    one evaluation of the coefficients they share."""
     if label not in GENERATOR_LABELS:
         raise ValidationError(f"unknown generator label {label!r}")
-    local = frame == LOCAL_FRAME
     wh, wc, k = np.asarray(wh), np.asarray(wc), np.asarray(k)
     dtype = np.result_type(wh, wc, k, float)
     wh, wc, k = (v.astype(dtype, copy=False) for v in (wh, wc, k))
     lme_form = label in (LME, REDFIELD_ZEROTH)
+    if not lme_form:
+        if not (wh.real > 0.0).all():
+            raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
+        if not (wh == wc).all():
+            raise ValidationError(f"{label} closed form is resonant: omega_c must equal omega_h")
+    lone = dtype.kind == "c" and not (wh.ndim or wc.ndim or k.ndim)
+    if dtype.kind == "c":
+        wh, wc, k = np.atleast_1d(wh, wc, k)
     if lme_form:
         dh, dc = delta_coeff(hot, wh), delta_coeff(cold, wc)
-    elif not (wh.real > 0.0).all():
-        raise DomainError(f"{label} closed form requires Re omega_h > 0, got {wh!r}")
-    elif not (wh == wc).all():
-        raise ValidationError(f"{label} closed form is resonant: omega_c must equal omega_h")
     if dtype.kind != "c":
         stable = stable_coupling(wh, wc, k)
         if not stable.all():
@@ -387,23 +410,29 @@ def closed_form_drift(
                 f"{kb!r} at omega_h = {whb!r}, omega_c = {wcb!r}"
             )
     if lme_form:
-        if not local:
+        if NORMAL_FRAME in frames:
             raise ValidationError(f"{label} has no closed form in the {NORMAL_FRAME} frame")
-        return lme_drift(wh, wc, k, dh, dc)
-    w_sq = wh * wh
-    o1, o2 = np.sqrt(w_sq + k), np.sqrt(w_sq - k)
-    if label == GME_ZEROTH:
-        dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))
+        drifts = [lme_drift(wh, wc, k, dh, dc)]
     else:
-        d1h, d2h = delta_coeff(hot, o1), delta_coeff(hot, o2)
-        d1c, d2c = delta_coeff(cold, o1), delta_coeff(cold, o2)
-        dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
-    if local and label == REDFIELD:
-        return redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c)
-    if local:
-        return gme_drift_local(wh, k, dm1, dm2)
-    split = (0.5 * (d1h - d1c), 0.5 * (d2h - d2c)) if label == REDFIELD else (0.0, 0.0)
-    return normal_drift(o1, o2, o1, o2, dm1, dm2, *split)
+        w_sq = wh * wh
+        o1, o2 = np.sqrt(w_sq + k), np.sqrt(w_sq - k)
+        if label == GME_ZEROTH:
+            dm1 = dm2 = 0.5 * (delta_coeff(hot, wh) + delta_coeff(cold, wh))
+        else:
+            d1h, d2h = delta_coeff(hot, o1), delta_coeff(hot, o2)
+            d1c, d2c = delta_coeff(cold, o1), delta_coeff(cold, o2)
+            dm1, dm2 = 0.5 * (d1h + d1c), 0.5 * (d2h + d2c)
+        drifts = []
+        for frame in frames:
+            if frame == NORMAL_FRAME:
+                split = ((0.5 * (d1h - d1c), 0.5 * (d2h - d2c)) if label == REDFIELD
+                         else (0.0, 0.0))
+                drifts.append(normal_drift(o1, o2, o1, o2, dm1, dm2, *split))
+            elif label == REDFIELD:
+                drifts.append(redfield_drift_local(wh, k, o1, o2, d1h, d2h, d1c, d2c))
+            else:
+                drifts.append(gme_drift_local(wh, k, dm1, dm2))
+    return [drift[0] for drift in drifts] if lone else drifts
 
 
 def closed_form_blocks(
@@ -414,7 +443,8 @@ def closed_form_blocks(
     Keys: ``block1_local``, ``block1_normal``, ``block2_local``,
     ``block2_normal``, ``const2_local``, ``const2_normal`` (only those
     with a closed form for the label/parameters are present); the drifts
-    come from :func:`closed_form_drift`. The LME forms give the local
+    of both frames come from one evaluation of
+    :func:`closed_form_drift`'s coefficients. The LME forms give the local
     blocks at any detuning, also for Redfield-zeroth and, off resonance,
     for GME-zeroth. The other forms hold only at resonance
     (``model.is_resonant``), give block2 and const2 in the normal frame,
@@ -428,14 +458,14 @@ def closed_form_blocks(
         label = LME
     elif label != LME and not resonant:
         return {}
-    out = {"block1_local": closed_form_drift(label, wh, wc, sys.k, hot, cold)}
     if label == LME:
+        local = closed_form_drift(label, wh, wc, sys.k, hot, cold)
         sh, sc = sigma_coeff(hot, wh), sigma_coeff(cold, wc)
-        out["block2_local"] = _flow(out["block1_local"])
-        out["const2_local"] = normal_const2(wh, wc, sh, sc, 0.0, 0.0)
-        return out
-    normal = closed_form_drift(label, wh, wc, sys.k, hot, cold, NORMAL_FRAME)
-    out["block1_normal"], out["block2_normal"] = normal, _flow(normal)
+        return {"block1_local": local, "block2_local": _flow(local),
+                "const2_local": normal_const2(wh, wc, sh, sc, 0.0, 0.0)}
+    local, normal = _closed_form_drifts(label, wh, wc, sys.k, hot, cold,
+                                        (LOCAL_FRAME, NORMAL_FRAME))
+    out = {"block1_local": local, "block1_normal": normal, "block2_normal": _flow(normal)}
     c1, c2 = (wh, wh) if label == GME_ZEROTH else (modes.omega1, modes.omega2)
     sh = [sigma_coeff(hot, c) for c in (c1, c2)]
     sc = [sigma_coeff(cold, c) for c in (c1, c2)]
@@ -474,6 +504,28 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
     return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
 
 
+@spec_cache
+def _normal_frame(sys: SystemSpec, modes: NormalModes) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation T = :func:`quadrature_rotation` into the quadratures of
+    the normal modes ``modes`` of ``sys`` and G = diag(W_1^2, 1, W_2^2, 1)
+    there, both read-only, once the modes pass :func:`mode_frame`'s check
+    against ``hamiltonian(sys)``, or ConsistencyError; memoised by the
+    spec and the modes' bits (``model.spec_cache``)."""
+    freqs = np.array([modes.omega1, modes.omega2])
+    p, w, v = modes.matrix, freqs * freqs, hamiltonian(sys)[::2, ::2]
+    with np.errstate(all="ignore"):
+        off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
+    orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL
+    floor = 8.0 * np.finfo(float).smallest_subnormal * size.max()
+    if not (np.all(off <= CROSSCHECK_TOL * size + floor) and orthogonal.all()):
+        raise ConsistencyError(f"normal modes (W^2 = {w.tolist()!r}, P = "
+                               f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
+    t, g = quadrature_rotation(modes), np.diag([w[0], 1.0, w[1], 1.0])
+    t.setflags(write=False)
+    g.setflags(write=False)
+    return t, g
+
+
 def mode_frame(
     label: str, sys: SystemSpec, hot: BathSpec, cold: BathSpec
 ) -> tuple[NormalModes, np.ndarray | None, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -492,24 +544,22 @@ def mode_frame(
     orthogonally, V P = P diag(W^2) and P^T P = I, each entry to
     CROSSCHECK_TOL of its terms, or ConsistencyError. An entry of P below
     the underflow threshold may be lost, as for a subnormal k, so V P is
-    also allowed a few subnormals of its scale. The zeroth-order labels,
+    also allowed a few subnormals of its scale. The checked T and G, the
+    same for GME and Redfield, are memoised and read-only
+    (:func:`_normal_frame`). The zeroth-order labels,
     whose modes at resonance are neither set, and unknown ones raise
     ValidationError: labels without a heat current are refused here."""
     if label in (GME_ZEROTH, REDFIELD_ZEROTH):
         raise ValidationError(f"{label} has no own mode frame")
-    g, normal = hamiltonian(sys), normal_modes(sys)
-    modes, t = _channel_modes(label, sys, normal), None
+    normal = normal_modes(sys)
+    modes = _channel_modes(label, sys, normal)
     if modes is normal:
-        freqs = np.array([modes.omega1, modes.omega2])
-        p, w, v = modes.matrix, freqs * freqs, g[::2, ::2]
-        with np.errstate(all="ignore"):
-            off, size = np.abs(v @ p - p * w), np.abs(v) @ np.abs(p) + np.abs(p) * w
-        orthogonal = np.abs(p.T @ p - np.eye(2)) <= CROSSCHECK_TOL
-        floor = 8.0 * np.finfo(float).smallest_subnormal * size.max()
-        if not (np.all(off <= CROSSCHECK_TOL * size + floor) and orthogonal.all()):
-            raise ConsistencyError(f"{label} normal modes (W^2 = {w.tolist()!r}, P = "
-                                   f"{p.tolist()!r}) do not diagonalize {v.tolist()!r}")
-        t, g = quadrature_rotation(modes), np.diag([w[0], 1.0, w[1], 1.0])
+        try:
+            t, g = _normal_frame(sys, modes)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{label} {exc}") from None
+    else:
+        t, g = None, hamiltonian(sys)
     tables = _dissipator_terms(label, hot, cold, modes, own_frame=True)
     return modes, t, g, _gaussian_pair(np.zeros((4, 4)), tables)
 

@@ -18,10 +18,26 @@ while libm ``pow``, which ``**`` calls on floats and numpy scalars, may
 land an ulp off (at w = 0.8683284008647664, w**2 < w*w), so a square
 read as a product has the same bits wherever it is read, and a coupling
 the rule accepts keeps positive mode frequencies.
+
+:func:`normal_modes` and :func:`lowering_ops` are memoised, as are
+``bath.sigma_coeff``, ``thermo.current_scale`` and the normal-mode
+frame of ``generators.mode_frame``: the labels of one point, and the
+build and heat-current check of each, read the same modes and rates.
+Each is a pure function of immutable values behind a
+``functools.lru_cache`` of CACHE_SIZE entries, room for one point's
+three labels and the entries a sweep shares, so a long sweep evicts its
+earlier points. The keys keep +0.0 and -0.0 apart: a SystemSpec compares
+and hashes k = 0.0 and -0.0 alike, so :func:`spec_cache` adds the sign
+of k to the key, and NormalModes compare by the bits of their matrix and
+frequencies. An error is raised anew at each call, never cached, and a
+cached array is read-only. ``lru_cache`` is thread-safe, and ``scan``'s
+worker threads evaluate closed forms on arrays, which reach none of
+these. :func:`hamiltonian` is not memoised: its G holds k itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +54,27 @@ __all__ = [
     "normal_modes",
     "stable_coupling",
 ]
+
+#: entries each memoised function keeps: one point's three labels and the
+#: entries a sweep shares, never a whole sweep
+CACHE_SIZE = 32
+
+
+def spec_cache(func):
+    """``func(sys, ...)``, pure in a SystemSpec and further immutable
+    values, memoised in a thread-safe ``functools.lru_cache`` of
+    CACHE_SIZE entries whose key also holds the sign of ``sys.k``, which
+    the spec's == and hash() ignore at k = 0.0 and -0.0. ``__wrapped__``
+    is ``func`` itself."""
+    cached = functools.lru_cache(maxsize=CACHE_SIZE)(
+        lambda sign, sys, *args, **kwargs: func(sys, *args, **kwargs))
+
+    @functools.wraps(func)
+    def memoised(sys, *args, **kwargs):
+        return cached(math.copysign(1.0, sys.k), sys, *args, **kwargs)
+
+    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -86,7 +123,7 @@ def is_resonant(sys: SystemSpec) -> bool:
     return sys.omega_h == sys.omega_c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalModes:
     """Orthogonal mode transform (x_h, x_c)^T = P (eta_1, eta_2)^T and the
     two normal-mode frequencies.
@@ -97,6 +134,10 @@ class NormalModes:
     modes are ordered by frequency, Omega_1 >= Omega_2. :func:`lowering_ops`
     also takes the bare oscillators, P = I with the bare frequencies
     omega_h, omega_c, which are not frequency-ordered.
+
+    Two mode sets are equal, and hash alike, when the bits of their
+    matrices and of their frequencies are: +0.0 and -0.0 differ, and a
+    NaN equals the same NaN.
     """
 
     matrix: np.ndarray  # 2x2 orthogonal
@@ -107,10 +148,22 @@ class NormalModes:
         m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        freqs = np.array([self.omega1, self.omega2], dtype=float)
+        object.__setattr__(self, "_bits", (m.shape, m.tobytes(), freqs.tobytes()))
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalModes):
+            return NotImplemented
+        return self._bits == other._bits
+
+    def __hash__(self):
+        return hash(self._bits)
 
 
+@spec_cache
 def normal_modes(sys: SystemSpec) -> NormalModes:
-    """Diagonalize the potential-energy form of the coupled pair."""
+    """Diagonalize the potential-energy form of the coupled pair; memoised
+    (:func:`spec_cache`)."""
     # work with the squares and k scaled by 2^-2e, e the binary exponent of
     # the larger frequency: ldexp is exact, so a result whose steps stay in
     # the normal range scaled and unscaled keeps its unscaled bits, while
@@ -159,6 +212,7 @@ def hamiltonian(sys: SystemSpec) -> np.ndarray:
     return g
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def lowering_ops(modes: NormalModes, own_frame: bool = False) -> np.ndarray:
     """Lowering jump operators of each bath and mode, as the complex
     coefficient vectors over (x_h, p_h, x_c, p_c), shape (2 baths, 2
@@ -170,7 +224,8 @@ def lowering_ops(modes: NormalModes, own_frame: bool = False) -> np.ndarray:
     the conjugates at -w_j. With ``own_frame`` they are written over the
     modes' own quadratures (eta_1, Pi_1, eta_2, Pi_2) instead, where every
     entry off a mode's own quadratures is an exact zero. Non-finite output
-    raises ContractError.
+    raises ContractError. Memoised by the modes' bits, the result is
+    read-only.
     """
     p = modes.matrix
     # C_ij: position i's coefficient in eta_j, over (x_h, x_c) or the modes'
@@ -184,4 +239,5 @@ def lowering_ops(modes: NormalModes, own_frame: bool = False) -> np.ndarray:
         ops.imag[..., 1::2] = p[:, :, None] * (half_inv[:, None] * c.T)
     if not np.isfinite(ops).all():
         raise ContractError(f"lowering operators of {modes!r} are not finite")
+    ops.setflags(write=False)
     return ops

@@ -760,6 +760,66 @@ def test_tables_are_spelled_by_one_module():
     assert not found, found
 
 
+def test_argument_taking_caches_are_bounded():
+    # a functools cache keeps an entry per distinct call, so over a sweep
+    # or a scan an unbounded one grows without end: every cache of a
+    # function that takes arguments has a finite maxsize, an int literal
+    # or a module-level int constant. Argument-free ones hold one entry
+    # (spell's constant tables, cli.make_parser) and are exempt
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(meqlab.__file__).parent.glob("*.py"))}
+    constants = {target.id: node.value.value for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+    def cache_kind(node):
+        """'cache' or 'lru_cache' for functools.cache, functools.lru_cache
+        and calls of either, else None."""
+        node = node.func if isinstance(node, ast.Call) else node
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools" and node.attr in ("cache", "lru_cache")):
+            return node.attr
+        return None
+
+    def bounded(node):
+        if cache_kind(node) == "cache":
+            return False
+        if not isinstance(node, ast.Call):
+            return True  # a bare lru_cache keeps its default, 128
+        sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+        if not sizes:
+            return True
+        size = sizes[0]
+        value = size.value if isinstance(size, ast.Constant) else constants.get(
+            getattr(size, "id", None))
+        return type(value) is int and value > 0
+
+    seen, unbounded = set(), []
+    for stem, tree in trees.items():
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded.append(f"{stem}:{node.lineno} imports from functools by name")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in filter(cache_kind, node.decorator_list):
+                decorators.add(id(deco))
+                a = node.args
+                if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                    seen.add(f"{stem}.{node.name}")
+                    if not bounded(deco):
+                        unbounded.append(f"{stem}.{node.name}")
+        for node in ast.walk(tree):
+            # a cache made by a call, of a function it cannot see
+            if isinstance(node, ast.Call) and cache_kind(node) and id(node) not in decorators:
+                seen.add(f"{stem}:{node.lineno}")
+                if not bounded(node):
+                    unbounded.append(f"{stem}:{node.lineno}")
+    assert not unbounded, unbounded
+    assert {"bath.sigma_coeff", "model.lowering_ops"} <= seen, seen
+    assert any(name.startswith("model:") for name in seen), seen
+
+
 def test_flow_overflow_in_build_is_one_typed_error(tmp_path, capsys):
     # the normal-frame block2 passes the float range: a validation error,
     # with no numpy warning before it (warnings are errors under pytest)

@@ -152,6 +152,24 @@ def test_closed_form_grid_equals_scalar_calls():
                 assert stack[i, j].tobytes() == func(*point).tobytes()
 
 
+def test_closed_form_lone_complex_point_equals_its_grid_entry():
+    # the EP Newton core evaluates [k - h, k, k + h] in one call: a lone
+    # complex k has the bits of the middle entry, as a real one does
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        w = 10 ** rng.uniform(-3.0, 3.0)
+        hot, cold = (BathSpec(10 ** rng.uniform(-9, -1), 10 ** rng.uniform(-2, 4),
+                              10 ** rng.uniform(0, 4)) for _ in range(2))
+        k = complex(rng.uniform(0.0, 0.99) * w * w, rng.uniform(-1e-3, 1e-3) * w * w)
+        ks = np.array([k - 1e-6 * w * w, k, k + 1e-6 * w * w])
+        for label, wc, frame in ((LME, w, LOCAL_FRAME), (LME, 1.05 * w, LOCAL_FRAME),
+                                 (REDFIELD, w, LOCAL_FRAME), (REDFIELD, w, NORMAL_FRAME)):
+            lone = closed_form_drift(label, w, wc, k, hot, cold, frame)
+            grid = closed_form_drift(label, w, wc, ks, hot, cold, frame)
+            assert lone.shape == (4, 4) and lone.dtype == complex
+            assert lone.tobytes() == grid[1].tobytes(), (label, w, wc, k, frame)
+
+
 def unscaled_redfield_drift_local(w, k, c1, c2, D1h, D2h, D1c, D2c):
     """The resonant Redfield local drift with the quotients D/c taken on
     the unscaled mode frequencies: the reference for the scaled form."""

@@ -280,3 +280,19 @@ def test_instability_rejected():
             object.__setattr__(spec, name, value)
         with pytest.raises(StabilityError, match="not positive"):
             normal_modes(spec)
+
+
+def test_normal_modes_compare_and_hash_by_bits():
+    # equal modes of two calls are equal and hash alike, which a cache key
+    # needs; the bits decide, so a signed zero or one ulp tells them apart
+    sys = SystemSpec(1.0, 1.05, 2e-3)
+    modes = normal_modes(sys)
+    twin = NormalModes(np.array(modes.matrix), modes.omega1, modes.omega2)
+    assert twin == modes and hash(twin) == hash(modes) and twin is not modes
+    assert len({modes, twin, bare_modes(sys), bare_modes(sys)}) == 2
+    signed = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    assert NormalModes(signed, 1.0, 1.0) != NormalModes(np.eye(2), 1.0, 1.0)
+    assert NormalModes(np.eye(2), 1.0, math.nextafter(1.0, 2.0)) != NormalModes(np.eye(2), 1.0, 1.0)
+    nan = NormalModes(np.eye(2), math.nan, 1.0)
+    assert nan == NormalModes(np.eye(2), math.nan, 1.0)
+    assert modes != (modes.matrix, modes.omega1, modes.omega2)

@@ -20,7 +20,8 @@ included), a detuned sweep from k = 0 (the one path where currents meet
 modes of zero weight), a scan whose rows are longer than one scan tile,
 both table formats, a partial --config file and a whole section set by
 --set (the config merge), a scan whose every point overflows, the
-configs near the stability edge, one ulp inside it at a frequency whose
+configs near the stability edge, a steady sweep of more points than the
+memoised functions keep entries, one ulp inside the edge at a frequency whose
 libm square (omega**2) is an ulp below its product omega*omega, and
 those closer to it or past it that exit with an error code (a stationary
 state that does not conserve energy, an unstable coupling, a channel
@@ -122,6 +123,10 @@ def _runs() -> dict[str, tuple[str, ...]]:
                           "--set", "steady.points=7", "--set", "steady.spacing=linear"),
         "near-edge-steady": ("steady", "--set", "steady.k_min=0.99", "--set", "steady.k_max=0.9999",
                              "--set", "steady.points=2"),
+        # more points than a memoised function of the specs keeps: the
+        # sweep's early entries are evicted on the way
+        "long-steady": ("steady", "--set", "steady.spacing=linear", "--set", "steady.k_min=1e-6",
+                        "--set", "steady.k_max=0.9", "--set", "steady.points=100"),
         "near-edge-transient": ("transient", "--set", "system.k=0.9999"),
         # the Hurwitz threshold, -HURWITZ_RTOL * ||block1||_F, grows with
         # omega_c^2 past the slowest decay, about 5e-9: 700 passes, 710 and
