@@ -43,14 +43,15 @@ the two routes differ only in their algebra. The label-independent
 ingredients of a point are memoised where they are made (see ``model``):
 the normal modes, the lowering operators, the noise coefficients and,
 here, the checked normal-mode frame of :func:`mode_frame`
-(:func:`_normal_frame`), keyed by the spec, the sign of its k and the
-modes' bits, in bounded thread-safe caches; :func:`closed_form_blocks`
+(:func:`_normal_frame`), keyed by the spec's value and the modes' bits,
+in bounded thread-safe caches; :func:`closed_form_blocks`
 takes both frames' drifts of a label from one evaluation of their
 coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,13 +74,13 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    CACHE_SIZE,
     NormalModes,
     SystemSpec,
     hamiltonian,
     is_resonant,
     lowering_ops,
     normal_modes,
-    spec_cache,
     stable_coupling,
 )
 
@@ -504,13 +505,14 @@ def frame_rotate(gen: MomentGenerator, to: str, modes: NormalModes) -> MomentGen
     return MomentGenerator(gen.label, to, t @ gen.block1 @ t.T, const2)
 
 
-@spec_cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _normal_frame(sys: SystemSpec, modes: NormalModes) -> tuple[np.ndarray, np.ndarray]:
     """The rotation T = :func:`quadrature_rotation` into the quadratures of
     the normal modes ``modes`` of ``sys`` and G = diag(W_1^2, 1, W_2^2, 1)
     there, both read-only, once the modes pass :func:`mode_frame`'s check
     against ``hamiltonian(sys)``, or ConsistencyError; memoised by the
-    spec and the modes' bits (``model.spec_cache``)."""
+    spec's value and the modes' bits. The check compares magnitudes, so
+    the sign of a zero k, which the spec's key ignores, never decides it."""
     freqs = np.array([modes.omega1, modes.omega2])
     p, w, v = modes.matrix, freqs * freqs, hamiltonian(sys)[::2, ::2]
     with np.errstate(all="ignore"):

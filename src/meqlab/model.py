@@ -19,20 +19,23 @@ land an ulp off (at w = 0.8683284008647664, w**2 < w*w), so a square
 read as a product has the same bits wherever it is read, and a coupling
 the rule accepts keeps positive mode frequencies.
 
-:func:`normal_modes` and :func:`lowering_ops` are memoised, as are
-``bath.sigma_coeff``, ``thermo.current_scale`` and the normal-mode
-frame of ``generators.mode_frame``: the labels of one point, and the
-build and heat-current check of each, read the same modes and rates.
-Each is a pure function of immutable values behind a
-``functools.lru_cache`` of CACHE_SIZE entries, room for one point's
-three labels and the entries a sweep shares, so a long sweep evicts its
-earlier points. The keys keep +0.0 and -0.0 apart: a SystemSpec compares
-and hashes k = 0.0 and -0.0 alike, so :func:`spec_cache` adds the sign
-of k to the key, and NormalModes compare by the bits of their matrix and
-frequencies. An error is raised anew at each call, never cached, and a
-cached array is read-only. ``lru_cache`` is thread-safe, and ``scan``'s
-worker threads evaluate closed forms on arrays, which reach none of
-these. :func:`hamiltonian` is not memoised: its G holds k itself.
+Memoised are :func:`normal_modes` and :func:`lowering_ops` here,
+``bath.sigma_coeff`` and the checked normal-mode frame of
+``generators.mode_frame``: the labels of one point, and the build and
+heat-current check of each, read the same modes and rates. Each is a
+pure function of immutable values behind a ``functools.lru_cache`` of
+CACHE_SIZE entries, room for one point's three labels and the entries a
+sweep shares, so a long sweep evicts its earlier points. The key is the
+arguments, compared the way their types compare: a SystemSpec by value,
+so k = 0.0 and -0.0 share an entry, and NormalModes by the bits of
+their matrix and frequencies. Sharing across the sign of a zero k is
+exact: no memoised body reads it. :func:`normal_modes` sees k through
+k*k, abs(k), k < 0.0 and sums with nonzero squares, alike at +0.0 and
+-0.0, and the frame's check compares magnitudes. An error is raised
+anew at each call, never cached, and a cached array is read-only.
+``lru_cache`` is thread-safe, and ``scan``'s worker threads evaluate
+closed forms on arrays, which reach none of these. :func:`hamiltonian`
+is not memoised: its G holds k itself.
 """
 
 from __future__ import annotations
@@ -58,23 +61,6 @@ __all__ = [
 #: entries each memoised function keeps: one point's three labels and the
 #: entries a sweep shares, never a whole sweep
 CACHE_SIZE = 32
-
-
-def spec_cache(func):
-    """``func(sys, ...)``, pure in a SystemSpec and further immutable
-    values, memoised in a thread-safe ``functools.lru_cache`` of
-    CACHE_SIZE entries whose key also holds the sign of ``sys.k``, which
-    the spec's == and hash() ignore at k = 0.0 and -0.0. ``__wrapped__``
-    is ``func`` itself."""
-    cached = functools.lru_cache(maxsize=CACHE_SIZE)(
-        lambda sign, sys, *args, **kwargs: func(sys, *args, **kwargs))
-
-    @functools.wraps(func)
-    def memoised(sys, *args, **kwargs):
-        return cached(math.copysign(1.0, sys.k), sys, *args, **kwargs)
-
-    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
-    return memoised
 
 
 @dataclass(frozen=True)
@@ -160,10 +146,10 @@ class NormalModes:
         return hash(self._bits)
 
 
-@spec_cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def normal_modes(sys: SystemSpec) -> NormalModes:
     """Diagonalize the potential-energy form of the coupled pair; memoised
-    (:func:`spec_cache`)."""
+    by the spec's value."""
     # work with the squares and k scaled by 2^-2e, e the binary exponent of
     # the larger frequency: ldexp is exact, so a result whose steps stay in
     # the normal range scaled and unscaled keeps its unscaled bits, while

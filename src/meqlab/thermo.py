@@ -25,11 +25,6 @@ of the balance's terms, which equal the closed form's to rounding and
 can cancel far below their size; a failing check names the time of the
 first failing sample, and the hot bath when both fail there.
 
-:func:`current_scale` is memoised like the modes and noise coefficients
-it shares with ``generators`` (see ``model``): by the specs and the sign
-of k, in a bounded thread-safe cache, so the three labels of a point
-compute it once.
-
 Sign convention: positive current = energy flowing from the bath into
 the system.
 """
@@ -46,7 +41,7 @@ from .bath import BathSpec, delta_coeff, sigma_coeff
 from .dynamics import MomentState, _Stack, _require_local, propagate
 from .errors import ConsistencyError, NumericalError, ValidationError
 from .generators import CROSSCHECK_TOL, LME, REDFIELD, MomentGenerator, mode_frame
-from .model import NormalModes, SystemSpec, hamiltonian, spec_cache
+from .model import NormalModes, SystemSpec, hamiltonian
 
 __all__ = [
     "HeatCurrentSample",
@@ -132,10 +127,10 @@ def _closed_form_currents(
     return np.stack(out)
 
 
-@spec_cache
 def current_scale(sys: SystemSpec, hot: BathSpec, cold: BathSpec) -> float:
     """Natural magnitude of stationary currents: the noise floor
-    w*Sigma/2 maximized over the baths; memoised (``model.spec_cache``)."""
+    w*Sigma/2 maximized over the baths. Not memoised: two cached
+    ``sigma_coeff`` reads cost about what a cache hit would."""
     return max(
         0.5 * sys.omega_h * sigma_coeff(hot, sys.omega_h),
         0.5 * sys.omega_c * sigma_coeff(cold, sys.omega_c),

@@ -1,8 +1,9 @@
 """The memoised ingredients of a point: normal modes, noise coefficients,
-lowering operators, the current scale and the checked normal-mode frame.
+lowering operators and the checked normal-mode frame.
 
-Each must give the bits of its undecorated body (``__wrapped__``), keep
-+0.0 and -0.0 apart, return the cached object on a hit without running
+Each must give the bits of its undecorated body (``__wrapped__``), share
+an entry across the sign of a zero coupling only where its body gives
+the same bits there, return the cached object on a hit without running
 the body, hand out read-only arrays, and raise every error anew.
 """
 
@@ -28,6 +29,12 @@ from meqlab.model import CACHE_SIZE, NormalModes, SystemSpec, lowering_ops, norm
 from meqlab.thermo import current_scale
 
 HOT, COLD = BathSpec(1e-3, 10.0, 1e3), BathSpec(1e-2, 5.0, 1e3)
+
+#: every memoised function of the package, as module.name; the source lint
+#: of tests/test_cli.py finds exactly these caches of argument-taking
+#: functions, and memoised_calls exercises each
+MEMOISED = {"bath.sigma_coeff", "model.lowering_ops", "model.normal_modes",
+            "generators._normal_frame"}
 
 
 def bits(value):
@@ -63,8 +70,7 @@ def memoised_calls(sys, hot, cold):
     """(function, arguments) of every memoised function at one point."""
     modes = normal_modes.__wrapped__(sys)
     bare = NormalModes(np.eye(2), sys.omega_h, sys.omega_c)
-    calls = [(normal_modes, (sys,)), (current_scale, (sys, hot, cold)),
-             (_normal_frame, (sys, modes))]
+    calls = [(normal_modes, (sys,)), (_normal_frame, (sys, modes))]
     calls += [(lowering_ops, (m, own)) for m in (modes, bare) for own in (False, True)]
     calls += [(sigma_coeff, (bath, w)) for bath in (hot, cold)
               for w in (sys.omega_h, sys.omega_c, modes.omega1, modes.omega2)]
@@ -80,16 +86,57 @@ def test_memoised_functions_give_the_bits_of_their_bodies():
             assert bits(func(*args)) == want, (func.__name__, args)
 
 
-def test_keys_keep_the_sign_of_a_zero_coupling():
-    # a spec compares k = 0.0 and -0.0 equal; the caches do not
-    for func, args in ((normal_modes, ()), (current_scale, (HOT, COLD))):
-        func.cache_clear()
-        for k in (0.0, -0.0, 0.0):
-            func(SystemSpec(1.0, 1.0, k), *args)
-        info = func.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2), func.__name__
-    # the normal-mode frame's check reads k itself; modes that differ only
-    # in the sign of a zero entry are two keys of lowering_ops
+def test_memoised_calls_cover_every_cache():
+    names = {f"{func.__module__.rsplit('.', 1)[1]}.{func.__name__}"
+             for func, _ in memoised_calls(SystemSpec(1.3, 1.3, 0.2), HOT, COLD)}
+    assert names == MEMOISED
+
+
+def signed_zero_specs(seed, count):
+    """Pairs of specs at k = +0.0 and -0.0: resonant for one in three,
+    else omega_c/omega_h = 10^U(-8, 8), with omega_h = 10^U(-150, 150)
+    and both squares finite."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        wh = 10 ** rng.uniform(-150.0, 150.0)
+        wc = wh if len(pairs) % 3 == 0 else wh * 10 ** rng.uniform(-8.0, 8.0)
+        if 1e-150 <= wc <= 1e150:
+            pairs.append(tuple(SystemSpec(wh, wc, k) for k in (0.0, -0.0)))
+    return pairs
+
+
+def outcome(func, *args):
+    """The bits of func(*args), or the type of the error it raises."""
+    try:
+        return bits(func(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+def test_keys_share_the_sign_of_a_zero_coupling():
+    # a spec compares and hashes k = 0.0 and -0.0 alike, and so do the
+    # caches keyed by it: exact, since their bodies give the same bits at
+    # both signs, errors included
+    for pos, neg in signed_zero_specs(42, 300):
+        assert outcome(normal_modes.__wrapped__, neg) == outcome(
+            normal_modes.__wrapped__, pos), pos
+        modes = normal_modes.__wrapped__(pos)
+        assert outcome(_normal_frame.__wrapped__, neg, modes) == outcome(
+            _normal_frame.__wrapped__, pos, modes), pos
+    for wh, wc in ((1.0, 1.0), (1.3, 0.7), (1e-120, 1e-120), (3e140, 2e133)):
+        specs = [SystemSpec(wh, wc, k) for k in (0.0, -0.0, 0.0)]
+        modes = normal_modes.__wrapped__(specs[0])
+        want = bits(modes), bits(_normal_frame.__wrapped__(specs[0], modes))
+        normal_modes.cache_clear()
+        _normal_frame.cache_clear()
+        for sys in specs:
+            assert (bits(normal_modes(sys)), bits(_normal_frame(sys, modes))) == want
+        for func in (normal_modes, _normal_frame):
+            info = func.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 2, 1), func.__name__
+    # NormalModes compare by bits: modes that differ only in the sign of
+    # a zero entry are two keys of lowering_ops
     signed = NormalModes(np.array([[1.0, 0.0], [-0.0, 1.0]]), 1.0, 1.0)
     plain = NormalModes(np.eye(2), 1.0, 1.0)
     assert lowering_ops(signed).tobytes() != lowering_ops(plain).tobytes()
@@ -124,12 +171,12 @@ def test_cached_arrays_are_read_only():
 
 
 def test_caches_are_bounded():
-    for func in (normal_modes, current_scale, _normal_frame, lowering_ops, sigma_coeff):
+    for func, _ in memoised_calls(SystemSpec(1.3, 1.3, 0.2), HOT, COLD):
         assert func.cache_info().maxsize == CACHE_SIZE
-    current_scale.cache_clear()
+    normal_modes.cache_clear()
     for k in np.linspace(0.0, 0.5, 3 * CACHE_SIZE):
-        current_scale(SystemSpec(1.0, 1.0, float(k)), HOT, COLD)
-    assert current_scale.cache_info().currsize == CACHE_SIZE
+        normal_modes(SystemSpec(1.0, 1.0, float(k)))
+    assert normal_modes.cache_info().currsize == CACHE_SIZE
 
 
 def test_mode_frame_checks_modes_it_has_not_seen(monkeypatch):
@@ -160,7 +207,6 @@ def test_errors_keep_their_type_and_message():
         (sigma_coeff, (hot_overflow, 1e-6), ValidationError),
         (normal_modes, (bad_spec,), StabilityError),
         (lowering_ops, (NormalModes(modes.matrix, 1.0, 0.0),), ContractError),
-        (current_scale, (SystemSpec(1e-6, 1e-6, 0.0), hot_overflow, COLD), ValidationError),
         (_normal_frame, (SystemSpec(1.0, 1.0, 0.1), NormalModes(np.eye(2), 1.0, 1.0)),
          ConsistencyError),
     ]
@@ -171,6 +217,13 @@ def test_errors_keep_their_type_and_message():
             with pytest.raises(error) as got:
                 func(*args)
             assert str(got.value) == str(want.value), func.__name__
+    # current_scale, not memoised, reads the same noise coefficients
+    with pytest.raises(ValidationError) as want:
+        sigma_coeff.__wrapped__(hot_overflow, 1e-6)
+    for _ in range(2):
+        with pytest.raises(ValidationError) as got:
+            current_scale(SystemSpec(1e-6, 1e-6, 0.0), hot_overflow, COLD)
+        assert str(got.value) == str(want.value)
     assert math.isfinite(current_scale(SystemSpec(1e-6, 1e-6, 0.0), HOT, COLD))
 
 

@@ -11,11 +11,13 @@ from meqlab.algebra import pack_symmetric, unpack_symmetric
 from meqlab.bath import BathSpec, delta_coeff, sigma_coeff
 from meqlab.dynamics import (
     MomentState,
+    physicality_min_eig,
     propagate,
     slowest_timescale,
     steady_state,
     thermal_product_state,
 )
+from meqlab.epscan import exceptional_line
 from meqlab.errors import ConsistencyError, NumericalError, ValidationError
 from meqlab.generators import (
     GME,
@@ -624,6 +626,81 @@ def test_clausius_gme_nonpositive_random():
         ss = steady_state(build(GME, sys, hot, cold), sys)
         sample = heat_current(GME, sys, hot, cold, ss)
         assert clausius_check(sample, hot.temperature, cold.temperature) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_wh=st.floats(-1.0, 1.0),
+    detuning=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    log_k=st.floats(-4.0, -0.05),
+    negative=st.booleans(),
+    log_lambda_cold=st.floats(-6.0, -1.0),
+    log_bath_ratio=st.floats(-4.0, 0.0),
+    log_t_cold=st.floats(-1.0, 1.0),
+    log_t_ratio=st.floats(0.01, 1.0),
+)
+def test_gme_obeys_the_second_law_and_positivity(
+    log_wh, detuning, log_k, negative, log_lambda_cold, log_bath_ratio, log_t_cold,
+    log_t_ratio,
+):
+    # the secular picture's stationary state, resonant or detuned, from
+    # weak to strong coupling and T_h > T_c: its Clausius sum is <= 0 and
+    # Sigma + (i/2) J >= 0, each to round-off. Over 10,000 seeded draws
+    # and the corners of these ranges the largest Clausius sum was 8.8e-16
+    # of current_scale/T_c and the smallest eigenvalue -2.9e-16 of the
+    # largest covariance entry; the margin is 32 eps = 7.1e-15 of each
+    wh = 10.0**log_wh
+    wc = wh * 10.0**detuning
+    k = (-1.0 if negative else 1.0) * 10.0**log_k * wh * wc
+    sys = SystemSpec(wh, wc, k)
+    t_cold = 10.0**log_t_cold
+    lambda_cold = 10.0**log_lambda_cold
+    hot = BathSpec(lambda_cold * 10.0**log_bath_ratio, t_cold * 10.0**log_t_ratio, 1e3)
+    cold = BathSpec(lambda_cold, t_cold, 1e3)
+    state = steady_state(build(GME, sys, hot, cold), sys)
+    sample = heat_current(GME, sys, hot, cold, state)
+    margin = 32.0 * np.finfo(float).eps
+    clausius = clausius_check(sample, hot.temperature, cold.temperature)
+    assert clausius <= margin * current_scale(sys, hot, cold) / t_cold
+    assert physicality_min_eig(state) >= -margin * np.abs(state.covariance()).max()
+
+
+def transient_envelope_slopes(label, k):
+    """At omega = 1 and the default baths, from the thermal product state:
+    the log-log slope of |Q(t) - Q_inf| e^(-2 Re mu t), mu the slowest
+    eigenvalue of block1, each current's maximum over one time unit
+    0.5/|Re mu| against the time it is taken at, over the units that
+    start from 4 to 23; sampled at 200 per unit. (hot, cold)."""
+    sys = SystemSpec(1.0, 1.0, k)
+    gen = build(label, sys, HOT, COLD)
+    re_mu = np.linalg.eigvals(gen.block1).real.max()
+    per_unit, units = 200, 24
+    times = np.arange(units * per_unit + 1) * (0.5 / abs(re_mu) / per_unit)
+    samples = transient_currents(label, sys, HOT, COLD, thermal_product_state(sys, HOT, COLD),
+                                 times, gen=gen)
+    steady = heat_current(label, sys, HOT, COLD, steady_state(gen, sys))
+    slopes = []
+    for current, limit in ((samples.q_hot, steady.q_hot), (samples.q_cold, steady.q_cold)):
+        envelope = (np.abs(current - limit) * np.exp(-2.0 * re_mu * times))[:-1]
+        by_unit = envelope.reshape(units, per_unit)[4:]
+        peak_time = 4.0 + np.arange(units - 4) + by_unit.argmax(axis=1) / per_unit
+        slopes.append(np.polyfit(np.log(peak_time), np.log(by_unit.max(axis=1)), 1)[0])
+    return slopes
+
+
+@pytest.mark.parametrize("label", [LME, REDFIELD])
+def test_transient_currents_carry_the_ep_polynomial(label):
+    # at k* the second moments sit at a third-order EP, so Q(t) - Q_inf
+    # carries t^2 e^(2 Re mu t); away from it, e^(2 Re mu t) alone, damped
+    # or oscillating. The envelope's slope is 1.69 (hot) and 2.00 (cold) at
+    # k*, LME and Redfield alike and the same at omega = 0.5 and 2 and
+    # lambda_c^2 = 1e-5 and 1e-3; at k/k* from 0.1 to 8 away from 1 it
+    # stays within 0.19 of 0 (that at 1.1), within 0.07 at k*/2 and 2k*.
+    # Past about 25 units the deviation reaches the rounding of Q_inf
+    kstar = exceptional_line(1.0, HOT, COLD)
+    assert min(transient_envelope_slopes(label, kstar)) > 1.5
+    for k in (0.5 * kstar, 2.0 * kstar):
+        assert np.abs(transient_envelope_slopes(label, k)).max() < 0.2
 
 
 def test_lme_resonant_no_cold_to_hot():
